@@ -20,10 +20,16 @@ from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_poin
 from .geometry import AlignedBox, Segment, Window, point_coords, sample_segments
 
 # Work budget for exact discrepancy, in slab-scan units (one unit = one
-# point visited in one y-slab pass).  Throughput measures at 1e7-2e7
-# units/s, so the cap keeps a single call under a few minutes.
+# point visited in one y-slab pass).  The traced unitcube run of perfbench
+# (perfbench/README.md, "Where the time goes": 4.14M units in 1.62 s on a
+# 2-vCPU Xeon) measured 2.55e6 units/s, so at the cap a single call runs
+# about 26 minutes.  The cap stays until the slab loop becomes an
+# incremental sweep; the budget is then set from that sweep's throughput.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
 DISPERSION_GRID_BUDGET = 2 ** 18
+# Twist rows per block of the d = 1 SUD window scan.  At N = 2^14 and
+# m_max = 64 one block is about 8 MB per array (values, order, sorted).
+SUD_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +153,8 @@ def dispersion(points) -> DispersionReport:
                             grid_resolution=1.0 / (m - 1))
 
 
-def _toroidal_dispersion_rows(rows: np.ndarray) -> np.ndarray:
-    """Toroidal 1-D dispersion of each row of fractional parts in [0,1)."""
-    s = np.sort(rows, axis=1)
+def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
+    """Toroidal 1-D dispersion of each row of ascending fractional parts in [0,1)."""
     wrap = 1.0 - s[:, -1] + s[:, 0]
     if s.shape[1] > 1:
         inner = np.max(np.diff(s, axis=1), axis=1)
@@ -161,7 +166,7 @@ def _toroidal_dispersion(pts: np.ndarray) -> float:
     """Toroidal sup-norm dispersion of one point set in [0,1)^d (grid bound for d>=2)."""
     n, d = pts.shape
     if d == 1:
-        return float(_toroidal_dispersion_rows(pts.T)[0])
+        return float(_toroidal_dispersion_rows(np.sort(pts.T, axis=1))[0])
     shifts = np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij")
     offsets = np.stack([g.ravel() for g in shifts], axis=1)
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
@@ -277,12 +282,54 @@ def _m_samples(m_max: int) -> list:
     return [int(v) for v in np.unique(np.round(np.linspace(0, m_max, 64)).astype(np.int64))]
 
 
+def _shift_groups(ms: list, N: int) -> list:
+    """Runs of consecutive shifts whose first and last differ by at most N.
+
+    The windows m <= j < m+N of a run lie in one span of at most 2N indices,
+    so one sort of the span serves every shift of the run, and a sampled
+    m_max far above N never makes a span longer than 2N.
+    """
+    groups = [[ms[0]]]
+    for m in ms[1:]:
+        if m - groups[-1][0] <= N:
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    return groups
+
+
+def _window_dispersion_max(v: np.ndarray, idx: np.ndarray, shifts: list,
+                           N: int, xis: np.ndarray) -> float:
+    """Max over twists xi and shifts m of the toroidal dispersion of the
+    window {w_j : m <= j < m+N} of w_j = (v_j - xi*j) mod 1, j in idx.
+
+    Each block of twist rows is sorted once.  A shift keeps the sorted
+    entries whose index lies in its window, exactly N per row, which are the
+    floats a sort of that window alone gives, so the gaps and the value are
+    the same to the last bit.
+    """
+    best = 0.0
+    for b in range(0, xis.size, SUD_BLOCK_ROWS):
+        w = np.mod(v[None, :] - xis[b:b + SUD_BLOCK_ROWS, None] * idx[None, :], 1.0)
+        order = np.argsort(w, axis=1)
+        s = np.take_along_axis(w, order, axis=1)
+        for m in shifts:
+            lo = m - shifts[0]
+            keep = (order >= lo) & (order < lo + N)
+            rows = s[keep].reshape(w.shape[0], N)
+            best = max(best, float(np.max(_toroidal_dispersion_rows(rows))))
+    return best
+
+
 def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
                  seed: int) -> SUDEstimate:
     """Lower bound for the uniform dispersion of {v_{k+m} - xi*(k+m)}, k < N.
 
     Maximizes the toroidal dispersion of the N fractional-part vectors over
-    sampled shifts m and twists xi (xi matters only mod 1).
+    sampled shifts m and twists xi (xi matters only mod 1).  The shift-m set
+    is the window m <= j < m+N of the single sequence v_j - xi*j, so the
+    sequence is evaluated once over the spans of `_shift_groups`, and for
+    d = 1 each span is sorted once per block of twists.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -293,16 +340,23 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     d = seq.dim
     ms = _m_samples(m_max)
     xis = _xi_samples(xi_count, d, seed)
+    groups = _shift_groups(ms, N)
+    spans = [np.arange(g[0], g[-1] + N, dtype=np.int64) for g in groups]
+    values = np.split(seq.extended_values(np.concatenate(spans)),
+                      np.cumsum([span.size for span in spans])[:-1])
     best = 0.0
-    for m in ms:
-        idx = np.arange(m, m + N, dtype=np.int64)
-        vs = seq.extended_values(idx)
+    for shifts, idx, vs in zip(groups, spans, values):
         if d == 1:
-            mats = np.mod(vs[:, 0][None, :] - xis[:, :1] * idx[None, :], 1.0)
-            best = max(best, float(np.max(_toroidal_dispersion_rows(mats))))
-        else:
+            best = max(best, _window_dispersion_max(vs[:, 0], idx, shifts, N,
+                                                    xis[:, 0]))
+            continue
+        # d >= 2 keeps one KD-tree per (m, xi): its grid bound is a nearest-
+        # neighbour query, and a tree over the span cannot leave out the
+        # indices outside a window without querying past them.
+        for m in shifts:
+            win = slice(m - shifts[0], m - shifts[0] + N)
             for xi in xis:
-                pts = np.mod(vs - np.outer(idx.astype(float), xi), 1.0)
+                pts = np.mod(vs[win] - np.outer(idx[win].astype(float), xi), 1.0)
                 best = max(best, _toroidal_dispersion(pts))
     return SUDEstimate(N=int(N), m_samples=ms, xi_samples=int(xi_count),
                        value=best)
@@ -613,6 +667,30 @@ def _dual_direction_candidates(spec: PointSetSpec, dim: int) -> list:
     return out
 
 
+def _central_width(proj: np.ndarray, cu: float, bulk: float):
+    """Largest gap of sorted projections whose midpoint lies within bulk of
+    the centre's projection cu, or None when no gap does."""
+    gaps = np.diff(proj)
+    mids = (proj[:-1] + proj[1:]) / 2.0
+    central = np.abs(mids - cu) <= bulk
+    if not np.any(central):
+        return None
+    return float(np.max(gaps[central]))
+
+
+def _central_width_bound(q: np.ndarray, cu: float, bulk: float,
+                         eps: float) -> float:
+    """Upper bound on `_central_width` from the sorted projections q of a
+    subset of the points (see `vacant_strip`); inf when q does not reach
+    past both ends of the band [cu - bulk, cu + bulk] widened by 2*eps."""
+    lo, hi = cu - bulk - 2.0 * eps, cu + bulk + 2.0 * eps
+    if q.size < 2 or q[0] >= lo or q[-1] <= hi:
+        return math.inf
+    first = int(np.searchsorted(q, lo)) - 1             # last one below lo
+    last = int(np.searchsorted(q, hi, side="right"))    # first one above hi
+    return float(np.max(np.diff(q[first:last + 1]))) + 2.0 * eps
+
+
 def vacant_strip(spec: PointSetSpec, window: Window,
                  candidate_directions=()) -> StripReport:
     """Direction maximizing the widest point-free strip through the window.
@@ -623,7 +701,24 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     strips passing within half the window inradius of the window center.
     The centering restriction discards gaps that exist only because a strip
     clips a corner of the window, where a single constituent reaches farther
-    along the direction than the others.
+    along the direction than the others.  Of the directions of maximal width
+    the first in sorted candidate order is reported.
+
+    Only a few directions need the sort of every projection.  Let P be the
+    points of the sub-window |x - center|_inf <= bulk (bulk = half the
+    inradius).  A central gap (a, b) has its midpoint in the band
+    [c.u - bulk, c.u + bulk].  When P's projections reach past both ends of
+    the band, the P-projections a' <= a and b' >= b next to the gap are
+    consecutive among P's, the gap (a', b') meets the band, and b' - a' >=
+    b - a: P is a subset and float subtraction is monotone.  So the largest
+    P-gap meeting the band bounds the width from above, and the full sort
+    runs in order of decreasing bound until the next bound is below the
+    widest strip found, which leaves the result exactly that of a scan of
+    every direction.  P's projections come from their own product, so they
+    may differ from the full ones in the last bits; the band is widened and
+    the bound raised by 2*eps, with eps at a relative 1e-9 far above those
+    differences and the rounding of the midpoint test.  A direction whose
+    P-projections stay inside the band gets an infinite bound.
     """
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
@@ -642,22 +737,26 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     cands = np.unique(np.round(cands, 12), axis=0)
     center = (window.lo + window.hi) / 2.0
     bulk = float(np.min(window.extent)) / 4.0
+    sub = pts[np.all(np.abs(pts - center) <= bulk, axis=1)]
+    # |x.u| <= dim * (|center|_inf + bulk) for x in P, for c.u and for every
+    # central midpoint; eps is 1e-9 of that scale.
+    eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
+    bounds = np.array([_central_width_bound(np.sort(sub @ u), float(center @ u),
+                                            bulk, eps) for u in cands])
     best_width = -1.0
-    best_dir = cands[0]
-    for u in cands:
-        proj = np.sort(pts @ u)
-        gaps = np.diff(proj)
-        mids = (proj[:-1] + proj[1:]) / 2.0
-        central = np.abs(mids - float(center @ u)) <= bulk
-        if not np.any(central):
-            continue
-        width = float(np.max(gaps[central]))
-        if width > best_width:
+    best_k = -1
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] < best_width:
+            break
+        u = cands[k]
+        width = _central_width(np.sort(pts @ u), float(center @ u), bulk)
+        if width is not None and (width > best_width
+                                  or (width == best_width and k < best_k)):
             best_width = width
-            best_dir = u
+            best_k = k
     if best_width < 0.0:
         raise ValueError("no candidate strip passes near the window center")
-    direction = best_dir.copy()
+    direction = cands[best_k].copy()
     direction.setflags(write=False)
     return StripReport(direction=direction, width=best_width,
                        window_radius=float(np.max(window.extent) / 2.0))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,24 +367,20 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
     weights = [(2.0 ** p, 2.0 ** (-p)) for p in positions]
     out = []
     limit = MAX_ENUMERATED_POINTS // 4
-
-    def walk(idx, x, y):
+    # Depth-first over include/exclude choices, the exclude branch first; a
+    # stack of pending (index, x, y) nodes keeps the depth off the call stack.
+    stack = [(0, 0.0, 0.0)]
+    while stack:
         if len(out) > limit:
             raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
+        idx, x, y = stack.pop()
         if idx == len(weights):
             out.append((x, y))
-            return
-        walk(idx + 1, x, y)
+            continue
         wx, wy = weights[idx]
         if x + wx <= xmax and y + wy <= ymax:
-            walk(idx + 1, x + wx, y + wy)
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(weights) + 100))
-    try:
-        walk(0, 0.0, 0.0)
-    finally:
-        sys.setrecursionlimit(old)
+            stack.append((idx + 1, x + wx, y + wy))
+        stack.append((idx + 1, x, y))
     return np.asarray(out)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from denseforest.errors import ResourceLimitError
 from denseforest.generators import (D2, D2_SCALE, CutAndProject,
+                                    _d2_nonneg_pairs,
                                     GeneralizedPeres, Grid, GridUnion,
                                     PeresForest, SequenceSpec, ThreeGrid,
                                     canonicalize_points,
@@ -24,6 +26,37 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 def contains(pts, target, tol=1e-9):
     return bool(np.abs(pts - np.asarray(target, float)).max(axis=1).min() <= tol)
+
+
+def recursive_d2_pairs(xmax, ymax):
+    """Reference bit-reversal walk: recursion over include/exclude choices."""
+    if xmax < 0 or ymax < 0:
+        return np.empty((0, 2))
+    positions = []
+    n = 0
+    while n < 1024 and 2.0 ** n <= xmax:
+        if 2.0 ** -n <= ymax:
+            positions.append(n)
+        n += 1
+    n = -1
+    while 2.0 ** -n <= ymax:
+        if 2.0 ** n <= xmax:
+            positions.append(n)
+        n -= 1
+    weights = [(2.0 ** p, 2.0 ** -p) for p in sorted(positions, reverse=True)]
+    out = []
+
+    def walk(idx, x, y):
+        if idx == len(weights):
+            out.append((x, y))
+            return
+        walk(idx + 1, x, y)
+        wx, wy = weights[idx]
+        if x + wx <= xmax and y + wy <= ymax:
+            walk(idx + 1, x + wx, y + wy)
+
+    walk(0, 0.0, 0.0)
+    return np.asarray(out)
 
 
 class TestSequences:
@@ -138,6 +171,20 @@ class TestEnumeration:
             assert x == pytest.approx(m / 64.0, abs=1e-9)
             rev = sum(2.0 ** (6 - b) for b in range(m.bit_length()) if m >> b & 1)
             assert y == pytest.approx(rev, abs=1e-9)
+
+    def test_d2_walk_leaves_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the recursion limit is process-global")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert len(enumerate_points(D2(), Window.cube(8.0, 2))) > 50
+
+    @pytest.mark.parametrize("xmax, ymax", [(-1.0, 2.0), (0.0, 0.0), (5.0, 5.0),
+                                            (100.0, 0.01), (0.3, 40.0),
+                                            (300.0, 300.0)])
+    def test_d2_pairs_match_recursive_walk(self, xmax, ymax):
+        assert np.array_equal(_d2_nonneg_pairs(xmax, ymax),
+                              recursive_d2_pairs(xmax, ymax))
 
     def test_window_monotone(self):
         for spec in (PeresForest(), ThreeGrid(), D2(),
