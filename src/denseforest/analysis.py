@@ -17,7 +17,8 @@ from scipy.stats import qmc
 
 from .errors import ResourceLimitError
 from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_points
-from .geometry import AlignedBox, Segment, Window, point_coords, sample_segments
+from .geometry import (AlignedBox, Segment, Window, point_coords, sample_probes,
+                       sample_segments)
 
 # Work budget for exact discrepancy, in slab-scan units (one unit = one
 # point visited in one y-slab pass).  The traced unitcube run of perfbench
@@ -366,17 +367,15 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
 # Visibility probing
 # ---------------------------------------------------------------------------
 
-def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
-                      eps: float) -> np.ndarray:
-    """Earliest parameter at which each candidate point starts blocking.
+def _blocked_intervals(b: np.ndarray, dirs: np.ndarray, eps: float):
+    """Open parameter intervals (t_lo, t_hi) on which lines block points.
 
-    For candidate p against the line base + t*dir, the blocked set
-    {t : sup-norm(base + t*dir - p) < eps} is an open interval (t_lo, t_hi);
-    the score is t_lo when the interval is nonempty and reaches past t=0,
-    else +inf.  A probe of length L is hit by p exactly when score < L.
+    Row j of ``b`` is a point minus its line's base and ``dirs`` holds the
+    line directions (one per row, or one shared).  The line is within
+    sup-norm eps of the point exactly for t_lo < t < t_hi, an empty set when
+    t_lo >= t_hi.  A flat axis (direction 0) blocks everywhere or nowhere.
     """
-    b = cand - bases
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo = (b - eps) / dirs
         hi = (b + eps) / dirs
     lo2 = np.minimum(lo, hi)
@@ -386,10 +385,151 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
         inside = np.abs(b) < eps
         lo2 = np.where(flat, np.where(inside, -np.inf, np.inf), lo2)
         hi2 = np.where(flat, np.where(inside, np.inf, -np.inf), hi2)
-    t_lo = lo2.max(axis=-1)
-    t_hi = hi2.min(axis=-1)
+    return lo2.max(axis=-1), hi2.min(axis=-1)
+
+
+def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
+                      eps: float) -> np.ndarray:
+    """Earliest parameter at which each candidate point starts blocking.
+
+    For candidate p against the line base + t*dir, the blocked set
+    {t : sup-norm(base + t*dir - p) < eps} is an open interval (t_lo, t_hi);
+    the score is t_lo when the interval is nonempty and reaches past t=0,
+    else +inf.  A probe of length L is hit by p exactly when score < L.
+    """
+    t_lo, t_hi = _blocked_intervals(cand - bases, dirs, eps)
     valid = (t_lo < t_hi) & (t_hi > 0.0)
     return np.where(valid, t_lo, np.inf)
+
+
+# Candidate rows (columns x box stencil) per chunk of the lattice column
+# walk, as many as one call of the unit-step march it replaced scored (4096
+# probes x a 5x5 stencil); at d = 3 that is about 2.5 MB per float array.
+PROBE_KERNEL_ROWS = 4096 * 25
+# Columns per probe in the walk's first round; each round doubles it up to
+# the cap.  Most probes are hit within a few columns, a miss walks all of
+# its about L*|B^-1 d|_max columns.  At least 2, so that every lattice point
+# product of the walk has two or more rows (see _ColumnWalk.score).
+WALK_FIRST_COLUMNS = 2
+WALK_MAX_COLUMNS = 64
+
+
+def _walk_stencils(k: int, d: int) -> np.ndarray:
+    """Offsets {0..k-1}^(d-1) placed on every axis but a, stacked over a."""
+    grid = np.indices((k,) * (d - 1)).reshape(d - 1, -1).T.astype(float)
+    return np.stack([np.insert(grid, a, 0.0, axis=1) for a in range(d)])
+
+
+class _ColumnWalk:
+    """The column walk of every probe over one lattice sheet.
+
+    In the sheet's coordinates y = B^-1 (x - shift) a probe is the line
+    y(t) = y0 + t*u with u = B^-1 dir, and a point within sup-norm eps of
+    x(t) lies within r_i = eps * sum_j |B^-1_ij| of y(t) on every axis i.
+    Along the dominant axis a = argmax |u_i| the band |y_a(t) - c| < r_a
+    meets the integer columns c one after another; column j (counted from
+    the first column the probe meets) is entered at ``entry(j)``, and while
+    in it y(t) +- r sweeps an integer box of the other axes.  A point of
+    column j blocks only inside that band, so its score is at least
+    entry(j).
+
+    r is widened by 1e-9 * (1 + r + |y0| + horizon * |u|) on each axis: far
+    above the rounding of y (a few ulps of |y| times the condition number
+    of B) and of the scoring kernel's bounds, and far below one lattice
+    spacing, so every blocker stays inside its column's box.
+    """
+
+    def __init__(self, sheet: LatticeSheet, eps: float, bases: np.ndarray,
+                 dirs: np.ndarray, horizons: np.ndarray):
+        n, d = bases.shape
+        inv = sheet.inverse
+        self.sheet = sheet
+        self.y0 = (bases - sheet.shift) @ inv.T
+        self.u = dirs @ inv.T
+        r = eps * np.abs(inv).sum(axis=1)
+        rp = r + 1e-9 * (1.0 + r + np.abs(self.y0)
+                         + horizons[:, None] * np.abs(self.u))
+        rows = np.arange(n)
+        self.axis = np.argmax(np.abs(self.u), axis=1)
+        u_a = self.u[rows, self.axis]
+        self.sgn = np.sign(u_a)
+        self.speed = np.abs(u_a)
+        self.pos = self.sgn * self.y0[rows, self.axis]
+        self.r_a = rp[rows, self.axis]
+        # Offsets of the box from y at the column entry: the band spans
+        # t in [entry, entry + 2 r_a / speed], plus r on either side.
+        sweep = (2.0 * self.r_a / self.speed)[:, None] * self.u
+        self.lo_off = np.minimum(sweep, 0.0) - rp
+        self.hi_off = np.maximum(sweep, 0.0) + rp
+        # A bound on the stencil k^(d-1) of ``score``, to size the chunks.
+        width = self.hi_off - self.lo_off
+        width[rows, self.axis] = 0.0
+        self.rows_per_column = (int(np.floor(width.max())) + 2) ** (d - 1)
+        # Column j of a probe is c = sgn * (start + j).
+        self.start = np.ceil(self.pos - self.r_a)
+        self.done = np.zeros(n)
+
+    def entry(self, sel, j) -> np.ndarray:
+        return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
+
+    def score(self, sel: np.ndarray, columns: int, eps: float,
+              bases: np.ndarray, dirs: np.ndarray, first: np.ndarray):
+        """Lower ``first`` over the next ``columns`` columns of the probes ``sel``."""
+        d = bases.shape[1]
+        j = self.done[sel, None] + np.arange(columns)
+        t_in = self.entry(sel[:, None], j)
+        y_in = self.y0[sel, None, :] + t_in[:, :, None] * self.u[sel, None, :]
+        lo = np.ceil(y_in + self.lo_off[sel, None, :])
+        hi = np.floor(y_in + self.hi_off[sel, None, :])
+        axis = self.axis[sel]
+        on_axis = (np.arange(d) == axis[:, None])[:, None, :]
+        col = (self.sgn[sel, None] * (self.start[sel, None] + j))[:, :, None]
+        lo = np.where(on_axis, col, lo)
+        hi = np.where(on_axis, col, hi)
+        k = int((hi - lo).max()) + 1
+        stencil = _walk_stencils(k, d)[axis]
+        zs = lo[:, :, None, :] + stencil[:, None, :, :]
+        inside = np.flatnonzero(np.all(zs <= hi[:, :, None, :], axis=-1))
+        owner = sel[inside // (columns * stencil.shape[1])]
+        # The product runs over all columns x stencil rows (at least two)
+        # before the rows outside the boxes are dropped: numpy computes a
+        # one-row product with BLAS gemv, which can round differently from
+        # the gemm of LatticeSheet.enumerate, and a lattice point must have
+        # the same coordinates, hence the same score, on every path.
+        pts = zs.reshape(-1, d) @ self.sheet.basis.T + self.sheet.shift
+        np.minimum.at(first, owner, _candidate_scores(
+            pts[inside], bases[owner], dirs[owner], eps))
+
+
+def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
+                         dirs: np.ndarray, horizons: np.ndarray,
+                         first: np.ndarray):
+    """Lower ``first`` to the least score of every lattice blocker below the horizon.
+
+    Every probe walks the columns of every sheet (see ``_ColumnWalk``) in
+    order of entry and stops on a sheet when its next column is entered
+    after min(first, horizon).  The sheets advance in joint rounds, so a hit
+    on one sheet ends the walk on the others.
+    """
+    walks = [_ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
+    guard = 1e-9 * (1.0 + horizons)
+    everyone = np.arange(bases.shape[0])
+    columns = WALK_FIRST_COLUMNS
+    while True:
+        moved = False
+        for walk in walks:
+            limit = np.minimum(first, horizons) + guard
+            alive = np.flatnonzero(walk.entry(everyone, walk.done) <= limit)
+            if not alive.size:
+                continue
+            moved = True
+            chunk = max(1, PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
+            for lo in range(0, alive.size, chunk):
+                walk.score(alive[lo:lo + chunk], columns, eps, bases, dirs, first)
+            walk.done[alive] += columns
+        if not moved:
+            return
+        columns = min(2 * columns, WALK_MAX_COLUMNS)
 
 
 def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
@@ -402,24 +542,23 @@ def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
     return (cKDTree(pool), pool) if pool.shape[0] else (None, pool)
 
 
-def _probe_first_hits(spec: PointSetSpec, eps: float, bases: np.ndarray,
-                      dirs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per probe, the infimum of blocking scores over all forest points.
+def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
+                  lengths: np.ndarray, first: np.ndarray):
+    """Lower ``first`` by marching waypoints spaced 1 apart along each probe.
 
-    Scans waypoints spaced 1 apart along each probe; every point within
-    sup-norm eps of the probe lies within eps + 1/2 of some waypoint, so the
-    candidate sets cover all blockers and the scores are exact.
+    Every point within sup-norm eps of the probe lies within eps + 1/2 of
+    some waypoint, so the candidates that sequence sheets list around each
+    waypoint, and a KD-tree over the enumerated points of the other sheets,
+    cover every blocker up to the horizon.
     """
     n_probe, d = bases.shape
     reach = eps + 0.5 + 1e-6
     guard = (eps + reach) * math.sqrt(d) + 1e-9
-    sheets = spec.sheets()
     analytic = [s for s in sheets if hasattr(s, "candidates_near")]
     generic = [s for s in sheets if not hasattr(s, "candidates_near")]
     tree, pool = (None, None)
     if generic:
         tree, pool = _generic_sheet_tree(generic, bases, dirs, lengths, reach)
-    first = np.full(n_probe, np.inf)
     horizons = np.ceil(lengths)
     alive = np.arange(n_probe)
     chunk = 4096
@@ -447,6 +586,28 @@ def _probe_first_hits(spec: PointSetSpec, eps: float, bases: np.ndarray,
                     first[sel[j]] = min(first[sel[j]], float(sc.min()))
         t += 1.0
         alive = alive[(horizons[alive] >= t) & (first[alive] > t - guard)]
+
+
+def _probe_first_hits(spec: PointSetSpec, eps: float, bases: np.ndarray,
+                      dirs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per probe, the least blocking score below its horizon ceil(length).
+
+    The minimum runs over every point of the set whose score (see
+    ``_candidate_scores``) is below ceil(length); it is +inf when there is
+    none.  A probe is hit exactly when the value is below its length.
+    Lattice sheets are walked column by column in lattice coordinates;
+    sequence sheets and the other sheets are marched in unit steps.
+    """
+    horizons = np.ceil(lengths)
+    first = np.full(bases.shape[0], np.inf)
+    sheets = spec.sheets()
+    lattice = [s for s in sheets if isinstance(s, LatticeSheet)]
+    rest = [s for s in sheets if not isinstance(s, LatticeSheet)]
+    if lattice:
+        _walk_lattice_sheets(lattice, eps, bases, dirs, horizons, first)
+    if rest:
+        _march_sheets(rest, eps, bases, dirs, lengths, first)
+    first[first >= horizons] = np.inf
     return first
 
 
@@ -505,8 +666,7 @@ def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
     """
     if L_max <= 0:
         raise ValueError("L_max must be positive")
-    segments = sample_segments(window, L_max, count, seed)
-    bases, dirs, lengths = _segments_to_arrays(segments)
+    bases, dirs, lengths = sample_probes(window, L_max, count, seed)
     first = _probe_first_hits(spec, epsilon, bases, dirs, lengths)
     threshold = float(np.max(first))
     if threshold >= L_max:
@@ -552,19 +712,9 @@ def _line_gap_profile(pts: np.ndarray, base: np.ndarray, direction: np.ndarray,
     sup-norm eps of it; gaps partition [t0, t1] minus the blocked union.
     """
     if pts.shape[0]:
-        b = pts - base
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = (b - eps) / direction
-            hi = (b + eps) / direction
-        lo2 = np.minimum(lo, hi)
-        hi2 = np.maximum(lo, hi)
-        flat = direction == 0.0
-        if np.any(flat):
-            inside = np.abs(b) < eps
-            lo2 = np.where(flat, np.where(inside, -np.inf, np.inf), lo2)
-            hi2 = np.where(flat, np.where(inside, np.inf, -np.inf), hi2)
-        t_lo = np.maximum(lo2.max(axis=1), t0)
-        t_hi = np.minimum(hi2.min(axis=1), t1)
+        t_lo, t_hi = _blocked_intervals(pts - base, direction, eps)
+        t_lo = np.maximum(t_lo, t0)
+        t_hi = np.minimum(t_hi, t1)
         keep = t_lo < t_hi
         ivals = np.column_stack([t_lo[keep], t_hi[keep]])
     else:

@@ -1,9 +1,9 @@
 """Point-set constructions and their driving sequences, enumerated over windows.
 
 Every infinite set is represented by a small spec object that knows how to
-list its points inside a half-open window and, for the lattice-backed
+list its points inside a half-open window and, for the sequence-driven
 constructions, how to produce candidate points near query locations (used by
-the visibility scanners).  Enumeration output is canonicalized: duplicates
+the visibility scanner).  Enumeration output is canonicalized: duplicates
 within 1e-9 are merged and rows are sorted lexicographically, so results are
 independent of internal evaluation order.
 """
@@ -237,24 +237,6 @@ class LatticeSheet:
         pts = zs @ self.basis.T + self.shift
         return pts[window.contains(pts)]
 
-    def candidates_near(self, queries: np.ndarray, radius: float):
-        """Lattice points within sup-norm ``radius`` of each query row.
-
-        Returns (points, rows) where rows[j] indexes the query the candidate
-        belongs to.  The candidate set is a superset: exactness comes from
-        the caller's distance filter.
-        """
-        ys = (queries - self.shift) @ self.inverse.T
-        reach = np.abs(self.inverse).sum(axis=1) * radius
-        ks = np.floor(reach + 0.5).astype(np.int64) + 1
-        axes = [np.arange(-k, k + 1) for k in ks]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        stencil = np.stack([m.ravel() for m in mesh], axis=1)
-        zs = np.rint(ys)[:, None, :] + stencil[None, :, :]
-        pts = zs.reshape(-1, self.dim) @ self.basis.T + self.shift
-        rows = np.repeat(np.arange(queries.shape[0]), stencil.shape[0])
-        return pts, rows
-
 
 @dataclass(frozen=True, eq=False)
 class SequenceSheet:
@@ -350,6 +332,16 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
     """Nonnegative-quadrant representatives (x, y) with x <= xmax, y <= ymax."""
     if xmax < 0 or ymax < 0:
         return np.empty((0, 2))
+    # A pair is fixed by two integers: the sum of its 2^n over n >= 0, in
+    # [0, xmax], and the sum of its 2^-n over n < 0, in [0, ymax]; distinct
+    # subsets give distinct sums.  So the walk yields at most
+    # (floor(xmax) + 1)(floor(ymax) + 1) pairs, and a request over budget is
+    # refused before it starts.  Measured bound/actual ratios: 2.37 at
+    # xmax = ymax = 7, 2.09 at 28 and 2.0001 at 5657 (D2 windows of radius
+    # 10 and 2000), 2.7 at (1000, 3) and 4.0 at (0.5, 1e4).
+    limit = MAX_ENUMERATED_POINTS // 4
+    if (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0) > limit:
+        raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
     positions = []
     n = 0
     # n < 1024 keeps 2.0 ** n finite; no float xmax can reach 2^1024.
@@ -366,13 +358,10 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
     positions.sort(reverse=True)
     weights = [(2.0 ** p, 2.0 ** (-p)) for p in positions]
     out = []
-    limit = MAX_ENUMERATED_POINTS // 4
     # Depth-first over include/exclude choices, the exclude branch first; a
     # stack of pending (index, x, y) nodes keeps the depth off the call stack.
     stack = [(0, 0.0, 0.0)]
     while stack:
-        if len(out) > limit:
-            raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
         idx, x, y = stack.pop()
         if idx == len(weights):
             out.append((x, y))

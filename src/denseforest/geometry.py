@@ -264,6 +264,58 @@ def _stratified_directions(dim: int) -> np.ndarray:
     return axes
 
 
+def _probe_rows(window: Window, count: int, seed: int):
+    """Bases and unnormalized directions of the seeded probes, with their norms.
+
+    Row i of the directions is the vector ``Segment`` would receive, and
+    norms[i] is ``float(np.linalg.norm(row))``, the value ``Segment``
+    divides it by.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    dim = window.dim
+    rng = np.random.default_rng(seed)
+    n_strat = count // 2
+    bases = np.empty((count, dim))
+    raw = np.empty((count, dim))
+    norms = np.empty(count)
+    if n_strat:
+        directions = _stratified_directions(dim)
+        table = np.asarray([float(np.linalg.norm(v)) for v in directions])
+        cycle = np.arange(n_strat) % len(directions)
+        grid = qmc.Halton(d=dim, scramble=False).random(n_strat)
+        bases[:n_strat] = window.lo + grid * window.extent
+        raw[:n_strat] = directions[cycle]
+        norms[:n_strat] = table[cycle]
+    for i in range(n_strat, count):
+        vec = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(vec))
+        while norm < 1e-9:
+            vec = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(vec))
+        bases[i] = window.lo + rng.random(dim) * window.extent
+        raw[i] = vec
+        norms[i] = norm
+    return bases, raw, norms
+
+
+def sample_probes(window: Window, length: float, count: int, seed: int):
+    """The probes of ``sample_segments`` as arrays (bases, directions, lengths).
+
+    Makes the same random draws in the same order, and normalizes each
+    direction by the same expression as ``Segment``, so every entry equals
+    the corresponding ``Segment`` attribute exactly.
+    """
+    length = float(length)
+    if not (length >= 0.0) or not np.isfinite(length):
+        raise ValueError("length must be a finite nonnegative real")
+    bases, raw, norms = _probe_rows(window, count, seed)
+    # Row by row division by a scalar, as in Segment: a vectorized norm
+    # (np.linalg.norm(axis=1)) rounds differently in the last bit.
+    dirs = raw / norms[:, None]
+    return bases, dirs, np.full(count, length)
+
+
 def sample_segments(window: Window, length: float, count: int, seed: int):
     """Deterministic probe segments with bases in the window.
 
@@ -272,22 +324,5 @@ def sample_segments(window: Window, length: float, count: int, seed: int):
     low-discrepancy grid of base points; the rest use seeded uniform random
     directions and bases.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    dim = window.dim
-    rng = np.random.default_rng(seed)
-    n_strat = count // 2
-    segments = []
-    if n_strat:
-        directions = _stratified_directions(dim)
-        grid = qmc.Halton(d=dim, scramble=False).random(n_strat)
-        bases = window.lo + grid * window.extent
-        for i in range(n_strat):
-            segments.append(Segment(bases[i], directions[i % len(directions)], length))
-    for _ in range(count - n_strat):
-        vec = rng.standard_normal(dim)
-        while np.linalg.norm(vec) < 1e-9:
-            vec = rng.standard_normal(dim)
-        base = window.lo + rng.random(dim) * window.extent
-        segments.append(Segment(base, vec, length))
-    return segments
+    bases, raw, _ = _probe_rows(window, count, seed)
+    return [Segment(b, v, length) for b, v in zip(bases, raw)]

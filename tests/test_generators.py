@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,8 +184,22 @@ class TestEnumeration:
                                             (100.0, 0.01), (0.3, 40.0),
                                             (300.0, 300.0)])
     def test_d2_pairs_match_recursive_walk(self, xmax, ymax):
-        assert np.array_equal(_d2_nonneg_pairs(xmax, ymax),
-                              recursive_d2_pairs(xmax, ymax))
+        pairs = _d2_nonneg_pairs(xmax, ymax)
+        assert np.array_equal(pairs, recursive_d2_pairs(xmax, ymax))
+        # The budget check's bound on the number of pairs.
+        assert len(pairs) <= (math.floor(xmax) + 1) * (math.floor(ymax) + 1)
+
+    def test_d2_budget_refused_before_the_walk(self):
+        # At (1e5, 1e5) the bound is 1e10 pairs; the walk used to hold 2.5e7
+        # tuples (about 4 GB) before it raised.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                _d2_nonneg_pairs(1e5, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_window_monotone(self):
         for spec in (PeresForest(), ThreeGrid(), D2(),

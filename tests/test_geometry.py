@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
 from denseforest.geometry import (AlignedBox, Point, Segment, Window,
+                                  _stratified_directions, sample_probes,
                                   sample_segments,
                                   supnorm_point_segment_distance,
                                   tube_bounding_window)
@@ -139,7 +141,52 @@ class TestTubeWindow:
                 assert np.all(p >= w.lo - 1e-12) and np.all(p <= w.hi + 1e-12)
 
 
+def segment_sampler_reference(window, length, count, seed):
+    """The per-Segment sampler that ``sample_probes`` reproduces as arrays."""
+    dim = window.dim
+    rng = np.random.default_rng(seed)
+    n_strat = count // 2
+    segments = []
+    if n_strat:
+        directions = _stratified_directions(dim)
+        grid = qmc.Halton(d=dim, scramble=False).random(n_strat)
+        bases = window.lo + grid * window.extent
+        for i in range(n_strat):
+            segments.append(Segment(bases[i], directions[i % len(directions)], length))
+    for _ in range(count - n_strat):
+        vec = rng.standard_normal(dim)
+        while np.linalg.norm(vec) < 1e-9:
+            vec = rng.standard_normal(dim)
+        base = window.lo + rng.random(dim) * window.extent
+        segments.append(Segment(base, vec, length))
+    return segments
+
+
 class TestSampleSegments:
+    @pytest.mark.parametrize("window, count, seed", [
+        (Window.cube(50.0, 2), 10000, 1),
+        (Window([-3.0, 1.0], [5.0, 2.5]), 301, 7),
+        (Window.cube(4.0, 3), 999, 2),
+        (Window.cube(1.0, 3), 1, 0),
+    ])
+    def test_probe_arrays_equal_segments(self, window, count, seed):
+        ref = segment_sampler_reference(window, 12.5, count, seed)
+        bases, dirs, lengths = sample_probes(window, 12.5, count, seed)
+        assert bases.tobytes() == np.asarray([s.base for s in ref]).tobytes()
+        assert dirs.tobytes() == np.asarray([s.direction for s in ref]).tobytes()
+        assert lengths.tobytes() == np.full(count, 12.5).tobytes()
+        for a, b in zip(sample_segments(window, 12.5, count, seed), ref):
+            assert a.base.tobytes() == b.base.tobytes()
+            assert a.direction.tobytes() == b.direction.tobytes()
+            assert a.length == b.length
+
+    def test_probe_length_validation(self):
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                sample_probes(Window.cube(1.0, 2), bad, 4, seed=0)
+            with pytest.raises(ValueError):
+                sample_segments(Window.cube(1.0, 2), bad, 4, seed=0)
+
     def test_count_and_norms(self):
         segs = sample_segments(Window.cube(5.0, 2), 3.0, 1000, seed=9)
         assert len(segs) == 1000

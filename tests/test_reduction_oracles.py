@@ -1,11 +1,18 @@
-"""Differential tests of the sort-once reductions against sort-every-time oracles.
+"""Differential tests of the fast reductions and probe scans against direct oracles.
 
 `sud_estimate` sorts each span of shifts once per block of twists and keeps
 each shift's window by index; `vacant_strip` bounds every direction from the
 sub-window around the centre and fully sorts only the directions whose bound
 can still win.  The oracles below compute the same quantities the direct way:
-one sort per (shift, twist) matrix and one full sort per direction.  The fast
-paths promise the same floats, so every comparison is exact.
+one sort per (shift, twist) matrix and one full sort per direction.
+
+`_probe_first_hits` walks lattice sheets column by column in lattice
+coordinates.  Its oracles are the unit-step march it replaced, which visits
+a lattice stencil around waypoints spaced 1 apart, and a brute force that
+scores every enumerated point of the probe's tube.  All three score points
+with the same kernel.
+
+The fast paths promise the same floats, so every comparison is exact.
 """
 
 import itertools
@@ -16,15 +23,22 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import denseforest.analysis as analysis
-from denseforest.analysis import (_central_width, _central_width_bound,
-                                  _dual_direction_candidates, _m_samples,
-                                  _shift_groups, _toroidal_dispersion,
-                                  _xi_samples, sud_estimate, vacant_strip)
-from denseforest.generators import (Grid, GridUnion, ThreeGrid,
-                                    concat_linear_sequence, enumerate_points,
+from denseforest.analysis import (_candidate_scores, _central_width,
+                                  _central_width_bound,
+                                  _dual_direction_candidates,
+                                  _generic_sheet_tree, _m_samples,
+                                  _probe_first_hits, _shift_groups,
+                                  _toroidal_dispersion, _xi_samples,
+                                  sud_estimate, vacant_strip,
+                                  visibility_from_segments)
+from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
+                                    LatticeSheet, PeresForest, ThreeGrid,
+                                    concat_linear_sequence,
+                                    default_cut_and_project, enumerate_points,
                                     golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import Window
+from denseforest.geometry import (Segment, Window, sample_probes,
+                                  tube_bounding_window)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -206,3 +220,200 @@ class TestStripOracle:
         rep = assert_strip_matches(integer_lattice(2), Window.cube(20.0, 2))
         assert rep.width == 1.0
         assert list(rep.direction) == [0.0, 1.0]
+
+
+def lattice_candidates_near(sheet, queries, radius):
+    """Lattice points of a stencil covering sup-norm ``radius`` around each query.
+
+    Returns (points, rows) with rows[j] the query of candidate j; a superset
+    of the points within the radius.
+    """
+    ys = (queries - sheet.shift) @ sheet.inverse.T
+    reach = np.abs(sheet.inverse).sum(axis=1) * radius
+    ks = np.floor(reach + 0.5).astype(np.int64) + 1
+    axes = [np.arange(-k, k + 1) for k in ks]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    stencil = np.stack([m.ravel() for m in mesh], axis=1)
+    zs = np.rint(ys)[:, None, :] + stencil[None, :, :]
+    pts = zs.reshape(-1, sheet.dim) @ sheet.basis.T + sheet.shift
+    rows = np.repeat(np.arange(queries.shape[0]), stencil.shape[0])
+    return pts, rows
+
+
+def march_oracle(spec, eps, bases, dirs, lengths):
+    """Unit-step march over every sheet: the minimum score over its visits.
+
+    Every point within sup-norm eps of the probe lies within eps + 1/2 of a
+    waypoint, so the visits cover every blocker up to ceil(length).  The
+    march also visits points beyond that, so its value for a miss depends on
+    the stencil; compare it after dropping scores >= ceil(length).
+    """
+    n_probe, d = bases.shape
+    reach = eps + 0.5 + 1e-6
+    guard = (eps + reach) * math.sqrt(d) + 1e-9
+    sheets = spec.sheets()
+    generic = [s for s in sheets if not isinstance(s, LatticeSheet)
+               and not hasattr(s, "candidates_near")]
+    tree, pool = (None, None)
+    if generic:
+        tree, pool = _generic_sheet_tree(generic, bases, dirs, lengths, reach)
+    first = np.full(n_probe, np.inf)
+    horizons = np.ceil(lengths)
+    alive = np.arange(n_probe)
+    t = 0.0
+    while alive.size:
+        q = bases[alive] + t * dirs[alive]
+        for sheet in sheets:
+            if isinstance(sheet, LatticeSheet):
+                cand, rows = lattice_candidates_near(sheet, q, reach)
+            elif hasattr(sheet, "candidates_near"):
+                cand, rows = sheet.candidates_near(q, reach)
+            else:
+                continue
+            scores = _candidate_scores(cand, bases[alive][rows],
+                                       dirs[alive][rows], eps)
+            np.minimum.at(first, alive[rows], scores)
+        if tree is not None:
+            for j, idx in enumerate(tree.query_ball_point(
+                    q, reach * math.sqrt(d) + 1e-9)):
+                if idx:
+                    sc = _candidate_scores(pool[idx], bases[alive[j]],
+                                           dirs[alive[j]], eps)
+                    first[alive[j]] = min(first[alive[j]], float(sc.min()))
+        t += 1.0
+        alive = alive[(horizons[alive] >= t) & (first[alive] > t - guard)]
+    return first
+
+
+def brute_first_hits(spec, eps, bases, dirs, lengths):
+    """Least score below ceil(length) over every point of each probe's tube."""
+    out = np.full(bases.shape[0], np.inf)
+    for i, (base, direction, length) in enumerate(zip(bases, dirs, lengths)):
+        horizon = math.ceil(length)
+        # The pad beyond eps keeps blockers in the window when Segment
+        # rounds the (already unit) direction differently in the last bit,
+        # and keeps two or more rows in each sheet's lattice product: numpy
+        # computes a one-row product with BLAS gemv, which can round a
+        # point differently from the gemm of larger products.
+        window = tube_bounding_window(Segment(base, direction, horizon), eps + 2.0)
+        pts = enumerate_points(spec, window)
+        scores = _candidate_scores(pts, base, direction, eps)
+        below = scores[scores < horizon]
+        if below.size:
+            out[i] = below.min()
+    return out
+
+
+def _random_grid_union(dim, seed):
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(int(rng.integers(1, 4))):
+        basis = np.eye(dim) + rng.uniform(-0.6, 0.6, (dim, dim))
+        if abs(np.linalg.det(basis)) < 0.3:
+            basis = np.eye(dim)
+        shift = rng.uniform(0.0, 1.0, dim) if rng.random() < 0.7 else np.zeros(dim)
+        grids.append(Grid(basis, shift))
+    return GridUnion(tuple(grids))
+
+
+def probe_spec(family, seed):
+    if family == "z2":
+        return integer_lattice(2)
+    if family == "z3":
+        return integer_lattice(3)
+    if family == "peres":
+        return PeresForest()
+    if family == "three-grid":
+        return ThreeGrid()
+    if family == "union2":
+        return _random_grid_union(2, seed)
+    if family == "union3":
+        return _random_grid_union(3, seed)
+    if family == "d2":
+        return D2()
+    if family == "cut-and-project":
+        return default_cut_and_project()
+    if family == "concat3":
+        return GeneralizedPeres(concat_linear_sequence(
+            [[PHI - 1.0, math.sqrt(2.0) - 1.0], [math.sqrt(3.0) - 1.0, math.e - 2.0]]), 3)
+    return GeneralizedPeres(SEQUENCES[int(family[-1])], 2)
+
+
+PROBE_FAMILIES = ["z2", "z3", "peres", "three-grid", "union2", "union3", "d2",
+                  "cut-and-project", "concat3", "gperes0", "gperes1", "gperes2",
+                  "gperes3"]
+
+
+@st.composite
+def probe_cases(draw):
+    family = draw(st.sampled_from(PROBE_FAMILIES))
+    spec = probe_spec(family, draw(st.integers(0, 2 ** 16)))
+    d = spec.dim
+    eps = draw(st.floats(0.01, 0.6))
+    n = draw(st.integers(1, 6))
+    bases, dirs, lengths = [], [], []
+    for _ in range(n):
+        bases.append(draw(st.lists(st.floats(-8.0, 8.0), min_size=d, max_size=d)))
+        kind = draw(st.sampled_from(["axis", "rational", "random"]))
+        if kind == "axis":
+            vec = np.zeros(d)
+            vec[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+        else:
+            if kind == "rational":
+                comps = st.integers(-5, 5).map(float)
+            else:
+                comps = st.floats(-1.0, 1.0)
+            vec = np.asarray(draw(st.lists(comps, min_size=d, max_size=d)))
+            assume(np.linalg.norm(vec) > 1e-3)
+        dirs.append(vec / np.linalg.norm(vec))
+        lengths.append(draw(st.one_of(st.floats(0.0, 24.0),
+                                      st.integers(0, 24).map(float))))
+    return spec, eps, np.asarray(bases), np.asarray(dirs), np.asarray(lengths)
+
+
+class TestProbeFirstHits:
+    @given(probe_cases())
+    # A single candidate inside the column boxes of a round: as a one-row
+    # lattice product it would round differently in the last bit.
+    @example((ThreeGrid(), 0.11969586797279312,
+              np.array([[-3.3129615600339886, 4.123689650437143]]),
+              np.array([[0.14617898382362626, 0.9892581587676151]]),
+              np.array([4.3495261135824865])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_march_and_brute_force(self, case):
+        spec, eps, bases, dirs, lengths = case
+        first = _probe_first_hits(spec, eps, bases, dirs, lengths)
+        march = march_oracle(spec, eps, bases, dirs, lengths)
+        march = np.where(march < np.ceil(lengths), march, np.inf)
+        assert first.tobytes() == march.tobytes()
+        assert first.tobytes() == brute_first_hits(spec, eps, bases, dirs,
+                                                   lengths).tobytes()
+
+    @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid()],
+                             ids=["z2", "peres", "three-grid"])
+    def test_seeded_probes_match_march(self, spec):
+        # Long probes with the stratified rational directions of sample_segments.
+        bases, dirs, lengths = sample_probes(Window.cube(20.0, 2), 300.0, 400, 3)
+        for eps in (0.05, 0.2, 0.6):
+            first = _probe_first_hits(spec, eps, bases, dirs, lengths)
+            march = march_oracle(spec, eps, bases, dirs, lengths)
+            march = np.where(march < np.ceil(lengths), march, np.inf)
+            assert first.tobytes() == march.tobytes()
+
+    def test_blocker_between_length_and_horizon(self):
+        # Z^2, eps 0.1: the line y = 0.05 from x = 0.3 meets the box of (k, 0)
+        # for x in (k - 0.1, k + 0.1), so (1, 0) scores 0.6 and (2, 0) 1.6.
+        spec = integer_lattice(2)
+        base = np.array([[0.3, 0.05]])
+        east = np.array([[1.0, 0.0]])
+        score = float(_candidate_scores(np.array([[1.0, 0.0]]), base, east, 0.1)[0])
+        assert 0.59 < score < 0.61
+        # L = 0.5: the blocker at 0.6 lies in [L, ceil L) and is the value.
+        assert _probe_first_hits(spec, 0.1, base, east, np.array([0.5]))[0] == score
+        # L = 0: nothing scores below ceil L = 0, so the value is +inf; the
+        # march's stencil visits (1, 0) and would report 0.6.
+        assert _probe_first_hits(spec, 0.1, base, east, np.array([0.0]))[0] == math.inf
+        assert march_oracle(spec, 0.1, base, east, np.array([0.0]))[0] == score
+        miss = Segment(base[0], east[0], 0.5)
+        rep = visibility_from_segments(spec, 0.1, [miss])
+        assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
