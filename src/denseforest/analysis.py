@@ -197,15 +197,11 @@ def _critical_values(xs: np.ndarray):
 
 
 def _discrepancy_1d(xs: np.ndarray, n: int) -> float:
-    vals, cum, below = _critical_values(xs)
-    if vals.size > MAX_DISCREPANCY_WORK:  # the scan below is linear
+    # The scan is linear in the critical values, of which there are at most n + 2.
+    if n + 2 > MAX_DISCREPANCY_WORK:
         raise ResourceLimitError("too many critical intervals for exact discrepancy")
-    up = cum / n - vals          # closed-right / open-left term
-    down = vals - below / n      # closed-left / open-right term
-    d_plus = float(np.max(up + np.maximum.accumulate(down)))
-    shifted = np.concatenate([[-np.inf], np.maximum.accumulate(up)[:-1]])
-    d_minus = float(np.max(down + shifted))
-    return max(d_plus, d_minus, 0.0)
+    over, under = _slab_extremes(xs, 1.0, n)
+    return max(over, under, 0.0)
 
 
 def _slab_extremes(xs_sorted: np.ndarray, scale: float, n: int):
@@ -664,6 +660,8 @@ def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
     computes each probe's first blocking parameter once, so the returned
     grid value is consistent with check_visibility on the same seed.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     if L_max <= 0:
         raise ValueError("L_max must be positive")
     bases, dirs, lengths = sample_probes(window, L_max, count, seed)

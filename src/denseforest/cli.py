@@ -28,7 +28,7 @@ from .generators import (PeresForest, concat_linear_sequence,
                          quadratic_sequence, read_points_csv,
                          tsokanos_sequence, write_points_csv, D2, PHI,
                          ThreeGrid)
-from .geometry import Window
+from .geometry import Window, box_json
 
 SPEC_PRESETS = {
     "peres": PeresForest,
@@ -102,12 +102,6 @@ def _write_meta(args, command: str):
         "seed": getattr(args, "seed", None),
         "config": config,
     })
-
-
-def _box_json(box) -> dict:
-    if hasattr(box, "angle"):
-        return {"angle": box.angle, "intervals": box.box.intervals.tolist()}
-    return {"intervals": box.intervals.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ def _cmd_heavy_box(args):
     pts = read_points_csv(args.points)
     box, count = heavy_box(pts, args.eps, aligned_only=args.rotations == 0,
                            rotation_samples=args.rotations, seed=args.seed)
-    doc = _box_json(box)
+    doc = box_json(box)
     doc["count"] = count
     doc["volume"] = box.volume
     _write_json(args.out, doc)

@@ -6,13 +6,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError
 from .generators import D2Sheet
-from .geometry import AlignedBox, Window
+from .geometry import AlignedBox, Window, box_json
 
 MAX_NET_SIZE = 10 ** 7
 ASPECT_CAP = 2.0 ** 10
+# verify_net draws and checks boxes in chunks of this many, so its memory
+# does not grow with the number of trials.
+CHUNK_BOXES = 4096
+# Each sampled box first tests this many net points nearest its centre.
+NEAREST_CANDIDATES = 8
+# How far inside a rotated box, in its own frame, a point must lie to
+# certify a hit without the full-net product.
+ROTATED_HIT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +69,7 @@ class NetReport:
     def to_json(self) -> dict:
         worst = None
         if self.worst_missed_box is not None:
-            box = self.worst_missed_box
-            if hasattr(box, "angle"):
-                worst = {"angle": box.angle, "intervals": box.box.intervals.tolist()}
-            else:
-                worst = {"intervals": box.intervals.tolist()}
+            worst = box_json(self.worst_missed_box)
         return {"boxes_tested": self.boxes_tested,
                 "hit_fraction": self.hit_fraction,
                 "worst_missed_box": worst}
@@ -112,19 +117,46 @@ def _feasible_aspect(volume: float, rng) -> float:
     return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
+def _draw_aligned_box(volume: float, rng):
+    """Centre and half-sides (cx, cy, w/2, h/2) of the next aligned box."""
+    ratio = _feasible_aspect(volume, rng)
+    w = math.sqrt(volume * ratio)
+    h = math.sqrt(volume / ratio)
+    cx = rng.uniform(w / 2.0, 1.0 - w / 2.0) if w < 1.0 else 0.5
+    cy = rng.uniform(h / 2.0, 1.0 - h / 2.0) if h < 1.0 else 0.5
+    return cx, cy, w / 2.0, h / 2.0
+
+
+def _draw_rotated_box(volume: float, rng, max_attempts: int = 10000):
+    """Centre, half-sides and angle (cx, cy, w/2, h/2, angle) of the next
+    rotated box."""
+    for _ in range(max_attempts):
+        angle = float(rng.uniform(0.0, math.pi))
+        ratio = _feasible_aspect(volume, rng)
+        w = math.sqrt(volume * ratio)
+        h = math.sqrt(volume / ratio)
+        c, s = abs(math.cos(angle)), abs(math.sin(angle))
+        ex = (w * c + h * s) / 2.0
+        ey = (w * s + h * c) / 2.0
+        if 2.0 * ex > 1.0 or 2.0 * ey > 1.0:
+            continue
+        cx = rng.uniform(ex, 1.0 - ex) if ex < 0.5 else 0.5
+        cy = rng.uniform(ey, 1.0 - ey) if ey < 0.5 else 0.5
+        return cx, cy, w / 2.0, h / 2.0, angle
+    raise ValueError("could not fit a rotated box of the requested volume")
+
+
+def _aligned_box(cx, cy, hw, hh) -> AlignedBox:
+    return AlignedBox.from_bounds([cx - hw, cy - hh], [cx + hw, cy + hh])
+
+
 def sample_aligned_box(volume: float, rng) -> AlignedBox:
     """One aligned box of exactly `volume` inside [0,1]^2.
 
     Aspect is log-uniform over the ratios that fit in the unit square and
     the center is uniform over the placements keeping the box unclipped.
     """
-    ratio = _feasible_aspect(volume, rng)
-    w = math.sqrt(volume * ratio)
-    h = math.sqrt(volume / ratio)
-    cx = rng.uniform(w / 2.0, 1.0 - w / 2.0) if w < 1.0 else 0.5
-    cy = rng.uniform(h / 2.0, 1.0 - h / 2.0) if h < 1.0 else 0.5
-    return AlignedBox.from_bounds([cx - w / 2.0, cy - h / 2.0],
-                                  [cx + w / 2.0, cy + h / 2.0])
+    return _aligned_box(*_draw_aligned_box(volume, rng))
 
 
 class _SampledRotatedBox:
@@ -143,22 +175,72 @@ class _SampledRotatedBox:
         return self.box.contains(pts @ rot)
 
 
+def _rotated_box(cx, cy, hw, hh, angle) -> _SampledRotatedBox:
+    return _SampledRotatedBox([cx, cy], [hw, hh], angle)
+
+
 def sample_rotated_box(volume: float, rng, max_attempts: int = 10000):
-    """One rotated rectangle of exactly `volume` inside [0,1]^2."""
-    for _ in range(max_attempts):
-        angle = float(rng.uniform(0.0, math.pi))
-        ratio = _feasible_aspect(volume, rng)
-        w = math.sqrt(volume * ratio)
-        h = math.sqrt(volume / ratio)
-        c, s = abs(math.cos(angle)), abs(math.sin(angle))
-        ex = (w * c + h * s) / 2.0
-        ey = (w * s + h * c) / 2.0
-        if 2.0 * ex > 1.0 or 2.0 * ey > 1.0:
+    """One rotated rectangle of exactly `volume` inside [0,1]^2.
+
+    Angle and aspect are drawn until the rotated rectangle fits in the unit
+    square; the center is then uniform over the placements keeping it inside.
+    """
+    return _rotated_box(*_draw_rotated_box(volume, rng, max_attempts))
+
+
+# sampler name -> (draw one box as floats, box object from those floats)
+_SAMPLERS = {"aligned": (_draw_aligned_box, _aligned_box),
+             "rotated": (_draw_rotated_box, _rotated_box)}
+
+
+def _certified_hits(points: np.ndarray, tree: cKDTree, rows: np.ndarray,
+                    rotated: bool) -> np.ndarray:
+    """Boxes (rows of drawn floats) that one of their nearest net points lies in.
+
+    True is a hit that ``box.contains(points)`` also finds; False decides
+    nothing.  Aligned boxes compare with the box's own bounds, so the test
+    is exact.  A rotated box's membership goes through a matrix product
+    whose rounding depends on the row count, so a point certifies it only
+    ROTATED_HIT_MARGIN inside, far beyond any rounding of that product.
+    """
+    k = min(NEAREST_CANDIDATES, points.shape[0])
+    _, idx = tree.query(rows[:, :2], k=k)
+    near = points[idx.reshape(rows.shape[0], k)]
+    x = near[:, :, 0]
+    y = near[:, :, 1]
+    cx, cy, hw, hh = (rows[:, j, None] for j in range(4))
+    if not rotated:
+        return np.any((x >= cx - hw) & (x <= cx + hw)
+                      & (y >= cy - hh) & (y <= cy + hh), axis=1)
+    c = np.cos(rows[:, 4, None])
+    s = np.sin(rows[:, 4, None])
+    u = (x - cx) * c + (y - cy) * s
+    v = (y - cy) * c - (x - cx) * s
+    return np.any((np.abs(u) <= hw - ROTATED_HIT_MARGIN)
+                  & (np.abs(v) <= hh - ROTATED_HIT_MARGIN), axis=1)
+
+
+def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
+              seed: int):
+    """Yield (rows, hits) for each chunk of the sampled boxes, in order.
+
+    rows holds each box's drawn floats and hits whether it contains a net
+    point.  A box no nearest point certifies is decided by
+    ``box.contains(net.points)`` over the whole net.
+    """
+    draw, make = _SAMPLERS[box_sampler]
+    rng = np.random.default_rng(seed)
+    tree = cKDTree(net.points) if net.size else None
+    for start in range(0, trials, CHUNK_BOXES):
+        count = min(CHUNK_BOXES, trials - start)
+        rows = np.array([draw(volume, rng) for _ in range(count)])
+        if tree is None:
+            yield rows, np.zeros(count, dtype=bool)
             continue
-        cx = rng.uniform(ex, 1.0 - ex) if ex < 0.5 else 0.5
-        cy = rng.uniform(ey, 1.0 - ey) if ey < 0.5 else 0.5
-        return _SampledRotatedBox([cx, cy], [w / 2.0, h / 2.0], angle)
-    raise ValueError("could not fit a rotated box of the requested volume")
+        hits = _certified_hits(net.points, tree, rows, box_sampler == "rotated")
+        for i in np.flatnonzero(~hits):
+            hits[i] = bool(np.any(make(*rows[i]).contains(net.points)))
+        yield rows, hits
 
 
 def verify_net(net: Net, box_sampler: str, volume: float, trials: int,
@@ -166,28 +248,23 @@ def verify_net(net: Net, box_sampler: str, volume: float, trials: int,
     """Fraction of sampled volume-`volume` boxes containing a net point.
 
     box_sampler is "aligned" or "rotated"; boxes are closed and always lie
-    inside the unit square.
+    inside the unit square.  The first box that misses is reported.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0.0 < volume <= 1.0:
         raise ValueError("volume must lie in (0, 1]")
-    if box_sampler not in ("aligned", "rotated"):
+    if box_sampler not in _SAMPLERS:
         raise ValueError("box_sampler must be 'aligned' or 'rotated'")
     if net.dim != 2:
         raise ValueError("net verification is implemented for dimension 2")
-    rng = np.random.default_rng(seed)
+    _, make = _SAMPLERS[box_sampler]
     hits = 0
     worst = None
-    for _ in range(trials):
-        if box_sampler == "aligned":
-            box = sample_aligned_box(volume, rng)
-        else:
-            box = sample_rotated_box(volume, rng)
-        if net.size and bool(np.any(box.contains(net.points))):
-            hits += 1
-        elif worst is None:
-            worst = box
+    for rows, hit in _box_hits(net, box_sampler, volume, trials, seed):
+        hits += int(np.count_nonzero(hit))
+        if worst is None and not hit.all():
+            worst = make(*rows[int(np.argmin(hit))])
     return NetReport(boxes_tested=int(trials),
                      hit_fraction=hits / trials,
                      worst_missed_box=worst)

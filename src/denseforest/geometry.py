@@ -195,6 +195,17 @@ class AlignedBox:
         return f"AlignedBox({pairs})"
 
 
+def box_json(box) -> dict:
+    """JSON form of an aligned box, or of a rotated one.
+
+    A rotated box has an ``angle`` and its aligned ``box`` in the rotated
+    frame; both are written.
+    """
+    if hasattr(box, "angle"):
+        return {"angle": box.angle, "intervals": box.box.intervals.tolist()}
+    return {"intervals": box.intervals.tolist()}
+
+
 def supnorm_segment_distances(points, segment: Segment) -> np.ndarray:
     """Exact min over t in [0, L] of ||base + t*direction - p||_inf, per point.
 

@@ -122,6 +122,16 @@ def test_visibility_rows(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.3"])
+def test_visibility_nonpositive_eps_is_argument_error(tmp_path, capsys, eps):
+    out = tmp_path / "vis.csv"
+    assert run("visibility", "--spec", "z2", "--eps", eps, "--l-max", "8",
+               "--count", "16", "--radius", "5", "--out", str(out)) == 2
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "vis.csv.meta.json").exists()
+
+
 def test_tube_json(tmp_path):
     out = tmp_path / "tube.json"
     assert run("tube", "--spec", "z2", "--eps", "0.3", "--radius", "5",

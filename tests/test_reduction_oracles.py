@@ -12,17 +12,26 @@ a lattice stencil around waypoints spaced 1 apart, and a brute force that
 scores every enumerated point of the probe's tube.  All three score points
 with the same kernel.
 
+`verify_net` draws each chunk of boxes as floats, certifies hits from the
+net points nearest each centre and checks the remaining boxes against the
+whole net.  Its oracle is the per-box loop it replaced: the former samplers
+build each box object and test it against every net point.
+
 The fast paths promise the same floats, so every comparison is exact.
 """
 
 import itertools
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import denseforest.analysis as analysis
+import denseforest.epsnet as epsnet
 from denseforest.analysis import (_candidate_scores, _central_width,
                                   _central_width_bound,
                                   _dual_direction_candidates,
@@ -31,14 +40,19 @@ from denseforest.analysis import (_candidate_scores, _central_width,
                                   _toroidal_dispersion, _xi_samples,
                                   sud_estimate, vacant_strip,
                                   visibility_from_segments)
+from denseforest.epsnet import (Net, NetReport, _SampledRotatedBox,
+                                _box_hits, _draw_aligned_box,
+                                _draw_rotated_box, _feasible_aspect,
+                                d2_aligned_net, sample_aligned_box,
+                                sample_rotated_box, verify_net)
 from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
                                     LatticeSheet, PeresForest, ThreeGrid,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
                                     golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import (Segment, Window, sample_probes,
-                                  tube_bounding_window)
+from denseforest.geometry import (AlignedBox, Segment, Window,
+                                  sample_probes, tube_bounding_window)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -417,3 +431,185 @@ class TestProbeFirstHits:
         miss = Segment(base[0], east[0], 0.5)
         rep = visibility_from_segments(spec, 0.1, [miss])
         assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
+
+
+def former_aligned_box(volume, rng):
+    ratio = _feasible_aspect(volume, rng)
+    w = math.sqrt(volume * ratio)
+    h = math.sqrt(volume / ratio)
+    cx = rng.uniform(w / 2.0, 1.0 - w / 2.0) if w < 1.0 else 0.5
+    cy = rng.uniform(h / 2.0, 1.0 - h / 2.0) if h < 1.0 else 0.5
+    return AlignedBox.from_bounds([cx - w / 2.0, cy - h / 2.0],
+                                  [cx + w / 2.0, cy + h / 2.0])
+
+
+def former_rotated_box(volume, rng, max_attempts=10000):
+    for _ in range(max_attempts):
+        angle = float(rng.uniform(0.0, math.pi))
+        ratio = _feasible_aspect(volume, rng)
+        w = math.sqrt(volume * ratio)
+        h = math.sqrt(volume / ratio)
+        c, s = abs(math.cos(angle)), abs(math.sin(angle))
+        ex = (w * c + h * s) / 2.0
+        ey = (w * s + h * c) / 2.0
+        if 2.0 * ex > 1.0 or 2.0 * ey > 1.0:
+            continue
+        cx = rng.uniform(ex, 1.0 - ex) if ex < 0.5 else 0.5
+        cy = rng.uniform(ey, 1.0 - ey) if ey < 0.5 else 0.5
+        return _SampledRotatedBox([cx, cy], [w / 2.0, h / 2.0], angle)
+    raise ValueError("could not fit a rotated box of the requested volume")
+
+
+FORMER_SAMPLERS = {"aligned": former_aligned_box, "rotated": former_rotated_box}
+
+
+def verify_oracle(net, box_sampler, volume, trials, seed):
+    """The former per-box loop; returns (report, per-box hits)."""
+    rng = np.random.default_rng(seed)
+    hits = []
+    worst = None
+    for _ in range(trials):
+        box = FORMER_SAMPLERS[box_sampler](volume, rng)
+        hits.append(bool(net.size and np.any(box.contains(net.points))))
+        if not hits[-1] and worst is None:
+            worst = box
+    report = NetReport(boxes_tested=trials, hit_fraction=sum(hits) / trials,
+                       worst_missed_box=worst)
+    return report, np.array(hits)
+
+
+def box_fields(box):
+    """Every float that defines a sampled box, as bytes."""
+    if isinstance(box, AlignedBox):
+        return box.intervals.tobytes()
+    return (box.center.tobytes(), box.half_sides.tobytes(),
+            np.float64(box.angle).tobytes(), box.box.intervals.tobytes())
+
+
+def assert_verify_matches(net, box_sampler, volume, trials, seed):
+    try:
+        expected, expected_hits = verify_oracle(net, box_sampler, volume, trials, seed)
+    except ValueError:
+        with pytest.raises(ValueError):
+            verify_net(net, box_sampler, volume, trials, seed)
+        return None
+    report = verify_net(net, box_sampler, volume, trials, seed)
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+    if expected.worst_missed_box is not None:
+        assert box_fields(report.worst_missed_box) == \
+            box_fields(expected.worst_missed_box)
+    hits = np.concatenate([h for _, h in
+                           _box_hits(net, box_sampler, volume, trials, seed)])
+    assert hits.tolist() == expected_hits.tolist()
+    return expected_hits
+
+
+def _net(points, eps=0.5):
+    return Net(points=np.asarray(points, dtype=float).reshape(-1, 2),
+               epsilon=eps, method="HausslerWelzl")
+
+
+@st.composite
+def net_cases(draw):
+    kind = draw(st.sampled_from(["empty", "one", "duplicates", "d2", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "empty":
+        net = _net(np.empty((0, 2)))
+    elif kind == "one":
+        net = _net(rng.random((1, 2)))
+    elif kind == "duplicates":
+        pts = rng.random((draw(st.integers(1, 6)), 2))
+        net = _net(np.repeat(pts, draw(st.integers(2, 4)), axis=0))
+    elif kind == "d2":
+        net = d2_aligned_net(draw(st.sampled_from([0.01, 0.05, 0.2, 1.0])))
+    else:
+        net = _net(rng.random((draw(st.integers(2, 80)), 2)))
+    volume = draw(st.one_of(st.floats(1e-4, 1.0), st.sampled_from([0.01, 0.5, 1.0])))
+    return net, volume
+
+
+class TestVerifyNetOracle:
+    @given(net_cases(), st.sampled_from(["aligned", "rotated"]),
+           st.integers(1, 40), st.integers(0, 2 ** 16),
+           st.integers(1, 9), st.integers(1, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_box_loop(self, case, box_sampler, trials, seed, chunk,
+                                  nearest):
+        # Small chunks and candidate counts make a few trials span several
+        # chunks and leave boxes to the full-net check.
+        net, volume = case
+        with mock.patch.object(epsnet, "CHUNK_BOXES", chunk), \
+                mock.patch.object(epsnet, "NEAREST_CANDIDATES", nearest):
+            assert_verify_matches(net, box_sampler, volume, trials, seed)
+
+    @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
+    def test_sparse_net_across_chunks(self, box_sampler):
+        # 300 points at volume 0.01: a few hundred misses and more boxes
+        # no nearest point certifies, over two real chunks.
+        net = _net(np.random.default_rng(5).random((300, 2)), eps=0.01)
+        hits = assert_verify_matches(net, box_sampler, 0.01,
+                                     epsnet.CHUNK_BOXES + 500, 7)
+        assert 0 < np.count_nonzero(~hits) < hits.size
+
+    @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
+    def test_points_on_box_edges_and_corners(self, box_sampler):
+        # Replay the sampler and give box i a net point on its corner or on
+        # an edge, or (aligned) one ulp outside an edge, for i mod 3 = 0, 1, 2.
+        volume, trials, seed = 0.02, 120, 11
+        rng = np.random.default_rng(seed)
+        boxes = [FORMER_SAMPLERS[box_sampler](volume, rng) for _ in range(trials)]
+        pts = []
+        for i, box in enumerate(boxes):
+            if box_sampler == "aligned":
+                (x0, x1), (y0, y1) = box.intervals
+                mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+                choices = ([(x0, y0), (x1, y0), (x0, y1), (x1, y1)],
+                           [(x0, my), (x1, my), (mx, y0), (mx, y1)],
+                           [(np.nextafter(x0, -1.0), my), (np.nextafter(x1, 2.0), my),
+                            (mx, np.nextafter(y0, -1.0)), (mx, np.nextafter(y1, 2.0))])
+                pts.append(choices[i % 3][i // 3 % 4])
+            else:
+                c, s = math.cos(box.angle), math.sin(box.angle)
+                local = box.half_sides * [(1.0, 1.0), (1.0, 0.0), (0.0, -1.0)][i % 3]
+                pts.append(box.center + local @ np.array([[c, s], [-s, c]]))
+        # Box i is checked against a net of its own point alone, so that
+        # point is the one its nearest-point test sees.
+        for i, p in enumerate(pts):
+            hits = assert_verify_matches(_net(p, eps=volume), box_sampler,
+                                         volume, i + 1, seed)
+            if box_sampler == "aligned":
+                assert hits[i] == (i % 3 != 2)
+
+    @pytest.mark.parametrize("volume", [0.003, 0.01, 0.3, 1.0])
+    def test_draw_helpers_match_samplers(self, volume):
+        # One generator serves the draw helpers and the samplers in turn; each
+        # box equals the former sampler's box from a generator with the same seed.
+        rng = np.random.default_rng(4)
+        expected_rng = np.random.default_rng(4)
+        for i in range(400):
+            drawn = _draw_aligned_box(volume, rng) if i % 2 \
+                else sample_aligned_box(volume, rng)
+            box = epsnet._aligned_box(*drawn) if i % 2 else drawn
+            assert box_fields(box) == \
+                box_fields(former_aligned_box(volume, expected_rng))
+        if volume < 0.5:
+            for i in range(400):
+                drawn = _draw_rotated_box(volume, rng) if i % 2 \
+                    else sample_rotated_box(volume, rng)
+                box = epsnet._rotated_box(*drawn) if i % 2 else drawn
+                assert box_fields(box) == \
+                    box_fields(former_rotated_box(volume, expected_rng))
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_memory_does_not_grow_with_trials(self):
+        net = _net(np.random.default_rng(2).random((300, 2)), eps=0.01)
+        peaks = []
+        with mock.patch.object(epsnet, "CHUNK_BOXES", 512):
+            for trials in (2 * 512, 8 * 512):
+                tracemalloc.start()
+                try:
+                    verify_net(net, "rotated", 0.01, trials, 3)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
