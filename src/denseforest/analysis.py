@@ -20,17 +20,28 @@ from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_poin
 from .geometry import (AlignedBox, Segment, Window, point_coords, sample_probes,
                        sample_segments)
 
-# Work budget for exact discrepancy, in slab-scan units (one unit = one
-# point visited in one y-slab pass).  The traced unitcube run of perfbench
-# (perfbench/README.md, "Where the time goes": 4.14M units in 1.62 s on a
-# 2-vCPU Xeon) measured 2.55e6 units/s, so at the cap a single call runs
-# about 26 minutes.  The cap stays until the slab loop becomes an
-# incremental sweep; the budget is then set from that sweep's throughput.
+# Work budget for exact discrepancy, in slab-scan units: one unit is one
+# x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
+# units for m y-levels and n points.  The traced unitcube run of perfbench
+# (200 points, 4.14M units in 0.174 s on a 2-vCPU Xeon) measured 2.38e7
+# units/s, so a call at the cap runs about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
 DISPERSION_GRID_BUDGET = 2 ** 18
 # Twist rows per block of the d = 1 SUD window scan.  At N = 2^14 and
 # m_max = 64 one block is about 8 MB per array (values, order, sorted).
 SUD_BLOCK_ROWS = 64
+# Cells (slabs x x-buckets) per block of the exact 2-D discrepancy scan.
+# A scan holds at most 12 arrays of one block, 8 bytes a cell (1.5 MB),
+# besides O(n) for the points; 2^14 cells ran faster than 2^12 or 2^16.
+DISCREPANCY_BLOCK_CELLS = 2 ** 14
+# Heavy-box anchors counted together, and the cells (anchors x sorted
+# slab union) one block of them may hold.
+HEAVY_BLOCK_ANCHORS = 32
+HEAVY_BLOCK_CELLS = 2 ** 20
+# Rows of the u-grid that udt_check builds at a time.  numpy computes a
+# one-row product as a dot product, which can round differently from the
+# matrix-vector product of several rows, so a chunk never has one row.
+UDT_CHUNK_ROWS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -183,61 +194,105 @@ def _toroidal_dispersion(pts: np.ndarray) -> float:
 # Discrepancy
 # ---------------------------------------------------------------------------
 
-def _critical_values(xs: np.ndarray):
-    """Unique sorted coordinates with 0/1 sentinels and <=/< cumulative counts."""
-    vals, counts = np.unique(xs, return_counts=True)
-    if vals.size == 0 or vals[0] > 0.0:
-        vals = np.concatenate([[0.0], vals])
-        counts = np.concatenate([[0], counts])
-    if vals[-1] < 1.0:
-        vals = np.concatenate([vals, [1.0]])
-        counts = np.concatenate([counts, [0]])
-    cum = np.cumsum(counts)
-    return vals, cum, cum - counts
+def _buckets(xs: np.ndarray):
+    """Sorted unique values of xs plus 0 and 1, and the bucket of each x."""
+    vals, inv = np.unique(np.concatenate([xs, [0.0, 1.0]]), return_inverse=True)
+    return vals, inv[:xs.size]
+
+
+def _slab_extremes(vals: np.ndarray, scale: np.ndarray, n: int,
+                   closed: np.ndarray, open_: np.ndarray):
+    """Best overfull and underfull x-interval deviations of each y-slab.
+
+    Row r of `closed` (`open_`) counts the points of the closed (open) slab
+    at or left of each x-bucket `vals`; the slab's boxes have area
+    scale[r] * x-length.  Overfull boxes are closed and underfull ones
+    open, with faces on bucket values.  A bucket its slab has no point in
+    is a critical value only when it is 0 or 1.  Inside [0, 1] such a
+    bucket never wins: products with scale >= 0 are monotone, so its
+    neighbours dominate it, and alone it gives (c - v) + (v - c) = 0.
+    Outside [0, 1] it would stretch a box past the cube, so it is dropped.
+    """
+    sv = scale[:, None] * vals
+    outside = (vals < 0.0) | (vals > 1.0)
+
+    def ends(cum):
+        # up = (points at or left) / n - area, down = area - (points left) / n.
+        frac = cum / n
+        up = frac - sv
+        down = np.empty_like(up)
+        down[:, 0] = sv[:, 0]
+        np.subtract(sv[:, 1:], frac[:, :-1], out=down[:, 1:])
+        if outside.any():
+            empty = np.empty(cum.shape, dtype=bool)
+            empty[:, 0] = cum[:, 0] == 0
+            np.equal(cum[:, 1:], cum[:, :-1], out=empty[:, 1:])
+            empty &= outside
+            up[empty] = -np.inf
+            down[empty] = -np.inf
+        return up, down
+
+    up, down = ends(closed)
+    over = np.max(up + np.maximum.accumulate(down, axis=1), axis=1)
+    up, down = ends(open_)
+    under = np.max(down[:, 1:] + np.maximum.accumulate(up, axis=1)[:, :-1], axis=1)
+    return over, under
 
 
 def _discrepancy_1d(xs: np.ndarray, n: int) -> float:
     # The scan is linear in the critical values, of which there are at most n + 2.
     if n + 2 > MAX_DISCREPANCY_WORK:
         raise ResourceLimitError("too many critical intervals for exact discrepancy")
-    over, under = _slab_extremes(xs, 1.0, n)
-    return max(over, under, 0.0)
-
-
-def _slab_extremes(xs_sorted: np.ndarray, scale: float, n: int):
-    """Best overfull (closed) and underfull (open) x-interval deviations
-    for points of one y-slab, with box area = scale * x-length."""
-    vals, cum, below = _critical_values(xs_sorted)
-    up = cum / n - scale * vals
-    down = scale * vals - below / n
-    over = float(np.max(up + np.maximum.accumulate(down)))
-    shifted = np.concatenate([[-np.inf], np.maximum.accumulate(up)[:-1]])
-    under = float(np.max(down + shifted))
-    return over, under
+    vals, bucket = _buckets(xs)
+    cum = np.cumsum(np.bincount(bucket, minlength=vals.size))[None, :]
+    over, under = _slab_extremes(vals, np.ones(1), n, cum, cum)
+    return max(float(over[0]), float(under[0]), 0.0)
 
 
 def _discrepancy_2d(pts: np.ndarray, n: int) -> float:
-    yv = np.unique(np.concatenate([pts[:, 1], [0.0, 1.0]]))
+    """Scan every slab [y_a, y_b] of the y-levels over one x-bucket table.
+
+    P[level, bucket] counts the points of each y-level in each x-bucket.
+    For each lower level ia, running sums of P[ia:] over levels and buckets
+    give every closed slab's cumulative counts at once, and the open slab
+    (y_a, y_b) is the closed one up to the level below y_b minus P[ia]
+    (empty when y_b = y_a).  Rows of P are built and scanned in blocks of
+    at most DISCREPANCY_BLOCK_CELLS cells (one row when a row is longer).
+    """
+    yv, level = _buckets(pts[:, 1])
     m = yv.size
     work_estimate = (m * (m + 1) / 2) * (n + 2)
     if work_estimate > MAX_DISCREPANCY_WORK:
         raise ResourceLimitError("too many critical boxes for exact discrepancy")
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
-    ys = pts[order, 1]
+    xv, bucket = _buckets(pts[:, 0])
+    k = xv.size
+    order = np.argsort(level, kind="stable")
+    level, bucket = level[order], bucket[order]
+    starts = np.searchsorted(level, np.arange(m + 1))
+
+    def table(a, b):
+        """Rows a..b-1 of P, summed along the buckets."""
+        lo, hi = starts[a], starts[b]
+        cells = (level[lo:hi] - a) * k + bucket[lo:hi]
+        rows = np.bincount(cells, minlength=(b - a) * k).reshape(b - a, k)
+        return np.cumsum(rows, axis=1)
+
+    step = max(1, DISCREPANCY_BLOCK_CELLS // k)
     best = 0.0
     for ia in range(m):
-        ya = yv[ia]
-        for ib in range(ia, m):
-            yb = yv[ib]
-            scale = yb - ya
-            closed = xs[(ys >= ya) & (ys <= yb)]
-            over, _ = _slab_extremes(closed, scale, n)
-            best = max(best, over)
-            if ib > ia:
-                open_ = xs[(ys > ya) & (ys < yb)]
-                _, under = _slab_extremes(open_, scale, n)
-                best = max(best, under)
+        base = table(ia, ia + 1)[0]
+        prev = base
+        for b0 in range(ia, m, step):
+            b1 = min(b0 + step, m)
+            closed = np.cumsum(table(b0, b1), axis=0)
+            if b0 > ia:
+                closed += prev
+            open_ = np.empty_like(closed)
+            np.subtract(prev, base, out=open_[0])
+            np.subtract(closed[:-1], base, out=open_[1:])
+            over, under = _slab_extremes(xv, yv[b0:b1] - yv[ia], n, closed, open_)
+            best = max(best, float(over.max()), float(under.max()))
+            prev = closed[-1]
     return best
 
 
@@ -1001,25 +1056,47 @@ def _best_aligned_box(pts: np.ndarray, eps: float):
     best_box = None
 
     def sweep(primary, secondary, width, height, flip):
+        # The winner is the first (anchor, lower edge) in loop order whose
+        # count beats every earlier one: anchors ascending, then the
+        # smallest lower edge.  An anchor whose slab holds no more than the
+        # best count, or an edge whose window over the block does not, can
+        # not beat it.
         nonlocal best_cnt, best_box
         anchors = primary[::stride]
         if width >= primary[-1] - primary[0]:
             anchors = primary[:1]
-        for a in anchors:
-            i0 = np.searchsorted(primary, a, side="left")
-            i1 = np.searchsorted(primary, a + width, side="right")
-            if i1 - i0 <= best_cnt:
-                continue
-            slab = np.sort(secondary[i0:i1])
-            upper = np.searchsorted(slab, slab + height, side="right")
-            counts = upper - np.arange(slab.size)
-            j = int(np.argmax(counts))
-            if counts[j] > best_cnt:
-                best_cnt = int(counts[j])
-                lo_b = (a, slab[j]) if not flip else (slab[j], a)
-                hi_b = (a + width, slab[j] + height) if not flip \
-                    else (slab[j] + height, a + width)
-                best_box = AlignedBox.from_bounds(lo_b, hi_b)
+        i0 = np.searchsorted(primary, anchors, side="left")
+        i1 = np.searchsorted(primary, anchors + width, side="right")
+        live = np.flatnonzero(i1 - i0 > best_cnt)
+        while live.size:
+            blk = live[:HEAVY_BLOCK_ANCHORS]
+            cells = np.arange(1, blk.size + 1) * (i1[blk] - i0[blk[0]])
+            blk = blk[:max(1, int(np.count_nonzero(cells <= HEAVY_BLOCK_CELLS)))]
+            lo, hi = i0[blk[0]], i1[blk[-1]]
+            order = np.argsort(secondary[lo:hi])
+            s = secondary[lo:hi][order]
+            first = np.searchsorted(s, s, side="left")
+            last = np.searchsorted(s, s + height, side="right")
+            cols = np.flatnonzero(last - first > best_cnt)
+            if cols.size:
+                pos = order + lo
+                inside = (pos >= i0[blk, None]) & (pos < i1[blk, None])
+                ranks = np.zeros((blk.size, s.size + 1), dtype=np.int64)
+                np.cumsum(inside, axis=1, out=ranks[:, 1:])
+                counts = np.where(inside[:, cols],
+                                  ranks[:, last[cols]] - ranks[:, first[cols]], -1)
+                top = counts.max(axis=1)
+                r = int(np.argmax(top))
+                if top[r] > best_cnt:
+                    best_cnt = int(top[r])
+                    a = anchors[blk[r]]
+                    edge = s[cols[int(np.argmax(counts[r]))]]
+                    lo_b = (a, edge) if not flip else (edge, a)
+                    hi_b = (a + width, edge + height) if not flip \
+                        else (edge + height, a + width)
+                    best_box = AlignedBox.from_bounds(lo_b, hi_b)
+            live = live[blk.size:]
+            live = live[i1[live] - i0[live] > best_cnt]
 
     for ratio in 2.0 ** np.linspace(-10, 10, 41):
         w = math.sqrt(eps * ratio)
@@ -1029,6 +1106,17 @@ def _best_aligned_box(pts: np.ndarray, eps: float):
     return best_box, best_cnt
 
 
+def _witness_box(pts: np.ndarray, eps: float) -> AlignedBox:
+    """The best aligned box of pts, inflated to volume eps."""
+    box, _ = _best_aligned_box(pts, eps)
+    box = _inflate_to_volume(box, eps)
+    # Sides below the spacing of floats near the coordinates cannot grow.
+    if box.volume < eps:
+        raise ValueError(f"eps={eps!r} is too small to inflate a box at these "
+                         f"coordinates (volume {box.volume!r})")
+    return box
+
+
 def heavy_box(points, eps: float, aligned_only: bool = True,
               rotation_samples: int = 0, seed: int = 0):
     """Search for a box of volume exactly eps containing many points.
@@ -1036,6 +1124,7 @@ def heavy_box(points, eps: float, aligned_only: bool = True,
     Returns (box, count) — a certified lower-bound witness: the box is
     axis-aligned (or a RotatedBox when rotations are sampled) and the count
     is the number of points it contains after inflating its volume to eps.
+    Raises ValueError when float spacing keeps a candidate box below eps.
     """
     pts = _points_array(points)
     if eps <= 0:
@@ -1044,8 +1133,7 @@ def heavy_box(points, eps: float, aligned_only: bool = True,
         raise ValueError("at least one point is required")
     if pts.shape[1] > 2:
         raise ValueError("heavy-box search is implemented for dimensions 1 and 2")
-    box, _ = _best_aligned_box(pts, eps)
-    box = _inflate_to_volume(box, eps)
+    box = _witness_box(pts, eps)
     count = int(np.count_nonzero(box.contains(pts)))
     best = (box, count)
     if not aligned_only and pts.shape[1] == 2 and rotation_samples > 0:
@@ -1054,8 +1142,7 @@ def heavy_box(points, eps: float, aligned_only: bool = True,
             angle = float(rng.uniform(0.0, math.pi))
             c, s = math.cos(angle), math.sin(angle)
             rotated = pts @ np.array([[c, -s], [s, c]])
-            rbox, _ = _best_aligned_box(rotated, eps)
-            rbox = _inflate_to_volume(rbox, eps)
+            rbox = _witness_box(rotated, eps)
             cnt = int(np.count_nonzero(rbox.contains(rotated)))
             if cnt > best[1]:
                 best = (RotatedBox(angle=angle, box=rbox), cnt)
@@ -1085,15 +1172,28 @@ def udt_check(thetas, xi, T: int):
     if t_int < 1:
         raise ValueError("T must be at least 1")
     d = arr.shape[1]
+    # The grid is built in chunks, so this cap bounds time, not memory:
+    # 1.1e8 (d = 1) to 3.5e7 (d = 3) rows times thetas per second measured.
     if d * (2 * t_int + 1) ** d > 10 ** 8:
         raise ResourceLimitError("u-grid too large for exhaustive margin search")
-    axis = np.arange(-t_int, t_int + 1)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    us = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
-    us = us[np.any(us != 0.0, axis=1)]
-    margins = np.empty(arr.shape[0])
-    for i, theta in enumerate(arr):
-        prod = us @ (xi_vec - theta)
-        margins[i] = float(np.min(np.abs(prod - np.rint(prod))))
+    width = 2 * t_int + 1
+    rest = [np.arange(-t_int, t_int + 1)] * (d - 1) if d > 1 else []
+    # Chunks of whole leading-axis slices, at least 3 so that no chunk is
+    # one row once u = 0 is removed.
+    per = max(3, UDT_CHUNK_ROWS // width ** (d - 1))
+    edges = list(range(0, width, per))
+    if len(edges) > 1 and width - edges[-1] < 3:
+        edges.pop()
+    edges.append(width)
+    margins = np.full(arr.shape[0], np.inf)
+    for c0, c1 in zip(edges[:-1], edges[1:]):
+        lead = np.arange(c0 - t_int, c1 - t_int)
+        mesh = np.meshgrid(lead, *rest, indexing="ij")
+        us = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
+        if c0 <= t_int < c1:
+            us = us[np.any(us != 0.0, axis=1)]
+        for i, theta in enumerate(arr):
+            prod = us @ (xi_vec - theta)
+            margins[i] = min(margins[i], float(np.min(np.abs(prod - np.rint(prod)))))
     best = int(np.argmax(margins))
     return best + 1, float(margins[best])

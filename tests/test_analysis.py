@@ -394,6 +394,16 @@ class TestHeavyBox:
         assert box.contains([[1.0 / r2, 1.0 / r2]])[0]
         assert not box.contains([[1.0 / r2 + 0.5, 1.0 / r2 - 0.5]])[0]
 
+    @pytest.mark.parametrize("eps", [1e-16, 1e-26, 1e-300])
+    def test_eps_below_float_spacing_is_refused(self, eps):
+        # The box's sides fall below the spacing of floats near the points,
+        # so inflating cannot bring its volume up to eps.
+        pts = np.random.default_rng(1).random((50, 2))
+        with pytest.raises(ValueError, match="too small"):
+            heavy_box(pts, eps)
+        with pytest.raises(ValueError, match="too small"):
+            heavy_box(pts, eps, aligned_only=False, rotation_samples=2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             heavy_box(np.empty((0, 2)), 0.1)

@@ -204,6 +204,18 @@ def test_heavy_box_json(tmp_path):
     assert len(doc["intervals"]) == 2
 
 
+def test_heavy_box_eps_below_float_spacing_is_argument_error(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n" + "\n".join(
+        f"{x},{y}" for x, y in np.random.default_rng(0).uniform(0, 1, (50, 2))))
+    out = tmp_path / "box.json"
+    assert run("heavy-box", "--points", str(pts), "--eps", "1e-300",
+               "--out", str(out)) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "box.json.meta.json").exists()
+
+
 def test_calibrate_json(tmp_path):
     out = tmp_path / "cal.json"
     assert run("calibrate", "--eps", "0.6", "--l-max", "16", "--count", "32",

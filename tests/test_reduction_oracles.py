@@ -17,6 +17,13 @@ net points nearest each centre and checks the remaining boxes against the
 whole net.  Its oracle is the per-box loop it replaced: the former samplers
 build each box object and test it against every net point.
 
+`discrepancy` scans one table of points per y-level and x-bucket, many
+slabs per array pass, and `heavy_box` counts a block of anchors at once
+from ranks in their sorted slab union.  Their oracles are the loops they
+replaced: one critical-value scan per slab, and one sort per anchor, aspect
+ratio and sweep axis.  `udt_check` builds its u-grid in chunks; its oracle
+builds the whole grid.
+
 The fast paths promise the same floats, so every comparison is exact.
 """
 
@@ -32,14 +39,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
-from denseforest.analysis import (_candidate_scores, _central_width,
+from denseforest.analysis import (RotatedBox, _best_aligned_box,
+                                  _candidate_scores, _central_width,
                                   _central_width_bound,
                                   _dual_direction_candidates,
                                   _generic_sheet_tree, _m_samples,
                                   _probe_first_hits, _shift_groups,
                                   _toroidal_dispersion, _xi_samples,
-                                  sud_estimate, vacant_strip,
+                                  discrepancy, heavy_box, sud_estimate,
+                                  udt_check, vacant_strip,
                                   visibility_from_segments)
+from denseforest.errors import ResourceLimitError
 from denseforest.epsnet import (Net, NetReport, _SampledRotatedBox,
                                 _box_hits, _draw_aligned_box,
                                 _draw_rotated_box, _feasible_aspect,
@@ -612,4 +622,312 @@ class TestVerifyNetOracle:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# Unit-cube box statistics: discrepancy, heavy box, UDT margin
+# ---------------------------------------------------------------------------
+
+def former_critical_values(xs):
+    """Unique sorted coordinates with 0/1 sentinels and <=/< cumulative counts."""
+    vals, counts = np.unique(xs, return_counts=True)
+    if vals.size == 0 or vals[0] > 0.0:
+        vals = np.concatenate([[0.0], vals])
+        counts = np.concatenate([[0], counts])
+    if vals[-1] < 1.0:
+        vals = np.concatenate([vals, [1.0]])
+        counts = np.concatenate([counts, [0]])
+    cum = np.cumsum(counts)
+    return vals, cum, cum - counts
+
+
+def former_slab_extremes(xs_sorted, scale, n):
+    vals, cum, below = former_critical_values(xs_sorted)
+    up = cum / n - scale * vals
+    down = scale * vals - below / n
+    over = float(np.max(up + np.maximum.accumulate(down)))
+    shifted = np.concatenate([[-np.inf], np.maximum.accumulate(up)[:-1]])
+    under = float(np.max(down + shifted))
+    return over, under
+
+
+def discrepancy_oracle(pts):
+    """Two critical-value scans per slab: closed for overfull, open for underfull."""
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[0]
+    if pts.shape[1] == 1:
+        over, under = former_slab_extremes(pts[:, 0], 1.0, n)
+        return max(over, under, 0.0)
+    yv = np.unique(np.concatenate([pts[:, 1], [0.0, 1.0]]))
+    m = yv.size
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    ys = pts[order, 1]
+    best = 0.0
+    for ia in range(m):
+        ya = yv[ia]
+        for ib in range(ia, m):
+            yb = yv[ib]
+            scale = yb - ya
+            closed = xs[(ys >= ya) & (ys <= yb)]
+            over, _ = former_slab_extremes(closed, scale, n)
+            best = max(best, over)
+            if ib > ia:
+                open_ = xs[(ys > ya) & (ys < yb)]
+                _, under = former_slab_extremes(open_, scale, n)
+                best = max(best, under)
+    return best
+
+
+def best_aligned_box_oracle(pts, eps):
+    """One sort per anchor, ratio and axis; returns (box, count, y-sweep won)."""
+    n, d = pts.shape
+    if d == 1:
+        xs = np.sort(pts[:, 0])
+        upper = np.searchsorted(xs, xs + eps, side="right")
+        counts = upper - np.arange(n)
+        i = int(np.argmax(counts))
+        return AlignedBox.from_bounds([xs[i]], [xs[i] + eps]), int(counts[i]), False
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    if float(np.prod(hi - lo)) <= eps:
+        return AlignedBox.from_bounds(lo, hi), n, False
+    order_x = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order_x, 0]
+    ys_by_x = pts[order_x, 1]
+    order_y = np.argsort(pts[:, 1], kind="stable")
+    ys = pts[order_y, 1]
+    xs_by_y = pts[order_y, 0]
+    stride = max(1, n // 256)
+    best = [0, None, False]
+
+    def sweep(primary, secondary, width, height, flip):
+        anchors = primary[::stride]
+        if width >= primary[-1] - primary[0]:
+            anchors = primary[:1]
+        for a in anchors:
+            i0 = np.searchsorted(primary, a, side="left")
+            i1 = np.searchsorted(primary, a + width, side="right")
+            if i1 - i0 <= best[0]:
+                continue
+            slab = np.sort(secondary[i0:i1])
+            upper = np.searchsorted(slab, slab + height, side="right")
+            counts = upper - np.arange(slab.size)
+            j = int(np.argmax(counts))
+            if counts[j] > best[0]:
+                lo_b = (a, slab[j]) if not flip else (slab[j], a)
+                hi_b = (a + width, slab[j] + height) if not flip \
+                    else (slab[j] + height, a + width)
+                best[:] = [int(counts[j]), AlignedBox.from_bounds(lo_b, hi_b), flip]
+
+    for ratio in 2.0 ** np.linspace(-10, 10, 41):
+        w = math.sqrt(eps * ratio)
+        h = math.sqrt(eps / ratio)
+        sweep(xs, ys_by_x, w, h, flip=False)
+        sweep(ys, xs_by_y, h, w, flip=True)
+    return best[1], best[0], best[2]
+
+
+def heavy_box_oracle(pts, eps, rotation_samples=0, seed=0):
+    """The former heavy_box body over the oracle's aligned boxes."""
+    def witness(p):
+        box, _, _ = best_aligned_box_oracle(p, eps)
+        return analysis._inflate_to_volume(box, eps)
+
+    box = witness(pts)
+    best = (box, int(np.count_nonzero(box.contains(pts))))
+    if pts.shape[1] == 2 and rotation_samples > 0:
+        rng = np.random.default_rng(seed)
+        for _ in range(rotation_samples):
+            angle = float(rng.uniform(0.0, math.pi))
+            c, s = math.cos(angle), math.sin(angle)
+            rotated = pts @ np.array([[c, -s], [s, c]])
+            rbox = witness(rotated)
+            cnt = int(np.count_nonzero(rbox.contains(rotated)))
+            if cnt > best[1]:
+                best = (RotatedBox(angle=angle, box=rbox), cnt)
+    return best
+
+
+def udt_oracle(thetas, xi, T):
+    """The whole u-grid at once."""
+    arr = np.asarray(thetas, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
+    d = arr.shape[1]
+    axis = np.arange(-T, T + 1)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    us = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
+    us = us[np.any(us != 0.0, axis=1)]
+    margins = np.empty(arr.shape[0])
+    for i, theta in enumerate(arr):
+        prod = us @ (xi_vec - theta)
+        margins[i] = float(np.min(np.abs(prod - np.rint(prod))))
+    best = int(np.argmax(margins))
+    return best + 1, float(margins[best])
+
+
+@st.composite
+def cube_points(draw, max_n=30, dim=2):
+    """Points of [0, 1]^dim with ties, faces, the tolerance band, or all equal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, max_n))
+    pts = rng.random((n, dim))
+    kind = draw(st.sampled_from(["uniform", "sevenths", "band", "equal"]))
+    if kind in ("sevenths", "band"):
+        pts = np.round(pts * 7.0) / 7.0
+    if kind == "band":
+        # Coordinates within 1e-12 outside the cube pass the input check.
+        shift = rng.random((n, dim)) * 1e-12
+        pts = np.where(rng.random((n, dim)) < 0.3,
+                       np.where(pts < 0.5, -shift, 1.0 + shift), pts)
+    if kind == "equal":
+        pts[:] = pts[0]
+    return pts
+
+
+def assert_box_equal(got, expected):
+    assert type(got[0]) is type(expected[0])
+    assert got[1] == expected[1]
+    if isinstance(expected[0], RotatedBox):
+        assert got[0].angle == expected[0].angle
+        got, expected = (got[0].box, None), (expected[0].box, None)
+    assert got[0].lo.tobytes() == expected[0].lo.tobytes()
+    assert got[0].hi.tobytes() == expected[0].hi.tobytes()
+
+
+class TestDiscrepancyOracle:
+    @given(cube_points(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    @example(np.array([[0.0, 0.0], [1.0, 1.0], [-1e-12, 1.0 + 1e-12]]), 1)
+    @example(np.array([[0.5, 0.5]]), 1)
+    def test_matches_slab_loop(self, pts, rows):
+        # Blocks of 1-3 rows put block edges inside every lower level's scan.
+        k = np.unique(np.concatenate([pts[:, 0], [0.0, 1.0]])).size
+        expected = discrepancy_oracle(pts)
+        assert discrepancy(pts) == expected
+        with mock.patch.object(analysis, "DISCREPANCY_BLOCK_CELLS", rows * k):
+            assert discrepancy(pts) == expected
+
+    @given(cube_points(max_n=60, dim=1))
+    @settings(max_examples=80, deadline=None)
+    def test_one_dimension_matches_scan(self, pts):
+        assert discrepancy(pts) == discrepancy_oracle(pts)
+
+    def test_tolerance_band_bucket_outside_cube(self):
+        # The point at x = -1e-12 gives a bucket outside the cube that the
+        # slab [1/2, 1] has no point in; kept, it would widen that slab's
+        # open boxes past x = 0.
+        pts = np.array([[-1e-12, 0.0], [0.25, 0.5], [0.75, 0.75]])
+        assert discrepancy(pts) == discrepancy_oracle(pts)
+
+    def test_seeded_uniform(self):
+        pts = np.random.default_rng(1).random((60, 2))
+        assert discrepancy(pts) == discrepancy_oracle(pts)
+
+    def test_guard_refuses_before_any_table(self, monkeypatch):
+        pts = np.random.default_rng(0).random((50, 2))
+        monkeypatch.setattr(analysis, "MAX_DISCREPANCY_WORK", 52 * 53 // 2 * 52 - 1)
+        with mock.patch.object(np, "bincount", side_effect=AssertionError), \
+                pytest.raises(ResourceLimitError):
+            discrepancy(pts)
+
+    def test_memory_stays_within_block_budget(self):
+        # 600 points on 60 y-levels: several blocks per lower level.  The
+        # scan holds at most 12 arrays of one block (8 bytes a cell) besides
+        # O(n) for the points.
+        rng = np.random.default_rng(2)
+        n = 600
+        pts = np.column_stack([rng.random(n), rng.integers(0, 60, n) / 59.0])
+        tracemalloc.start()
+        try:
+            discrepancy(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * analysis.DISCREPANCY_BLOCK_CELLS + 100 * n
+
+
+class TestHeavyBoxOracle:
+    @given(cube_points(max_n=40), st.sampled_from([1e-4, 0.01, 0.05, 0.3, 2.0]),
+           st.integers(1, 4), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_anchor_loop(self, pts, eps, anchors, cells):
+        # Small blocks cut the live anchors and the cell budget in many places.
+        box, count, _ = best_aligned_box_oracle(pts, eps)
+        got = _best_aligned_box(pts, eps)
+        assert_box_equal(got, (box, count))
+        with mock.patch.object(analysis, "HEAVY_BLOCK_ANCHORS", anchors), \
+                mock.patch.object(analysis, "HEAVY_BLOCK_CELLS", cells):
+            assert_box_equal(_best_aligned_box(pts, eps), (box, count))
+
+    @given(cube_points(max_n=40, dim=1), st.sampled_from([1e-3, 0.1, 0.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_dimension(self, pts, eps):
+        assert_box_equal(heavy_box(pts, eps), heavy_box_oracle(pts, eps))
+
+    @pytest.mark.parametrize("n,seed,eps,sevenths", [
+        (300, 1, 0.01, False), (600, 0, 0.01, False), (600, 0, 0.05, False),
+        (700, 3, 0.02, True)])
+    def test_stride_sampled_anchors(self, n, seed, eps, sevenths):
+        pts = np.random.default_rng(seed).random((n, 2))
+        if sevenths:
+            pts = np.round(pts * 7.0) / 7.0
+        box, count, _ = best_aligned_box_oracle(pts, eps)
+        assert_box_equal(_best_aligned_box(pts, eps), (box, count))
+        with mock.patch.object(analysis, "HEAVY_BLOCK_ANCHORS", 3), \
+                mock.patch.object(analysis, "HEAVY_BLOCK_CELLS", 50):
+            assert_box_equal(_best_aligned_box(pts, eps), (box, count))
+
+    def test_y_sweep_winner(self):
+        # With sampled anchors the y-sweep can beat every x-sweep box.
+        pts = np.random.default_rng(0).random((600, 2))
+        box, count, flipped = best_aligned_box_oracle(pts, 0.01)
+        assert flipped
+        assert_box_equal(_best_aligned_box(pts, 0.01), (box, count))
+
+    @given(cube_points(max_n=40), st.sampled_from([0.01, 0.05, 0.2]),
+           st.integers(1, 3), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_rotation_samples(self, pts, eps, samples, seed):
+        got = heavy_box(pts, eps, aligned_only=False, rotation_samples=samples,
+                        seed=seed)
+        assert_box_equal(got, heavy_box_oracle(pts, eps, samples, seed))
+
+
+class TestUDTOracle:
+    @pytest.mark.parametrize("d,T,chunk_rows", [
+        (1, 1, 1), (1, 2, 1), (1, 7, 2), (1, 50, 5), (1, 300, 64),
+        (2, 1, 1), (2, 6, 14), (2, 20, 100), (3, 2, 1), (3, 5, 150), (3, 7, 500)])
+    def test_matches_whole_grid(self, d, T, chunk_rows):
+        rng = np.random.default_rng(d * 1000 + T)
+        thetas = rng.random((4, d)) * 3.0
+        thetas[0] = PHI
+        xi = rng.random(d)
+        expected = udt_oracle(thetas, xi, T)
+        assert udt_check(thetas, xi, T) == expected
+        with mock.patch.object(analysis, "UDT_CHUNK_ROWS", chunk_rows):
+            assert udt_check(thetas, xi, T) == expected
+
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 80),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_chunks(self, d, T, chunk_rows, seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.random((int(rng.integers(1, 4)), d)) * 3.0
+        xi = rng.random(d)
+        with mock.patch.object(analysis, "UDT_CHUNK_ROWS", chunk_rows):
+            assert udt_check(thetas, xi, T) == udt_oracle(thetas, xi, T)
+
+    def test_memory_does_not_grow_with_T(self):
+        peaks = []
+        for T in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                udt_check([0.0, PHI], 0.3, T)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
