@@ -271,7 +271,7 @@ def _discrepancy_2d(pts: np.ndarray, n: int) -> float:
     starts = np.searchsorted(level, np.arange(m + 1))
 
     def table(a, b):
-        """Rows a..b-1 of P, summed along the buckets."""
+        """Rows a..b-1 of P, each as running sums over the buckets."""
         lo, hi = starts[a], starts[b]
         cells = (level[lo:hi] - a) * k + bucket[lo:hi]
         rows = np.bincount(cells, minlength=(b - a) * k).reshape(b - a, k)

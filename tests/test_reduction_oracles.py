@@ -789,13 +789,13 @@ def cube_points(draw, max_n=30, dim=2):
 
 
 def assert_box_equal(got, expected):
-    assert type(got[0]) is type(expected[0])
-    assert got[1] == expected[1]
-    if isinstance(expected[0], RotatedBox):
-        assert got[0].angle == expected[0].angle
-        got, expected = (got[0].box, None), (expected[0].box, None)
-    assert got[0].lo.tobytes() == expected[0].lo.tobytes()
-    assert got[0].hi.tobytes() == expected[0].hi.tobytes()
+    (box, count), (want, want_count) = got, expected
+    assert type(box) is type(want) and count == want_count
+    if isinstance(want, RotatedBox):
+        assert box.angle == want.angle
+        box, want = box.box, want.box
+    assert box.lo.tobytes() == want.lo.tobytes()
+    assert box.hi.tobytes() == want.hi.tobytes()
 
 
 class TestDiscrepancyOracle:
