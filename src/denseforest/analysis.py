@@ -17,8 +17,8 @@ from scipy.stats import qmc
 
 from .errors import ResourceLimitError
 from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_points
-from .geometry import (AlignedBox, Segment, Window, point_coords, sample_probes,
-                       sample_segments)
+from .geometry import (AlignedBox, RotatedBox, Segment, Window, point_coords,
+                       sample_probes, sample_segments)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
 # x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
@@ -459,8 +459,7 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
 PROBE_KERNEL_ROWS = 4096 * 25
 # Columns per probe in the walk's first round; each round doubles it up to
 # the cap.  Most probes are hit within a few columns, a miss walks all of
-# its about L*|B^-1 d|_max columns.  At least 2, so that every lattice point
-# product of the walk has two or more rows (see _ColumnWalk.score).
+# its about L*|B^-1 d|_max columns.
 WALK_FIRST_COLUMNS = 2
 WALK_MAX_COLUMNS = 64
 
@@ -542,12 +541,9 @@ class _ColumnWalk:
         zs = lo[:, :, None, :] + stencil[:, None, :, :]
         inside = np.flatnonzero(np.all(zs <= hi[:, :, None, :], axis=-1))
         owner = sel[inside // (columns * stencil.shape[1])]
-        # The product runs over all columns x stencil rows (at least two)
-        # before the rows outside the boxes are dropped: numpy computes a
-        # one-row product with BLAS gemv, which can round differently from
-        # the gemm of LatticeSheet.enumerate, and a lattice point must have
-        # the same coordinates, hence the same score, on every path.
-        pts = zs.reshape(-1, d) @ self.sheet.basis.T + self.sheet.shift
+        # A lattice point must have the same coordinates, hence the same
+        # score, on every path: LatticeSheet.points never multiplies one row.
+        pts = self.sheet.points(zs.reshape(-1, d))
         np.minimum.at(first, owner, _candidate_scores(
             pts[inside], bases[owner], dirs[owner], eps))
 
@@ -996,24 +992,6 @@ def min_gap(spec: PointSetSpec, window: Window) -> float:
 # ---------------------------------------------------------------------------
 # Heavy boxes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RotatedBox:
-    """An axis-aligned box expressed in a frame rotated by `angle`."""
-
-    angle: float
-    box: AlignedBox
-
-    @property
-    def volume(self) -> float:
-        return self.box.volume
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        rot = np.array([[c, -s], [s, c]])
-        return self.box.contains(pts @ rot)
-
 
 def _inflate_to_volume(box: AlignedBox, target: float) -> AlignedBox:
     if box.volume >= target:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -79,19 +78,6 @@ def _write_json(path: str, doc):
         handle.write("\n")
 
 
-def _write_table(path: str, header, rows):
-    with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return "inf" if math.isinf(v) else f"{v:.17g}"
-    return str(v)
-
-
 def _write_meta(args, command: str):
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command")}
@@ -126,22 +112,19 @@ def _cmd_discrepancy(args):
 
 def _cmd_sud(args):
     seq = _parse_seq(args)
-    rows = []
-    for n in _ints(args.n):
-        est = sud_estimate(seq, n, args.m_max, args.xi_count, args.seed)
-        rows.append((n, est.value))
-    _write_table(args.out, ("N", "value"), rows)
+    rows = [(n, sud_estimate(seq, n, args.m_max, args.xi_count, args.seed).value)
+            for n in _ints(args.n)]
+    write_points_csv(args.out, np.reshape(rows, (-1, 2)), header=("N", "value"))
 
 
 def _cmd_visibility(args):
     spec = _parse_spec(args.spec)
     window = Window.cube(args.radius, spec.dim)
-    rows = []
-    for eps in _floats(args.eps):
-        value = estimate_visibility(spec, eps, args.l_max, args.count,
-                                    window, args.seed)
-        rows.append((eps, value))
-    _write_table(args.out, ("epsilon", "estimate"), rows)
+    rows = [(eps, estimate_visibility(spec, eps, args.l_max, args.count,
+                                      window, args.seed))
+            for eps in _floats(args.eps)]
+    write_points_csv(args.out, np.reshape(rows, (-1, 2)),
+                     header=("epsilon", "estimate"))
 
 
 def _cmd_tube(args):
@@ -167,8 +150,8 @@ def _cmd_strip(args):
 
 def _cmd_density(args):
     spec = _parse_spec(args.spec)
-    rows = density_profile(spec, _floats(args.radii))
-    _write_table(args.out, ("T", "quotient"), rows)
+    write_points_csv(args.out, density_profile(spec, _floats(args.radii)),
+                     header=("T", "quotient"))
 
 
 def _cmd_mingap(args):

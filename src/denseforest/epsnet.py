@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError
 from .generators import D2Sheet
-from .geometry import AlignedBox, Window, box_json
+from .geometry import AlignedBox, RotatedBox, Window, box_json
 
 MAX_NET_SIZE = 10 ** 7
 ASPECT_CAP = 2.0 ** 10
@@ -159,24 +159,8 @@ def sample_aligned_box(volume: float, rng) -> AlignedBox:
     return _aligned_box(*_draw_aligned_box(volume, rng))
 
 
-class _SampledRotatedBox:
-    """A rectangle of fixed area rotated by `angle` about its center."""
-
-    def __init__(self, center, half_sides, angle):
-        self.center = np.asarray(center, dtype=float)
-        self.half_sides = np.asarray(half_sides, dtype=float)
-        self.angle = float(angle)
-        self.box = AlignedBox.from_bounds(-self.half_sides, self.half_sides)
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        rot = np.array([[c, -s], [s, c]])
-        return self.box.contains(pts @ rot)
-
-
-def _rotated_box(cx, cy, hw, hh, angle) -> _SampledRotatedBox:
-    return _SampledRotatedBox([cx, cy], [hw, hh], angle)
+def _rotated_box(cx, cy, hw, hh, angle) -> RotatedBox:
+    return RotatedBox(angle, AlignedBox.from_bounds([-hw, -hh], [hw, hh]), [cx, cy])
 
 
 def sample_rotated_box(volume: float, rng, max_attempts: int = 10000):

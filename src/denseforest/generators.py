@@ -198,6 +198,26 @@ def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _freeze(obj, **arrays):
+    """Store read-only float copies of ``arrays`` on a frozen dataclass."""
+    for name, arr in arrays.items():
+        arr = np.array(arr, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def _matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, never as a one-row product.
+
+    numpy multiplies a single row with BLAS gemv, which can round
+    differently from the gemm of several rows; a lone row is doubled so
+    that a point gets the same bits whatever window or batch it comes from.
+    """
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ matrix)[:1]
+    return rows @ matrix
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeSheet:
     """The grid basis @ Z^n + shift."""
@@ -207,35 +227,34 @@ class LatticeSheet:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float).copy()
-        n = basis.shape[0]
-        if basis.shape != (n, n):
+        basis = np.asarray(self.basis, dtype=float)
+        shift = np.asarray(self.shift, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError("lattice basis must be a square matrix")
-        det = np.linalg.det(basis)
-        if abs(det) <= 1e-12:
-            raise ValueError("lattice basis must have |det| > 1e-12")
-        shift = np.asarray(self.shift, dtype=float).copy()
-        if shift.shape != (n,):
+        if shift.shape != basis.shape[:1]:
             raise ValueError("lattice shift dimension must match the basis")
-        basis.setflags(write=False)
-        shift.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "shift", shift)
-        inverse = np.linalg.inv(basis)
-        inverse.setflags(write=False)
-        object.__setattr__(self, "inverse", inverse)
+        if not (np.isfinite(basis).all() and np.isfinite(shift).all()):
+            raise ValueError("lattice basis and shift must be finite")
+        if abs(np.linalg.det(basis)) <= 1e-12:
+            raise ValueError("lattice basis must have |det| > 1e-12")
+        _freeze(self, basis=basis, shift=shift, inverse=np.linalg.inv(basis))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    def points(self, zs: np.ndarray) -> np.ndarray:
+        """basis @ z + shift for every row z of zs."""
+        return _matmul(zs, self.basis.T) + self.shift
+
     def enumerate(self, window: Window) -> np.ndarray:
         _check_budget(window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16)
         images = (window.corners() - self.shift) @ self.inverse.T
-        zlo, zhi = _integer_ranges(images)
-        zs = _integer_grid(zlo, zhi)
-        pts = zs @ self.basis.T + self.shift
+        pts = self.points(_integer_grid(*_integer_ranges(images)))
         return pts[window.contains(pts)]
+
+
+Grid = LatticeSheet  # the public name of a translated lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +266,7 @@ class SequenceSheet:
     dim: int
 
     def __post_init__(self):
-        rotation = np.asarray(self.rotation, dtype=float).copy()
-        rotation.setflags(write=False)
-        object.__setattr__(self, "rotation", rotation)
+        _freeze(self, rotation=self.rotation)
 
     def enumerate(self, window: Window) -> np.ndarray:
         _check_budget(window.volume * 1.2 + 16)
@@ -377,19 +394,18 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
 class CutProjectSheet:
     """Physical-space coordinates of grid points whose internal part is in the window."""
 
-    basis: np.ndarray
-    shift: np.ndarray
+    grid: LatticeSheet
     phys_basis: np.ndarray
     int_basis: np.ndarray
     window_interval: tuple
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        shift = np.asarray(self.shift, dtype=float)
         phys = np.asarray(self.phys_basis, dtype=float)
         internal = np.asarray(self.int_basis, dtype=float)
         if phys.ndim != 2 or internal.ndim != 2 or phys.shape[0] != internal.shape[0]:
             raise ValueError("subspace bases must be column matrices over the same space")
+        if not (np.isfinite(phys).all() and np.isfinite(internal).all()):
+            raise ValueError("subspace bases must be finite")
         n = phys.shape[0]
         stacked = np.concatenate([phys, internal], axis=1)
         if stacked.shape != (n, n) or abs(np.linalg.det(stacked)) <= 1e-12:
@@ -397,15 +413,8 @@ class CutProjectSheet:
         a, b = (float(x) for x in self.window_interval)
         if not a < b:
             raise ValueError("window interval must satisfy a < b")
-        for name, arr in (("basis", basis), ("shift", shift),
-                          ("phys_basis", phys), ("int_basis", internal)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, phys_basis=phys, int_basis=internal, decompose=np.linalg.inv(stacked))
         object.__setattr__(self, "window_interval", (a, b))
-        decompose = np.linalg.inv(stacked)
-        decompose.setflags(write=False)
-        object.__setattr__(self, "decompose", decompose)
 
     @property
     def dim(self) -> int:
@@ -426,12 +435,9 @@ class CutProjectSheet:
         for u in u_corners:
             for w in w_corners:
                 total.append(self.phys_basis @ u + self.int_basis @ w)
-        region = np.asarray(total)
-        binv = np.linalg.inv(self.basis)
-        zlo, zhi = _integer_ranges((region - self.shift) @ binv.T)
-        zs = _integer_grid(zlo, zhi)
-        grid_pts = zs @ self.basis.T + self.shift
-        coords = grid_pts @ self.decompose.T
+        images = (np.asarray(total) - self.grid.shift) @ self.grid.inverse.T
+        zs = _integer_grid(*_integer_ranges(images))
+        coords = _matmul(self.grid.points(zs), self.decompose.T)
         u = coords[:, :self.dim]
         w = coords[:, self.dim:]
         keep = np.all((w >= a) & (w < b), axis=1) & window.contains(u)
@@ -542,8 +548,8 @@ class ThreeGrid(PointSetSpec):
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != 2 or len(self.y) != 2:
-            raise ValueError("translations must be 2-vectors")
+        if len(self.x) != 2 or len(self.y) != 2 or not np.isfinite(self.x + self.y).all():
+            raise ValueError("translations must be finite 2-vectors")
 
     @property
     def dim(self) -> int:
@@ -574,35 +580,8 @@ class D2(PointSetSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class Grid:
-    """A translated full-rank lattice basis @ Z^n + translation."""
-
-    basis: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float).copy()
-        n = basis.shape[0]
-        if basis.shape != (n, n):
-            raise ValueError("grid basis must be square")
-        if abs(np.linalg.det(basis)) <= 1e-12:
-            raise ValueError("grid basis must have |det| > 1e-12")
-        translation = np.asarray(self.translation, dtype=float).copy()
-        if translation.shape != (n,):
-            raise ValueError("grid translation dimension must match the basis")
-        basis.setflags(write=False)
-        translation.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "translation", translation)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class GridUnion(PointSetSpec):
-    """A finite union of grids (possibly empty)."""
+    """A finite union of lattice sheets (possibly empty)."""
 
     grids: tuple
     variant = "GridUnion"
@@ -620,26 +599,29 @@ class GridUnion(PointSetSpec):
         return self._dim
 
     def sheets(self):
-        return tuple(LatticeSheet(g.basis, g.translation) for g in self.grids)
+        return self.grids
 
     def params(self) -> dict:
-        return {"grids": [{"basis": g.basis.tolist(),
-                           "translation": g.translation.tolist()} for g in self.grids]}
+        return {"grids": [_grid_json(g) for g in self.grids]}
+
+
+def _grid_json(g: LatticeSheet) -> dict:
+    return {"basis": g.basis.tolist(), "translation": g.shift.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
 class CutAndProject(PointSetSpec):
     """Cut-and-project set: physical projections of grid points with internal part in [a, b)."""
 
-    grid: Grid
+    grid: LatticeSheet
     phys_basis: np.ndarray
     int_basis: np.ndarray
     window_interval: tuple
     variant = "CutAndProject"
 
     def __post_init__(self):
-        sheet = CutProjectSheet(self.grid.basis, self.grid.translation,
-                                self.phys_basis, self.int_basis, self.window_interval)
+        sheet = CutProjectSheet(self.grid, self.phys_basis, self.int_basis,
+                                self.window_interval)
         object.__setattr__(self, "phys_basis", sheet.phys_basis)
         object.__setattr__(self, "int_basis", sheet.int_basis)
         object.__setattr__(self, "window_interval", sheet.window_interval)
@@ -653,8 +635,7 @@ class CutAndProject(PointSetSpec):
         return (self._sheet,)
 
     def params(self) -> dict:
-        return {"grid": {"basis": self.grid.basis.tolist(),
-                         "translation": self.grid.translation.tolist()},
+        return {"grid": _grid_json(self.grid),
                 "phys_basis": self.phys_basis.tolist(),
                 "int_basis": self.int_basis.tolist(),
                 "window_interval": list(self.window_interval)}
@@ -665,11 +646,11 @@ def default_cut_and_project() -> CutAndProject:
     slope = 1.0 / (2.0 * math.sqrt(3.0))
     phys = np.array([[1.0], [slope]]) / math.hypot(1.0, slope)
     internal = np.array([[-slope], [1.0]]) / math.hypot(1.0, slope)
-    return CutAndProject(Grid(np.eye(2), np.zeros(2)), phys, internal, (-1.0, 1.0))
+    return CutAndProject(LatticeSheet(np.eye(2), np.zeros(2)), phys, internal, (-1.0, 1.0))
 
 
 def integer_lattice(dim: int = 2) -> GridUnion:
-    return GridUnion((Grid(np.eye(dim), np.zeros(dim)),))
+    return GridUnion((LatticeSheet(np.eye(dim), np.zeros(dim)),))
 
 
 # ---------------------------------------------------------------------------
@@ -737,26 +718,26 @@ def spec_from_json(doc: dict) -> PointSetSpec:
     if variant == "D2":
         return D2()
     if variant == "GridUnion":
-        grids = tuple(Grid(np.asarray(g["basis"], dtype=float),
-                           np.asarray(g["translation"], dtype=float))
-                      for g in params.get("grids", []))
-        return GridUnion(grids)
+        return GridUnion(tuple(LatticeSheet(g["basis"], g["translation"])
+                               for g in params.get("grids", [])))
     if variant == "CutAndProject":
-        grid = Grid(np.asarray(params["grid"]["basis"], dtype=float),
-                    np.asarray(params["grid"]["translation"], dtype=float))
-        return CutAndProject(grid,
-                             np.asarray(params["phys_basis"], dtype=float),
-                             np.asarray(params["int_basis"], dtype=float),
+        grid = params["grid"]
+        return CutAndProject(LatticeSheet(grid["basis"], grid["translation"]),
+                             params["phys_basis"], params["int_basis"],
                              tuple(params["window_interval"]))
     raise ValueError(f"unknown point-set variant: {variant!r}")
 
 
-def write_points_csv(path, pts: np.ndarray):
-    """Write points as CSV with header x1,...,xn and 17 significant digits."""
+def write_points_csv(path, pts: np.ndarray, header=None):
+    """Write rows as CSV with 17 significant digits.
+
+    The header names the columns; by default it is x1,...,xn.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    header = ",".join(f"x{i + 1}" for i in range(pts.shape[1]))
+    if header is None:
+        header = [f"x{i + 1}" for i in range(pts.shape[1])]
     with open(path, "w") as handle:
-        handle.write(header + "\n")
+        handle.write(",".join(header) + "\n")
         for row in pts:
             handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -195,14 +195,41 @@ class AlignedBox:
         return f"AlignedBox({pairs})"
 
 
+@dataclass(frozen=True, eq=False)
+class RotatedBox:
+    """The aligned ``box`` in a frame rotated by ``angle`` about ``center``.
+
+    A point p lies in it when (p - center) @ R(angle) lies in ``box``, where
+    R(angle) is the counter-clockwise rotation matrix.
+    """
+
+    angle: float
+    box: AlignedBox
+    center: np.ndarray = (0.0, 0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+
+    @property
+    def volume(self) -> float:
+        return self.box.volume
+
+    def contains(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        return self.box.contains(pts @ np.array([[c, -s], [s, c]]))
+
+
 def box_json(box) -> dict:
     """JSON form of an aligned box, or of a rotated one.
 
-    A rotated box has an ``angle`` and its aligned ``box`` in the rotated
-    frame; both are written.
+    A rotated box writes its ``angle``, its ``center`` and the intervals of
+    its aligned ``box`` in the rotated frame.
     """
-    if hasattr(box, "angle"):
-        return {"angle": box.angle, "intervals": box.box.intervals.tolist()}
+    if isinstance(box, RotatedBox):
+        return {"angle": box.angle, "center": box.center.tolist(),
+                "intervals": box.box.intervals.tolist()}
     return {"intervals": box.intervals.tolist()}
 
 

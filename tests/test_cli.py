@@ -1,10 +1,14 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from denseforest import __version__, cli
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def run(*argv):
@@ -65,6 +69,17 @@ def test_generate_bad_spec_is_argument_error(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 2
     assert run("generate", "--spec", "no-such-preset", "--radius", "2.0",
                "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_generate_non_finite_spec_is_argument_error(tmp_path, capsys):
+    # Python's json reads NaN; the lattice must refuse it, not enumerate nothing.
+    spec_path = tmp_path / "nan.json"
+    spec_path.write_text('{"variant": "GridUnion", "params": {"grids": '
+                         '[{"basis": [[1.0, NaN], [0.0, 1.0]], '
+                         '"translation": [0.0, 0.0]}]}}')
+    assert run("generate", "--spec", str(spec_path), "--radius", "3.0",
+               "--out", str(tmp_path / "x.csv")) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_generate_huge_radius_is_resource_error(tmp_path, capsys):
@@ -237,3 +252,28 @@ def test_threads_flag_does_not_change_output(tmp_path):
                "--out", str(b)) == 0
     assert json.loads(a.read_text())["min_gap"] == \
         json.loads(b.read_text())["min_gap"]
+
+
+def test_benchmark_tracer_counts_csv_rows(tmp_path):
+    # The benchmark's tracer wraps write_points_csv by name in every module
+    # that imported it; the point and table outputs both pass through it.
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    writer = cli.write_points_csv
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.write_points_csv is not writer
+        assert run("generate", "--spec", "z2", "--radius", "2",
+                   "--out", str(tmp_path / "z2.csv")) == 0
+        assert run("sud", "--seq", "golden", "--n", "8,16,32", "--m-max", "2",
+                   "--xi-count", "4", "--out", str(tmp_path / "sud.csv")) == 0
+    finally:
+        tracer.uninstall()
+    assert cli.write_points_csv is writer
+    rows = [s[spans.COUNTS]["rows"] for s in tracer.spans
+            if s[spans.NAME] == "generators.write_points_csv"]
+    assert rows == [16, 3]
+    for name, count in (("z2.csv", 16), ("sud.csv", 3)):
+        assert len((tmp_path / name).read_text().splitlines()) == count + 1

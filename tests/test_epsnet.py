@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from denseforest.epsnet import (Net, d2_aligned_net, hw_net,
                                 slab_lower_bound, verify_net)
 from denseforest.errors import ResourceLimitError
 from denseforest.generators import D2_SCALE
+from denseforest.geometry import AlignedBox, RotatedBox
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -100,13 +102,13 @@ class TestBoxSamplers:
         rng = np.random.default_rng(8)
         for _ in range(100):
             box = sample_rotated_box(0.02, rng)
-            w, h = 2.0 * box.half_sides
+            w, h = 2.0 * box.box.hi
             assert w * h == pytest.approx(0.02, rel=1e-9)
             assert box.contains([box.center])[0]
             c, s = math.cos(box.angle), math.sin(box.angle)
             rot = np.array([[c, -s], [s, c]])
             corners = box.center + np.array(
-                [[sx * box.half_sides[0], sy * box.half_sides[1]]
+                [[sx * box.box.hi[0], sy * box.box.hi[1]]
                  for sx in (-1, 1) for sy in (-1, 1)]) @ rot.T
             assert np.all(corners >= -1e-9) and np.all(corners <= 1.0 + 1e-9)
 
@@ -131,6 +133,21 @@ class TestVerifyNet:
         assert rep.hit_fraction < 1.0
         box = rep.worst_missed_box
         assert not np.any(box.contains(net.points))
+
+    def test_rotated_missed_box_json_rebuilds_the_box(self):
+        net = hw_net(0.05, d=2, C=0.5, seed=3)
+        rep = verify_net(net, "rotated", volume=0.05, trials=200, seed=2)
+        assert rep.hit_fraction < 1.0
+        doc = json.loads(json.dumps(rep.to_json()))["worst_missed_box"]
+        box = RotatedBox(doc["angle"], AlignedBox(doc["intervals"]), doc["center"])
+        assert not np.any(box.contains(net.points))
+        assert box.center.tobytes() == rep.worst_missed_box.center.tobytes()
+        # The witness lies in the unit square, as every sampled box does.
+        c, s = math.cos(box.angle), math.sin(box.angle)
+        corners = box.center + np.array(
+            [[sx * box.box.hi[0], sy * box.box.hi[1]]
+             for sx in (-1, 1) for sy in (-1, 1)]) @ np.array([[c, -s], [s, c]]).T
+        assert np.all(corners >= -1e-9) and np.all(corners <= 1.0 + 1e-9)
 
     def test_deterministic(self):
         net = hw_net(0.05, d=2, C=2.0, seed=0)

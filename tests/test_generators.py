@@ -253,6 +253,24 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             GridUnion((Grid(np.eye(2), np.zeros(2)), Grid(np.eye(3), np.zeros(3))))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lattice_input_is_refused(self, bad):
+        basis = np.eye(2)
+        basis[0, 1] = bad
+        unit = Grid(np.eye(2), np.zeros(2))
+        makers = [lambda: Grid(basis, np.zeros(2)),
+                  lambda: Grid(np.eye(2), [0.0, bad]),
+                  lambda: ThreeGrid(x=(bad, 0.1)),
+                  lambda: CutAndProject(unit, [[1.0], [bad]], [[0.0], [1.0]], (0.0, 1.0)),
+                  lambda: CutAndProject(unit, [[1.0], [0.0]], [[bad], [1.0]], (0.0, 1.0)),
+                  lambda: spec_from_json(json.loads(json.dumps(
+                      {"variant": "GridUnion",
+                       "params": {"grids": [{"basis": basis.tolist(),
+                                             "translation": [0.0, 0.0]}]}})))]
+        for make in makers:
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_canonicalize_merges_duplicates(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 5e-11]])
         out = canonicalize_points(pts)
@@ -264,6 +282,35 @@ class TestEnumeration:
     def test_lattice_count_scales(self, r):
         pts = enumerate_points(integer_lattice(2), Window.cube(r + 0.5, 2))
         assert pts.shape[0] == (2 * r + 1) ** 2
+
+
+class TestOnePointWindows:
+    """A point enumerated alone has the same bits as in a large window.
+
+    Alone, its lattice coordinates form a single row, and numpy's one-row
+    product rounds differently from the product of many rows.
+    """
+
+    SPECS = {
+        "three-grid": (ThreeGrid(), 6.0),
+        "d3": (GridUnion((Grid([[math.sqrt(2.0), 0.3, 0.0],
+                                [0.0, 1.0, math.sqrt(3.0)],
+                                [math.pi / 4.0, 0.0, 1.0]],
+                               [0.1, math.e / 10.0, 0.2]),)), 3.0),
+        "cut-and-project": (CutAndProject(
+            Grid([[math.sqrt(3.0), math.sqrt(2.0)], [0.0, 1.0]], [0.3, 0.1]),
+            [[1.0], [1.0 / (2.0 * math.sqrt(3.0))]],
+            [[-1.0 / (2.0 * math.sqrt(3.0))], [1.0]], (0.0, 0.05)), 600.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_alone_equals_batched(self, name):
+        spec, radius = self.SPECS[name]
+        pts = enumerate_points(spec, Window.cube(radius, spec.dim))
+        assert pts.shape[0] > 20
+        for p in pts:
+            alone = enumerate_points(spec, Window(p - 1e-7, p + 1e-7))
+            assert alone.tobytes() == p.tobytes()
 
 
 class TestSerialization:

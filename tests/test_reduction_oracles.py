@@ -50,8 +50,7 @@ from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   udt_check, vacant_strip,
                                   visibility_from_segments)
 from denseforest.errors import ResourceLimitError
-from denseforest.epsnet import (Net, NetReport, _SampledRotatedBox,
-                                _box_hits, _draw_aligned_box,
+from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
                                 _draw_rotated_box, _feasible_aspect,
                                 d2_aligned_net, sample_aligned_box,
                                 sample_rotated_box, verify_net)
@@ -443,6 +442,22 @@ class TestProbeFirstHits:
         assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
 
 
+class _SampledRotatedBox:
+    """A rectangle of fixed area rotated by `angle` about its center."""
+
+    def __init__(self, center, half_sides, angle):
+        self.center = np.asarray(center, dtype=float)
+        self.half_sides = np.asarray(half_sides, dtype=float)
+        self.angle = float(angle)
+        self.box = AlignedBox.from_bounds(-self.half_sides, self.half_sides)
+
+    def contains(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        rot = np.array([[c, -s], [s, c]])
+        return self.box.contains(pts @ rot)
+
+
 def former_aligned_box(volume, rng):
     ratio = _feasible_aspect(volume, rng)
     w = math.sqrt(volume * ratio)
@@ -473,8 +488,16 @@ def former_rotated_box(volume, rng, max_attempts=10000):
 FORMER_SAMPLERS = {"aligned": former_aligned_box, "rotated": former_rotated_box}
 
 
+def former_box_json(box):
+    """The report JSON of a former sampler's box; a rotated one has its centre."""
+    if isinstance(box, AlignedBox):
+        return {"intervals": box.intervals.tolist()}
+    return {"angle": box.angle, "center": box.center.tolist(),
+            "intervals": box.box.intervals.tolist()}
+
+
 def verify_oracle(net, box_sampler, volume, trials, seed):
-    """The former per-box loop; returns (report, per-box hits)."""
+    """The former per-box loop; returns (report JSON, first missed box, per-box hits)."""
     rng = np.random.default_rng(seed)
     hits = []
     worst = None
@@ -483,31 +506,37 @@ def verify_oracle(net, box_sampler, volume, trials, seed):
         hits.append(bool(net.size and np.any(box.contains(net.points))))
         if not hits[-1] and worst is None:
             worst = box
-    report = NetReport(boxes_tested=trials, hit_fraction=sum(hits) / trials,
-                       worst_missed_box=worst)
-    return report, np.array(hits)
+    doc = {"boxes_tested": trials, "hit_fraction": sum(hits) / trials,
+           "worst_missed_box": None if worst is None else former_box_json(worst)}
+    return doc, worst, np.array(hits)
 
 
 def box_fields(box):
-    """Every float that defines a sampled box, as bytes."""
+    """Every float that defines a sampled box, as bytes.
+
+    A former rotated box also kept its half sides, which are its box's
+    upper bounds exactly.
+    """
     if isinstance(box, AlignedBox):
         return box.intervals.tobytes()
-    return (box.center.tobytes(), box.half_sides.tobytes(),
-            np.float64(box.angle).tobytes(), box.box.intervals.tobytes())
+    if isinstance(box, _SampledRotatedBox):
+        assert box.half_sides.tobytes() == box.box.hi.tobytes()
+    return (box.center.tobytes(), np.float64(box.angle).tobytes(),
+            box.box.intervals.tobytes())
 
 
 def assert_verify_matches(net, box_sampler, volume, trials, seed):
     try:
-        expected, expected_hits = verify_oracle(net, box_sampler, volume, trials, seed)
+        expected, expected_worst, expected_hits = verify_oracle(
+            net, box_sampler, volume, trials, seed)
     except ValueError:
         with pytest.raises(ValueError):
             verify_net(net, box_sampler, volume, trials, seed)
         return None
     report = verify_net(net, box_sampler, volume, trials, seed)
-    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
-    if expected.worst_missed_box is not None:
-        assert box_fields(report.worst_missed_box) == \
-            box_fields(expected.worst_missed_box)
+    assert json.dumps(report.to_json()) == json.dumps(expected)
+    if expected_worst is not None:
+        assert box_fields(report.worst_missed_box) == box_fields(expected_worst)
     hits = np.concatenate([h for _, h in
                            _box_hits(net, box_sampler, volume, trials, seed)])
     assert hits.tolist() == expected_hits.tolist()
