@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .errors import ResourceLimitError
 from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_points
-from .geometry import (AlignedBox, RotatedBox, Segment, Window, point_coords,
-                       sample_probes, sample_segments)
+from .geometry import (AlignedBox, RotatedBox, Segment, Window, halton,
+                       point_coords, sample_probes, sample_segments)
+
+# scipy.spatial (about 0.45 s to import) is imported inside the functions
+# that build a KD-tree, so that importing the CLI loads numpy alone.
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
 # x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
@@ -160,6 +161,7 @@ def dispersion(points) -> DispersionReport:
     axes = [np.linspace(0.0, 1.0, m)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    from scipy.spatial import cKDTree
     dists, _ = cKDTree(arr).query(nodes, k=1, p=np.inf)
     return DispersionReport(N=n, value=float(np.max(dists)), exact=False,
                             grid_resolution=1.0 / (m - 1))
@@ -186,6 +188,7 @@ def _toroidal_dispersion(pts: np.ndarray) -> float:
     axes = [np.linspace(0.0, 1.0, m, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    from scipy.spatial import cKDTree
     dists, _ = cKDTree(tiled).query(nodes, k=1, p=np.inf)
     return float(np.max(dists))
 
@@ -321,7 +324,7 @@ def _xi_samples(count: int, d: int, seed: int) -> np.ndarray:
     n_grid = count // 2
     parts = []
     if n_grid:
-        parts.append(qmc.Halton(d=d, scramble=False).random(n_grid))
+        parts.append(halton(n_grid, d))
     n_rand = count - n_grid
     if n_rand:
         parts.append(np.random.default_rng(seed).random((n_rand, d)))
@@ -581,6 +584,8 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
 
 def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
     """KD-tree over enumerated points of sheets lacking analytic candidates."""
+    from scipy.spatial import cKDTree
+
     ends = bases + lengths[:, None] * dirs
     lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
     hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
@@ -658,6 +663,12 @@ def _probe_first_hits(spec: PointSetSpec, eps: float, bases: np.ndarray,
     return first
 
 
+def _check_epsilon(epsilon: float):
+    """Refuse an epsilon that is not a positive finite number (NaN too)."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+
+
 def _segments_to_arrays(segments):
     bases = np.asarray([s.base for s in segments], dtype=float)
     dirs = np.asarray([s.direction for s in segments], dtype=float)
@@ -668,8 +679,7 @@ def _segments_to_arrays(segments):
 def visibility_from_segments(spec: PointSetSpec, epsilon: float,
                              segments) -> VisibilityReport:
     """Hit statistics of explicit probe segments against a point set."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not segments:
         raise ValueError("at least one probe segment is required")
     bases, dirs, lengths = _segments_to_arrays(segments)
@@ -691,8 +701,7 @@ def check_visibility(spec: PointSetSpec, epsilon: float, L: float, count: int,
 
     A probe hits when some forest point comes within sup-norm epsilon of it.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if L < 0:
         raise ValueError("L must be nonnegative")
     segments = sample_segments(window, L, count, seed)
@@ -711,8 +720,7 @@ def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
     computes each probe's first blocking parameter once, so the returned
     grid value is consistent with check_visibility on the same seed.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if L_max <= 0:
         raise ValueError("L_max must be positive")
     bases, dirs, lengths = sample_probes(window, L_max, count, seed)
@@ -731,6 +739,25 @@ def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
 # ---------------------------------------------------------------------------
 # Empty tubes and vacant strips
 # ---------------------------------------------------------------------------
+
+def _unit_directions(directions, dim: int) -> list:
+    """Each direction divided by its Euclidean norm.
+
+    Refuses a direction of the wrong length, or one whose norm is not a
+    positive finite number: a zero, NaN or infinite entry, or a vector
+    whose norm underflows or overflows.
+    """
+    out = []
+    for raw in directions:
+        vec = np.asarray(raw, dtype=float)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec)) if vec.shape == (dim,) else math.nan
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"direction {raw!r} must be a finite nonzero "
+                             f"{dim}-vector")
+        out.append(vec / norm)
+    return out
+
 
 def _orthonormal_complement(direction: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(np.column_stack([direction, np.eye(direction.size)]))
@@ -792,11 +819,10 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     Returns (segment, length); the segment keeps sup-norm distance >= eps
     from every point of the set within the window.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if offsets_per_direction < 1:
         raise ValueError("offsets_per_direction must be at least 1")
-    dirs = [np.asarray(d, dtype=float) for d in directions]
+    dirs = _unit_directions(directions, window.dim)
     if not dirs:
         raise ValueError("at least one direction is required")
     pad = epsilon + 1e-6
@@ -804,8 +830,7 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     center = (window.lo + window.hi) / 2.0
     n = window.dim
     best = None
-    for raw in dirs:
-        direction = raw / np.linalg.norm(raw)
+    for direction in dirs:
         comp = _orthonormal_complement(direction)
         corners_p = window.corners() @ comp
         plo = corners_p.min(axis=0)
@@ -814,7 +839,7 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
         if n == 2:
             offs = (plo + (np.arange(k) + 0.5) * (phi - plo) / k)[:, None]
         else:
-            offs = plo + qmc.Halton(d=n - 1, scramble=False).random(k) * (phi - plo)
+            offs = plo + halton(k, n - 1) * (phi - plo)
         proj = pts @ comp if pts.shape[0] else np.empty((0, n - 1))
         if n == 2 and pts.shape[0]:
             order = np.argsort(proj[:, 0])
@@ -919,14 +944,14 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     differences and the rounding of the midpoint test.  A direction whose
     P-projections stay inside the band gets an infinite bound.
     """
+    dim = window.dim
+    extras = _unit_directions(candidate_directions, dim)
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
-    dim = window.dim
     groups = _dual_direction_candidates(spec, dim)
-    extras = [np.asarray(d, dtype=float) for d in candidate_directions]
     for extra in extras:
-        groups.append((extra / np.linalg.norm(extra))[None, :])
+        groups.append(extra[None, :])
     if not groups:
         raise ValueError("no candidate directions: supply candidate_directions")
     cands = np.concatenate(groups)
@@ -982,6 +1007,8 @@ def density_profile(spec: PointSetSpec, radii) -> list:
 
 def min_gap(spec: PointSetSpec, window: Window) -> float:
     """Minimum pairwise Euclidean distance among the enumerated points."""
+    from scipy.spatial import cKDTree
+
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
@@ -1146,6 +1173,8 @@ def udt_check(thetas, xi, T: int):
     xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi_vec.shape != (arr.shape[1],):
         raise ValueError("xi must match the dimension of thetas")
+    if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(xi_vec))):
+        raise ValueError("thetas and xi must have finite entries")
     t_int = int(T)
     if t_int < 1:
         raise ValueError("T must be at least 1")

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ResourceLimitError
 from .generators import D2Sheet
 from .geometry import AlignedBox, RotatedBox, Window, box_json
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 MAX_NET_SIZE = 10 ** 7
 ASPECT_CAP = 2.0 ** 10
@@ -212,6 +215,8 @@ def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
     point.  A box no nearest point certifies is decided by
     ``box.contains(net.points)`` over the whole net.
     """
+    from scipy.spatial import cKDTree
+
     draw, make = _SAMPLERS[box_sampler]
     rng = np.random.default_rng(seed)
     tree = cKDTree(net.points) if net.size else None

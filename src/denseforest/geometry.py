@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 UNIT_NORM_TOL = 1e-12
 
@@ -302,6 +301,41 @@ def _stratified_directions(dim: int) -> np.ndarray:
     return axes
 
 
+def _first_primes(count: int) -> list:
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def halton(n: int, d: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^d.
+
+    Column j holds the radical inverses of 0, ..., n-1 in the j-th prime
+    base (Halton, Numer. Math. 1960).  The digits are summed in the order
+    and with the factors of scipy's ``qmc.Halton(d, scramble=False)``:
+    b2r = 1/base, then ``r * b2r`` is added and b2r divided by the base,
+    least significant digit first, so every float equals scipy's.  Another
+    order, or r / base**k in place of the running b2r, rounds differently.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    out = np.zeros((n, d))
+    for j, base in enumerate(_first_primes(d)):
+        q = np.arange(n, dtype=np.int64)
+        col = out[:, j]
+        b2r = 1.0 / base
+        while np.any(q > 0):
+            q, r = np.divmod(q, base)
+            col += r * b2r
+            b2r /= base
+    return out
+
+
 def _probe_rows(window: Window, count: int, seed: int):
     """Bases and unnormalized directions of the seeded probes, with their norms.
 
@@ -321,7 +355,7 @@ def _probe_rows(window: Window, count: int, seed: int):
         directions = _stratified_directions(dim)
         table = np.asarray([float(np.linalg.norm(v)) for v in directions])
         cycle = np.arange(n_strat) % len(directions)
-        grid = qmc.Halton(d=dim, scramble=False).random(n_strat)
+        grid = halton(n_strat, dim)
         bases[:n_strat] = window.lo + grid * window.extent
         raw[:n_strat] = directions[cycle]
         norms[:n_strat] = table[cycle]

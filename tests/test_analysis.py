@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from denseforest.analysis import (_line_gap_profile, RotatedBox,
                                   check_visibility, density_profile,
-                                  discrepancy, dispersion, find_empty_tube,
+                                  discrepancy, dispersion,
+                                  estimate_visibility, find_empty_tube,
                                   heavy_box, min_gap, sud_estimate,
                                   udt_check, vacant_strip,
                                   visibility_from_segments)
@@ -202,6 +203,23 @@ class TestVisibility:
         with pytest.raises(ValueError):
             visibility_from_segments(integer_lattice(2), 0.1, [])
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_is_refused(self, eps):
+        spec = integer_lattice(2)
+        w = Window.cube(2.0, 2)
+        seg = Segment(np.array([0.3, 0.5]), np.array([1.0, 0.0]), 4.0)
+        calls = [lambda: estimate_visibility(spec, eps, 8.0, 4, w, seed=0),
+                 lambda: check_visibility(spec, eps, 1.0, 4, w, seed=0),
+                 lambda: visibility_from_segments(spec, eps, [seg]),
+                 lambda: find_empty_tube(spec, eps, w, [(1.0, 0.0)], 4)]
+        for call in calls:
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                call()
+
+
+BAD_DIRECTIONS = [(math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf),
+                  (0.0, 0.0), (1e200, 1e200), (1e-320, 0.0), (1.0, 0.0, 0.0)]
+
 
 class TestEmptyTube:
     def test_lattice_axis_tube(self):
@@ -239,6 +257,12 @@ class TestEmptyTube:
                             [(1.0, 0.0)], 4)
         with pytest.raises(ValueError):
             find_empty_tube(integer_lattice(2), 0.1, Window.cube(2.0, 2), [], 4)
+
+    @pytest.mark.parametrize("bad", BAD_DIRECTIONS)
+    def test_bad_direction_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite nonzero 2-vector"):
+            find_empty_tube(integer_lattice(2), 0.1, Window.cube(2.0, 2),
+                            [(1.0, 0.0), bad], 4)
 
 
 def shortest_dual_width(basis: np.ndarray) -> float:
@@ -314,6 +338,12 @@ class TestVacantStrip:
     def test_needs_points(self):
         with pytest.raises(ValueError):
             vacant_strip(GridUnion(()), Window.cube(5.0, 2))
+
+    @pytest.mark.parametrize("bad", BAD_DIRECTIONS)
+    def test_bad_extra_direction_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite nonzero 2-vector"):
+            vacant_strip(integer_lattice(2), Window.cube(10.0, 2),
+                         candidate_directions=[(1.0, 2.0), bad])
 
 
 class TestDensityAndGap:
@@ -447,3 +477,10 @@ class TestUDT:
             udt_check([0.0], xi=0.0, T=0)
         with pytest.raises(ResourceLimitError):
             udt_check([0.0], xi=0.0, T=10 ** 9)
+
+    @pytest.mark.parametrize("thetas, xi", [
+        ([math.nan], 0.1), ([0.0, math.inf], 0.1), ([[0.0, -math.inf]], [0.1, 0.2]),
+        ([0.1], math.nan), ([0.1], math.inf), ([[0.1, 0.2]], [0.3, -math.inf])])
+    def test_non_finite_input_is_refused(self, thetas, xi):
+        with pytest.raises(ValueError, match="finite"):
+            udt_check(thetas, xi=xi, T=4)

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,34 @@ def test_visibility_nonpositive_eps_is_argument_error(tmp_path, capsys, eps):
     assert not (tmp_path / "vis.csv.meta.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("visibility", "--spec", "z2", "--eps", "nan", "--l-max", "8",
+     "--count", "16", "--radius", "5"),
+    ("visibility", "--spec", "z2", "--eps", "inf", "--l-max", "8",
+     "--count", "16", "--radius", "5"),
+    ("tube", "--spec", "z2", "--eps", "nan", "--radius", "5"),
+    ("tube", "--spec", "z2", "--eps", "inf", "--radius", "5")])
+def test_non_finite_eps_is_argument_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", [("strip",), ("tube", "--eps", "0.1")])
+@pytest.mark.parametrize("directions", ["[[NaN,1]]", "[[1,Infinity]]",
+                                        "[[0,0]]"])
+def test_bad_directions_are_argument_errors(tmp_path, capsys, command,
+                                            directions):
+    out = tmp_path / "out.json"
+    assert run(*command, "--spec", "z2", "--radius", "5", "--directions",
+               directions, "--out", str(out)) == 2
+    assert "finite nonzero 2-vector" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.json.meta.json").exists()
+
+
 def test_tube_json(tmp_path):
     out = tmp_path / "tube.json"
     assert run("tube", "--spec", "z2", "--eps", "0.3", "--radius", "5",
@@ -204,6 +235,18 @@ def test_udt_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["best_index"] == 2
     assert doc["margin"] == pytest.approx(0.0557, abs=5e-4)
+
+
+@pytest.mark.parametrize("thetas, xi", [("[NaN]", "[0.1]"),
+                                        ("[0.1]", "[Infinity]"),
+                                        ("[0.0, -Infinity]", "0.2")])
+def test_udt_non_finite_input_is_argument_error(tmp_path, capsys, thetas, xi):
+    out = tmp_path / "udt.json"
+    assert run("udt", "--thetas", thetas, "--xi", xi, "--t", "4",
+               "--out", str(out)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "udt.json.meta.json").exists()
 
 
 def test_heavy_box_json(tmp_path):
@@ -277,3 +320,20 @@ def test_benchmark_tracer_counts_csv_rows(tmp_path):
     assert rows == [16, 3]
     for name, count in (("z2.csv", 16), ("sud.csv", 3)):
         assert len((tmp_path / name).read_text().splitlines()) == count + 1
+
+
+def test_cli_import_loads_no_scipy_stats_or_spatial():
+    # scipy.stats and scipy.spatial take about 1.2 s and 0.45 s to import;
+    # the CLI imports neither until a command builds a KD-tree.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import denseforest.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "scipy.stats" not in loaded and "scipy.spatial" not in loaded
+    for path in (src / "denseforest").glob("*.py"):
+        assert "scipy.stats" not in path.read_text(), path.name

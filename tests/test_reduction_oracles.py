@@ -24,6 +24,11 @@ replaced: one critical-value scan per slab, and one sort per anchor, aspect
 ratio and sweep axis.  `udt_check` builds its u-grid in chunks; its oracle
 builds the whole grid.
 
+`halton` is a numpy radical inverse; its oracle is scipy's
+`qmc.Halton(d, scramble=False)`, which the program no longer imports.
+`write_points_csv` formats a chunk of rows with one %-operation; its oracle
+is the per-row writer it replaced, one f-string per float.
+
 The fast paths promise the same floats, so every comparison is exact.
 """
 
@@ -36,9 +41,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.stats import qmc
 
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
+import denseforest.generators as generators
 from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _candidate_scores, _central_width,
                                   _central_width_bound,
@@ -59,8 +66,9 @@ from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
                                     golden_sequence, integer_lattice,
-                                    quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import (AlignedBox, Segment, Window,
+                                    quadratic_sequence, tsokanos_sequence,
+                                    write_points_csv)
+from denseforest.geometry import (AlignedBox, Segment, Window, halton,
                                   sample_probes, tube_bounding_window)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -960,3 +968,79 @@ class TestUDTOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
+
+
+class TestHaltonOracle:
+    @given(st.integers(1, 8), st.integers(0, 5000))
+    @example(1, 0)
+    @example(8, 0)
+    @example(1, 1)
+    @example(8, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_bitwise(self, d, n):
+        got = halton(n, d)
+        expected = qmc.Halton(d=d, scramble=False).random(n)
+        assert got.shape == expected.shape == (n, d)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_long_prefix(self):
+        expected = qmc.Halton(d=12, scramble=False).random(100_000)
+        assert halton(100_000, 12).tobytes() == expected.tobytes()
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(ValueError):
+            halton(4, 0)
+
+
+def former_write_points_csv(path, pts, header=None):
+    """The per-row writer: one f-string per float."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if header is None:
+        header = [f"x{i + 1}" for i in range(pts.shape[1])]
+    with open(path, "w") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in pts:
+            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                  -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, 123.0]
+
+
+def assert_csv_matches(tmp_path, pts, header=None):
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    write_points_csv(got, pts, header=header)
+    former_write_points_csv(expected, pts, header=header)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+class TestCSVWriterOracle:
+    def test_special_floats(self, tmp_path):
+        pts = np.array(SPECIAL_FLOATS)
+        assert_csv_matches(tmp_path, pts.reshape(-1, 1))
+        assert_csv_matches(tmp_path, pts.reshape(-1, 3))
+        assert_csv_matches(tmp_path, pts.reshape(1, -1))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (1, 2), (1, 1), (1, 5)])
+    def test_empty_and_one_row(self, tmp_path, shape):
+        pts = np.arange(float(np.prod(shape))).reshape(shape) / 7.0
+        assert_csv_matches(tmp_path, pts)
+
+    def test_custom_header(self, tmp_path):
+        pts = np.array([[8.0, 0.25], [16.0, math.inf]])
+        assert_csv_matches(tmp_path, pts, header=("N", "value"))
+        assert (tmp_path / "got.csv").read_text() == "N,value\n8,0.25\n16,inf\n"
+
+    @given(st.integers(1, 5), st.integers(0, 23), st.integers(1, 4),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_cross_chunk_edges(self, tmp_path_factory, chunk_rows, rows,
+                                    cols, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300,
+                                                                       (rows, cols))
+        special = rng.random((rows, cols)) < 0.1
+        pts[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+        with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows):
+            assert_csv_matches(tmp_path_factory.mktemp("csv"), pts)
