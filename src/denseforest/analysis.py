@@ -28,9 +28,12 @@ from .geometry import (AlignedBox, RotatedBox, Segment, Window, halton,
 # units/s, so a call at the cap runs about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
 DISPERSION_GRID_BUDGET = 2 ** 18
-# Twist rows per block of the d = 1 SUD window scan.  At N = 2^14 and
-# m_max = 64 one block is about 8 MB per array (values, order, sorted).
-SUD_BLOCK_ROWS = 64
+# Cells (twist rows x span indices) per block of the d = 1 SUD window
+# scan, so a block holds max(1, SUD_BLOCK_CELLS // span) rows whatever N
+# is.  At N = 2^14 and m_max = 64 a span has 16,448 indices, a block has
+# 127 rows and each of its arrays (values, sorted windows, order) takes
+# about 16 MB.
+SUD_BLOCK_CELLS = 2 ** 21
 # Cells (slabs x x-buckets) per block of the exact 2-D discrepancy scan.
 # A scan holds at most 12 arrays of one block, 8 bytes a cell (1.5 MB),
 # besides O(n) for the points; 2^14 cells ran faster than 2^12 or 2^16.
@@ -353,26 +356,50 @@ def _shift_groups(ms: list, N: int) -> list:
     return groups
 
 
-def _window_dispersion_max(v: np.ndarray, idx: np.ndarray, shifts: list,
-                           N: int, xis: np.ndarray) -> float:
-    """Max over twists xi and shifts m of the toroidal dispersion of the
-    window {w_j : m <= j < m+N} of w_j = (v_j - xi*j) mod 1, j in idx.
+def _shift_windows_max(w: np.ndarray, offsets, N: int) -> float:
+    """Max over rows of w and offsets lo of the toroidal dispersion of the
+    window of columns lo <= j < lo+N.
 
-    Each block of twist rows is sorted once.  A shift keeps the sorted
-    entries whose index lies in its window, exactly N per row, which are the
-    floats a sort of that window alone gives, so the gaps and the value are
-    the same to the last bit.
+    Each row is sorted once.  A window keeps the sorted entries whose column
+    lies in it, exactly N per row, which are the floats a sort of that
+    window alone gives, so the gaps and the value are the same to the last
+    bit.
     """
+    order = np.argsort(w, axis=1)
+    s = np.take_along_axis(w, order, axis=1)
     best = 0.0
-    for b in range(0, xis.size, SUD_BLOCK_ROWS):
-        w = np.mod(v[None, :] - xis[b:b + SUD_BLOCK_ROWS, None] * idx[None, :], 1.0)
-        order = np.argsort(w, axis=1)
-        s = np.take_along_axis(w, order, axis=1)
-        for m in shifts:
-            lo = m - shifts[0]
-            keep = (order >= lo) & (order < lo + N)
-            rows = s[keep].reshape(w.shape[0], N)
-            best = max(best, float(np.max(_toroidal_dispersion_rows(rows))))
+    for lo in offsets:
+        keep = (order >= lo) & (order < lo + N)
+        rows = s[keep].reshape(w.shape[0], N)
+        best = max(best, float(np.max(_toroidal_dispersion_rows(rows))))
+    return best
+
+
+def _window_dispersion_max(v: np.ndarray, idx: np.ndarray, shifts: list,
+                           N: int, xis: np.ndarray, best: float) -> float:
+    """Max of best and, over twists xi and shifts m, the toroidal dispersion
+    of the window {w_j : m <= j < m+N} of w_j = (v_j - xi*j) mod 1, j in idx.
+
+    A block of twist rows first gets the first shift's window exactly, and
+    an upper bound from its core, the indices [span, N) (span = shifts[-1]
+    - shifts[0]) that every window of the group keeps.  Only the rows whose
+    bound exceeds the best value so far go on to `_shift_windows_max`; see
+    `sud_estimate` for why the bound holds.
+    """
+    span = shifts[-1] - shifts[0]
+    rows = max(1, SUD_BLOCK_CELLS // idx.size)
+    for b in range(0, xis.size, rows):
+        w = np.mod(v[None, :] - xis[b:b + rows, None] * idx[None, :], 1.0)
+        first = _toroidal_dispersion_rows(np.sort(w[:, :N], axis=1))
+        best = max(best, float(np.max(first)))
+        if span == 0:
+            continue
+        if span < N:
+            core = _toroidal_dispersion_rows(np.sort(w[:, span:N], axis=1))
+            w = w[core > best]
+        if w.shape[0]:
+            best = max(best, _shift_windows_max(
+                w, [m - shifts[0] for m in shifts[1:]], N))
     return best
 
 
@@ -385,6 +412,23 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     is the window m <= j < m+N of the single sequence v_j - xi*j, so the
     sequence is evaluated once over the spans of `_shift_groups`, and for
     d = 1 each span is sorted once per block of twists.
+
+    Most twists need only their group's first window.  The core of a group,
+    the indices [span, N) with span = shifts[-1] - shifts[0], is kept by
+    every window of the group, and its toroidal dispersion bounds every
+    window's from above.  For d = 1, adding points can only split gaps: a
+    window's gap between two core values lies inside a core gap, and float
+    subtraction is monotone, so it is no longer; a gap below the least or
+    above the greatest core value is no longer than the core's wrap gap
+    1 - max + min, because np.mod puts every value in [0, 1]; and the
+    window's own wrap gap is no longer than the core's, since its max is
+    no smaller and its min no larger.  For d >= 2 the grid bound takes, at
+    each grid node, the sup-norm distance to the nearest point, which a
+    superset can only lower, and a point's distance to a node is the same
+    float in every set.  So a twist whose core bound is at most the best
+    value so far cannot change the result, and the other shifts are scanned
+    only where it is larger, which leaves the value exactly that of a scan
+    of every (m, xi).  An empty core (span >= N) bounds nothing.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -402,17 +446,18 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     best = 0.0
     for shifts, idx, vs in zip(groups, spans, values):
         if d == 1:
-            best = max(best, _window_dispersion_max(vs[:, 0], idx, shifts, N,
-                                                    xis[:, 0]))
+            best = _window_dispersion_max(vs[:, 0], idx, shifts, N, xis[:, 0],
+                                          best)
             continue
-        # d >= 2 keeps one KD-tree per (m, xi): its grid bound is a nearest-
-        # neighbour query, and a tree over the span cannot leave out the
-        # indices outside a window without querying past them.
-        for m in shifts:
-            win = slice(m - shifts[0], m - shifts[0] + N)
-            for xi in xis:
-                pts = np.mod(vs[win] - np.outer(idx[win].astype(float), xi), 1.0)
-                best = max(best, _toroidal_dispersion(pts))
+        span = shifts[-1] - shifts[0]
+        for xi in xis:
+            pts = np.mod(vs - np.outer(idx.astype(float), xi), 1.0)
+            best = max(best, _toroidal_dispersion(pts[:N]))
+            if span == 0 or (span < N and _toroidal_dispersion(pts[span:N]) <= best):
+                continue
+            for m in shifts[1:]:
+                lo = m - shifts[0]
+                best = max(best, _toroidal_dispersion(pts[lo:lo + N]))
     return SUDEstimate(N=int(N), m_samples=ms, xi_samples=int(xi_count),
                        value=best)
 

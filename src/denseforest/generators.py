@@ -59,6 +59,8 @@ class SequenceSpec:
                 raise ValueError("ConcatLinear needs at least one direction vector")
             if len({len(t) for t in thetas}) != 1:
                 raise ValueError("ConcatLinear direction vectors must share a dimension")
+            if not np.all(np.isfinite(thetas)):
+                raise ValueError("ConcatLinear direction vectors must be finite")
             object.__setattr__(self, "thetas", thetas)
 
     @property

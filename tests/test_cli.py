@@ -130,6 +130,29 @@ def test_sud_concat_linear_requires_thetas(tmp_path):
                "--out", str(out)) == 0
 
 
+@pytest.mark.parametrize("thetas", ["[[NaN],[0.3]]", "[[0.5],[Infinity]]",
+                                    "[[-Infinity]]"])
+def test_sud_non_finite_thetas_is_argument_error(tmp_path, capsys, thetas):
+    # A NaN twist direction used to give a SUD value of 0, which bounds nothing.
+    out = tmp_path / "sud.csv"
+    assert run("sud", "--seq", "concat-linear", "--thetas", thetas, "--n", "64",
+               "--m-max", "4", "--xi-count", "8", "--out", str(out)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_non_finite_sequence_spec_is_argument_error(tmp_path, capsys):
+    spec_path = tmp_path / "nan-seq.json"
+    spec_path.write_text('{"variant": "GeneralizedPeres", "params": {"n": 2, '
+                         '"sequence": {"variant": "ConcatLinear", '
+                         '"thetas": [[NaN], [0.3]]}}}')
+    out = tmp_path / "x.csv"
+    assert run("generate", "--spec", str(spec_path), "--radius", "3.0",
+               "--out", str(out)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_visibility_rows(tmp_path):
     out = tmp_path / "vis.csv"
     assert run("visibility", "--spec", "z2", "--eps", "0.6,0.51",

@@ -17,7 +17,8 @@ from denseforest.generators import (D2, D2_SCALE, CutAndProject,
                                     default_cut_and_project, enumerate_points,
                                     golden_sequence, integer_lattice,
                                     load_spec, quadratic_sequence,
-                                    read_points_csv, seq_eval, spec_from_json,
+                                    read_points_csv, seq_eval, seq_from_json,
+                                    spec_from_json,
                                     spec_to_json, tsokanos_sequence,
                                     write_points_csv)
 from denseforest.geometry import Window
@@ -125,6 +126,15 @@ class TestSequences:
             SequenceSpec("Quadratic", alpha=float("nan"))
         with pytest.raises(ValueError):
             SequenceSpec("ConcatLinear", thetas=())
+
+    @pytest.mark.parametrize("thetas", [[[float("nan")], [0.3]],
+                                        [[0.5, float("inf")]],
+                                        [[-float("inf")]]])
+    def test_concat_linear_refuses_non_finite_thetas(self, thetas):
+        with pytest.raises(ValueError, match="finite"):
+            concat_linear_sequence(thetas)
+        with pytest.raises(ValueError, match="finite"):
+            seq_from_json({"variant": "ConcatLinear", "thetas": thetas})
 
 
 class TestEnumeration:

@@ -1,10 +1,14 @@
 """Differential tests of the fast reductions and probe scans against direct oracles.
 
-`sud_estimate` sorts each span of shifts once per block of twists and keeps
-each shift's window by index; `vacant_strip` bounds every direction from the
-sub-window around the centre and fully sorts only the directions whose bound
-can still win.  The oracles below compute the same quantities the direct way:
-one sort per (shift, twist) matrix and one full sort per direction.
+`sud_estimate` bounds each twist by the dispersion of the core that all
+windows of a run of shifts share, and only for the twists whose bound can
+still win sorts the span once and keeps each shift's window by index;
+`vacant_strip` bounds every direction from the sub-window around the centre
+and fully sorts only the directions whose bound can still win.  The oracles
+below compute the same quantities the direct way: one sort per (shift,
+twist) matrix and one full sort per direction.  The SUD tests count the
+twist rows that reach the per-shift scan, so that a case where every row is
+pruned and one where some survive are both exercised.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
 coordinates.  Its oracles are the unit-step march it replaced, which visits
@@ -163,10 +167,13 @@ class TestSUDOracle:
             sud_oracle(seq, N, m_max, xi_count, seed)
 
     def test_block_boundary(self):
-        # 65 twists: a full block of 64 rows and a block of one row.
+        # 65 twists over one span of 70 + 257 indices, in blocks of 64, 3
+        # and 1 rows: the best value and the bound carry across blocks.
         seq = quadratic_sequence(PHI)
-        assert sud_estimate(seq, 257, 70, 65, 9).value == \
-            sud_oracle(seq, 257, 70, 65, 9)
+        expected = sud_oracle(seq, 257, 70, 65, 9)
+        for rows in (64, 3, 1):
+            with mock.patch.object(analysis, "SUD_BLOCK_CELLS", rows * 327 + 5):
+                assert sud_estimate(seq, 257, 70, 65, 9).value == expected
 
     def test_sampled_shifts_keep_spans_short(self):
         N, m_max = 8, 10 ** 5
@@ -183,6 +190,58 @@ class TestSUDOracle:
                                       [math.sqrt(3.0) - 1.0, math.e - 2.0]])
         assert sud_estimate(seq, N, m_max, 3, 4).value == \
             sud_oracle(seq, N, m_max, 3, 4)
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=3),
+           st.integers(1, 40), st.integers(0, 12), st.integers(1, 4),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=25, deadline=None)
+    def test_two_dimensional_core_bound(self, thetas, N, m_max, xi_count, seed):
+        seq = concat_linear_sequence(thetas)
+        assert sud_estimate(seq, N, m_max, xi_count, seed).value == \
+            sud_oracle(seq, N, m_max, xi_count, seed)
+
+    @staticmethod
+    def scanned_rows(seq, N, m_max, xi_count, seed):
+        """The value, and the twist rows that reach the per-shift scan."""
+        with mock.patch.object(analysis, "_shift_windows_max",
+                               wraps=analysis._shift_windows_max) as scan:
+            value = sud_estimate(seq, N, m_max, xi_count, seed).value
+        return value, sum(c.args[0].shape[0] for c in scan.call_args_list)
+
+    @pytest.mark.parametrize("seq, N", [(tsokanos_sequence(), 2 ** 11),
+                                        (quadratic_sequence(PHI), 2 ** 12)])
+    def test_every_row_pruned(self, seq, N):
+        value, rows = self.scanned_rows(seq, N, 64, 64, 0)
+        assert rows == 0
+        assert value == sud_oracle(seq, N, 64, 64, 0)
+
+    def test_surviving_rows_are_scanned(self):
+        # One of the 16 twists has a core bound above every first window,
+        # and a later shift of it sets the value.
+        seq = golden_sequence()
+        value, rows = self.scanned_rows(seq, 32, 8, 16, 1)
+        assert 0 < rows < 16
+        assert value == sud_oracle(seq, 32, 8, 16, 1)
+        assert value > sud_estimate(seq, 32, 0, 16, 1).value
+
+    def test_block_memory_is_bounded_by_cells(self):
+        # At N = 2^20 a block holds one twist row, so four twists take no
+        # more memory than one; 64-row blocks held all four at once.
+        N = 2 ** 20
+        seq = quadratic_sequence(PHI)
+        assert analysis.SUD_BLOCK_CELLS // (N + 2) == 1
+        peaks = []
+        for xi_count in (1, 4):
+            tracemalloc.start()
+            try:
+                sud_estimate(seq, N, 2, xi_count, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        span_bytes = 8 * (N + 2)
+        assert peaks[1] < peaks[0] + span_bytes
+        assert max(peaks) < 10 * span_bytes
 
 
 class TestStripOracle:
