@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .generators import LatticeSheet, PointSetSpec, SequenceSpec, enumerate_points
+from .generators import (LatticeSheet, PointSetSpec, SequenceSpec,
+                         enumerate_points, enumerate_sheets)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, halton,
                        point_coords, sample_probes, sample_segments)
 
@@ -46,6 +47,14 @@ HEAVY_BLOCK_CELLS = 2 ** 20
 # one-row product as a dot product, which can round differently from the
 # matrix-vector product of several rows, so a chunk never has one row.
 UDT_CHUNK_ROWS = 2 ** 16
+# Share of the sub-window points whose projections give every strip
+# direction its first, coarse bound (a fixed seeded draw, not a stride: the
+# enumerated points are sorted, so a strided subset is itself lattice-like
+# and bounds nothing).  On the three-grid a quarter ran fastest at r = 100
+# and r = 200; 1/8 and 1/16 pruned almost no direction.
+STRIP_COARSE_SHARE = 0.25
+# Points whose nearest-neighbour distance gives min_gap its search radius.
+MIN_GAP_SEED_POINTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +419,8 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     Maximizes the toroidal dispersion of the N fractional-part vectors over
     sampled shifts m and twists xi (xi matters only mod 1).  The shift-m set
     is the window m <= j < m+N of the single sequence v_j - xi*j, so the
-    sequence is evaluated once over the spans of `_shift_groups`, and for
-    d = 1 each span is sorted once per block of twists.
+    sequence is evaluated once over each span of `_shift_groups`, one span
+    at a time, and for d = 1 each span is sorted once per block of twists.
 
     Most twists need only their group's first window.  The core of a group,
     the indices [span, N) with span = shifts[-1] - shifts[0], is kept by
@@ -439,12 +448,10 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     d = seq.dim
     ms = _m_samples(m_max)
     xis = _xi_samples(xi_count, d, seed)
-    groups = _shift_groups(ms, N)
-    spans = [np.arange(g[0], g[-1] + N, dtype=np.int64) for g in groups]
-    values = np.split(seq.extended_values(np.concatenate(spans)),
-                      np.cumsum([span.size for span in spans])[:-1])
     best = 0.0
-    for shifts, idx, vs in zip(groups, spans, values):
+    for shifts in _shift_groups(ms, N):
+        idx = np.arange(shifts[0], shifts[-1] + N, dtype=np.int64)
+        vs = seq.extended_values(idx)
         if d == 1:
             best = _window_dispersion_max(vs[:, 0], idx, shifts, N, xis[:, 0],
                                           best)
@@ -634,7 +641,7 @@ def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
     ends = bases + lengths[:, None] * dirs
     lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
     hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
-    pts = [sheet.enumerate(Window(lo, hi)) for sheet in sheets]
+    pts = enumerate_sheets(sheets, Window(lo, hi))
     pool = np.concatenate(pts) if pts else np.empty((0, bases.shape[1]))
     return (cKDTree(pool), pool) if pool.shape[0] else (None, pool)
 
@@ -980,14 +987,22 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     the band, the P-projections a' <= a and b' >= b next to the gap are
     consecutive among P's, the gap (a', b') meets the band, and b' - a' >=
     b - a: P is a subset and float subtraction is monotone.  So the largest
-    P-gap meeting the band bounds the width from above, and the full sort
-    runs in order of decreasing bound until the next bound is below the
-    widest strip found, which leaves the result exactly that of a scan of
-    every direction.  P's projections come from their own product, so they
-    may differ from the full ones in the last bits; the band is widened and
-    the bound raised by 2*eps, with eps at a relative 1e-9 far above those
-    differences and the rounding of the midpoint test.  A direction whose
-    P-projections stay inside the band gets an infinite bound.
+    P-gap meeting the band bounds the width from above.  Nothing in this
+    uses more of P than that it is a subset of the points whose projections
+    reach past both ends of the band, so any such subset gives a bound, and
+    a smaller subset a looser one.  Every direction is first bounded from a
+    fixed seeded draw Q of a quarter of P (`STRIP_COARSE_SHARE`), and the
+    directions are taken in order of decreasing Q-bound until the next one
+    is below the widest strip found.  A direction taken is bounded again
+    from P, and only if that bound is not below the widest strip either are
+    all its projections sorted.  A direction is skipped only when a bound of
+    its width is below a width already found, which leaves the result
+    exactly that of a scan of every direction.  The projections of a subset
+    come from their own product, so they may differ from the full ones in
+    the last bits; the band is widened and the bound raised by 2*eps, with
+    eps at a relative 1e-9 far above those differences and the rounding of
+    the midpoint test.  A direction whose subset projections stay inside
+    the band, or a subset of fewer than two points, gets an infinite bound.
     """
     dim = window.dim
     extras = _unit_directions(candidate_directions, dim)
@@ -1010,14 +1025,21 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     # |x.u| <= dim * (|center|_inf + bulk) for x in P, for c.u and for every
     # central midpoint; eps is 1e-9 of that scale.
     eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
-    bounds = np.array([_central_width_bound(np.sort(sub @ u), float(center @ u),
-                                            bulk, eps) for u in cands])
+    coarse = sub[np.random.default_rng(0).random(sub.shape[0]) < STRIP_COARSE_SHARE]
+
+    def bound(subset, u):
+        return _central_width_bound(np.sort(subset @ u), float(center @ u),
+                                    bulk, eps)
+
+    bounds = np.array([bound(coarse, u) for u in cands])
     best_width = -1.0
     best_k = -1
     for k in np.argsort(-bounds, kind="stable"):
         if bounds[k] < best_width:
             break
         u = cands[k]
+        if bound(sub, u) < best_width:
+            continue
         width = _central_width(np.sort(pts @ u), float(center @ u), bulk)
         if width is not None and (width > best_width
                                   or (width == best_width and k < best_k)):
@@ -1052,12 +1074,33 @@ def density_profile(spec: PointSetSpec, radii) -> list:
 
 def min_gap(spec: PointSetSpec, window: Window) -> float:
     """Minimum pairwise Euclidean distance among the enumerated points."""
-    from scipy.spatial import cKDTree
-
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
-    dists, _ = cKDTree(pts).query(pts, k=2)
+    return _min_gap(pts)
+
+
+def _min_gap(pts: np.ndarray) -> float:
+    """Minimum pairwise Euclidean distance among two or more points.
+
+    The nearest-neighbour distance r of any point bounds the minimum, here
+    the least among the first `MIN_GAP_SEED_POINTS` points.  So the query of
+    every point searches only the radius r (1 + 1e-9) around it, the
+    bounded best-match search of Friedman, Bentley and Finkel (ACM TOMS
+    1977), and a point with no neighbour that close reports inf.  A found
+    distance is computed from the two points' coordinates whatever the
+    tree's shape or the search radius, so the minimum is the float an
+    unbounded query gives; the 1e-9 keeps the square and root of r from
+    dropping the pair that attains it.  r = 0 (a repeated point) is the
+    minimum.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+    r = float(np.min(tree.query(pts[:MIN_GAP_SEED_POINTS], k=2)[0][:, 1]))
+    if r == 0.0:
+        return 0.0
+    dists, _ = tree.query(pts, k=2, distance_upper_bound=r * (1.0 + 1e-9))
     return float(np.min(dists[:, 1]))
 
 

@@ -22,6 +22,12 @@ from .geometry import Window
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 EULER_GAMMA = 0.5772156649015329
 
+# Budget for the points one enumeration may build, checked against the sum
+# of its sheets' estimates before any sheet is enumerated.  On the
+# three-grid at r = 100, 200 and 400 (a 2-vCPU Xeon) the estimate was 1.2
+# times the points kept, tracemalloc measured a peak of 97 bytes per point
+# (81 per estimated point) and enumeration ran at about 4e6 points/s, so a
+# request at the cap takes about 8 GB and 20-25 s.
 MAX_ENUMERATED_POINTS = 10 ** 8
 MERGE_DECIMALS = 9
 # Rows that write_points_csv formats with one %-operation (about 7 MB of
@@ -195,9 +201,12 @@ def _integer_ranges(images: np.ndarray):
     return lo, hi
 
 
+def _grid_size(lo: np.ndarray, hi: np.ndarray) -> float:
+    return float(np.prod(np.maximum(hi - lo + 1, 0).astype(float)))
+
+
 def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    counts = np.maximum(hi - lo + 1, 0)
-    _check_budget(float(np.prod(counts.astype(float))))
+    _check_budget(_grid_size(lo, hi))
     axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -252,8 +261,11 @@ class LatticeSheet:
         """basis @ z + shift for every row z of zs."""
         return _matmul(zs, self.basis.T) + self.shift
 
+    def estimate(self, window: Window) -> float:
+        return window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16
+
     def enumerate(self, window: Window) -> np.ndarray:
-        _check_budget(window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16)
+        _check_budget(self.estimate(window))
         images = (window.corners() - self.shift) @ self.inverse.T
         pts = self.points(_integer_grid(*_integer_ranges(images)))
         return pts[window.contains(pts)]
@@ -273,8 +285,11 @@ class SequenceSheet:
     def __post_init__(self):
         _freeze(self, rotation=self.rotation)
 
+    def estimate(self, window: Window) -> float:
+        return window.volume * 1.2 + 16
+
     def enumerate(self, window: Window) -> np.ndarray:
-        _check_budget(window.volume * 1.2 + 16)
+        _check_budget(self.estimate(window))
         pre = window.corners() @ self.rotation  # corners in unrotated frame
         lo = pre.min(axis=0) - 1e-9
         hi = pre.max(axis=0) + 1e-9
@@ -339,10 +354,20 @@ class D2Sheet:
 
     dim: int = 2
 
-    def enumerate(self, window: Window) -> np.ndarray:
+    @staticmethod
+    def _reach(window: Window):
+        """Unscaled bounds on |x| and |y| over the window."""
         xmax = float(np.max(np.abs([window.lo[0], window.hi[0]]))) / D2_SCALE + 1e-9
         ymax = float(np.max(np.abs([window.lo[1], window.hi[1]]))) / D2_SCALE + 1e-9
-        pairs = _d2_nonneg_pairs(xmax, ymax)
+        return xmax, ymax
+
+    def estimate(self, window: Window) -> float:
+        # Four sign choices of at most the pairs bound of `_d2_nonneg_pairs`.
+        xmax, ymax = self._reach(window)
+        return 4.0 * (math.floor(xmax) + 1.0) * (math.floor(ymax) + 1.0)
+
+    def enumerate(self, window: Window) -> np.ndarray:
+        pairs = _d2_nonneg_pairs(*self._reach(window))
         if pairs.size == 0:
             return np.empty((0, 2))
         signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
@@ -429,7 +454,8 @@ class CutProjectSheet:
     def total_dim(self) -> int:
         return self.phys_basis.shape[0]
 
-    def enumerate(self, window: Window) -> np.ndarray:
+    def _grid_ranges(self, window: Window):
+        """Integer ranges of the grid coordinates of the cut's bounding box."""
         if window.dim != self.dim:
             raise ValueError("window dimension must match the physical dimension")
         a, b = self.window_interval
@@ -441,7 +467,14 @@ class CutProjectSheet:
             for w in w_corners:
                 total.append(self.phys_basis @ u + self.int_basis @ w)
         images = (np.asarray(total) - self.grid.shift) @ self.grid.inverse.T
-        zs = _integer_grid(*_integer_ranges(images))
+        return _integer_ranges(images)
+
+    def estimate(self, window: Window) -> float:
+        return _grid_size(*self._grid_ranges(window))
+
+    def enumerate(self, window: Window) -> np.ndarray:
+        a, b = self.window_interval
+        zs = _integer_grid(*self._grid_ranges(window))
         coords = _matmul(self.grid.points(zs), self.decompose.T)
         u = coords[:, :self.dim]
         w = coords[:, self.dim:]
@@ -663,22 +696,39 @@ def integer_lattice(dim: int = 2) -> GridUnion:
 # ---------------------------------------------------------------------------
 
 def canonicalize_points(pts: np.ndarray) -> np.ndarray:
-    """Merge duplicates within 1e-9 and sort rows lexicographically."""
+    """Merge duplicates within 1e-9 and sort rows lexicographically.
+
+    Of each set of rows with equal rounded keys the first one is kept: a
+    stable sort of the keys puts equal keys in runs in input order, and
+    adjacent rows compare with float `!=`, so -0.0 equals 0.0 and a row
+    holding NaN equals no other.  Rounding can reorder rows, so the kept
+    points are sorted again.
+    """
     if pts.shape[0] == 0:
         return pts
     pts = pts + 0.0  # normalizes -0.0
     keys = np.round(pts, MERGE_DECIMALS)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    pts = pts[np.sort(idx)]
+    order = np.lexsort(keys.T[::-1])
+    runs = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(runs[1:] != runs[:-1], axis=1)
+    pts = pts[np.sort(order[first])]
     order = np.lexsort(pts.T[::-1])
     return pts[order]
+
+
+def enumerate_sheets(sheets, window: Window) -> list:
+    """Each sheet's points in the window, refused before any is enumerated
+    when the sheets' estimates add up to more than the point budget."""
+    _check_budget(sum(sheet.estimate(window) for sheet in sheets))
+    return [sheet.enumerate(window) for sheet in sheets]
 
 
 def enumerate_points(spec: PointSetSpec, window: Window) -> np.ndarray:
     """All points of the infinite set inside the half-open window, canonicalized."""
     if window.dim != spec.dim:
         raise ValueError("window dimension does not match the point set")
-    parts = [sheet.enumerate(window) for sheet in spec.sheets()]
+    parts = enumerate_sheets(spec.sheets(), window)
     if not parts:
         return np.empty((0, spec.dim))
     return canonicalize_points(np.concatenate(parts))

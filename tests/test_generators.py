@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import denseforest.generators as generators
 from denseforest.errors import ResourceLimitError
 from denseforest.generators import (D2, D2_SCALE, CutAndProject,
                                     _d2_nonneg_pairs,
@@ -238,6 +239,48 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_points(integer_lattice(2), Window.cube(1e6, 2))
+
+    @staticmethod
+    def union_estimate(spec, window):
+        sheets = spec.sheets()
+        estimates = [sheet.estimate(window) for sheet in sheets]
+        return sum(estimates), max(estimates)
+
+    def test_union_just_under_the_budget(self, monkeypatch):
+        spec, window = ThreeGrid(), Window.cube(10.0, 2)
+        total, _ = self.union_estimate(spec, window)
+        monkeypatch.setattr(generators, "MAX_ENUMERATED_POINTS", total)
+        assert enumerate_points(spec, window).shape[0] > 0
+
+    def test_union_just_over_the_budget(self, monkeypatch):
+        # Every sheet alone fits the budget; the three together do not, and
+        # no sheet is enumerated before the refusal.
+        spec, window = ThreeGrid(), Window.cube(10.0, 2)
+        total, largest = self.union_estimate(spec, window)
+        limit = np.nextafter(total, 0.0)
+        assert largest < limit
+        monkeypatch.setattr(generators, "MAX_ENUMERATED_POINTS", limit)
+        calls = []
+        monkeypatch.setattr(generators.LatticeSheet, "enumerate",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ResourceLimitError):
+            enumerate_points(spec, window)
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, window", [
+        (PeresForest(), Window.cube(6.0, 2)),
+        (GeneralizedPeres(golden_sequence()), Window.cube(6.0, 2)),
+        (D2(), Window.cube(6.0, 2)),
+        (default_cut_and_project(), Window([-5.0], [5.0]))])
+    def test_every_sheet_kind_is_counted(self, spec, window, monkeypatch):
+        total, _ = self.union_estimate(spec, window)
+        monkeypatch.setattr(generators, "MAX_ENUMERATED_POINTS", total)
+        expected = enumerate_points(spec, window)
+        monkeypatch.setattr(generators, "MAX_ENUMERATED_POINTS",
+                            np.nextafter(total, 0.0))
+        with pytest.raises(ResourceLimitError):
+            enumerate_points(spec, window)
+        assert expected.shape[0] <= total
 
     def test_cut_and_project_default(self):
         cp = default_cut_and_project()

@@ -3,12 +3,20 @@
 `sud_estimate` bounds each twist by the dispersion of the core that all
 windows of a run of shifts share, and only for the twists whose bound can
 still win sorts the span once and keeps each shift's window by index;
-`vacant_strip` bounds every direction from the sub-window around the centre
-and fully sorts only the directions whose bound can still win.  The oracles
-below compute the same quantities the direct way: one sort per (shift,
-twist) matrix and one full sort per direction.  The SUD tests count the
-twist rows that reach the per-shift scan, so that a case where every row is
-pruned and one where some survive are both exercised.
+`vacant_strip` bounds every direction from a seeded quarter of the
+sub-window around the centre, bounds the directions that can still win from
+the whole sub-window, and fully sorts only those whose bound can still win.
+The oracles below compute the same quantities the direct way: one sort per
+(shift, twist) matrix, one full sort per direction, and the scan that
+bounds every direction from the sub-window alone.  The SUD tests count the
+twist rows that reach the per-shift scan, and a strip test the directions
+that reach each tier, so that pruned and surviving cases are both
+exercised.
+
+`min_gap` queries its KD-tree within the nearest-neighbour distance of the
+first points; its oracle is the unbounded query of every point.
+`canonicalize_points` merges rounded duplicates with one stable sort; its
+oracle is `np.unique(axis=0)`.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
 coordinates.  Its oracles are the unit-step march it replaced, which visits
@@ -55,11 +63,11 @@ from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _central_width_bound,
                                   _dual_direction_candidates,
                                   _generic_sheet_tree, _m_samples,
-                                  _probe_first_hits, _shift_groups,
-                                  _toroidal_dispersion, _xi_samples,
-                                  discrepancy, heavy_box, sud_estimate,
-                                  udt_check, vacant_strip,
-                                  visibility_from_segments)
+                                  _min_gap, _probe_first_hits, _shift_groups,
+                                  _toroidal_dispersion, _unit_directions,
+                                  _xi_samples, discrepancy, heavy_box,
+                                  min_gap, sud_estimate, udt_check,
+                                  vacant_strip, visibility_from_segments)
 from denseforest.errors import ResourceLimitError
 from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
                                 _draw_rotated_box, _feasible_aspect,
@@ -67,6 +75,7 @@ from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
                                 sample_rotated_box, verify_net)
 from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
                                     LatticeSheet, PeresForest, ThreeGrid,
+                                    canonicalize_points,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
                                     golden_sequence, integer_lattice,
@@ -148,6 +157,79 @@ def assert_strip_matches(spec, window, extras=()):
     assert np.float64(rep.width).tobytes() == np.float64(width).tobytes()
     assert rep.direction.tobytes() == direction.tobytes()
     return rep
+
+
+def strip_p_bound_oracle(spec, window, candidate_directions=()):
+    """The strip scan with the sub-window bound alone: every direction sorts
+    the projections of the sub-window points P for its bound, and the full
+    sort runs in order of decreasing P-bound.  Returns (width, direction)."""
+    dim = window.dim
+    extras = _unit_directions(candidate_directions, dim)
+    pts = enumerate_points(spec, window)
+    if pts.shape[0] < 2:
+        raise ValueError("at least two points are required")
+    groups = _dual_direction_candidates(spec, dim)
+    for extra in extras:
+        groups.append(extra[None, :])
+    if not groups:
+        raise ValueError("no candidate directions: supply candidate_directions")
+    cands = np.concatenate(groups)
+    lead = np.argmax(np.abs(cands) > 1e-12, axis=1)
+    signs = np.sign(cands[np.arange(cands.shape[0]), lead])
+    cands = cands * signs[:, None]
+    cands = np.unique(np.round(cands, 12), axis=0)
+    center = (window.lo + window.hi) / 2.0
+    bulk = float(np.min(window.extent)) / 4.0
+    sub = pts[np.all(np.abs(pts - center) <= bulk, axis=1)]
+    eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
+    bounds = np.array([_central_width_bound(np.sort(sub @ u), float(center @ u),
+                                            bulk, eps) for u in cands])
+    best_width = -1.0
+    best_k = -1
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] < best_width:
+            break
+        u = cands[k]
+        width = _central_width(np.sort(pts @ u), float(center @ u), bulk)
+        if width is not None and (width > best_width
+                                  or (width == best_width and k < best_k)):
+            best_width = width
+            best_k = k
+    if best_width < 0.0:
+        raise ValueError("no candidate strip passes near the window center")
+    return best_width, cands[best_k]
+
+
+def assert_strip_matches_p_bound(spec, window, extras=()):
+    try:
+        width, direction = strip_p_bound_oracle(spec, window, extras)
+    except ValueError:
+        with pytest.raises(ValueError):
+            vacant_strip(spec, window, extras)
+        return
+    rep = vacant_strip(spec, window, extras)
+    assert np.float64(rep.width).tobytes() == np.float64(width).tobytes()
+    assert rep.direction.tobytes() == direction.tobytes()
+
+
+def min_gap_oracle(pts):
+    """Unbounded nearest-neighbour query of every point in a balanced tree."""
+    from scipy.spatial import cKDTree
+
+    dists, _ = cKDTree(pts).query(pts, k=2)
+    return float(np.min(dists[:, 1]))
+
+
+def canonicalize_oracle(pts):
+    """Duplicate merge by `np.unique(axis=0)` of the rounded keys."""
+    if pts.shape[0] == 0:
+        return pts
+    pts = pts + 0.0
+    keys = np.round(pts, generators.MERGE_DECIMALS)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    pts = pts[np.sort(idx)]
+    order = np.lexsort(pts.T[::-1])
+    return pts[order]
 
 
 SEQUENCES = [golden_sequence(), tsokanos_sequence(), quadratic_sequence(PHI),
@@ -243,6 +325,25 @@ class TestSUDOracle:
         assert peaks[1] < peaks[0] + span_bytes
         assert max(peaks) < 10 * span_bytes
 
+    def test_memory_does_not_grow_with_spans(self):
+        # m_max 0 gives one span of N indices; m_max 10^7 gives 64 spans of
+        # one shift each, which are evaluated one at a time (all 64 at once
+        # peaked at 61 MB, against 0.9 MB for one).  Each case runs once
+        # before it is measured, so that no first-call set-up is counted.
+        N = 2 ** 14
+        seq = quadratic_sequence(PHI)
+        assert len(_shift_groups(_m_samples(10 ** 7), N)) == 64
+        peaks = []
+        for m_max in (0, 10 ** 7):
+            sud_estimate(seq, N, m_max, 1, 0)
+            tracemalloc.start()
+            try:
+                sud_estimate(seq, N, m_max, 1, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * 8 * N
+
 
 class TestStripOracle:
     @given(st.lists(st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
@@ -310,6 +411,148 @@ class TestStripOracle:
         rep = assert_strip_matches(integer_lattice(2), Window.cube(20.0, 2))
         assert rep.width == 1.0
         assert list(rep.direction) == [0.0, 1.0]
+
+
+class TestStripCoarseTier:
+    """`vacant_strip` against the scan that bounds from the sub-window alone."""
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+                              st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=3),
+           st.floats(-12.0, -3.0), st.floats(-12.0, -3.0),
+           st.floats(3.0, 12.0), st.floats(3.0, 12.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_grid_unions(self, grids, lo_x, lo_y, hi_x, hi_y):
+        sheets = []
+        for entries, tx, ty in grids:
+            basis = np.asarray(entries).reshape(2, 2)
+            assume(abs(np.linalg.det(basis)) >= 0.3)
+            sheets.append(Grid(basis, np.array([tx, ty])))
+        assert_strip_matches_p_bound(GridUnion(tuple(sheets)),
+                                     Window([lo_x, lo_y], [hi_x, hi_y]))
+
+    @pytest.mark.parametrize("radius", [30.0, 50.0, 100.0])
+    def test_three_grid(self, radius):
+        assert_strip_matches_p_bound(ThreeGrid(), Window.cube(radius, 2))
+
+    def test_coarse_draw_below_two_points(self):
+        # Two points in the sub-window, and the seeded quarter keeps neither,
+        # so every coarse bound is inf and the sub-window bound decides.
+        spec = GridUnion((Grid(np.diag([5.0, 10.0]), np.array([1.0, 0.0])),))
+        window = Window.cube(8.0, 2)
+        pts = enumerate_points(spec, window)
+        sub = np.all(np.abs(pts) <= 4.0, axis=1)
+        draw = np.random.default_rng(0).random(int(sub.sum()))
+        assert sub.sum() >= 2
+        assert np.count_nonzero(draw < analysis.STRIP_COARSE_SHARE) < 2
+        assert_strip_matches_p_bound(spec, window)
+        assert_strip_matches(spec, window)
+
+    def test_directions_reaching_each_tier(self):
+        # At r = 100 the quarter bounds all 957 directions, 72 of them get
+        # the sub-window bound and 4 the full sort.
+        spec, window = ThreeGrid(), Window.cube(100.0, 2)
+        with mock.patch.object(analysis, "_central_width_bound",
+                               wraps=analysis._central_width_bound) as bound, \
+                mock.patch.object(analysis, "_central_width",
+                                  wraps=analysis._central_width) as full:
+            rep = vacant_strip(spec, window)
+        sizes = [c.args[0].size for c in bound.call_args_list]
+        sub_size = max(sizes)
+        assert len(sizes) == 957 + 72
+        assert sizes.count(sub_size) == 72
+        assert full.call_count == 4
+        width, direction = strip_p_bound_oracle(spec, window)
+        assert rep.width == width
+        assert rep.direction.tobytes() == direction.tobytes()
+
+
+class TestMinGapOracle:
+    @pytest.mark.parametrize("radius", [30.0, 100.0])
+    def test_three_grid(self, radius):
+        window = Window.cube(radius, 2)
+        assert min_gap(ThreeGrid(), window) == \
+            min_gap_oracle(enumerate_points(ThreeGrid(), window))
+
+    @given(st.integers(2, 300), st.integers(1, 3), st.integers(0, 2 ** 16),
+           st.sampled_from([1.0, 0.37, 1e-6]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_points(self, n, d, seed, scale):
+        # Small integer coordinates give repeated points and tied distances.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-6, 7, (n, d)) * scale + rng.random((n, d)) * \
+            (rng.random() < 0.5)
+        assert _min_gap(pts) == min_gap_oracle(pts)
+
+    @pytest.mark.parametrize("where", [0, 10, 63, 64, 200])
+    def test_repeated_point(self, where):
+        pts = np.random.default_rng(where).random((300, 3)) * 100.0
+        pts[where + 1] = pts[where]
+        assert _min_gap(pts) == min_gap_oracle(pts) == 0.0
+
+    def test_fewer_than_seed_points(self):
+        pts = np.random.default_rng(5).random((10, 2))
+        assert _min_gap(pts) == min_gap_oracle(pts)
+        assert _min_gap(pts[:2]) == min_gap_oracle(pts[:2])
+
+    def test_closest_pair_beyond_seed_points(self):
+        # The first 64 points are 1 apart; the closest pair is far beyond
+        # them, and tied with a second pair.
+        pts = np.concatenate([np.stack([np.arange(64.0), np.zeros(64)], axis=1),
+                              [[0.0, 50.0], [0.5, 50.0], [9.0, 50.0], [9.5, 50.0]]])
+        assert _min_gap(pts) == min_gap_oracle(pts) == 0.5
+
+    def test_tied_lattice_distances(self):
+        pts = enumerate_points(integer_lattice(3), Window.cube(4.0, 3))
+        assert _min_gap(pts) == min_gap_oracle(pts) == 1.0
+
+
+# Coordinates near the rounding boundaries of the 1e-9 merge, signed zeros
+# and offsets of 1e-12 that merge.
+MERGE_VALUES = [0.0, -0.0, 1e-12, -1e-12, 5e-10, -5e-10,
+                np.nextafter(5e-10, 0.0), np.nextafter(5e-10, 1.0),
+                1.5e-9, 2.5e-9, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 0.5, 0.5 + 5e-10,
+                123.4567890005, -7.25]
+
+
+class TestCanonicalizeOracle:
+    @staticmethod
+    def assert_matches(pts):
+        got = canonicalize_points(pts)
+        expected = canonicalize_oracle(pts)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.integers(1, 3), st.lists(st.integers(0, len(MERGE_VALUES) - 1),
+                                       min_size=0, max_size=120))
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_values(self, d, picks):
+        values = np.array(MERGE_VALUES)[picks[:len(picks) // d * d]]
+        self.assert_matches(values.reshape(-1, d))
+
+    @given(st.integers(0, 2 ** 16), st.integers(1, 400), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rows_with_duplicates(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-3, 4, (n, d)) * 0.5
+        pts += rng.choice([0.0, 1e-12, -1e-12, 5e-10], size=(n, d))
+        self.assert_matches(pts)
+
+    def test_signed_zero_keys(self):
+        # -1e-12 rounds to -0.0 and +1e-12 to 0.0: one point.
+        pts = np.array([[1e-12, 2.0], [-1e-12, 2.0], [-0.0, 2.0], [0.0, 2.0]])
+        self.assert_matches(pts)
+        assert canonicalize_points(pts).shape == (1, 2)
+
+    def test_all_rows_equal(self):
+        self.assert_matches(np.full((50, 2), 3.25))
+        assert canonicalize_points(np.full((50, 2), 3.25)).shape == (1, 2)
+
+    def test_three_grid(self):
+        spec, window = ThreeGrid(), Window.cube(30.0, 2)
+        raw = np.concatenate([sheet.enumerate(window) for sheet in spec.sheets()])
+        self.assert_matches(raw)
+        self.assert_matches(raw[::-1].copy())
 
 
 def lattice_candidates_near(sheet, queries, radius):
