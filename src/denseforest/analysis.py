@@ -29,8 +29,8 @@ from .geometry import (AlignedBox, RotatedBox, Segment, Window, halton,
 # units/s, so a call at the cap runs about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
 DISPERSION_GRID_BUDGET = 2 ** 18
-# Cells (twist rows x span indices) per block of the d = 1 SUD window
-# scan, so a block holds max(1, SUD_BLOCK_CELLS // span) rows whatever N
+# Cells (twist rows x span indices x d) per block of the SUD window scan,
+# so a block holds max(1, SUD_BLOCK_CELLS // (span * d)) rows whatever N
 # is.  At N = 2^14 and m_max = 64 a span has 16,448 indices, a block has
 # 127 rows and each of its arrays (values, sorted windows, order) takes
 # about 16 MB.
@@ -189,10 +189,8 @@ def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _toroidal_dispersion(pts: np.ndarray) -> float:
-    """Toroidal sup-norm dispersion of one point set in [0,1)^d (grid bound for d>=2)."""
+    """Toroidal sup-norm dispersion grid bound of one point set in [0,1)^d, d >= 2."""
     n, d = pts.shape
-    if d == 1:
-        return float(_toroidal_dispersion_rows(np.sort(pts.T, axis=1))[0])
     shifts = np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij")
     offsets = np.stack([g.ravel() for g in shifts], axis=1)
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
@@ -203,6 +201,15 @@ def _toroidal_dispersion(pts: np.ndarray) -> float:
     from scipy.spatial import cKDTree
     dists, _ = cKDTree(tiled).query(nodes, k=1, p=np.inf)
     return float(np.max(dists))
+
+
+def _window_dispersions(w: np.ndarray) -> np.ndarray:
+    """Toroidal dispersion of each row of w, a (rows, n, d) array of points
+    in [0,1)^d: exact for d = 1, the grid bound of `_toroidal_dispersion`
+    for d >= 2."""
+    if w.shape[2] == 1:
+        return _toroidal_dispersion_rows(np.sort(w[:, :, 0], axis=1))
+    return np.array([_toroidal_dispersion(pts) for pts in w])
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +373,18 @@ def _shift_groups(ms: list, N: int) -> list:
 
 
 def _shift_windows_max(w: np.ndarray, offsets, N: int) -> float:
-    """Max over rows of w and offsets lo of the toroidal dispersion of the
-    window of columns lo <= j < lo+N.
+    """Max over rows of w (twist rows x span indices x d) and offsets lo of
+    the toroidal dispersion of the window of indices lo <= j < lo+N.
 
-    Each row is sorted once.  A window keeps the sorted entries whose column
-    lies in it, exactly N per row, which are the floats a sort of that
-    window alone gives, so the gaps and the value are the same to the last
-    bit.
+    For d = 1 each row is sorted once.  A window keeps the sorted entries
+    whose index lies in it, exactly N per row, which are the floats a sort
+    of that window alone gives, so the gaps and the value are the same to
+    the last bit.  For d >= 2 each window gets its own grid bound.
     """
+    if w.shape[2] > 1:
+        return max(float(np.max(_window_dispersions(w[:, lo:lo + N])))
+                   for lo in offsets)
+    w = w[:, :, 0]
     order = np.argsort(w, axis=1)
     s = np.take_along_axis(w, order, axis=1)
     best = 0.0
@@ -384,28 +395,28 @@ def _shift_windows_max(w: np.ndarray, offsets, N: int) -> float:
     return best
 
 
-def _window_dispersion_max(v: np.ndarray, idx: np.ndarray, shifts: list,
-                           N: int, xis: np.ndarray, best: float) -> float:
-    """Max of best and, over twists xi and shifts m, the toroidal dispersion
-    of the window {w_j : m <= j < m+N} of w_j = (v_j - xi*j) mod 1, j in idx.
+def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
+                        N: int, xis: np.ndarray, best: float) -> float:
+    """Max of best and, over twists xi and the shifts m of one run, the
+    toroidal dispersion of the window {w_j : m <= j < m+N} of
+    w_j = (v_j - xi*j) mod 1, j in idx, with v_j the rows of vs.
 
-    A block of twist rows first gets the first shift's window exactly, and
-    an upper bound from its core, the indices [span, N) (span = shifts[-1]
-    - shifts[0]) that every window of the group keeps.  Only the rows whose
+    A block of twist rows first gets the first shift's window, and an
+    upper bound from its core, the indices [span, N) (span = shifts[-1] -
+    shifts[0]) that every window of the run keeps.  Only the rows whose
     bound exceeds the best value so far go on to `_shift_windows_max`; see
     `sud_estimate` for why the bound holds.
     """
     span = shifts[-1] - shifts[0]
-    rows = max(1, SUD_BLOCK_CELLS // idx.size)
-    for b in range(0, xis.size, rows):
-        w = np.mod(v[None, :] - xis[b:b + rows, None] * idx[None, :], 1.0)
-        first = _toroidal_dispersion_rows(np.sort(w[:, :N], axis=1))
-        best = max(best, float(np.max(first)))
+    rows = max(1, SUD_BLOCK_CELLS // vs.size)
+    for b in range(0, xis.shape[0], rows):
+        w = np.mod(vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None],
+                   1.0)
+        best = max(best, float(np.max(_window_dispersions(w[:, :N]))))
         if span == 0:
             continue
         if span < N:
-            core = _toroidal_dispersion_rows(np.sort(w[:, span:N], axis=1))
-            w = w[core > best]
+            w = w[_window_dispersions(w[:, span:N]) > best]
         if w.shape[0]:
             best = max(best, _shift_windows_max(
                 w, [m - shifts[0] for m in shifts[1:]], N))
@@ -445,26 +456,13 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
         raise ValueError("m_max must be nonnegative")
     if xi_count < 1:
         raise ValueError("xi_count must be at least 1")
-    d = seq.dim
     ms = _m_samples(m_max)
-    xis = _xi_samples(xi_count, d, seed)
+    xis = _xi_samples(xi_count, seq.dim, seed)
     best = 0.0
     for shifts in _shift_groups(ms, N):
         idx = np.arange(shifts[0], shifts[-1] + N, dtype=np.int64)
-        vs = seq.extended_values(idx)
-        if d == 1:
-            best = _window_dispersion_max(vs[:, 0], idx, shifts, N, xis[:, 0],
-                                          best)
-            continue
-        span = shifts[-1] - shifts[0]
-        for xi in xis:
-            pts = np.mod(vs - np.outer(idx.astype(float), xi), 1.0)
-            best = max(best, _toroidal_dispersion(pts[:N]))
-            if span == 0 or (span < N and _toroidal_dispersion(pts[span:N]) <= best):
-                continue
-            for m in shifts[1:]:
-                lo = m - shifts[0]
-                best = max(best, _toroidal_dispersion(pts[lo:lo + N]))
+        best = _run_dispersion_max(seq.extended_values(idx), idx, shifts, N,
+                                   xis, best)
     return SUDEstimate(N=int(N), m_samples=ms, xi_samples=int(xi_count),
                        value=best)
 
@@ -635,15 +633,25 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
 
 
 def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
-    """KD-tree over enumerated points of sheets lacking analytic candidates."""
+    """A KD-tree over the enumerated points of sheets lacking analytic
+    candidates, as a function shaped like ``candidates_near`` that lists the
+    points within Euclidean radius * sqrt(d) of each query."""
     from scipy.spatial import cKDTree
 
+    d = bases.shape[1]
     ends = bases + lengths[:, None] * dirs
     lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
     hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
     pts = enumerate_sheets(sheets, Window(lo, hi))
-    pool = np.concatenate(pts) if pts else np.empty((0, bases.shape[1]))
-    return (cKDTree(pool), pool) if pool.shape[0] else (None, pool)
+    pool = np.concatenate(pts) if pts else np.empty((0, d))
+    tree = cKDTree(pool)
+
+    def candidates_near(queries, radius):
+        hits = tree.query_ball_point(queries, radius * math.sqrt(d) + 1e-9)
+        rows = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+        return pool[[i for h in hits for i in h]], rows
+
+    return candidates_near
 
 
 def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
@@ -658,11 +666,10 @@ def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
     n_probe, d = bases.shape
     reach = eps + 0.5 + 1e-6
     guard = (eps + reach) * math.sqrt(d) + 1e-9
-    analytic = [s for s in sheets if hasattr(s, "candidates_near")]
+    near = [s.candidates_near for s in sheets if hasattr(s, "candidates_near")]
     generic = [s for s in sheets if not hasattr(s, "candidates_near")]
-    tree, pool = (None, None)
     if generic:
-        tree, pool = _generic_sheet_tree(generic, bases, dirs, lengths, reach)
+        near.append(_generic_sheet_tree(generic, bases, dirs, lengths, reach))
     horizons = np.ceil(lengths)
     alive = np.arange(n_probe)
     chunk = 4096
@@ -671,23 +678,10 @@ def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
         for start in range(0, alive.size, chunk):
             sel = alive[start:start + chunk]
             q = bases[sel] + t * dirs[sel]
-            for sheet in analytic:
-                cand, rows = sheet.candidates_near(q, reach)
-                stencil = cand.shape[0] // sel.size
-                scores = _candidate_scores(
-                    cand, bases[sel][rows], dirs[sel][rows], eps)
-                per_probe = scores.reshape(sel.size, stencil).min(axis=1)
-                np.minimum.at(first, sel, per_probe)
-            if tree is not None:
-                hits = tree.query_ball_point(q, reach * math.sqrt(d) + 1e-9)
-                for j, idx in enumerate(hits):
-                    if not idx:
-                        continue
-                    cand = pool[idx]
-                    sc = _candidate_scores(
-                        cand, np.broadcast_to(bases[sel[j]], cand.shape),
-                        np.broadcast_to(dirs[sel[j]], cand.shape), eps)
-                    first[sel[j]] = min(first[sel[j]], float(sc.min()))
+            for candidates_near in near:
+                cand, rows = candidates_near(q, reach)
+                np.minimum.at(first, sel[rows], _candidate_scores(
+                    cand, bases[sel][rows], dirs[sel][rows], eps))
         t += 1.0
         alive = alive[(horizons[alive] >= t) & (first[alive] > t - guard)]
 
@@ -881,6 +875,9 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     pts = enumerate_points(spec, Window(window.lo - pad, window.hi + pad))
     center = (window.lo + window.hi) / 2.0
     n = window.dim
+    # A point farther than eps * sqrt(n) from a line in Euclidean norm is
+    # farther than eps from it in sup-norm, so it blocks nothing.
+    radius = epsilon * math.sqrt(n) + 1e-9
     best = None
     for direction in dirs:
         comp = _orthonormal_complement(direction)
@@ -892,26 +889,19 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
             offs = (plo + (np.arange(k) + 0.5) * (phi - plo) / k)[:, None]
         else:
             offs = plo + halton(k, n - 1) * (phi - plo)
-        proj = pts @ comp if pts.shape[0] else np.empty((0, n - 1))
-        if n == 2 and pts.shape[0]:
-            order = np.argsort(proj[:, 0])
-            sorted_proj = proj[order, 0]
+        proj = pts @ comp
+        order = np.argsort(proj[:, 0])
+        sorted_proj = proj[order, 0]
         for off in offs:
             base = center + comp @ (off - center @ comp)
             clip = _clip_line(base, direction, window)
             if clip is None:
                 continue
             t0, t1 = clip
-            if pts.shape[0] == 0:
-                near = pts
-            elif n == 2:
-                radius = epsilon * math.sqrt(2) + 1e-9
-                i0 = np.searchsorted(sorted_proj, off[0] - radius, side="left")
-                i1 = np.searchsorted(sorted_proj, off[0] + radius, side="right")
-                near = pts[order[i0:i1]]
-            else:
-                radius = epsilon * math.sqrt(n) + 1e-9
-                near = pts[np.linalg.norm(proj - off, axis=1) < radius]
+            i0 = np.searchsorted(sorted_proj, off[0] - radius, side="left")
+            i1 = np.searchsorted(sorted_proj, off[0] + radius, side="right")
+            slab = order[i0:i1]
+            near = pts[slab[np.linalg.norm(proj[slab] - off, axis=1) < radius]]
             gaps, _ = _line_gap_profile(near, base, direction, epsilon, t0, t1)
             for start, length in gaps:
                 if best is None or length > best[0]:
@@ -1210,8 +1200,7 @@ def _witness_box(pts: np.ndarray, eps: float) -> AlignedBox:
     return box
 
 
-def heavy_box(points, eps: float, aligned_only: bool = True,
-              rotation_samples: int = 0, seed: int = 0):
+def heavy_box(points, eps: float, rotation_samples: int = 0, seed: int = 0):
     """Search for a box of volume exactly eps containing many points.
 
     Returns (box, count) — a certified lower-bound witness: the box is
@@ -1229,7 +1218,7 @@ def heavy_box(points, eps: float, aligned_only: bool = True,
     box = _witness_box(pts, eps)
     count = int(np.count_nonzero(box.contains(pts)))
     best = (box, count)
-    if not aligned_only and pts.shape[1] == 2 and rotation_samples > 0:
+    if pts.shape[1] == 2 and rotation_samples > 0:
         rng = np.random.default_rng(seed)
         for _ in range(rotation_samples):
             angle = float(rng.uniform(0.0, math.pi))

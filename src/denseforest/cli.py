@@ -190,8 +190,8 @@ def _cmd_udt(args):
 
 def _cmd_heavy_box(args):
     pts = read_points_csv(args.points)
-    box, count = heavy_box(pts, args.eps, aligned_only=args.rotations == 0,
-                           rotation_samples=args.rotations, seed=args.seed)
+    box, count = heavy_box(pts, args.eps, rotation_samples=args.rotations,
+                           seed=args.seed)
     doc = box_json(box)
     doc["count"] = count
     doc["volume"] = box.volume
@@ -216,7 +216,6 @@ def _cmd_calibrate(args):
             "l_max": args.l_max,
             "seed": args.seed,
         },
-        "hw_C": 16.0,
     }
     _write_json(args.out, doc)
 

@@ -450,10 +450,6 @@ class CutProjectSheet:
     def dim(self) -> int:
         return self.phys_basis.shape[1]
 
-    @property
-    def total_dim(self) -> int:
-        return self.phys_basis.shape[0]
-
     def _grid_ranges(self, window: Window):
         """Integer ranges of the grid coordinates of the cut's bounding box."""
         if window.dim != self.dim:

@@ -409,8 +409,7 @@ class TestHeavyBox:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.0, 1.0, size=(150, 2))
         _, aligned = heavy_box(pts, 0.03)
-        rbox, rotated = heavy_box(pts, 0.03, aligned_only=False,
-                                  rotation_samples=16, seed=5)
+        rbox, rotated = heavy_box(pts, 0.03, rotation_samples=16, seed=5)
         assert rotated >= aligned
         assert rbox.volume >= 0.03
         cnt = int(np.count_nonzero(rbox.contains(pts)))
@@ -432,7 +431,7 @@ class TestHeavyBox:
         with pytest.raises(ValueError, match="too small"):
             heavy_box(pts, eps)
         with pytest.raises(ValueError, match="too small"):
-            heavy_box(pts, eps, aligned_only=False, rotation_samples=2)
+            heavy_box(pts, eps, rotation_samples=2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

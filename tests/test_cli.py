@@ -302,7 +302,6 @@ def test_calibrate_json(tmp_path):
     assert run("calibrate", "--eps", "0.6", "--l-max", "16", "--count", "32",
                "--radius", "5", "--seed", "1", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["hw_C"] == 16.0
     cal = doc["peres_visibility"]
     assert cal["epsilons"] == [0.6]
     assert len(cal["estimates"]) == 1

@@ -20,9 +20,13 @@ oracle is `np.unique(axis=0)`.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
 coordinates.  Its oracles are the unit-step march it replaced, which visits
-a lattice stencil around waypoints spaced 1 apart, and a brute force that
-scores every enumerated point of the probe's tube.  All three score points
-with the same kernel.
+a lattice stencil around waypoints spaced 1 apart and keeps its own KD-tree
+and per-probe loop for the sheets without analytic candidates, and a brute
+force that scores every enumerated point of the probe's tube.  All three
+score points with the same kernel.
+
+`find_empty_tube` passes each offset line only the points of a slab and
+ball around it; its oracle passes every window point.
 
 `verify_net` draws each chunk of boxes as floats, certifies hits from the
 net points nearest each centre and checks the remaining boxes against the
@@ -61,12 +65,12 @@ import denseforest.generators as generators
 from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _candidate_scores, _central_width,
                                   _central_width_bound,
-                                  _dual_direction_candidates,
-                                  _generic_sheet_tree, _m_samples,
+                                  _dual_direction_candidates, _m_samples,
                                   _min_gap, _probe_first_hits, _shift_groups,
                                   _toroidal_dispersion, _unit_directions,
-                                  _xi_samples, discrepancy, heavy_box,
-                                  min_gap, sud_estimate, udt_check,
+                                  _xi_samples, discrepancy,
+                                  find_empty_tube, heavy_box, min_gap,
+                                  sud_estimate, udt_check,
                                   vacant_strip, visibility_from_segments)
 from denseforest.errors import ResourceLimitError
 from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
@@ -78,9 +82,9 @@ from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
                                     canonicalize_points,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
-                                    golden_sequence, integer_lattice,
-                                    quadratic_sequence, tsokanos_sequence,
-                                    write_points_csv)
+                                    enumerate_sheets, golden_sequence,
+                                    integer_lattice, quadratic_sequence,
+                                    tsokanos_sequence, write_points_csv)
 from denseforest.geometry import (AlignedBox, Segment, Window, halton,
                                   sample_probes, tube_bounding_window)
 
@@ -573,6 +577,19 @@ def lattice_candidates_near(sheet, queries, radius):
     return pts, rows
 
 
+def generic_tree_oracle(sheets, bases, dirs, lengths, reach):
+    """KD-tree and pool over the points of sheets lacking analytic candidates,
+    enumerated in the box of every probe widened by reach + 1."""
+    from scipy.spatial import cKDTree
+
+    ends = bases + lengths[:, None] * dirs
+    lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
+    hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
+    pts = enumerate_sheets(sheets, Window(lo, hi))
+    pool = np.concatenate(pts) if pts else np.empty((0, bases.shape[1]))
+    return (cKDTree(pool), pool) if pool.shape[0] else (None, pool)
+
+
 def march_oracle(spec, eps, bases, dirs, lengths):
     """Unit-step march over every sheet: the minimum score over its visits.
 
@@ -589,7 +606,7 @@ def march_oracle(spec, eps, bases, dirs, lengths):
                and not hasattr(s, "candidates_near")]
     tree, pool = (None, None)
     if generic:
-        tree, pool = _generic_sheet_tree(generic, bases, dirs, lengths, reach)
+        tree, pool = generic_tree_oracle(generic, bases, dirs, lengths, reach)
     first = np.full(n_probe, np.inf)
     horizons = np.ceil(lengths)
     alive = np.arange(n_probe)
@@ -750,6 +767,33 @@ class TestProbeFirstHits:
         miss = Segment(base[0], east[0], 0.5)
         rep = visibility_from_segments(spec, 0.1, [miss])
         assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
+
+
+def tube_oracle(spec, eps, window, directions, offsets_per_direction):
+    """`find_empty_tube` with every window point passed to `_line_gap_profile`."""
+    pad = eps + 1e-6
+    pts = enumerate_points(spec, Window(window.lo - pad, window.hi + pad))
+    profile = analysis._line_gap_profile
+    with mock.patch.object(analysis, "_line_gap_profile",
+                           lambda near, *line: profile(pts, *line)):
+        return find_empty_tube(spec, eps, window, directions,
+                               offsets_per_direction)
+
+
+class TestTubeOracle:
+    @pytest.mark.parametrize("spec, radius, eps, directions", [
+        (PeresForest(), 30.0, 0.1, [(1.0, 1.0), (1.0, PHI)]),
+        (ThreeGrid(), 200.0, 0.2, [(1.0, 0.0), (1.0, 1.0)]),
+        (integer_lattice(3), 10.0, 0.2, [(1.0, 0.0, 0.0), (1.0, 2.0, 3.0)]),
+        (probe_spec("concat3", 0), 10.0, 0.1, [(0.0, 0.0, 1.0), (1.0, 1.0, PHI)]),
+    ], ids=["peres", "three-grid", "z3", "concat3"])
+    def test_near_filter_is_exact(self, spec, radius, eps, directions):
+        window = Window.cube(radius, spec.dim)
+        seg, length = find_empty_tube(spec, eps, window, directions, 8)
+        want, want_length = tube_oracle(spec, eps, window, directions, 8)
+        assert seg.base.tobytes() == want.base.tobytes()
+        assert seg.direction.tobytes() == want.direction.tobytes()
+        assert np.float64(length).tobytes() == np.float64(want_length).tobytes()
 
 
 class _SampledRotatedBox:
@@ -1231,8 +1275,7 @@ class TestHeavyBoxOracle:
            st.integers(1, 3), st.integers(0, 2 ** 16))
     @settings(max_examples=40, deadline=None)
     def test_rotation_samples(self, pts, eps, samples, seed):
-        got = heavy_box(pts, eps, aligned_only=False, rotation_samples=samples,
-                        seed=seed)
+        got = heavy_box(pts, eps, rotation_samples=samples, seed=seed)
         assert_box_equal(got, heavy_box_oracle(pts, eps, samples, seed))
 
 
