@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ResourceLimitError
 from .generators import (LatticeSheet, PointSetSpec, SequenceSpec,
                          enumerate_points, enumerate_sheets)
-from .geometry import (AlignedBox, RotatedBox, Segment, Window, halton,
-                       point_coords, sample_probes, sample_segments)
+from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
+                       halton, point_coords, sample_probes, sample_segments)
 
 # scipy.spatial (about 0.45 s to import) is imported inside the functions
 # that build a KD-tree, so that importing the CLI loads numpy alone.
@@ -170,9 +170,7 @@ def dispersion(points) -> DispersionReport:
         value = max(float(u[0]), float(1.0 - u[-1]), gap / 2.0)
         return DispersionReport(N=n, value=value, exact=True)
     m = max(2, int(round(DISPERSION_GRID_BUDGET ** (1.0 / d))))
-    axes = [np.linspace(0.0, 1.0, m)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    nodes = cartesian(*[np.linspace(0.0, 1.0, m)] * d)
     from scipy.spatial import cKDTree
     dists, _ = cKDTree(arr).query(nodes, k=1, p=np.inf)
     return DispersionReport(N=n, value=float(np.max(dists)), exact=False,
@@ -191,13 +189,10 @@ def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
 def _toroidal_dispersion(pts: np.ndarray) -> float:
     """Toroidal sup-norm dispersion grid bound of one point set in [0,1)^d, d >= 2."""
     n, d = pts.shape
-    shifts = np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in shifts], axis=1)
+    offsets = cartesian(*[np.array([-1.0, 0.0, 1.0])] * d)
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
     m = max(2, int(round(4096 ** (1.0 / d))))
-    axes = [np.linspace(0.0, 1.0, m, endpoint=False)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=1)
+    nodes = cartesian(*[np.linspace(0.0, 1.0, m, endpoint=False)] * d)
     from scipy.spatial import cKDTree
     dists, _ = cKDTree(tiled).query(nodes, k=1, p=np.inf)
     return float(np.max(dists))
@@ -519,7 +514,7 @@ WALK_MAX_COLUMNS = 64
 
 def _walk_stencils(k: int, d: int) -> np.ndarray:
     """Offsets {0..k-1}^(d-1) placed on every axis but a, stacked over a."""
-    grid = np.indices((k,) * (d - 1)).reshape(d - 1, -1).T.astype(float)
+    grid = cartesian(*[np.arange(k, dtype=float)] * (d - 1))
     return np.stack([np.insert(grid, a, 0.0, axis=1) for a in range(d)])
 
 
@@ -917,8 +912,7 @@ def _dual_direction_candidates(spec: PointSetSpec, dim: int) -> list:
     out = []
     max_index = 16 if dim <= 2 else max(1, int(round(50000 ** (1.0 / dim))) // 2)
     rng_axis = np.arange(-max_index, max_index + 1)
-    mesh = np.meshgrid(*([rng_axis] * dim), indexing="ij")
-    zs = np.stack([g.ravel() for g in mesh], axis=1)
+    zs = cartesian(*[rng_axis] * dim)
     zs = zs[np.any(zs != 0, axis=1)]
     gcds = np.gcd.reduce(np.abs(zs), axis=1)
     zs = zs[gcds == 1]
@@ -1272,8 +1266,7 @@ def udt_check(thetas, xi, T: int):
     margins = np.full(arr.shape[0], np.inf)
     for c0, c1 in zip(edges[:-1], edges[1:]):
         lead = np.arange(c0 - t_int, c1 - t_int)
-        mesh = np.meshgrid(lead, *rest, indexing="ij")
-        us = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
+        us = cartesian(lead, *rest).astype(float)
         if c0 <= t_int < c1:
             us = us[np.any(us != 0.0, axis=1)]
         for i, theta in enumerate(arr):

@@ -232,13 +232,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--threads", type=int, default=1,
                        help="max internal parallelism (results are identical "
                             "for every value)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("generate", help="enumerate a point set over a window")
     p.add_argument("--spec", required=True,

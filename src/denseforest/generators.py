@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .geometry import Window
+from .geometry import Window, cartesian
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 EULER_GAMMA = 0.5772156649015329
@@ -27,8 +27,9 @@ EULER_GAMMA = 0.5772156649015329
 # three-grid at r = 100, 200 and 400 (a 2-vCPU Xeon) the estimate was 1.2
 # times the points kept, tracemalloc measured a peak of 97 bytes per point
 # (81 per estimated point) and enumeration ran at about 4e6 points/s, so a
-# request at the cap takes about 8 GB and 20-25 s.
-MAX_ENUMERATED_POINTS = 10 ** 8
+# request at the cap takes about 3 GB and 7 s, which leaves room for the
+# rest of a run on a host with 8 GB of memory.
+MAX_ENUMERATED_POINTS = 3 * 10 ** 7
 MERGE_DECIMALS = 9
 # Rows that write_points_csv formats with one %-operation (about 7 MB of
 # text for two columns).
@@ -207,9 +208,7 @@ def _grid_size(lo: np.ndarray, hi: np.ndarray) -> float:
 
 def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     _check_budget(_grid_size(lo, hi))
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return cartesian(*[np.arange(a, b + 1) for a, b in zip(lo, hi)])
 
 
 def _freeze(obj, **arrays):
@@ -288,49 +287,45 @@ class SequenceSheet:
     def estimate(self, window: Window) -> float:
         return window.volume * 1.2 + 16
 
+    def _columns(self, ks: np.ndarray, vs: np.ndarray, first: np.ndarray,
+                 widths) -> np.ndarray:
+        """The rotated points (k, v + first + s) of every row (k, v, first),
+        row by row, s running over {0..widths_j - 1} per axis in
+        lexicographic order.
+
+        The rotation is a signed permutation, so every coordinate is exact
+        whatever the number of rows."""
+        stencil = cartesian(*[np.arange(w) for w in widths])
+        pts = np.empty((ks.size, stencil.shape[0], self.dim))
+        pts[..., 0] = ks[:, None]
+        pts[..., 1:] = vs[:, None, :] + (first[:, None, :] + stencil)
+        return pts.reshape(-1, self.dim) @ self.rotation.T
+
     def enumerate(self, window: Window) -> np.ndarray:
         _check_budget(self.estimate(window))
         pre = window.corners() @ self.rotation  # corners in unrotated frame
         lo = pre.min(axis=0) - 1e-9
         hi = pre.max(axis=0) + 1e-9
         ks = np.arange(math.ceil(lo[0]), math.floor(hi[0]) + 1, dtype=np.int64)
-        if ks.size == 0:
-            return np.empty((0, self.dim))
         vs = self.seq.extended_values(ks)
-        blocks = []
-        for k, v in zip(ks, vs):
-            axes = [np.arange(math.ceil(lo[j + 1] - v[j]), math.floor(hi[j + 1] - v[j]) + 1)
-                    for j in range(self.dim - 1)]
-            if any(a.size == 0 for a in axes):
-                continue
-            mesh = np.meshgrid(*axes, indexing="ij")
-            ls = np.stack([m.ravel() for m in mesh], axis=1)
-            block = np.empty((ls.shape[0], self.dim))
-            block[:, 0] = k
-            block[:, 1:] = v + ls
-            blocks.append(block)
-        if not blocks:
-            return np.empty((0, self.dim))
-        pts = np.concatenate(blocks) @ self.rotation.T
+        # Column k holds the offsets l from ceil(lo - v_k) to floor(hi - v_k)
+        # per axis; every column takes the widest run, and the window drops
+        # the points beyond its own.
+        first = np.ceil(lo[1:] - vs)
+        widths = np.max(np.floor(hi[1:] - vs) - first + 1, axis=0, initial=0)
+        pts = self._columns(ks, vs, first, widths.astype(np.int64))
         return pts[window.contains(pts)]
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         ys = queries @ self.rotation
         k_reach = int(math.floor(radius + 0.5)) + 1
         k_off = np.arange(-k_reach, k_reach + 1)
-        ks = np.rint(ys[:, 0]).astype(np.int64)[:, None] + k_off[None, :]
-        vs = self.seq.extended_values(ks.ravel()).reshape(ks.shape + (self.dim - 1,))
-        rest = ys[:, None, 1:] - vs  # target offsets for the integer shifts
-        axes = [np.arange(-k_reach, k_reach + 1)] * (self.dim - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        stencil = np.stack([m.ravel() for m in mesh], axis=1)
-        ls = np.rint(rest)[:, :, None, :] + stencil[None, None, :, :]
-        n_q, n_k, n_l = ks.shape[0], ks.shape[1], stencil.shape[0]
-        pts = np.empty((n_q, n_k, n_l, self.dim))
-        pts[..., 0] = ks[:, :, None]
-        pts[..., 1:] = vs[:, :, None, :] + ls
-        pts = pts.reshape(-1, self.dim) @ self.rotation.T
-        rows = np.repeat(np.arange(n_q), n_k * n_l)
+        ks = (np.rint(ys[:, 0]).astype(np.int64)[:, None] + k_off[None, :]).ravel()
+        vs = self.seq.extended_values(ks)
+        rest = ys[:, None, 1:] - vs.reshape(-1, k_off.size, self.dim - 1)
+        first = (np.rint(rest) - k_reach).reshape(vs.shape)
+        pts = self._columns(ks, vs, first, [k_off.size] * (self.dim - 1))
+        rows = np.repeat(np.arange(ys.shape[0]), k_off.size ** self.dim)
         return pts, rows
 
 
@@ -381,43 +376,31 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
         return np.empty((0, 2))
     # A pair is fixed by two integers: the sum of its 2^n over n >= 0, in
     # [0, xmax], and the sum of its 2^-n over n < 0, in [0, ymax]; distinct
-    # subsets give distinct sums.  So the walk yields at most
+    # subsets give distinct sums.  So there are at most
     # (floor(xmax) + 1)(floor(ymax) + 1) pairs, and a request over budget is
-    # refused before it starts.  Measured bound/actual ratios: 2.37 at
+    # refused before any is built.  Measured bound/actual ratios: 2.37 at
     # xmax = ymax = 7, 2.09 at 28 and 2.0001 at 5657 (D2 windows of radius
-    # 10 and 2000), 2.7 at (1000, 3) and 4.0 at (0.5, 1e4).
+    # 10 and 2000), 2.7 at (1000, 3) and 4.0 at (0.5, 1e4).  The build
+    # peaks at about 70 bytes per pair (tracemalloc: 243 MiB for 3.6e6
+    # pairs at xmax = ymax = 2700).
     limit = MAX_ENUMERATED_POINTS // 4
     if (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0) > limit:
         raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
-    positions = []
-    n = 0
-    # n < 1024 keeps 2.0 ** n finite; no float xmax can reach 2^1024.
-    while n < 1024 and 2.0 ** n <= xmax:
-        if 2.0 ** (-n) <= ymax:
-            positions.append(n)
-        n += 1
-    n = -1
-    while 2.0 ** (-n) <= ymax:
-        if 2.0 ** n <= xmax:
-            positions.append(n)
-        n -= 1
-    # Descending x-weight keeps the x-prune effective early.
-    positions.sort(reverse=True)
-    weights = [(2.0 ** p, 2.0 ** (-p)) for p in positions]
-    out = []
-    # Depth-first over include/exclude choices, the exclude branch first; a
-    # stack of pending (index, x, y) nodes keeps the depth off the call stack.
-    stack = [(0, 0.0, 0.0)]
-    while stack:
-        idx, x, y = stack.pop()
-        if idx == len(weights):
-            out.append((x, y))
-            continue
-        wx, wy = weights[idx]
-        if x + wx <= xmax and y + wy <= ymax:
-            stack.append((idx + 1, x + wx, y + wy))
-        stack.append((idx + 1, x, y))
-    return np.asarray(out)
+    # The positions n with 2^n <= xmax and 2^-n <= ymax are lo..hi, read
+    # exactly off the binary exponents.  A subset of them is an integer b of
+    # hi - lo + 1 bits, with x = b 2^lo and y = rev(b) 2^-hi, rev reversing
+    # those bits, so x <= xmax bounds b.  Under the budget hi - lo < 50 and
+    # every float is exact.  The pairs come in ascending b, the order that
+    # `d2_aligned_net` keeps in its CSV.
+    lo = 1 - math.frexp(ymax)[1]
+    hi = math.frexp(xmax)[1] - 1
+    b = np.arange(math.floor(math.ldexp(xmax, -lo)) + 1, dtype=np.int64)
+    rev = np.zeros_like(b)
+    for i in range(hi - lo + 1):
+        rev |= ((b >> i) & 1) << (hi - lo - i)
+    y = np.ldexp(rev.astype(float), -hi)
+    keep = y <= ymax
+    return np.stack([np.ldexp(b[keep].astype(float), lo), y[keep]], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,13 @@ import numpy as np
 UNIT_NORM_TOL = 1e-12
 
 
+def cartesian(*axes) -> np.ndarray:
+    """Every choice of one entry per axis, as rows in lexicographic order
+    of the positions (the last axis varies fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _vector(values, name):
     arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
     if arr.ndim != 1 or arr.size < 1:
@@ -136,9 +143,7 @@ class Window:
 
     def corners(self) -> np.ndarray:
         """All 2^dim corners as an array of shape (2^dim, dim)."""
-        choices = np.stack([self.lo, self.hi])
-        idx = np.indices((2,) * self.dim).reshape(self.dim, -1).T
-        return choices[idx, np.arange(self.dim)]
+        return cartesian(*np.stack([self.lo, self.hi], axis=1))
 
     def __repr__(self):
         return f"Window(lo={tuple(self.lo)}, hi={tuple(self.hi)})"

@@ -191,9 +191,18 @@ class TestEnumeration:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert len(enumerate_points(D2(), Window.cube(8.0, 2))) > 50
 
+    # Exact powers of two and the floats just below them, where the exponent
+    # range read off math.frexp would be off by one if it were wrong.
+    POWERS = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (4.0, 4.0)]
+    BELOW = [(float(np.nextafter(x, 0.0)) if lower_x else x,
+              float(np.nextafter(y, 0.0)) if lower_y else y)
+             for x, y in POWERS for lower_x, lower_y in ((1, 0), (0, 1), (1, 1))]
+
     @pytest.mark.parametrize("xmax, ymax", [(-1.0, 2.0), (0.0, 0.0), (5.0, 5.0),
                                             (100.0, 0.01), (0.3, 40.0),
-                                            (300.0, 300.0)])
+                                            (300.0, 300.0), (0.7, 0.3),
+                                            (1e4, 0.5), (0.5, 1e4)]
+                             + POWERS + BELOW)
     def test_d2_pairs_match_recursive_walk(self, xmax, ymax):
         pairs = _d2_nonneg_pairs(xmax, ymax)
         assert np.array_equal(pairs, recursive_d2_pairs(xmax, ymax))
@@ -239,6 +248,11 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_points(integer_lattice(2), Window.cube(1e6, 2))
+
+    def test_budget_refuses_about_three_gigabytes(self):
+        # An estimate of 3.2e7 points, about 3 GB at 97 bytes per point.
+        with pytest.raises(ResourceLimitError):
+            enumerate_points(integer_lattice(2), Window.cube(2600.0, 2))
 
     @staticmethod
     def union_estimate(spec, window):

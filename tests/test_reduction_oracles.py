@@ -28,6 +28,12 @@ score points with the same kernel.
 `find_empty_tube` passes each offset line only the points of a slab and
 ball around it; its oracle passes every window point.
 
+`SequenceSheet.enumerate` and `SequenceSheet.candidates_near` build their
+points with one column builder over a box of integer offsets.  Their
+oracles are the per-column loop and the centred stencil they replaced; a
+further test checks that the candidates cover every enumerated point of
+the sup-norm box around each query, which the march relies on.
+
 `verify_net` draws each chunk of boxes as floats, certifies hits from the
 net points nearest each centre and checks the remaining boxes against the
 whole net.  Its oracle is the per-box loop it replaced: the former samplers
@@ -767,6 +773,144 @@ class TestProbeFirstHits:
         miss = Segment(base[0], east[0], 0.5)
         rep = visibility_from_segments(spec, 0.1, [miss])
         assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
+
+
+def former_sequence_enumerate(sheet, window):
+    """`SequenceSheet.enumerate` as a loop over the columns k, each column
+    building the grid of its own range of offsets l."""
+    pre = window.corners() @ sheet.rotation
+    lo = pre.min(axis=0) - 1e-9
+    hi = pre.max(axis=0) + 1e-9
+    ks = np.arange(math.ceil(lo[0]), math.floor(hi[0]) + 1, dtype=np.int64)
+    if ks.size == 0:
+        return np.empty((0, sheet.dim))
+    vs = sheet.seq.extended_values(ks)
+    blocks = []
+    for k, v in zip(ks, vs):
+        axes = [np.arange(math.ceil(lo[j + 1] - v[j]), math.floor(hi[j + 1] - v[j]) + 1)
+                for j in range(sheet.dim - 1)]
+        if any(a.size == 0 for a in axes):
+            continue
+        mesh = np.meshgrid(*axes, indexing="ij")
+        ls = np.stack([m.ravel() for m in mesh], axis=1)
+        block = np.empty((ls.shape[0], sheet.dim))
+        block[:, 0] = k
+        block[:, 1:] = v + ls
+        blocks.append(block)
+    if not blocks:
+        return np.empty((0, sheet.dim))
+    pts = np.concatenate(blocks) @ sheet.rotation.T
+    return pts[window.contains(pts)]
+
+
+def former_sequence_candidates(sheet, queries, radius):
+    """`SequenceSheet.candidates_near` as a stencil of offsets -k..k around
+    the rounded targets of every column k within reach."""
+    ys = queries @ sheet.rotation
+    k_reach = int(math.floor(radius + 0.5)) + 1
+    k_off = np.arange(-k_reach, k_reach + 1)
+    ks = np.rint(ys[:, 0]).astype(np.int64)[:, None] + k_off[None, :]
+    vs = sheet.seq.extended_values(ks.ravel()).reshape(ks.shape + (sheet.dim - 1,))
+    rest = ys[:, None, 1:] - vs
+    axes = [np.arange(-k_reach, k_reach + 1)] * (sheet.dim - 1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    stencil = np.stack([m.ravel() for m in mesh], axis=1)
+    ls = np.rint(rest)[:, :, None, :] + stencil[None, None, :, :]
+    n_q, n_k, n_l = ks.shape[0], ks.shape[1], stencil.shape[0]
+    pts = np.empty((n_q, n_k, n_l, sheet.dim))
+    pts[..., 0] = ks[:, :, None]
+    pts[..., 1:] = vs[:, :, None, :] + ls
+    pts = pts.reshape(-1, sheet.dim) @ sheet.rotation.T
+    return pts, np.repeat(np.arange(n_q), n_k * n_l)
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+SHEET_SPECS = [GeneralizedPeres(golden_sequence()),
+               GeneralizedPeres(tsokanos_sequence()),
+               GeneralizedPeres(quadratic_sequence(0.7)),
+               probe_spec("concat3", 0)]
+SHEET_IDS = ["golden", "tsokanos", "quadratic-0.7", "concat3"]
+
+
+@st.composite
+def sheet_windows(draw):
+    spec = draw(st.sampled_from(SHEET_SPECS))
+    d = spec.dim
+    lo = np.asarray(draw(st.lists(st.floats(-30.0, 30.0), min_size=d, max_size=d)))
+    extent = np.asarray(draw(st.lists(st.floats(0.01, 8.0), min_size=d, max_size=d)))
+    return spec, Window(lo, lo + extent)
+
+
+@st.composite
+def sheet_queries(draw):
+    spec = draw(st.sampled_from(SHEET_SPECS))
+    d = spec.dim
+    n = draw(st.integers(1, 8))
+    qs = draw(st.lists(st.lists(st.floats(-60.0, 60.0), min_size=d, max_size=d),
+                       min_size=n, max_size=n))
+    return spec, np.asarray(qs), draw(st.floats(0.01, 2.6))
+
+
+def column_count(sheet, window):
+    """The columns k the window's bounding box meets in the sheet's frame."""
+    pre = window.corners() @ sheet.rotation
+    return max(0, math.floor(pre[:, 0].max() + 1e-9) - math.ceil(pre[:, 0].min() - 1e-9) + 1)
+
+
+class TestSequenceSheetOracle:
+    @given(sheet_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_enumerate_matches_column_loop(self, case):
+        spec, window = case
+        for sheet in spec.sheets():
+            assert_same_array(sheet.enumerate(window),
+                              former_sequence_enumerate(sheet, window))
+
+    @pytest.mark.parametrize("spec", SHEET_SPECS, ids=SHEET_IDS)
+    def test_window_edge_cases(self, spec):
+        d = spec.dim
+        no_k = Window(np.r_[0.2, np.full(d - 1, -5.0)], np.r_[0.8, np.full(d - 1, 5.0)])
+        thin = Window(np.r_[-6.0, np.full(d - 1, 0.1)], np.r_[6.0, np.full(d - 1, 0.6)])
+        windows = [no_k, thin, Window.cube(1e-3, d), Window.cube(9.5, d)]
+        missed = False
+        for window in windows:
+            for sheet in spec.sheets():
+                want = former_sequence_enumerate(sheet, window)
+                assert_same_array(sheet.enumerate(window), want)
+                met = np.unique(np.rint((want @ sheet.rotation)[:, 0]))
+                missed |= met.size < column_count(sheet, window)
+        # The first sheet's frame is the window's own: no_k holds no column
+        # and thin misses every column whose value is near an integer.
+        assert column_count(spec.sheets()[0], no_k) == 0
+        assert missed
+
+    @given(sheet_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_match_stencil(self, case):
+        spec, queries, radius = case
+        for sheet in spec.sheets():
+            got, rows = sheet.candidates_near(queries, radius)
+            want, want_rows = former_sequence_candidates(sheet, queries, radius)
+            assert_same_array(got, want)
+            assert_same_array(rows, want_rows)
+
+    @given(sheet_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_cover_the_box(self, case):
+        # Every point of the sheet within sup-norm radius of a query is
+        # listed for it: the visibility march relies on this.
+        spec, queries, radius = case
+        for sheet in spec.sheets():
+            cand, rows = sheet.candidates_near(queries, radius)
+            for i, q in enumerate(queries):
+                pts = sheet.enumerate(Window(q - radius - 1.0, q + radius + 1.0))
+                inside = pts[np.abs(pts - q).max(axis=1) <= radius]
+                listed = set(map(tuple, cand[rows == i]))
+                assert all(tuple(p) in listed for p in inside)
 
 
 def tube_oracle(spec, eps, window, directions, offsets_per_direction):
