@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .generators import (LatticeSheet, PointSetSpec, SequenceSpec,
-                         enumerate_points, enumerate_sheets)
+                         enumerate_points)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
                        halton, point_coords, sample_probes, sample_segments)
 
@@ -123,7 +123,7 @@ class SUDEstimate:
                 "xi_samples": self.xi_samples, "value": self.value}
 
 
-def _points_array(points, dim: int | None = None) -> np.ndarray:
+def _points_array(points) -> np.ndarray:
     """Coerce Point objects / tuples / arrays to a (N, d) float array.
 
     A one-dimensional array-like is read as N scalar points in d=1.
@@ -132,13 +132,11 @@ def _points_array(points, dim: int | None = None) -> np.ndarray:
         arr = np.asarray(points, dtype=float)
     else:
         arr = np.asarray([point_coords(p) for p in points], dtype=float) \
-            if len(points) else np.empty((0, dim or 1))
+            if len(points) else np.empty((0, 1))
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError("points must form an (N, d) array")
-    if dim is not None and arr.shape[0] and arr.shape[1] != dim:
-        raise ValueError(f"points must have dimension {dim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("points must have finite coordinates")
     return arr
@@ -627,44 +625,17 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
         columns = min(2 * columns, WALK_MAX_COLUMNS)
 
 
-def _generic_sheet_tree(sheets, bases, dirs, lengths, reach):
-    """A KD-tree over the enumerated points of sheets lacking analytic
-    candidates, as a function shaped like ``candidates_near`` that lists the
-    points within Euclidean radius * sqrt(d) of each query."""
-    from scipy.spatial import cKDTree
-
-    d = bases.shape[1]
-    ends = bases + lengths[:, None] * dirs
-    lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
-    hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
-    pts = enumerate_sheets(sheets, Window(lo, hi))
-    pool = np.concatenate(pts) if pts else np.empty((0, d))
-    tree = cKDTree(pool)
-
-    def candidates_near(queries, radius):
-        hits = tree.query_ball_point(queries, radius * math.sqrt(d) + 1e-9)
-        rows = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
-        return pool[[i for h in hits for i in h]], rows
-
-    return candidates_near
-
-
 def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
                   lengths: np.ndarray, first: np.ndarray):
     """Lower ``first`` by marching waypoints spaced 1 apart along each probe.
 
     Every point within sup-norm eps of the probe lies within eps + 1/2 of
-    some waypoint, so the candidates that sequence sheets list around each
-    waypoint, and a KD-tree over the enumerated points of the other sheets,
+    some waypoint, so the candidates each sheet lists around each waypoint
     cover every blocker up to the horizon.
     """
     n_probe, d = bases.shape
     reach = eps + 0.5 + 1e-6
     guard = (eps + reach) * math.sqrt(d) + 1e-9
-    near = [s.candidates_near for s in sheets if hasattr(s, "candidates_near")]
-    generic = [s for s in sheets if not hasattr(s, "candidates_near")]
-    if generic:
-        near.append(_generic_sheet_tree(generic, bases, dirs, lengths, reach))
     horizons = np.ceil(lengths)
     alive = np.arange(n_probe)
     chunk = 4096
@@ -673,8 +644,8 @@ def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
         for start in range(0, alive.size, chunk):
             sel = alive[start:start + chunk]
             q = bases[sel] + t * dirs[sel]
-            for candidates_near in near:
-                cand, rows = candidates_near(q, reach)
+            for sheet in sheets:
+                cand, rows = sheet.candidates_near(q, reach)
                 np.minimum.at(first, sel[rows], _candidate_scores(
                     cand, bases[sel][rows], dirs[sel][rows], eps))
         t += 1.0
@@ -689,7 +660,7 @@ def _probe_first_hits(spec: PointSetSpec, eps: float, bases: np.ndarray,
     ``_candidate_scores``) is below ceil(length); it is +inf when there is
     none.  A probe is hit exactly when the value is below its length.
     Lattice sheets are walked column by column in lattice coordinates;
-    sequence sheets and the other sheets are marched in unit steps.
+    the other sheets are marched in unit steps.
     """
     horizons = np.ceil(lengths)
     first = np.full(bases.shape[0], np.inf)
@@ -745,12 +716,8 @@ def check_visibility(spec: PointSetSpec, epsilon: float, L: float, count: int,
     _check_epsilon(epsilon)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    segments = sample_segments(window, L, count, seed)
-    report = visibility_from_segments(spec, epsilon, segments)
-    return VisibilityReport(epsilon=report.epsilon, L=float(L),
-                            segments_tested=report.segments_tested,
-                            hit_fraction=report.hit_fraction,
-                            worst_segment=report.worst_segment)
+    return visibility_from_segments(spec, epsilon,
+                                    sample_segments(window, L, count, seed))
 
 
 def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,

@@ -130,10 +130,10 @@ def _draw_aligned_box(volume: float, rng):
     return cx, cy, w / 2.0, h / 2.0
 
 
-def _draw_rotated_box(volume: float, rng, max_attempts: int = 10000):
+def _draw_rotated_box(volume: float, rng):
     """Centre, half-sides and angle (cx, cy, w/2, h/2, angle) of the next
     rotated box."""
-    for _ in range(max_attempts):
+    for _ in range(10000):
         angle = float(rng.uniform(0.0, math.pi))
         ratio = _feasible_aspect(volume, rng)
         w = math.sqrt(volume * ratio)
@@ -166,13 +166,13 @@ def _rotated_box(cx, cy, hw, hh, angle) -> RotatedBox:
     return RotatedBox(angle, AlignedBox.from_bounds([-hw, -hh], [hw, hh]), [cx, cy])
 
 
-def sample_rotated_box(volume: float, rng, max_attempts: int = 10000):
+def sample_rotated_box(volume: float, rng):
     """One rotated rectangle of exactly `volume` inside [0,1]^2.
 
     Angle and aspect are drawn until the rotated rectangle fits in the unit
     square; the center is then uniform over the placements keeping it inside.
     """
-    return _rotated_box(*_draw_rotated_box(volume, rng, max_attempts))
+    return _rotated_box(*_draw_rotated_box(volume, rng))
 
 
 # sampler name -> (draw one box as floats, box object from those floats)

@@ -1,8 +1,8 @@
 """Point-set constructions and their driving sequences, enumerated over windows.
 
 Every infinite set is represented by a small spec object that knows how to
-list its points inside a half-open window and, for the sequence-driven
-constructions, how to produce candidate points near query locations (used by
+list its points inside a half-open window and, for every sheet but the
+lattices, how to produce candidate points near query locations (used by
 the visibility scanner).  Enumeration output is canonicalized: duplicates
 within 1e-9 are merged and rows are sorted lexicographically, so results are
 independent of internal evaluation order.
@@ -156,31 +156,21 @@ def _tsokanos_values(ns: np.ndarray) -> np.ndarray:
     out = np.empty(ns.shape, dtype=float)
     for i in np.unique(i_all):
         mask = i_all == i
-        i = int(i)
-        if i <= 5:
-            # 2^(2i^2+4) <= 2^54 fits in int64, so fold and split exactly.
-            ebits = i * i + 2
-            period = np.int64(1) << np.int64(2 * ebits)
-            kf = (k_all[mask] - 1) % period + 1
-            r, s = np.divmod(kf - 1, np.int64(1) << np.int64(ebits))
+        ebits = int(i) ** 2 + 2
+        k = k_all[mask]
+        if 2 * ebits < 63:  # else every int64 k lies below the period
+            k = (k - 1) % (np.int64(1) << np.int64(2 * ebits)) + 1
+        if ebits < 63:
+            r, s = np.divmod(k - 1, np.int64(1) << np.int64(ebits))
             s = s + 1
-            v = (r * s).astype(float) * math.ldexp(1.0, -(2 * i * i + 4))
-            v = v + np.where(r % 2 == 0, s.astype(float) * math.ldexp(1.0, -(i * i + 4)), 0.0)
-        elif i <= 7:
-            # k always lies below 2^(2i^2+4) here; split without folding.
-            r, s = np.divmod(k_all[mask] - 1, np.int64(1) << np.int64(i * i + 2))
-            s = s + 1
-            v = (r * s).astype(float) * math.ldexp(1.0, -(2 * i * i + 4))
-            v = v + np.where(r % 2 == 0, s.astype(float) * math.ldexp(1.0, -(i * i + 4)), 0.0)
         else:
-            # 2^(i^2+2) exceeds any representable k, so r = 0 (an even value).
-            v = k_all[mask].astype(float) * math.ldexp(1.0, -(i * i + 4))
-        # k = 0 folds to the top of the range: r = 2^(i^2+2) - 1 (odd) and
-        # s = 2^(i^2+2), giving 1 - 2^-(i^2+2) for every i.  The i <= 5 branch
-        # reaches this through the modular fold; the others need it spelled
-        # out because divmod(-1, E) would go negative.
-        v = np.where(k_all[mask] == 0, 1.0 - math.ldexp(1.0, -(i * i + 2)), v)
-        out[mask] = v
+            # 2^ebits exceeds any int64 k, so r = 0 (an even value).
+            r, s = np.zeros_like(k), k
+        v = (r * s).astype(float) * math.ldexp(1.0, -2 * ebits)
+        v = v + np.where(r % 2 == 0, s.astype(float) * math.ldexp(1.0, -(ebits + 2)), 0.0)
+        # k = 0 folds to r = 2^ebits - 1 (odd), s = 2^ebits: 1 - 2^-ebits.
+        # Unfolded, divmod(-1, 2^ebits) would go negative.
+        out[mask] = np.where(k_all[mask] == 0, 1.0 - math.ldexp(1.0, -ebits), v)
     return out
 
 
@@ -336,6 +326,16 @@ class SequenceSheet:
 # just under 4.  Scaling by 2^(-3/2) shrinks areas by 8, so every aligned box
 # of area 1 contains a point while the density stays finite.
 D2_SCALE = 2.0 ** -1.5
+# The four sign choices of a nonnegative pair, in the order enumerate lists them.
+D2_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+
+
+def _dyadic_fraction(m: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} bit_k(m) 2^-k for nonnegative integers m, exactly."""
+    out = np.zeros(m.shape)
+    for k in range(1, int(m.max(initial=0)).bit_length()):
+        out += ((m >> k) & 1) * math.ldexp(1.0, -k)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +365,29 @@ class D2Sheet:
         pairs = _d2_nonneg_pairs(*self._reach(window))
         if pairs.size == 0:
             return np.empty((0, 2))
-        signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-        pts = (pairs[:, None, :] * signs[None, :, :]).reshape(-1, 2) * D2_SCALE
+        pts = (pairs[:, None, :] * D2_SIGNS[None, :, :]).reshape(-1, 2) * D2_SCALE
         return pts[window.contains(pts)]
+
+    def candidates_near(self, queries: np.ndarray, radius: float):
+        """(points, rows): every point within sup-norm ``radius`` of query rows[j].
+
+        Unscaled, a nonnegative pair is (i + f(j), j + f(i)) with i, j >= 0
+        integers of equal parity (the digit a_0) and f = ``_dyadic_fraction``.
+        Near a reflected query (a, b), i lies in [a - r - 1, a + r] and j in
+        [b - r - 1, b + r]: floor(2r) + 2 integers each.  The sums are exact,
+        so the points are the floats of ``enumerate``.
+        """
+        reflected = (queries / D2_SCALE)[:, None, :] * D2_SIGNS
+        r = radius / D2_SCALE + 1e-9 * (1.0 + np.abs(reflected).max(initial=0.0))
+        offsets = np.arange(math.floor(2.0 * r) + 2)
+        top = np.floor(reflected + r).astype(np.int64)
+        i, j = np.broadcast_arrays(top[:, :, :1, None] - offsets[:, None],
+                                   top[:, :, 1:, None] - offsets)
+        keep = (i >= 0) & (j >= 0) & ((i - j) % 2 == 0)
+        rows, signs = np.nonzero(keep)[:2]
+        i, j = i[keep], j[keep]
+        pairs = np.stack([i + _dyadic_fraction(j), j + _dyadic_fraction(i)], axis=1)
+        return pairs * D2_SIGNS[signs] * D2_SCALE, rows
 
 
 def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
@@ -433,32 +453,47 @@ class CutProjectSheet:
     def dim(self) -> int:
         return self.phys_basis.shape[1]
 
-    def _grid_ranges(self, window: Window):
-        """Integer ranges of the grid coordinates of the cut's bounding box."""
+    def _cut_corners(self, window: Window) -> np.ndarray:
+        """Grid coordinates of the corners of the cut over the window: the
+        parallelotope {phys u + int w : u in window, w in [a, b]^q}."""
         if window.dim != self.dim:
             raise ValueError("window dimension must match the physical dimension")
         a, b = self.window_interval
         q = self.int_basis.shape[1]
-        u_corners = window.corners()
         w_corners = Window(np.full(q, a), np.full(q, b)).corners()
-        total = []
-        for u in u_corners:
-            for w in w_corners:
-                total.append(self.phys_basis @ u + self.int_basis @ w)
-        images = (np.asarray(total) - self.grid.shift) @ self.grid.inverse.T
-        return _integer_ranges(images)
+        total = ((window.corners() @ self.phys_basis.T)[:, None, :]
+                 + (w_corners @ self.int_basis.T)[None, :, :])
+        return (total.reshape(-1, self.grid.dim) - self.grid.shift) @ self.grid.inverse.T
+
+    def _project(self, zs: np.ndarray):
+        """Physical parts of the grid points zs, and the cut's mask."""
+        a, b = self.window_interval
+        coords = _matmul(self.grid.points(zs), self.decompose.T)
+        w = coords[:, self.dim:]
+        return coords[:, :self.dim], np.all((w >= a) & (w < b), axis=1)
 
     def estimate(self, window: Window) -> float:
-        return _grid_size(*self._grid_ranges(window))
+        return _grid_size(*_integer_ranges(self._cut_corners(window)))
 
     def enumerate(self, window: Window) -> np.ndarray:
-        a, b = self.window_interval
-        zs = _integer_grid(*self._grid_ranges(window))
-        coords = _matmul(self.grid.points(zs), self.decompose.T)
-        u = coords[:, :self.dim]
-        w = coords[:, self.dim:]
-        keep = np.all((w >= a) & (w < b), axis=1) & window.contains(u)
-        return u[keep]
+        u, cut = self._project(_integer_grid(*_integer_ranges(self._cut_corners(window))))
+        return u[cut & window.contains(u)]
+
+    def candidates_near(self, queries: np.ndarray, radius: float):
+        """(points, rows): every point within sup-norm ``radius`` of query rows[j].
+
+        In grid coordinates the cut around q is the cut around 0 moved by
+        q @ phys.T @ inv.T: floor(ptp) + 2 integers per axis from its first.
+        """
+        corners = self._cut_corners(Window.cube(radius, self.dim))
+        lo = corners.min(axis=0)
+        widths = np.floor(corners.max(axis=0) - lo).astype(np.int64) + 2
+        moved = queries @ self.phys_basis.T @ self.grid.inverse.T
+        stencil = cartesian(*[np.arange(w) for w in widths])
+        zs = np.ceil(moved + (lo - 1e-9))[:, None, :] + stencil
+        u, cut = self._project(zs.reshape(-1, self.grid.dim))
+        rows = np.repeat(np.arange(queries.shape[0]), stencil.shape[0])
+        return u[cut], rows[cut]
 
 
 # ---------------------------------------------------------------------------
@@ -696,21 +731,16 @@ def canonicalize_points(pts: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
-def enumerate_sheets(sheets, window: Window) -> list:
-    """Each sheet's points in the window, refused before any is enumerated
-    when the sheets' estimates add up to more than the point budget."""
-    _check_budget(sum(sheet.estimate(window) for sheet in sheets))
-    return [sheet.enumerate(window) for sheet in sheets]
-
-
 def enumerate_points(spec: PointSetSpec, window: Window) -> np.ndarray:
-    """All points of the infinite set inside the half-open window, canonicalized."""
+    """All points of the infinite set inside the half-open window, canonicalized;
+    refused before any sheet runs when the estimates exceed the budget."""
     if window.dim != spec.dim:
         raise ValueError("window dimension does not match the point set")
-    parts = enumerate_sheets(spec.sheets(), window)
-    if not parts:
+    sheets = spec.sheets()
+    _check_budget(sum(sheet.estimate(window) for sheet in sheets))
+    if not sheets:
         return np.empty((0, spec.dim))
-    return canonicalize_points(np.concatenate(parts))
+    return canonicalize_points(np.concatenate([s.enumerate(window) for s in sheets]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ UNIT_NORM_TOL = 1e-12
 
 def cartesian(*axes) -> np.ndarray:
     """Every choice of one entry per axis, as rows in lexicographic order
-    of the positions (the last axis varies fastest)."""
+    of the positions (the last axis varies fastest); no axes give one
+    empty row."""
+    if not axes:
+        return np.empty((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -187,11 +190,9 @@ class AlignedBox:
     def volume(self) -> float:
         return float(np.prod(self.intervals[:, 1] - self.intervals[:, 0]))
 
-    def contains(self, points, strict: bool = False) -> np.ndarray:
-        """Closed membership mask (open-interior membership when strict)."""
+    def contains(self, points) -> np.ndarray:
+        """Closed membership mask."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if strict:
-            return np.all((pts > self.lo) & (pts < self.hi), axis=1)
         return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
     def __repr__(self):

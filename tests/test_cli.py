@@ -163,6 +163,27 @@ def test_visibility_rows(tmp_path):
     assert len(lines) == 3
 
 
+def test_visibility_on_a_one_dimensional_lattice(tmp_path):
+    spec_path = tmp_path / "z1.json"
+    spec_path.write_text(json.dumps({"variant": "GridUnion", "params": {
+        "grids": [{"basis": [[1.0]], "translation": [0.0]}]}}))
+    out = tmp_path / "vis.csv"
+    assert run("visibility", "--spec", str(spec_path), "--eps", "0.1",
+               "--count", "4", "--l-max", "4", "--radius", "5",
+               "--out", str(out)) == 0
+    # Every unit step of Z passes within 0.1 of an integer.
+    assert out.read_text().splitlines()[1:] == ["0.10000000000000001,1"]
+
+
+def test_visibility_d2_at_the_default_length(tmp_path):
+    # The bit-reversal set lists its own candidates around each waypoint,
+    # so the default --l-max of 4096 enumerates nothing up front.
+    out = tmp_path / "vis.csv"
+    assert run("visibility", "--spec", "d2", "--eps", "0.1", "--count", "200",
+               "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("eps", ["0", "-0.3"])
 def test_visibility_nonpositive_eps_is_argument_error(tmp_path, capsys, eps):
     out = tmp_path / "vis.csv"

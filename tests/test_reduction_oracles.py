@@ -19,11 +19,13 @@ first points; its oracle is the unbounded query of every point.
 oracle is `np.unique(axis=0)`.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
-coordinates.  Its oracles are the unit-step march it replaced, which visits
-a lattice stencil around waypoints spaced 1 apart and keeps its own KD-tree
-and per-probe loop for the sheets without analytic candidates, and a brute
-force that scores every enumerated point of the probe's tube.  All three
-score points with the same kernel.
+coordinates and marches the other sheets in unit steps, each sheet listing
+its own candidates.  Its oracles are the unit-step march the walk replaced,
+which visits a lattice stencil around waypoints spaced 1 apart and keeps a
+KD-tree and per-probe loop over the enumerated D2 and cut-and-project
+points (picked by sheet type), and a brute force that scores every
+enumerated point of the probe's tube.  All three score points with the
+same kernel.
 
 `find_empty_tube` passes each offset line only the points of a slab and
 ball around it; its oracle passes every window point.
@@ -32,7 +34,9 @@ ball around it; its oracle passes every window point.
 points with one column builder over a box of integer offsets.  Their
 oracles are the per-column loop and the centred stencil they replaced; a
 further test checks that the candidates cover every enumerated point of
-the sup-norm box around each query, which the march relies on.
+the sup-norm box around each query, which the march relies on.  The D2 and
+cut-and-project candidates are checked the same way, and also to be points
+that `enumerate` lists, byte for byte.
 
 `verify_net` draws each chunk of boxes as floats, certifies hits from the
 net points nearest each centre and checks the remaining boxes against the
@@ -45,6 +49,9 @@ from ranks in their sorted slab union.  Their oracles are the loops they
 replaced: one critical-value scan per slab, and one sort per anchor, aspect
 ratio and sweep axis.  `udt_check` builds its u-grid in chunks; its oracle
 builds the whole grid.
+
+`_tsokanos_values` evaluates every dyadic block with one body; its oracle
+is the former function with three branches.
 
 `halton` is a numpy radical inverse; its oracle is scipy's
 `qmc.Halton(d, scramble=False)`, which the program no longer imports.
@@ -83,14 +90,17 @@ from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
                                 _draw_rotated_box, _feasible_aspect,
                                 d2_aligned_net, sample_aligned_box,
                                 sample_rotated_box, verify_net)
-from denseforest.generators import (D2, GeneralizedPeres, Grid, GridUnion,
-                                    LatticeSheet, PeresForest, ThreeGrid,
-                                    canonicalize_points,
+from denseforest.generators import (D2, D2_SCALE, CutAndProject,
+                                    CutProjectSheet, D2Sheet,
+                                    GeneralizedPeres, Grid,
+                                    GridUnion, LatticeSheet, PeresForest,
+                                    SequenceSheet, ThreeGrid,
+                                    _tsokanos_values, canonicalize_points,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
-                                    enumerate_sheets, golden_sequence,
-                                    integer_lattice, quadratic_sequence,
-                                    tsokanos_sequence, write_points_csv)
+                                    golden_sequence, integer_lattice,
+                                    quadratic_sequence, tsokanos_sequence,
+                                    write_points_csv)
 from denseforest.geometry import (AlignedBox, Segment, Window, halton,
                                   sample_probes, tube_bounding_window)
 
@@ -584,15 +594,15 @@ def lattice_candidates_near(sheet, queries, radius):
 
 
 def generic_tree_oracle(sheets, bases, dirs, lengths, reach):
-    """KD-tree and pool over the points of sheets lacking analytic candidates,
-    enumerated in the box of every probe widened by reach + 1."""
+    """KD-tree and pool over the points of the D2 and cut-and-project
+    sheets, enumerated in the box of every probe widened by reach + 1."""
     from scipy.spatial import cKDTree
 
     ends = bases + lengths[:, None] * dirs
     lo = np.minimum(bases.min(axis=0), ends.min(axis=0)) - (reach + 1.0)
     hi = np.maximum(bases.max(axis=0), ends.max(axis=0)) + (reach + 1.0)
-    pts = enumerate_sheets(sheets, Window(lo, hi))
-    pool = np.concatenate(pts) if pts else np.empty((0, bases.shape[1]))
+    window = Window(lo, hi)
+    pool = np.concatenate([sheet.enumerate(window) for sheet in sheets])
     return (cKDTree(pool), pool) if pool.shape[0] else (None, pool)
 
 
@@ -608,8 +618,7 @@ def march_oracle(spec, eps, bases, dirs, lengths):
     reach = eps + 0.5 + 1e-6
     guard = (eps + reach) * math.sqrt(d) + 1e-9
     sheets = spec.sheets()
-    generic = [s for s in sheets if not isinstance(s, LatticeSheet)
-               and not hasattr(s, "candidates_near")]
+    generic = [s for s in sheets if isinstance(s, (D2Sheet, CutProjectSheet))]
     tree, pool = (None, None)
     if generic:
         tree, pool = generic_tree_oracle(generic, bases, dirs, lengths, reach)
@@ -622,7 +631,7 @@ def march_oracle(spec, eps, bases, dirs, lengths):
         for sheet in sheets:
             if isinstance(sheet, LatticeSheet):
                 cand, rows = lattice_candidates_near(sheet, q, reach)
-            elif hasattr(sheet, "candidates_near"):
+            elif isinstance(sheet, SequenceSheet):
                 cand, rows = sheet.candidates_near(q, reach)
             else:
                 continue
@@ -774,6 +783,21 @@ class TestProbeFirstHits:
         rep = visibility_from_segments(spec, 0.1, [miss])
         assert rep.hit_fraction == 0.0 and rep.worst_segment is miss
 
+    @pytest.mark.parametrize("spec", [
+        integer_lattice(1),
+        GridUnion((Grid([[1.0]], [0.0]), Grid([[PHI]], [0.3])))],
+        ids=["z1", "two-grid-1d"])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.6])
+    def test_one_dimensional_walk(self, spec, eps):
+        # With d = 1 a column holds one point: the walk's stencil is the
+        # single empty row of cartesian() with an offset 0 inserted.
+        bases, dirs, _ = sample_probes(Window.cube(20.0, 1), 1.0, 64, 5)
+        lengths = np.linspace(0.0, 12.5, 64)
+        first = _probe_first_hits(spec, eps, bases, dirs, lengths)
+        assert first.tobytes() == brute_first_hits(spec, eps, bases, dirs,
+                                                   lengths).tobytes()
+        assert np.isfinite(first).sum() > 32
+
 
 def former_sequence_enumerate(sheet, window):
     """`SequenceSheet.enumerate` as a loop over the columns k, each column
@@ -911,6 +935,69 @@ class TestSequenceSheetOracle:
                 inside = pts[np.abs(pts - q).max(axis=1) <= radius]
                 listed = set(map(tuple, cand[rows == i]))
                 assert all(tuple(p) in listed for p in inside)
+
+
+def _cut_and_project_plane():
+    """Z^3 cut by a slab around a plane: a two-dimensional quasicrystal."""
+    phys = np.linalg.qr(np.array([[1.0, 0.3], [0.2, 1.0], [0.7, -0.4]]))[0]
+    internal = np.cross(phys[:, 0], phys[:, 1])[:, None]
+    return CutAndProject(Grid(np.eye(3), np.zeros(3)), phys, internal, (-0.5, 0.7))
+
+
+NON_LATTICE_SHEETS = [D2Sheet(), default_cut_and_project().sheets()[0],
+                      _cut_and_project_plane().sheets()[0]]
+NON_LATTICE_IDS = ["d2", "cut-and-project", "cut-and-project-plane"]
+
+
+def assert_candidates_are_the_sets_points(sheet, queries, radius):
+    """``candidates_near`` lists, for each query, every point of
+    ``enumerate`` within sup-norm ``radius``, and only points that
+    ``enumerate`` lists, with the same bytes."""
+    cand, rows = sheet.candidates_near(queries, radius)
+    assert cand.dtype == np.float64 and cand.shape == (rows.size, sheet.dim)
+    for i, q in enumerate(queries):
+        listed = cand[rows == i]
+        near = sheet.enumerate(Window(q - radius - 1.0, q + radius + 1.0))
+        inside = near[np.abs(near - q).max(axis=1) <= radius]
+        keys = {p.tobytes() for p in listed}
+        assert all(p.tobytes() in keys for p in inside)
+        if listed.size:
+            around = Window(np.minimum(listed.min(axis=0), q) - 1.0,
+                            np.maximum(listed.max(axis=0), q) + 1.0)
+            known = {p.tobytes() for p in sheet.enumerate(around)}
+            assert keys <= known
+
+
+@st.composite
+def non_lattice_queries(draw):
+    sheet = draw(st.sampled_from(NON_LATTICE_SHEETS))
+    n = draw(st.integers(1, 6))
+    coords = st.one_of(st.floats(-60.0, 60.0), st.integers(-40, 40).map(float))
+    qs = draw(st.lists(st.lists(coords, min_size=sheet.dim, max_size=sheet.dim),
+                       min_size=n, max_size=n))
+    return sheet, np.asarray(qs), draw(st.floats(0.01, 2.6))
+
+
+class TestNonLatticeCandidates:
+    """D2 and cut-and-project sheets list their own march candidates."""
+
+    @given(non_lattice_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_candidates_are_the_sets_points(self, case):
+        assert_candidates_are_the_sets_points(*case)
+
+    @pytest.mark.parametrize("sheet", NON_LATTICE_SHEETS, ids=NON_LATTICE_IDS)
+    # The march's reach at eps 0.1, and radius D2_SCALE, whose box around a
+    # query on D2_SCALE * Z has D2 points on its edges.
+    @pytest.mark.parametrize("radius", [0.6000010, D2_SCALE, 1.0, 2.5])
+    def test_origin_axes_and_far_queries(self, sheet, radius):
+        s = D2_SCALE
+        if sheet.dim == 1:
+            queries = [[0.0], [s], [-3.0], [1e4], [-1e4 + 0.37]]
+        else:
+            queries = [[0.0, 0.0], [0.0, 5.3], [-7.1, 0.0], [s, -s],
+                       [3 * s, 0.0], [1e4, 0.3], [-0.2, -1e4], [1e4, -s]]
+        assert_candidates_are_the_sets_points(sheet, np.asarray(queries), radius)
 
 
 def tube_oracle(spec, eps, window, directions, offsets_per_direction):
@@ -1533,3 +1620,66 @@ class TestCSVWriterOracle:
         pts[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
         with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows):
             assert_csv_matches(tmp_path_factory.mktemp("csv"), pts)
+
+
+def former_tsokanos_values(ns):
+    """`_tsokanos_values` with its former three branches: fold and split for
+    i <= 5, split without folding for i = 6, 7, and r = 0 above."""
+    ns = np.asarray(ns, dtype=np.int64)
+    m = ns + 2
+    low = m & -m
+    i_all = np.log2(low.astype(float)).astype(np.int64) + 1
+    k_all = (m // low - 1) // 2
+    out = np.empty(ns.shape, dtype=float)
+    for i in np.unique(i_all):
+        mask = i_all == i
+        i = int(i)
+        if i <= 5:
+            ebits = i * i + 2
+            period = np.int64(1) << np.int64(2 * ebits)
+            kf = (k_all[mask] - 1) % period + 1
+            r, s = np.divmod(kf - 1, np.int64(1) << np.int64(ebits))
+            s = s + 1
+            v = (r * s).astype(float) * math.ldexp(1.0, -(2 * i * i + 4))
+            v = v + np.where(r % 2 == 0, s.astype(float) * math.ldexp(1.0, -(i * i + 4)), 0.0)
+        elif i <= 7:
+            r, s = np.divmod(k_all[mask] - 1, np.int64(1) << np.int64(i * i + 2))
+            s = s + 1
+            v = (r * s).astype(float) * math.ldexp(1.0, -(2 * i * i + 4))
+            v = v + np.where(r % 2 == 0, s.astype(float) * math.ldexp(1.0, -(i * i + 4)), 0.0)
+        else:
+            v = k_all[mask].astype(float) * math.ldexp(1.0, -(i * i + 4))
+        v = np.where(k_all[mask] == 0, 1.0 - math.ldexp(1.0, -(i * i + 2)), v)
+        out[mask] = v
+    return out
+
+
+def tsokanos_block_indices(i, ks):
+    """The indices n = 2^(i-1) (2k + 1) - 2 of block i, for n >= 1."""
+    ns = [((2 * int(k) + 1) << (i - 1)) - 2 for k in ks]
+    return np.asarray([n for n in ns if n >= 1], dtype=np.int64)
+
+
+class TestTsokanosOracle:
+    def test_first_indices(self):
+        ns = np.arange(1, 2 ** 16 + 1)
+        assert_same_array(_tsokanos_values(ns), former_tsokanos_values(ns))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_block(self, seed):
+        # Every i from 1 to 63 (the last whose block holds an int64 with
+        # n + 2 in range), with k = 0, 1, the largest k and seeded draws.
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for i in range(1, 64):
+            k_max = (((2 ** 63 - 1) >> (i - 1)) - 1) // 2
+            ks = [0, min(1, k_max), k_max]
+            ks += rng.integers(0, k_max, size=200, endpoint=True).tolist()
+            blocks.append(tsokanos_block_indices(i, ks))
+        ns = np.concatenate(blocks)
+        assert np.unique(np.log2((ns + 2) & -(ns + 2))).size == 63
+        assert_same_array(_tsokanos_values(ns), former_tsokanos_values(ns))
+
+    def test_seeded_int64_indices(self):
+        ns = np.random.default_rng(7).integers(1, 2 ** 63 - 2, size=2 ** 16)
+        assert_same_array(_tsokanos_values(ns), former_tsokanos_values(ns))
