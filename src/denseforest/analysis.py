@@ -169,10 +169,15 @@ def dispersion(points) -> DispersionReport:
         return DispersionReport(N=n, value=value, exact=True)
     m = max(2, int(round(DISPERSION_GRID_BUDGET ** (1.0 / d))))
     nodes = cartesian(*[np.linspace(0.0, 1.0, m)] * d)
-    from scipy.spatial import cKDTree
-    dists, _ = cKDTree(arr).query(nodes, k=1, p=np.inf)
-    return DispersionReport(N=n, value=float(np.max(dists)), exact=False,
+    return DispersionReport(N=n, value=_grid_bound(arr, nodes), exact=False,
                             grid_resolution=1.0 / (m - 1))
+
+
+def _grid_bound(pts: np.ndarray, nodes: np.ndarray) -> float:
+    """The largest sup-norm distance from a grid node to its nearest point."""
+    from scipy.spatial import cKDTree
+    dists, _ = cKDTree(pts).query(nodes, k=1, p=np.inf)
+    return float(np.max(dists))
 
 
 def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
@@ -191,9 +196,7 @@ def _toroidal_dispersion(pts: np.ndarray) -> float:
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
     m = max(2, int(round(4096 ** (1.0 / d))))
     nodes = cartesian(*[np.linspace(0.0, 1.0, m, endpoint=False)] * d)
-    from scipy.spatial import cKDTree
-    dists, _ = cKDTree(tiled).query(nodes, k=1, p=np.inf)
-    return float(np.max(dists))
+    return _grid_bound(tiled, nodes)
 
 
 def _window_dispersions(w: np.ndarray) -> np.ndarray:

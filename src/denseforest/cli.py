@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="enumerate a point set over a window")
     p.add_argument("--spec", required=True,
-                   help="preset name, JSON document, or JSON file path")
+                   help="preset name or path to a spec JSON file")
     p.add_argument("--radius", type=float, required=True)
     common(p)
     p.set_defaults(func=_cmd_generate)

@@ -82,13 +82,17 @@ def hw_net(eps: float, d: int, C: float, seed: int) -> Net:
     """Uniform random net of ceil(C * (1/eps) * ln(1/eps)) points in [0,1]^d."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be positive and finite")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    size = math.ceil(C * (1.0 / eps) * math.log(1.0 / eps))
-    if size > MAX_NET_SIZE:
-        raise ResourceLimitError(f"net size {size} exceeds the limit {MAX_NET_SIZE}")
+    size = C * (1.0 / eps) * math.log(1.0 / eps)
+    # The budget counts coordinates: MAX_NET_SIZE planar points.  A tiny eps
+    # or a huge C overflows the size to inf.
+    if not math.isfinite(size) or math.ceil(size) * max(d, 2) > 2 * MAX_NET_SIZE:
+        raise ResourceLimitError(f"net of {size:.3g} points in dimension {d} exceeds "
+                                 f"the limit of {2 * MAX_NET_SIZE} coordinates")
+    size = math.ceil(size)
     pts = np.random.default_rng(seed).random((size, d))
     return Net(points=pts, epsilon=float(eps), method="HausslerWelzl")
 

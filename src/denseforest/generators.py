@@ -178,6 +178,29 @@ def _tsokanos_values(ns: np.ndarray) -> np.ndarray:
 # Sheets: homogeneous layers a point set decomposes into
 # ---------------------------------------------------------------------------
 
+class PointSetSpec:
+    """Base class for the tagged point-set constructions.
+
+    A construction that is a single sheet (D2, cut-and-project) is that
+    sheet, and its ``sheets()`` is ``(self,)``.
+    """
+
+    variant = ""
+
+    @property
+    def dim(self) -> int:
+        raise NotImplementedError
+
+    def sheets(self):
+        raise NotImplementedError
+
+    def params(self) -> dict:
+        return {}
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "params": self.params()}
+
+
 def _check_budget(estimate: float):
     if estimate > MAX_ENUMERATED_POINTS:
         raise ResourceLimitError(
@@ -339,15 +362,24 @@ def _dyadic_fraction(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class D2Sheet:
+class D2Sheet(PointSetSpec):
     """The planar dyadic bit-reversal set, scaled to hit unit aligned boxes.
 
     Before scaling, points are (+-sum a_n 2^n, +-sum a_n 2^(-n)) over finitely
     supported 0/1 sequences (a_n), the two signs chosen independently; every
-    point is then multiplied by ``D2_SCALE``.
+    point is then multiplied by ``D2_SCALE``.  Split at the digit a_0, a
+    nonnegative pair is (i + f(j), j + f(i)) with i, j >= 0 integers of
+    equal parity (a_0 itself) and f = ``_dyadic_fraction``.
     """
 
-    dim: int = 2
+    variant = "D2"
+
+    @property
+    def dim(self) -> int:
+        return 2
+
+    def sheets(self):
+        return (self,)
 
     @staticmethod
     def _reach(window: Window):
@@ -363,19 +395,15 @@ class D2Sheet:
 
     def enumerate(self, window: Window) -> np.ndarray:
         pairs = _d2_nonneg_pairs(*self._reach(window))
-        if pairs.size == 0:
-            return np.empty((0, 2))
         pts = (pairs[:, None, :] * D2_SIGNS[None, :, :]).reshape(-1, 2) * D2_SCALE
         return pts[window.contains(pts)]
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
 
-        Unscaled, a nonnegative pair is (i + f(j), j + f(i)) with i, j >= 0
-        integers of equal parity (the digit a_0) and f = ``_dyadic_fraction``.
         Near a reflected query (a, b), i lies in [a - r - 1, a + r] and j in
-        [b - r - 1, b + r]: floor(2r) + 2 integers each.  The sums are exact,
-        so the points are the floats of ``enumerate``.
+        [b - r - 1, b + r]: floor(2r) + 2 integers each.  The pairs come from
+        ``_d2_pairs``, so the points are the floats of ``enumerate``.
         """
         reflected = (queries / D2_SCALE)[:, None, :] * D2_SIGNS
         r = radius / D2_SCALE + 1e-9 * (1.0 + np.abs(reflected).max(initial=0.0))
@@ -385,52 +413,57 @@ class D2Sheet:
                                    top[:, :, 1:, None] - offsets)
         keep = (i >= 0) & (j >= 0) & ((i - j) % 2 == 0)
         rows, signs = np.nonzero(keep)[:2]
-        i, j = i[keep], j[keep]
-        pairs = np.stack([i + _dyadic_fraction(j), j + _dyadic_fraction(i)], axis=1)
-        return pairs * D2_SIGNS[signs] * D2_SCALE, rows
+        return _d2_pairs(i[keep], j[keep]) * D2_SIGNS[signs] * D2_SCALE, rows
+
+
+D2 = D2Sheet  # the public name of the bit-reversal set
+
+
+def _d2_pairs(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The unscaled nonnegative D2 pairs (i + f(j), j + f(i)) of integer
+    arrays i, j of equal parity that broadcast together; exact."""
+    return np.stack([i + _dyadic_fraction(j), j + _dyadic_fraction(i)], axis=-1)
 
 
 def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
     """Nonnegative-quadrant representatives (x, y) with x <= xmax, y <= ymax."""
     if xmax < 0 or ymax < 0:
         return np.empty((0, 2))
-    # A pair is fixed by two integers: the sum of its 2^n over n >= 0, in
-    # [0, xmax], and the sum of its 2^-n over n < 0, in [0, ymax]; distinct
-    # subsets give distinct sums.  So there are at most
+    # x >= i and y >= j, so every pair comes from the integer grid
+    # i <= floor(xmax), j <= floor(ymax), i = j (mod 2): at most
     # (floor(xmax) + 1)(floor(ymax) + 1) pairs, and a request over budget is
     # refused before any is built.  Measured bound/actual ratios: 2.37 at
     # xmax = ymax = 7, 2.09 at 28 and 2.0001 at 5657 (D2 windows of radius
     # 10 and 2000), 2.7 at (1000, 3) and 4.0 at (0.5, 1e4).  The build
-    # peaks at about 70 bytes per pair (tracemalloc: 243 MiB for 3.6e6
-    # pairs at xmax = ymax = 2700).
+    # peaks at about 41 bytes per pair (tracemalloc: 1.26e6 pairs at
+    # xmax = ymax = 1590, 3.65e6 at 2700).
     limit = MAX_ENUMERATED_POINTS // 4
     if (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0) > limit:
         raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
-    # The positions n with 2^n <= xmax and 2^-n <= ymax are lo..hi, read
-    # exactly off the binary exponents.  A subset of them is an integer b of
-    # hi - lo + 1 bits, with x = b 2^lo and y = rev(b) 2^-hi, rev reversing
-    # those bits, so x <= xmax bounds b.  Under the budget hi - lo < 50 and
-    # every float is exact.  The pairs come in ascending b, the order that
-    # `d2_aligned_net` keeps in its CSV.
-    lo = 1 - math.frexp(ymax)[1]
-    hi = math.frexp(xmax)[1] - 1
-    b = np.arange(math.floor(math.ldexp(xmax, -lo)) + 1, dtype=np.int64)
-    rev = np.zeros_like(b)
-    for i in range(hi - lo + 1):
-        rev |= ((b >> i) & 1) << (hi - lo - i)
-    y = np.ldexp(rev.astype(float), -hi)
-    keep = y <= ymax
-    return np.stack([np.ldexp(b[keep].astype(float), lo), y[keep]], axis=1)
+    # Row i pairs with j = 2t + (i mod 2).  x = i + f(j) and f ignores bit
+    # 0 of j, so with t sorted once by f(2t) rows in ascending i list the
+    # pairs in ascending x, the order that `d2_aligned_net` keeps in its
+    # CSV.  An odd j past floor(ymax) has y > ymax and is dropped.
+    i = np.arange(math.floor(xmax) + 1)[:, None]
+    j = 2 * np.arange(math.floor(ymax) // 2 + 1)
+    j = j[np.argsort(_dyadic_fraction(j))]
+    pairs = np.empty((i.shape[0], j.size, 2))
+    pairs[0::2] = _d2_pairs(i[0::2], j)
+    pairs[1::2] = _d2_pairs(i[1::2], j + 1)
+    pairs = pairs.reshape(-1, 2)
+    return pairs[(pairs[:, 0] <= xmax) & (pairs[:, 1] <= ymax)]
 
 
 @dataclass(frozen=True, eq=False)
-class CutProjectSheet:
-    """Physical-space coordinates of grid points whose internal part is in the window."""
+class CutProjectSheet(PointSetSpec):
+    """Cut-and-project set: physical projections of the grid points whose
+    internal coordinates lie in [a, b)."""
 
     grid: LatticeSheet
     phys_basis: np.ndarray
     int_basis: np.ndarray
     window_interval: tuple
+    variant = "CutAndProject"
 
     def __post_init__(self):
         phys = np.asarray(self.phys_basis, dtype=float)
@@ -452,6 +485,15 @@ class CutProjectSheet:
     @property
     def dim(self) -> int:
         return self.phys_basis.shape[1]
+
+    def sheets(self):
+        return (self,)
+
+    def params(self) -> dict:
+        return {"grid": _grid_json(self.grid),
+                "phys_basis": self.phys_basis.tolist(),
+                "int_basis": self.int_basis.tolist(),
+                "window_interval": list(self.window_interval)}
 
     def _cut_corners(self, window: Window) -> np.ndarray:
         """Grid coordinates of the corners of the cut over the window: the
@@ -496,6 +538,9 @@ class CutProjectSheet:
         return u[cut], rows[cut]
 
 
+CutAndProject = CutProjectSheet  # the public name of a cut-and-project set
+
+
 # ---------------------------------------------------------------------------
 # Point-set specs
 # ---------------------------------------------------------------------------
@@ -510,25 +555,6 @@ def rotate_axis_map(j: int, n: int) -> np.ndarray:
         rot[j - 1, 0] = 1.0
         rot[0, j - 1] = -1.0
     return rot
-
-
-class PointSetSpec:
-    """Base class for the tagged point-set constructions."""
-
-    variant = ""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def sheets(self):
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        return {}
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "params": self.params()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,20 +644,6 @@ class ThreeGrid(PointSetSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class D2(PointSetSpec):
-    """The planar dyadic bit-reversal set meeting every aligned box of volume 1."""
-
-    variant = "D2"
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def sheets(self):
-        return (D2Sheet(),)
-
-
-@dataclass(frozen=True, eq=False)
 class GridUnion(PointSetSpec):
     """A finite union of lattice sheets (possibly empty)."""
 
@@ -661,44 +673,12 @@ def _grid_json(g: LatticeSheet) -> dict:
     return {"basis": g.basis.tolist(), "translation": g.shift.tolist()}
 
 
-@dataclass(frozen=True, eq=False)
-class CutAndProject(PointSetSpec):
-    """Cut-and-project set: physical projections of grid points with internal part in [a, b)."""
-
-    grid: LatticeSheet
-    phys_basis: np.ndarray
-    int_basis: np.ndarray
-    window_interval: tuple
-    variant = "CutAndProject"
-
-    def __post_init__(self):
-        sheet = CutProjectSheet(self.grid, self.phys_basis, self.int_basis,
-                                self.window_interval)
-        object.__setattr__(self, "phys_basis", sheet.phys_basis)
-        object.__setattr__(self, "int_basis", sheet.int_basis)
-        object.__setattr__(self, "window_interval", sheet.window_interval)
-        object.__setattr__(self, "_sheet", sheet)
-
-    @property
-    def dim(self) -> int:
-        return self._sheet.dim
-
-    def sheets(self):
-        return (self._sheet,)
-
-    def params(self) -> dict:
-        return {"grid": _grid_json(self.grid),
-                "phys_basis": self.phys_basis.tolist(),
-                "int_basis": self.int_basis.tolist(),
-                "window_interval": list(self.window_interval)}
-
-
-def default_cut_and_project() -> CutAndProject:
+def default_cut_and_project() -> CutProjectSheet:
     """Z^2 projected to the line y = x / (2*sqrt(3)), window of length 2 centered at 0."""
     slope = 1.0 / (2.0 * math.sqrt(3.0))
     phys = np.array([[1.0], [slope]]) / math.hypot(1.0, slope)
     internal = np.array([[-slope], [1.0]]) / math.hypot(1.0, slope)
-    return CutAndProject(LatticeSheet(np.eye(2), np.zeros(2)), phys, internal, (-1.0, 1.0))
+    return CutProjectSheet(LatticeSheet(np.eye(2), np.zeros(2)), phys, internal, (-1.0, 1.0))
 
 
 def integer_lattice(dim: int = 2) -> GridUnion:

@@ -257,6 +257,21 @@ def test_mingap_json(tmp_path):
     assert json.loads(out.read_text())["min_gap"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("C", ["inf", "nan", "-1"])
+def test_net_bad_C_is_argument_error(tmp_path, capsys, C):
+    assert run("net", "--method", "hw", "--eps", "0.1", "--C", C,
+               "--out", str(tmp_path / "net.csv")) == 2
+    assert "C must be positive" in capsys.readouterr().err
+
+
+def test_generate_spec_help_names_what_it_takes(capsys):
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["generate", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "preset name or path to a spec JSON file" in out
+    assert "JSON document" not in out
+
+
 def test_net_and_verify_net_pipeline(tmp_path):
     net_out = tmp_path / "net.csv"
     assert run("net", "--method", "d2", "--eps", "0.02",

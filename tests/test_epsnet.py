@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import denseforest.epsnet as epsnet
 from denseforest.epsnet import (Net, d2_aligned_net, hw_net,
                                 sample_aligned_box, sample_rotated_box,
                                 slab_lower_bound, verify_net)
@@ -46,6 +48,12 @@ class TestHWNet:
         with pytest.raises(ResourceLimitError):
             hw_net(1e-8, d=2, C=16.0, seed=0)
 
+    @pytest.mark.parametrize("eps, C", [(1e-310, 16.0), (0.1, 1e308)])
+    def test_overflowing_size_is_a_resource_limit(self, eps, C):
+        # C / eps overflows to inf, which math.ceil cannot take.
+        with pytest.raises(ResourceLimitError):
+            hw_net(eps, d=2, C=C, seed=0)
+
     def test_validation(self):
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
@@ -54,6 +62,43 @@ class TestHWNet:
             hw_net(0.5, d=2, C=0.0, seed=0)
         with pytest.raises(ValueError):
             hw_net(0.5, d=0, C=1.0, seed=0)
+
+    @pytest.mark.parametrize("C", [math.inf, -math.inf, math.nan])
+    def test_non_finite_C_is_refused(self, C):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            hw_net(0.5, d=2, C=C, seed=0)
+
+    # eps 0.1, C 10 gives ceil(100 ln 10) = 231 points.
+    SIZE = 231
+
+    def test_planar_budget_counts_points(self, monkeypatch):
+        monkeypatch.setattr(epsnet, "MAX_NET_SIZE", self.SIZE)
+        assert hw_net(0.1, d=2, C=10.0, seed=0).size == self.SIZE
+        assert hw_net(0.1, d=1, C=10.0, seed=0).size == self.SIZE
+        monkeypatch.setattr(epsnet, "MAX_NET_SIZE", self.SIZE - 1)
+        with pytest.raises(ResourceLimitError):
+            hw_net(0.1, d=2, C=10.0, seed=0)
+
+    def test_budget_counts_coordinates(self, monkeypatch):
+        # 231 points in dimension 200 are 46,200 coordinates: just under a
+        # budget of 23,100 planar points, and refused one point lower.
+        monkeypatch.setattr(epsnet, "MAX_NET_SIZE", self.SIZE * 100)
+        assert hw_net(0.1, d=200, C=10.0, seed=0).points.shape == (self.SIZE, 200)
+        monkeypatch.setattr(epsnet, "MAX_NET_SIZE", self.SIZE * 100 - 1)
+        with pytest.raises(ResourceLimitError):
+            hw_net(0.1, d=200, C=10.0, seed=0)
+
+    def test_high_dimension_refused_before_the_draw(self, monkeypatch):
+        # The draw would hold 231 x 10^5 floats (185 MB); nothing is drawn.
+        monkeypatch.setattr(epsnet, "MAX_NET_SIZE", 10 ** 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                hw_net(0.1, d=10 ** 5, C=10.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestD2Net:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import denseforest.generators as generators
 from denseforest.errors import ResourceLimitError
 from denseforest.generators import (D2, D2_SCALE, CutAndProject,
+                                    CutProjectSheet, D2Sheet,
                                     _d2_nonneg_pairs,
                                     GeneralizedPeres, Grid, GridUnion,
                                     PeresForest, SequenceSpec, ThreeGrid,
@@ -191,8 +192,8 @@ class TestEnumeration:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         assert len(enumerate_points(D2(), Window.cube(8.0, 2))) > 50
 
-    # Exact powers of two and the floats just below them, where the exponent
-    # range read off math.frexp would be off by one if it were wrong.
+    # Exact powers of two and the floats just below them, where the digits
+    # that fit under xmax and ymax change.
     POWERS = [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (4.0, 4.0)]
     BELOW = [(float(np.nextafter(x, 0.0)) if lower_x else x,
               float(np.nextafter(y, 0.0)) if lower_y else y)
@@ -220,6 +221,23 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
+
+    def test_d2_pairs_peak_memory(self):
+        # The grid build peaks at about 41 bytes per pair; the bit reversal
+        # it replaced peaked at 64.
+        tracemalloc.start()
+        try:
+            n = _d2_nonneg_pairs(1590.0, 1590.0).shape[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n > 10 ** 6
+        assert peak < 56 * n
+
+    def test_d2_has_no_dimension_field(self):
+        with pytest.raises(TypeError):
+            D2Sheet(dim=3)
+        assert D2Sheet().dim == 2
 
     def test_window_monotone(self):
         for spec in (PeresForest(), ThreeGrid(), D2(),
@@ -393,6 +411,31 @@ class TestSerialization:
         assert clone.variant == spec.variant
         w = Window.cube(3.0, spec.dim)
         assert np.allclose(enumerate_points(spec, w), enumerate_points(clone, w))
+
+    # The spec JSON of the one-sheet constructions, as written before they
+    # became their own sheets.
+    ONE_SHEET_JSON = {
+        "D2": '{"params": {}, "variant": "D2"}',
+        "CutAndProject": (
+            '{"params": {"grid": {"basis": [[1.0, 0.0], [0.0, 1.0]], '
+            '"translation": [0.0, 0.0]}, '
+            '"int_basis": [[-0.27735009811261463], [0.9607689228305228]], '
+            '"phys_basis": [[0.9607689228305228], [0.27735009811261463]], '
+            '"window_interval": [-1.0, 1.0]}, "variant": "CutAndProject"}'),
+    }
+
+    @pytest.mark.parametrize("spec", [D2(), default_cut_and_project()],
+                             ids=lambda s: s.variant)
+    def test_one_sheet_spec_is_its_sheet(self, spec):
+        assert spec.sheets() == (spec,)
+        assert isinstance(spec, (D2Sheet, CutProjectSheet))
+        text = json.dumps(spec_to_json(spec), sort_keys=True)
+        assert text == self.ONE_SHEET_JSON[spec.variant]
+        clone = spec_from_json(json.loads(text))
+        assert json.dumps(spec_to_json(clone), sort_keys=True) == text
+
+    def test_one_sheet_names_are_aliases(self):
+        assert D2 is D2Sheet and CutAndProject is CutProjectSheet
 
     def test_load_spec_from_path(self, tmp_path):
         path = tmp_path / "spec.json"

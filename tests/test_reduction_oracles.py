@@ -53,6 +53,11 @@ builds the whole grid.
 `_tsokanos_values` evaluates every dyadic block with one body; its oracle
 is the former function with three branches.
 
+`_d2_nonneg_pairs` builds the D2 pairs (i + f(j), j + f(i)) over a grid of
+integers i, j of equal parity; its oracle is the former bit reversal of
+every integer b below xmax 2^-lo, the positions lo..hi read off
+`math.frexp`.
+
 `halton` is a numpy radical inverse; its oracle is scipy's
 `qmc.Halton(d, scramble=False)`, which the program no longer imports.
 `write_points_csv` formats a chunk of rows with one %-operation; its oracle
@@ -95,6 +100,7 @@ from denseforest.generators import (D2, D2_SCALE, CutAndProject,
                                     GeneralizedPeres, Grid,
                                     GridUnion, LatticeSheet, PeresForest,
                                     SequenceSheet, ThreeGrid,
+                                    _d2_nonneg_pairs,
                                     _tsokanos_values, canonicalize_points,
                                     concat_linear_sequence,
                                     default_cut_and_project, enumerate_points,
@@ -1683,3 +1689,44 @@ class TestTsokanosOracle:
     def test_seeded_int64_indices(self):
         ns = np.random.default_rng(7).integers(1, 2 ** 63 - 2, size=2 ** 16)
         assert_same_array(_tsokanos_values(ns), former_tsokanos_values(ns))
+
+
+def former_d2_nonneg_pairs(xmax, ymax):
+    """`_d2_nonneg_pairs` as a bit reversal: x = b 2^lo, y = rev(b) 2^-hi."""
+    if xmax < 0 or ymax < 0:
+        return np.empty((0, 2))
+    limit = generators.MAX_ENUMERATED_POINTS // 4
+    if (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0) > limit:
+        raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
+    lo = 1 - math.frexp(ymax)[1]
+    hi = math.frexp(xmax)[1] - 1
+    b = np.arange(math.floor(math.ldexp(xmax, -lo)) + 1, dtype=np.int64)
+    rev = np.zeros_like(b)
+    for i in range(hi - lo + 1):
+        rev |= ((b >> i) & 1) << (hi - lo - i)
+    y = np.ldexp(rev.astype(float), -hi)
+    keep = y <= ymax
+    return np.stack([np.ldexp(b[keep].astype(float), lo), y[keep]], axis=1)
+
+
+# Exact powers of two and the float just below each, where the digit
+# ranges of either construction change.
+D2_POWERS = [math.ldexp(1.0, k) for k in range(-4, 9)]
+D2_EDGES = D2_POWERS + [float(np.nextafter(p, 0.0)) for p in D2_POWERS]
+
+
+class TestD2PairsOracle:
+    @given(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
+    @settings(max_examples=150, deadline=None)
+    def test_random_reach(self, xmax, ymax):
+        assert_same_array(_d2_nonneg_pairs(xmax, ymax), former_d2_nonneg_pairs(xmax, ymax))
+
+    @pytest.mark.parametrize("xmax", D2_EDGES)
+    def test_powers_of_two(self, xmax):
+        for ymax in D2_EDGES:
+            assert_same_array(_d2_nonneg_pairs(xmax, ymax),
+                              former_d2_nonneg_pairs(xmax, ymax))
+
+    @pytest.mark.parametrize("xmax, ymax", [(1e4, 0.5), (0.5, 1e4)])
+    def test_long_thin_reach(self, xmax, ymax):
+        assert_same_array(_d2_nonneg_pairs(xmax, ymax), former_d2_nonneg_pairs(xmax, ymax))
