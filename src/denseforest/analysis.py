@@ -8,6 +8,7 @@ searches whose sampling parameters are recorded in the returned reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +18,8 @@ from .errors import ResourceLimitError
 from .generators import (LatticeSheet, PointSetSpec, SequenceSpec,
                          enumerate_points)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
-                       halton, point_coords, sample_probes, sample_segments)
-
-# scipy.spatial (about 0.45 s to import) is imported inside the functions
-# that build a KD-tree, so that importing the CLI loads numpy alone.
+                       halton, point_coords, run_pairs, sample_probes,
+                       sample_segments)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
 # x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
@@ -28,7 +27,17 @@ from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
 # (200 points, 4.14M units in 0.174 s on a 2-vCPU Xeon) measured 2.38e7
 # units/s, so a call at the cap runs about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
+# Grid nodes of the d >= 2 dispersion bound.  Its cover table peaks at 16
+# bytes a node (the int64 counts and one bincount of box corners), 4.2 MB
+# at 2^18 nodes.  At 2^18 nodes and d = 2-4 on a 2-vCPU Xeon, one cover
+# pass took 6-8 ms for 200 points and 10-16 ms for 10^4, and `dispersion`
+# took 13-20 ms and 25-56 ms.
 DISPERSION_GRID_BUDGET = 2 ** 18
+# Grid nodes whose exact nearest distance each round of `_grid_bound`
+# computes, and the (node, point) or (point, corner) pairs one block of its
+# brute-force distances or of its cover table may hold.
+GRID_BOUND_SAMPLE = 64
+GRID_BOUND_CELLS = 2 ** 16
 # Cells (twist rows x span indices x d) per block of the SUD window scan,
 # so a block holds max(1, SUD_BLOCK_CELLS // (span * d)) rows whatever N
 # is.  At N = 2^14 and m_max = 64 a span has 16,448 indices, a block has
@@ -53,8 +62,8 @@ UDT_CHUNK_ROWS = 2 ** 16
 # and bounds nothing).  On the three-grid a quarter ran fastest at r = 100
 # and r = 200; 1/8 and 1/16 pruned almost no direction.
 STRIP_COARSE_SHARE = 0.25
-# Points whose nearest-neighbour distance gives min_gap its search radius.
-MIN_GAP_SEED_POINTS = 64
+# Candidate pairs whose distances `_min_gap` computes at a time.
+MIN_GAP_PAIR_BLOCK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +177,104 @@ def dispersion(points) -> DispersionReport:
         value = max(float(u[0]), float(1.0 - u[-1]), gap / 2.0)
         return DispersionReport(N=n, value=value, exact=True)
     m = max(2, int(round(DISPERSION_GRID_BUDGET ** (1.0 / d))))
-    nodes = cartesian(*[np.linspace(0.0, 1.0, m)] * d)
-    return DispersionReport(N=n, value=_grid_bound(arr, nodes), exact=False,
-                            grid_resolution=1.0 / (m - 1))
+    return DispersionReport(N=n, value=_grid_bound(arr, [np.linspace(0.0, 1.0, m)] * d),
+                            exact=False, grid_resolution=1.0 / (m - 1))
 
 
-def _grid_bound(pts: np.ndarray, nodes: np.ndarray) -> float:
-    """The largest sup-norm distance from a grid node to its nearest point."""
-    from scipy.spatial import cKDTree
-    dists, _ = cKDTree(pts).query(nodes, k=1, p=np.inf)
-    return float(np.max(dists))
+def _grid_bound(pts: np.ndarray, axes) -> float:
+    """The largest sup-norm distance from a node of the grid ``axes`` (one
+    ascending array per coordinate; the nodes are their Cartesian product)
+    to its nearest point.
+
+    A node's distance to a point is max_k |a_k - p_k|, each term one rounded
+    subtraction, so its nearest distance is exact in any order of work.  The
+    bound is first the largest nearest distance over a strided subgrid of
+    about GRID_BOUND_SAMPLE nodes (8 an axis at d = 2).  Every node that
+    `_covered` marks within the bound of a point has nearest distance at
+    most the bound, so only the nodes left need their own distance: a
+    strided sample of at most GRID_BOUND_SAMPLE of them raises the bound,
+    which then covers each sampled node, until no node is left.  The result
+    is the float a KD-tree query of every node (``p=inf``) returns.
+    """
+    shape = tuple(a.size for a in axes)
+    per_axis = max(2, round(GRID_BOUND_SAMPLE ** (1.0 / len(shape))))
+    flat = np.ravel_multi_index(
+        np.ix_(*[np.arange(0, m, -(-m // per_axis)) for m in shape]), shape).ravel()
+    best = 0.0
+    while flat.size:
+        nodes = np.stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))],
+                         axis=1)
+        best = max(best, float(np.max(_nearest_sup(nodes, pts))))
+        free = np.flatnonzero(~_covered(axes, pts, best))
+        flat = free[::-(-free.size // GRID_BOUND_SAMPLE)] if free.size else free
+    return best
+
+
+def _nearest_sup(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from each node to its nearest point, by brute force
+    over blocks of at most GRID_BOUND_CELLS (node, point) pairs."""
+    out = np.empty(nodes.shape[0])
+    step = max(1, GRID_BOUND_CELLS // pts.shape[0])
+    for lo in range(0, nodes.shape[0], step):
+        block = nodes[lo:lo + step]
+        dist = np.abs(block[:, :1] - pts[:, 0])
+        for k in range(1, pts.shape[1]):
+            np.maximum(dist, np.abs(block[:, k:k + 1] - pts[:, k]), out=dist)
+        out[lo:lo + step] = np.min(dist, axis=1)
+    return out
+
+
+def _first_index(a: np.ndarray, guess: np.ndarray, after) -> np.ndarray:
+    """Per point, the first index i of the axis a at which after(a[i]) holds.
+
+    after maps one axis value per point to whether that point's index is
+    reached; along a it is false and then true.  guess is within a few
+    steps of the answer."""
+    i = guess
+    last = a.size - 1
+    while True:
+        down = (i > 0) & after(a[np.maximum(i - 1, 0)])
+        up = (i <= last) & ~after(a[np.minimum(i, last)])
+        if not (down.any() or up.any()):
+            return i
+        i = i + up - down
+
+
+def _covered(axes, pts: np.ndarray, r: float) -> np.ndarray:
+    """The flat mask of grid nodes within sup-norm distance r >= 0 of a point.
+
+    On each axis a, the nodes with |a_i - p| <= r (one rounded subtraction,
+    monotone in a_i) form one index range [lo, hi).  ``searchsorted`` at
+    p - r and p + r finds it up to rounding, and each end is then moved
+    until the float distances decide it, so the mask is exact.  Each point
+    adds its box of ranges to a difference table at the box's 2^d corners
+    (a corner past the grid's end changes no node), and one ``cumsum`` per
+    axis turns the table into per-node counts of covering points.
+    """
+    shape = tuple(a.size for a in axes)
+    d = len(shape)
+    ends = []
+    for a, p in zip(axes, pts.T):
+        lo = _first_index(a, np.searchsorted(a, p - r),
+                          lambda v: (v >= p) | (p - v <= r))
+        hi = _first_index(a, np.searchsorted(a, p + r, side="right"),
+                          lambda v: (v > p) & (v - p > r))
+        ends.append((lo, hi))
+    table = np.zeros(math.prod(shape), dtype=np.int64)
+    step = max(1, GRID_BOUND_CELLS // 2 ** d)
+    for start in range(0, pts.shape[0], step):
+        signed = ([], [])
+        for corner in itertools.product((0, 1), repeat=d):
+            idx = [ends[k][c][start:start + step] for k, c in enumerate(corner)]
+            inside = np.all([i < m for i, m in zip(idx, shape)], axis=0)
+            signed[sum(corner) % 2].append(
+                np.ravel_multi_index([i[inside] for i in idx], shape))
+        table += np.bincount(np.concatenate(signed[0]), minlength=table.size)
+        table -= np.bincount(np.concatenate(signed[1]), minlength=table.size)
+    grid = table.reshape(shape)
+    for k in range(d):
+        np.cumsum(grid, axis=k, out=grid)
+    return table > 0
 
 
 def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
@@ -190,13 +287,21 @@ def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _toroidal_dispersion(pts: np.ndarray) -> float:
-    """Toroidal sup-norm dispersion grid bound of one point set in [0,1)^d, d >= 2."""
+    """Toroidal sup-norm dispersion grid bound of one point set in [0,1)^d, d >= 2.
+
+    The grid bound is taken over the 3^d copies of the points shifted by
+    -1, 0 or 1 per axis.  Every node lies within 1/2 of a copy, per axis
+    the nearest shift of its point, whose coordinates then lie in
+    [-1/2, 3/2]; a copy with a coordinate more than 1/2 + 1e-9 outside
+    [0, 1] is farther than 1/2 from every node in [0, 1), so dropping it
+    leaves every nearest distance as it is.
+    """
     n, d = pts.shape
     offsets = cartesian(*[np.array([-1.0, 0.0, 1.0])] * d)
     tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
+    tiled = tiled[np.all(np.abs(tiled - 0.5) <= 1.0 + 1e-9, axis=1)]
     m = max(2, int(round(4096 ** (1.0 / d))))
-    nodes = cartesian(*[np.linspace(0.0, 1.0, m, endpoint=False)] * d)
-    return _grid_bound(tiled, nodes)
+    return _grid_bound(tiled, [np.linspace(0.0, 1.0, m, endpoint=False)] * d)
 
 
 def _window_dispersions(w: np.ndarray) -> np.ndarray:
@@ -1037,25 +1142,82 @@ def min_gap(spec: PointSetSpec, window: Window) -> float:
 def _min_gap(pts: np.ndarray) -> float:
     """Minimum pairwise Euclidean distance among two or more points.
 
-    The nearest-neighbour distance r of any point bounds the minimum, here
-    the least among the first `MIN_GAP_SEED_POINTS` points.  So the query of
-    every point searches only the radius r (1 + 1e-9) around it, the
-    bounded best-match search of Friedman, Bentley and Finkel (ACM TOMS
-    1977), and a point with no neighbour that close reports inf.  A found
-    distance is computed from the two points' coordinates whatever the
-    tree's shape or the search radius, so the minimum is the float an
-    unbounded query gives; the 1e-9 keeps the square and root of r from
-    dropping the pair that attains it.  r = 0 (a repeated point) is the
+    Any pair's distance bounds the minimum: r is the least distance between
+    consecutive rows, which are near pairs when the rows are sorted, as
+    enumerated points are.  A pair no farther apart than r differs by at
+    most r on every axis, so it lies in one cell or in two neighbouring
+    cells of a grid of side r (1 + 1e-9): the fixed-radius cell method of
+    Bentley, Stanat and Williams (IPL 1977).  The points are sorted by cell
+    key once, and ``searchsorted`` finds each cell's forward neighbours.
+    Every distance is the left-to-right sum of squared differences and then
+    its square root, the floats a KD-tree query returns (its sum runs left
+    to right below 8 dimensions), so the minimum is the float an unbounded
+    nearest-neighbour query gives.  r = 0 (a repeated point) is the
     minimum.
-    """
-    from scipy.spatial import cKDTree
 
-    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-    r = float(np.min(tree.query(pts[:MIN_GAP_SEED_POINTS], k=2)[0][:, 1]))
-    if r == 0.0:
+    A cell coordinate (x - lo) / side below 2^20 is computed with an error
+    far below the 1e-9 margin, so such a pair's cells differ by at most one
+    per axis.  Cell keys number the cells of a grid padded by one on each
+    side, so a neighbour key never stands for another cell, and they must
+    fit in int64: when (extent / r)^d would exceed either limit, the cells
+    are made coarser, which keeps every pair they held.
+    """
+    r2 = float(np.min(_squared_distances(pts[:-1], pts[1:])))
+    if r2 == 0.0:
         return 0.0
-    dists, _ = tree.query(pts, k=2, distance_upper_bound=r * (1.0 + 1e-9))
-    return float(np.min(dists[:, 1]))
+    n, d = pts.shape
+    lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
+    per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
+    side = max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
+    # Cell coordinates floor((x - lo) / side) + 1 are monotone in x, so the
+    # largest is the extent's; the keys are built axis by axis, row-major.
+    dims = np.floor(extent / side).astype(np.int64) + 3
+    keys = np.zeros(n, dtype=np.int64)
+    for k in range(d):
+        keys *= dims[k]
+        keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pts = pts[order]
+    del order
+    # Sorted by key, a cell's later points and the next cell along the last
+    # axis are one run of rows, and so are the three cells along the last
+    # axis of each forward row of neighbours.
+    best = _least_in_ranges(pts, np.arange(1, n + 1),
+                            np.searchsorted(keys, keys + 1, side="right"))
+    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
+    for lead in itertools.product((-1, 0, 1), repeat=d - 1):
+        if lead > (0,) * (d - 1):
+            row = int(np.dot(lead, strides[:-1]))
+            best = min(best, _least_in_ranges(
+                pts, np.searchsorted(keys, keys + (row - 1)),
+                np.searchsorted(keys, keys + (row + 1), side="right")))
+    return math.sqrt(min(r2, best))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise squared Euclidean distances, summed left to right."""
+    total = (a[:, 0] - b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        total += (a[:, k] - b[:, k]) ** 2
+    return total
+
+
+def _least_in_ranges(pts: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
+    """Least squared distance from each row i to the rows start[i] <= j <
+    stop[i], in blocks of at most MIN_GAP_PAIR_BLOCK pairs; inf if none."""
+    count = stop - start
+    ends = np.cumsum(np.maximum(count, 0, out=count))
+    del count
+    cuts = np.searchsorted(ends, np.arange(MIN_GAP_PAIR_BLOCK, int(ends[-1]),
+                                           MIN_GAP_PAIR_BLOCK), side="right")
+    best = math.inf
+    for lo, hi in zip(np.append(0, cuts), np.append(cuts, start.size)):
+        rows, cols = run_pairs(start[lo:hi], stop[lo:hi])
+        if rows.size:
+            best = min(best, float(np.min(_squared_distances(pts[rows + lo], pts[cols]))))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -1075,9 +1237,16 @@ def _inflate_to_volume(box: AlignedBox, target: float) -> AlignedBox:
         half = half.copy()
         half[flat] = fill ** (1.0 / int(flat.sum())) / 2.0
     vol = float(np.prod(2.0 * half))
-    # Slight overshoot keeps the product >= target despite rounding.
+    # Slight overshoot keeps the product >= target despite rounding.  A side
+    # that is short against its coordinates loses more to the rounding of
+    # its bounds, so such a box grows again by what it still lacks.
     scale = max((target / vol) ** (1.0 / box.dim), 1.0) * (1.0 + 1e-12)
-    return AlignedBox.from_bounds(center - half * scale, center + half * scale)
+    for _ in range(3):
+        out = AlignedBox.from_bounds(center - half * scale, center + half * scale)
+        if not 0.0 < out.volume < target:
+            break
+        scale *= (target / out.volume) ** (1.0 / box.dim) * (1.0 + 1e-12)
+    return out
 
 
 def _best_aligned_box(pts: np.ndarray, eps: float):

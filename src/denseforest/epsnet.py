@@ -4,24 +4,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .generators import D2Sheet
-from .geometry import AlignedBox, RotatedBox, Window, box_json
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
+from .geometry import AlignedBox, RotatedBox, Window, box_json, run_pairs
 
 MAX_NET_SIZE = 10 ** 7
 ASPECT_CAP = 2.0 ** 10
 # verify_net draws and checks boxes in chunks of this many, so its memory
 # does not grow with the number of trials.
 CHUNK_BOXES = 4096
-# Each sampled box first tests this many net points nearest its centre.
-NEAREST_CANDIDATES = 8
+# Each sampled box first tests the net points in the 3 x 3 cells around its
+# centre, for this many boxes at a time and at most CELL_RUN_POINTS points
+# from each row of 3 cells, so the candidate arrays stay near 1 MB.
+CERTIFY_BOXES = 512
+CELL_RUN_POINTS = 32
 # How far inside a rotated box, in its own frame, a point must lie to
 # certify a hit without the full-net product.
 ROTATED_HIT_MARGIN = 1e-9
@@ -41,14 +40,17 @@ class Net:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise ValueError("net points must form an (N, d) array")
-        if pts.size and (np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12)):
+        if pts.size and (pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12):
             raise ValueError("net points must lie in the unit cube")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.method not in ("HausslerWelzl", "D2Aligned"):
             raise ValueError(f"unknown net method: {self.method!r}")
-        pts = pts.copy()
-        pts.setflags(write=False)
+        # A read-only array that owns its memory is kept as it is: no view
+        # of it can write, so hw_net and d2_aligned_net hand over theirs.
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
@@ -94,6 +96,7 @@ def hw_net(eps: float, d: int, C: float, seed: int) -> Net:
                                  f"the limit of {2 * MAX_NET_SIZE} coordinates")
     size = math.ceil(size)
     pts = np.random.default_rng(seed).random((size, d))
+    pts.setflags(write=False)
     return Net(points=pts, epsilon=float(eps), method="HausslerWelzl")
 
 
@@ -110,8 +113,9 @@ def d2_aligned_net(eps: float) -> Net:
     reach = 1.0 / scale
     raw = D2Sheet().enumerate(Window([-1e-9, -1e-9], [reach + 1e-9, reach + 1e-9]))
     scaled = raw * scale
-    keep = np.all((scaled >= 0.0) & (scaled <= 1.0), axis=1)
-    return Net(points=scaled[keep], epsilon=float(eps), method="D2Aligned")
+    pts = scaled[np.all((scaled >= 0.0) & (scaled <= 1.0), axis=1)]
+    pts.setflags(write=False)
+    return Net(points=pts, epsilon=float(eps), method="D2Aligned")
 
 
 def _feasible_aspect(volume: float, rng) -> float:
@@ -184,9 +188,39 @@ _SAMPLERS = {"aligned": (_draw_aligned_box, _aligned_box),
              "rotated": (_draw_rotated_box, _rotated_box)}
 
 
-def _certified_hits(points: np.ndarray, tree: cKDTree, rows: np.ndarray,
-                    rotated: bool) -> np.ndarray:
-    """Boxes (rows of drawn floats) that one of their nearest net points lies in.
+class _CellIndex:
+    """The net points sorted into a g x g grid of cells over [0,1]^2.
+
+    g = floor(sqrt(size / 4)) gives about four points a cell; at one a cell,
+    verify_net left several times more boxes to the full-net check.  Cell
+    (i, j) has key (i + 1)(g + 2) + j + 1, so a border of empty cells
+    surrounds the grid and the cells (i, j - 1 .. j + 1) are one run of
+    sorted points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.g = max(1, math.isqrt(points.shape[0] // 4))
+        keys = self.keys(points)
+        order = np.argsort(keys, kind="stable")
+        self.points = points[order]
+        self.starts = np.searchsorted(keys[order], np.arange((self.g + 2) ** 2 + 1))
+
+    def keys(self, xy: np.ndarray) -> np.ndarray:
+        cell = np.clip(np.floor(xy * self.g), 0, self.g - 1).astype(np.int64) + 1
+        return cell[:, 0] * (self.g + 2) + cell[:, 1]
+
+    def near(self, centres: np.ndarray):
+        """(rows, candidate points): the points of the 3 x 3 cells around each
+        centre, at most CELL_RUN_POINTS from each row of 3 cells."""
+        runs = self.keys(centres)[:, None] + (self.g + 2) * np.arange(-1, 2)
+        start = self.starts[runs - 1].ravel()
+        stop = np.minimum(self.starts[runs + 2].ravel(), start + CELL_RUN_POINTS)
+        rows, cols = run_pairs(start, stop)
+        return rows // 3, self.points[cols]
+
+
+def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.ndarray:
+    """Boxes (rows of drawn floats) that a net point near their centre lies in.
 
     True is a hit that ``box.contains(points)`` also finds; False decides
     nothing.  Aligned boxes compare with the box's own bounds, so the test
@@ -194,21 +228,24 @@ def _certified_hits(points: np.ndarray, tree: cKDTree, rows: np.ndarray,
     whose rounding depends on the row count, so a point certifies it only
     ROTATED_HIT_MARGIN inside, far beyond any rounding of that product.
     """
-    k = min(NEAREST_CANDIDATES, points.shape[0])
-    _, idx = tree.query(rows[:, :2], k=k)
-    near = points[idx.reshape(rows.shape[0], k)]
-    x = near[:, :, 0]
-    y = near[:, :, 1]
-    cx, cy, hw, hh = (rows[:, j, None] for j in range(4))
-    if not rotated:
-        return np.any((x >= cx - hw) & (x <= cx + hw)
-                      & (y >= cy - hh) & (y <= cy + hh), axis=1)
-    c = np.cos(rows[:, 4, None])
-    s = np.sin(rows[:, 4, None])
-    u = (x - cx) * c + (y - cy) * s
-    v = (y - cy) * c - (x - cx) * s
-    return np.any((np.abs(u) <= hw - ROTATED_HIT_MARGIN)
-                  & (np.abs(v) <= hh - ROTATED_HIT_MARGIN), axis=1)
+    hits = np.zeros(rows.shape[0], dtype=bool)
+    for lo in range(0, rows.shape[0], CERTIFY_BOXES):
+        chunk = rows[lo:lo + CERTIFY_BOXES]
+        box, near = index.near(chunk[:, :2])
+        x = near[:, 0]
+        y = near[:, 1]
+        cx, cy, hw, hh = (chunk[box, j] for j in range(4))
+        if not rotated:
+            inside = (x >= cx - hw) & (x <= cx + hw) & (y >= cy - hh) & (y <= cy + hh)
+        else:
+            c = np.cos(chunk[:, 4])[box]
+            s = np.sin(chunk[:, 4])[box]
+            u = (x - cx) * c + (y - cy) * s
+            v = (y - cy) * c - (x - cx) * s
+            inside = ((np.abs(u) <= hw - ROTATED_HIT_MARGIN)
+                      & (np.abs(v) <= hh - ROTATED_HIT_MARGIN))
+        hits[lo + box[inside]] = True
+    return hits
 
 
 def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
@@ -216,21 +253,19 @@ def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
     """Yield (rows, hits) for each chunk of the sampled boxes, in order.
 
     rows holds each box's drawn floats and hits whether it contains a net
-    point.  A box no nearest point certifies is decided by
+    point.  A box no point near its centre certifies is decided by
     ``box.contains(net.points)`` over the whole net.
     """
-    from scipy.spatial import cKDTree
-
     draw, make = _SAMPLERS[box_sampler]
     rng = np.random.default_rng(seed)
-    tree = cKDTree(net.points) if net.size else None
+    index = _CellIndex(net.points) if net.size else None
     for start in range(0, trials, CHUNK_BOXES):
         count = min(CHUNK_BOXES, trials - start)
         rows = np.array([draw(volume, rng) for _ in range(count)])
-        if tree is None:
+        if index is None:
             yield rows, np.zeros(count, dtype=bool)
             continue
-        hits = _certified_hits(net.points, tree, rows, box_sampler == "rotated")
+        hits = _certified_hits(index, rows, box_sampler == "rotated")
         for i in np.flatnonzero(~hits):
             hits[i] = bool(np.any(make(*rows[i]).contains(net.points)))
         yield rows, hits

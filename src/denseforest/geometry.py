@@ -25,6 +25,15 @@ def cartesian(*axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def run_pairs(start: np.ndarray, stop: np.ndarray):
+    """Every (i, j) with start[i] <= j < stop[i], as two index arrays in
+    ascending order of i and then j; an empty run gives no pair."""
+    count = np.maximum(stop - start, 0)
+    rows = np.repeat(np.arange(count.size), count)
+    cols = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(rows.size)
+    return rows, cols
+
+
 def _vector(values, name):
     arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
     if arr.ndim != 1 or arr.size < 1:

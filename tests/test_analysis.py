@@ -433,6 +433,15 @@ class TestHeavyBox:
         with pytest.raises(ValueError, match="too small"):
             heavy_box(pts, eps, rotation_samples=2)
 
+    def test_long_thin_box_reaches_eps(self):
+        # The best box of these points is 1.7e-13 wide at x = 1; inflated to
+        # volume 0.01 its width is 4.5e-8, and rounding its bounds near 1
+        # took 2e-9 of the volume, which a second growth step restores.
+        pts = np.array([[1.0000000000003366, -2.166059424021407e-13],
+                        [1.000000000000507, 0.8571428571428571]])
+        box, count = heavy_box(pts, 0.01)
+        assert box.volume >= 0.01 and count == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             heavy_box(np.empty((0, 2)), 0.1)

@@ -380,18 +380,48 @@ def test_benchmark_tracer_counts_csv_rows(tmp_path):
         assert len((tmp_path / name).read_text().splitlines()) == count + 1
 
 
-def test_cli_import_loads_no_scipy_stats_or_spatial():
-    # scipy.stats and scipy.spatial take about 1.2 s and 0.45 s to import;
-    # the CLI imports neither until a command builds a KD-tree.
+# Runs every command of perfbench's workloads at their smoke size in one
+# process, with scipy blocked when the first argument is "blocked", and
+# prints the scipy modules that were loaded.
+WITHOUT_SCIPY = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[2])
+from pathlib import Path
+import workloads
+from denseforest.cli import run
+for name in workloads.NAMES:
+    load = workloads.build(name, 1, "smoke")
+    workloads.prepare_inputs(load, 1, Path.cwd(), "smoke")
+    for command in load.commands:
+        code = run(list(command.argv))
+        if code:
+            raise SystemExit(f"{command.name} exited with {code}")
+print(sorted(m for m, module in sys.modules.items()
+             if m.startswith("scipy") and module is not None))
+"""
+
+
+def test_cli_import_loads_no_scipy_stats_or_spatial(tmp_path):
+    # The runtime needs numpy alone: with scipy blocked, every subcommand
+    # perfbench runs exits 0 and writes the bytes of an unblocked run.
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = ("import denseforest.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.strip()
-    assert "scipy.stats" not in loaded and "scipy.spatial" not in loaded
+    outputs = {}
+    for mode in ("blocked", "open"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, mode,
+                               str(SPANS.parent)], cwd=tmp_path / mode, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        outputs[mode] = {path.relative_to(tmp_path / mode): path.read_bytes()
+                         for path in sorted((tmp_path / mode).rglob("*"))
+                         if path.is_file()}
+    assert len(outputs["blocked"]) > 20
+    assert outputs["blocked"] == outputs["open"]
     for path in (src / "denseforest").glob("*.py"):
-        assert "scipy.stats" not in path.read_text(), path.name
+        assert "import scipy" not in path.read_text(), path.name
+        assert "from scipy" not in path.read_text(), path.name

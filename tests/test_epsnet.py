@@ -31,6 +31,18 @@ class TestNetType:
         with pytest.raises(ValueError):
             Net(points=np.array([[0.5, 0.5]]), epsilon=0.5, method="Other")
 
+    def test_caller_array_is_copied(self):
+        # Writing the caller's array, or the base of a read-only view of
+        # it, leaves the net as it was built.
+        pts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        view = pts[:]
+        view.setflags(write=False)
+        nets = [Net(points=p, epsilon=0.5, method="HausslerWelzl") for p in (pts, view)]
+        pts[0] = [0.9, 0.9]
+        for net in nets:
+            assert net.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+            assert not net.points.flags.writeable
+
 
 class TestHWNet:
     def test_size_formula(self):
@@ -99,6 +111,18 @@ class TestHWNet:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def test_hw_net_holds_one_copy_of_its_points():
+    # The drawn array becomes the net's: 921,035 points (14.7 MB) peak at
+    # about the net's own bytes, not twice them.
+    tracemalloc.start()
+    try:
+        net = hw_net(0.01, d=2, C=2000.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * net.points.nbytes
 
 
 class TestD2Net:

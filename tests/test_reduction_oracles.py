@@ -13,8 +13,12 @@ twist rows that reach the per-shift scan, and a strip test the directions
 that reach each tier, so that pruned and surviving cases are both
 exercised.
 
-`min_gap` queries its KD-tree within the nearest-neighbour distance of the
-first points; its oracle is the unbounded query of every point.
+`min_gap` scans the pairs of neighbouring cells of a grid whose side is
+the least distance between consecutive rows; its oracle is the unbounded
+KD-tree query of every point.  `dispersion` (d >= 2) and the SUD grid
+bound mark the grid nodes within a bound of some point and compute exact
+distances only for the others; their oracle is a KD-tree query (p = inf)
+of every node, the former code.
 `canonicalize_points` merges rounded duplicates with one stable sort; its
 oracle is `np.unique(axis=0)`.
 
@@ -39,9 +43,10 @@ cut-and-project candidates are checked the same way, and also to be points
 that `enumerate` lists, byte for byte.
 
 `verify_net` draws each chunk of boxes as floats, certifies hits from the
-net points nearest each centre and checks the remaining boxes against the
-whole net.  Its oracle is the per-box loop it replaced: the former samplers
-build each box object and test it against every net point.
+net points in the cells around each centre and checks the remaining boxes
+against the whole net.  Its oracles are the per-box loop it replaced (the
+former samplers build each box object and test it against every net
+point) and the former KD-tree certificate from the 8 nearest net points.
 
 `discrepancy` scans one table of points per y-level and x-bucket, many
 slabs per array pass, and `heavy_box` counts a block of anchors at once
@@ -82,11 +87,12 @@ import denseforest.epsnet as epsnet
 import denseforest.generators as generators
 from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _candidate_scores, _central_width,
-                                  _central_width_bound,
+                                  _central_width_bound, _covered,
+                                  _grid_bound,
                                   _dual_direction_candidates, _m_samples,
                                   _min_gap, _probe_first_hits, _shift_groups,
                                   _toroidal_dispersion, _unit_directions,
-                                  _xi_samples, discrepancy,
+                                  _xi_samples, discrepancy, dispersion,
                                   find_empty_tube, heavy_box, min_gap,
                                   sud_estimate, udt_check,
                                   vacant_strip, visibility_from_segments)
@@ -107,8 +113,8 @@ from denseforest.generators import (D2, D2_SCALE, CutAndProject,
                                     golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence,
                                     write_points_csv)
-from denseforest.geometry import (AlignedBox, Segment, Window, halton,
-                                  sample_probes, tube_bounding_window)
+from denseforest.geometry import (AlignedBox, Segment, Window, cartesian,
+                                  halton, sample_probes, tube_bounding_window)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -236,6 +242,23 @@ def assert_strip_matches_p_bound(spec, window, extras=()):
     rep = vacant_strip(spec, window, extras)
     assert np.float64(rep.width).tobytes() == np.float64(width).tobytes()
     assert rep.direction.tobytes() == direction.tobytes()
+
+
+def grid_bound_oracle(pts, axes):
+    """The former grid bound: one KD-tree query (p = inf) of every node."""
+    from scipy.spatial import cKDTree
+
+    dists, _ = cKDTree(pts).query(cartesian(*axes), k=1, p=np.inf)
+    return float(np.max(dists))
+
+
+def toroidal_dispersion_oracle(pts):
+    """The former `_toroidal_dispersion`: every one of the 3^d copies."""
+    d = pts.shape[1]
+    offsets = cartesian(*[np.array([-1.0, 0.0, 1.0])] * d)
+    tiled = (pts[None, :, :] + offsets[:, None, :]).reshape(-1, d)
+    m = max(2, int(round(4096 ** (1.0 / d))))
+    return grid_bound_oracle(tiled, [np.linspace(0.0, 1.0, m, endpoint=False)] * d)
 
 
 def min_gap_oracle(pts):
@@ -493,6 +516,82 @@ class TestStripCoarseTier:
         assert rep.direction.tobytes() == direction.tobytes()
 
 
+@st.composite
+def grid_point_sets(draw, dims=(2, 3, 4), max_points=40):
+    """Point sets in [0,1]^d: uniform, on the coordinates of a grid of m
+    nodes an axis (m of the dispersion grid at d), on a coarse dyadic grid,
+    with repeated points, and with coordinates at 0 and 1."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, max_points))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["uniform", "nodes", "dyadic", "repeated", "ends"]))
+    pts = rng.random((n, d))
+    if kind == "nodes":
+        m = max(2, int(round(analysis.DISPERSION_GRID_BUDGET ** (1.0 / d))))
+        pts = np.linspace(0.0, 1.0, m)[rng.integers(0, m, (n, d))]
+    elif kind == "dyadic":
+        pts = rng.integers(0, 9, (n, d)) / 8.0
+    elif kind == "repeated":
+        pts = np.repeat(pts[:max(1, n // 4)], 4, axis=0)
+    elif kind == "ends":
+        pts = np.where(rng.random((n, d)) < 0.5, np.round(pts), pts)
+    return pts
+
+
+class TestGridBoundOracle:
+    @given(grid_point_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_dispersion_matches_kd_tree(self, pts):
+        d = pts.shape[1]
+        m = max(2, int(round(analysis.DISPERSION_GRID_BUDGET ** (1.0 / d))))
+        assert dispersion(pts).value == \
+            grid_bound_oracle(pts, [np.linspace(0.0, 1.0, m)] * d)
+
+    @given(grid_point_sets(max_points=60))
+    @settings(max_examples=60, deadline=None)
+    def test_toroidal_dispersion_matches_kd_tree(self, pts):
+        pts = np.mod(pts, 1.0)
+        assert _toroidal_dispersion(pts) == toroidal_dispersion_oracle(pts)
+
+    @given(grid_point_sets(), st.integers(2, 19), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_small_grids(self, pts, m, endpoint):
+        axes = [np.linspace(0.0, 1.0, m, endpoint=endpoint)] * pts.shape[1]
+        assert _grid_bound(pts, axes) == grid_bound_oracle(pts, axes)
+
+    @given(grid_point_sets(), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_cover_is_exact_at_every_nearest_distance(self, pts, m):
+        # Covering at r must mark exactly the nodes whose nearest distance is
+        # at most r, at each such distance and one ulp below it, so a cover
+        # that marks one ulp too far or too near fails here.
+        axes = [np.linspace(0.0, 1.0, m)] * pts.shape[1]
+        from scipy.spatial import cKDTree
+        near, _ = cKDTree(pts).query(cartesian(*axes), k=1, p=np.inf)
+        values = np.unique(near)
+        for r in np.concatenate([values, np.nextafter(values[values > 0.0], 0.0)]):
+            assert np.array_equal(_covered(axes, pts, r), near <= r)
+
+    def test_bound_one_ulp_above_the_subgrid_bound(self):
+        # On the 16 x 16 grid the first round samples the even-index nodes,
+        # whose largest nearest distance is 1/2, at the node (0, 0).  Every
+        # other node lies within 1/2 of a point but (15/16, 15/16), whose
+        # nearest point is 1/2 + 2^-53 away (the differences are exact).  A
+        # cover at the subgrid bound plus one ulp would report 1/2.
+        axes = [np.arange(16) / 16.0] * 2
+        pts = np.array([[0.5, 0.4], [0.4, 0.5], [0.4375 - 2.0 ** -53, 0.9375]])
+        even = [a[::2] for a in axes]
+        assert grid_bound_oracle(pts, even) == 0.5
+        assert _grid_bound(pts, axes) == grid_bound_oracle(pts, axes) == \
+            np.nextafter(0.5, 1.0)
+
+    def test_one_point_at_a_corner(self):
+        for corner in ([0.0, 0.0], [1.0, 1.0], [0.0, 1.0, 0.0]):
+            pts = np.array([corner])
+            axes = [np.linspace(0.0, 1.0, 5)] * pts.shape[1]
+            assert _grid_bound(pts, axes) == grid_bound_oracle(pts, axes) == 1.0
+
+
 class TestMinGapOracle:
     @pytest.mark.parametrize("radius", [30.0, 100.0])
     def test_three_grid(self, radius):
@@ -500,7 +599,7 @@ class TestMinGapOracle:
         assert min_gap(ThreeGrid(), window) == \
             min_gap_oracle(enumerate_points(ThreeGrid(), window))
 
-    @given(st.integers(2, 300), st.integers(1, 3), st.integers(0, 2 ** 16),
+    @given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2 ** 16),
            st.sampled_from([1.0, 0.37, 1e-6]))
     @settings(max_examples=60, deadline=None)
     def test_random_points(self, n, d, seed, scale):
@@ -531,6 +630,28 @@ class TestMinGapOracle:
     def test_tied_lattice_distances(self):
         pts = enumerate_points(integer_lattice(3), Window.cube(4.0, 3))
         assert _min_gap(pts) == min_gap_oracle(pts) == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unsorted_rows(self, seed):
+        # Consecutive rows of a shuffled set are far apart, so the first
+        # radius is large and the cells hold many points each.
+        rng = np.random.default_rng(seed)
+        pts = rng.random((2000, 2)) * 10.0
+        assert _min_gap(pts) == min_gap_oracle(pts)
+
+    def test_cells_coarsen_past_int64(self):
+        # (extent / r)^d = (1e4 / 1e-6)^4 = 1e40 cells would overflow int64
+        # keys; the coarser cells still hold the closest pair.
+        # The consecutive pair gives r = 1e-6; a closer pair lies elsewhere.
+        rng = np.random.default_rng(3)
+        pts = rng.random((3000, 4)) * 1e4
+        pts[1001] = pts[1000] + [1e-6, 0.0, 0.0, 0.0]
+        pts[2500] = pts[17] + [0.0, 3e-7, 0.0, -5e-7]
+        r = np.min(np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1)))
+        assert (np.ptp(pts) / r) ** 4 > 2.0 ** 63
+        gap = _min_gap(pts)
+        assert gap == min_gap_oracle(pts)
+        assert gap < 6e-7
 
 
 # Coordinates near the rounding boundaries of the 1e-9 merge, signed zeros
@@ -1102,6 +1223,45 @@ def verify_oracle(net, box_sampler, volume, trials, seed):
     return doc, worst, np.array(hits)
 
 
+def former_certified_hits(points, tree, rows, rotated, nearest=8):
+    """The former certificate: a box is a hit when one of the `nearest` net
+    points nearest its centre (one KD-tree query) lies in it."""
+    k = min(nearest, points.shape[0])
+    _, idx = tree.query(rows[:, :2], k=k)
+    near = points[idx.reshape(rows.shape[0], k)]
+    x = near[:, :, 0]
+    y = near[:, :, 1]
+    cx, cy, hw, hh = (rows[:, j, None] for j in range(4))
+    if not rotated:
+        return np.any((x >= cx - hw) & (x <= cx + hw)
+                      & (y >= cy - hh) & (y <= cy + hh), axis=1)
+    c = np.cos(rows[:, 4, None])
+    s = np.sin(rows[:, 4, None])
+    u = (x - cx) * c + (y - cy) * s
+    v = (y - cy) * c - (x - cx) * s
+    return np.any((np.abs(u) <= hw - epsnet.ROTATED_HIT_MARGIN)
+                  & (np.abs(v) <= hh - epsnet.ROTATED_HIT_MARGIN), axis=1)
+
+
+def former_box_hits(net, box_sampler, volume, trials, seed):
+    """The former `_box_hits`: KD-tree certificates, then the full-net check."""
+    from scipy.spatial import cKDTree
+
+    draw, make = epsnet._SAMPLERS[box_sampler]
+    rng = np.random.default_rng(seed)
+    tree = cKDTree(net.points) if net.size else None
+    for start in range(0, trials, epsnet.CHUNK_BOXES):
+        count = min(epsnet.CHUNK_BOXES, trials - start)
+        rows = np.array([draw(volume, rng) for _ in range(count)])
+        if tree is None:
+            yield rows, np.zeros(count, dtype=bool)
+            continue
+        hits = former_certified_hits(net.points, tree, rows, box_sampler == "rotated")
+        for i in np.flatnonzero(~hits):
+            hits[i] = bool(np.any(make(*rows[i]).contains(net.points)))
+        yield rows, hits
+
+
 def box_fields(box):
     """Every float that defines a sampled box, as bytes.
 
@@ -1131,6 +1291,9 @@ def assert_verify_matches(net, box_sampler, volume, trials, seed):
     hits = np.concatenate([h for _, h in
                            _box_hits(net, box_sampler, volume, trials, seed)])
     assert hits.tolist() == expected_hits.tolist()
+    former = np.concatenate([h for _, h in
+                             former_box_hits(net, box_sampler, volume, trials, seed)])
+    assert former.tolist() == expected_hits.tolist()
     return expected_hits
 
 
@@ -1161,16 +1324,25 @@ def net_cases(draw):
 class TestVerifyNetOracle:
     @given(net_cases(), st.sampled_from(["aligned", "rotated"]),
            st.integers(1, 40), st.integers(0, 2 ** 16),
-           st.integers(1, 9), st.integers(1, 12))
+           st.integers(1, 9), st.integers(1, 12), st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
     def test_matches_per_box_loop(self, case, box_sampler, trials, seed, chunk,
-                                  nearest):
-        # Small chunks and candidate counts make a few trials span several
-        # chunks and leave boxes to the full-net check.
+                                  run_points, certify):
+        # Small chunks, sub-chunks and runs of candidates make a few trials
+        # span several chunks and leave boxes to the full-net check.
         net, volume = case
         with mock.patch.object(epsnet, "CHUNK_BOXES", chunk), \
-                mock.patch.object(epsnet, "NEAREST_CANDIDATES", nearest):
+                mock.patch.object(epsnet, "CELL_RUN_POINTS", run_points), \
+                mock.patch.object(epsnet, "CERTIFY_BOXES", certify):
             assert_verify_matches(net, box_sampler, volume, trials, seed)
+
+    @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
+    @pytest.mark.parametrize("points", [[], [[0.0, 0.0]], [[1.0, 1.0]], [[0.5, 0.5]],
+                                        [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]])
+    def test_edge_nets(self, box_sampler, points):
+        # Empty and one-point nets, points on the unit square's corners and
+        # a repeated point; every box's decision and the report bytes match.
+        assert_verify_matches(_net(points, eps=0.01), box_sampler, 0.01, 300, 4)
 
     @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
     def test_sparse_net_across_chunks(self, box_sampler):
