@@ -16,11 +16,28 @@ ASPECT_CAP = 2.0 ** 10
 # verify_net draws and checks boxes in chunks of this many, so its memory
 # does not grow with the number of trials.
 CHUNK_BOXES = 4096
+# verify_net refuses more boxes than this.  On 2 Xeon vCPUs it checked
+# 1.3e5 to 3.8e5 boxes/s against a net for the boxes' volume (eps = volume =
+# 0.01, hw or d2 net, aligned or rotated), so the cap runs 30 to 75 s; boxes
+# that fall to the full-net check, as at volume 0.001 on a net for 0.01,
+# ran at 1.6e4 to 2.3e4 boxes/s.  Memory does not grow with the boxes: a
+# chunk holds 41 bytes a box, and its draw and check about 1 MB more.
+MAX_VERIFY_TRIALS = 10 ** 7
 # Each sampled box first tests the net points in the 3 x 3 cells around its
 # centre, for this many boxes at a time and at most CELL_RUN_POINTS points
 # from each row of 3 cells, so the candidate arrays stay near 1 MB.
 CERTIFY_BOXES = 512
 CELL_RUN_POINTS = 32
+# A rotated box makes at most this many attempts to fit in the unit square.
+ROTATED_ATTEMPTS = 10000
+# The rotated draw evaluates blocks of at most this many doubles at once
+# (about 230 bytes a double with its temporaries, near 1 MB), unless one box
+# needs more.
+DRAW_BLOCK = 4096
+# Ends of a rotated box's doubles that a block leaves undecided or that
+# mean every attempt missed.
+_STOP = -1
+_FAIL = -2
 # How far inside a rotated box, in its own frame, a point must lie to
 # certify a hit without the full-net product.
 ROTATED_HIT_MARGIN = 1e-9
@@ -118,43 +135,162 @@ def d2_aligned_net(eps: float) -> Net:
     return Net(points=pts, epsilon=float(eps), method="D2Aligned")
 
 
-def _feasible_aspect(volume: float, rng) -> float:
+def _aspect_range(volume: float):
+    """(lo, hi) of the log-uniform aspect ratio; lo == hi draws no ratio."""
     lo = max(1.0 / ASPECT_CAP, volume)
     hi = min(ASPECT_CAP, 1.0 / volume)
     if hi < lo:
         raise ValueError("volume admits no box within the aspect cap")
+    return lo, hi
+
+
+def _uniform(lo, hi, u):
+    """What ``rng.uniform(lo, hi)`` returns for the double u of ``rng.random()``."""
+    return lo + (hi - lo) * u
+
+
+def _sides(volume: float, lo: float, hi: float, u: np.ndarray):
+    """Full sides (w, h) of the boxes whose aspect ratio draws the doubles u."""
     if hi == lo:
-        return lo
-    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+        ratio = np.full(u.shape, lo)
+    else:
+        ratio = np.exp(_uniform(math.log(lo), math.log(hi), u))
+    return np.sqrt(volume * ratio), np.sqrt(volume / ratio)
 
 
-def _draw_aligned_box(volume: float, rng):
-    """Centre and half-sides (cx, cy, w/2, h/2) of the next aligned box."""
-    ratio = _feasible_aspect(volume, rng)
-    w = math.sqrt(volume * ratio)
-    h = math.sqrt(volume / ratio)
-    cx = rng.uniform(w / 2.0, 1.0 - w / 2.0) if w < 1.0 else 0.5
-    cy = rng.uniform(h / 2.0, 1.0 - h / 2.0) if h < 1.0 else 0.5
-    return cx, cy, w / 2.0, h / 2.0
+def _centres(half: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Centre coordinate uniform over [half, 1 - half] from the double u[at],
+    or 0.5 without a double where half is 1/2 or more."""
+    draw = _uniform(half, 1.0 - half, u[np.minimum(at, u.size - 1)])
+    return np.where(half < 0.5, draw, 0.5)
 
 
-def _draw_rotated_box(volume: float, rng):
-    """Centre, half-sides and angle (cx, cy, w/2, h/2, angle) of the next
-    rotated box."""
-    for _ in range(10000):
-        angle = float(rng.uniform(0.0, math.pi))
-        ratio = _feasible_aspect(volume, rng)
-        w = math.sqrt(volume * ratio)
-        h = math.sqrt(volume / ratio)
-        c, s = abs(math.cos(angle)), abs(math.sin(angle))
-        ex = (w * c + h * s) / 2.0
-        ey = (w * s + h * c) / 2.0
-        if 2.0 * ex > 1.0 or 2.0 * ey > 1.0:
-            continue
-        cx = rng.uniform(ex, 1.0 - ex) if ex < 0.5 else 0.5
-        cy = rng.uniform(ey, 1.0 - ey) if ey < 0.5 else 0.5
-        return cx, cy, w / 2.0, h / 2.0, angle
-    raise ValueError("could not fit a rotated box of the requested volume")
+def _rewind(rng, state, used: int) -> None:
+    """Leave rng `used` doubles after `state`, as many scalar draws would."""
+    rng.bit_generator.state = state
+    rng.random(used)
+
+
+def _aligned_rows(volume: float, count: int, rng) -> np.ndarray:
+    """Rows (cx, cy, w/2, h/2) of the next `count` aligned boxes.
+
+    Each box takes the doubles of ``rng.random()`` in order: one for the
+    aspect ratio unless lo == hi, then one for each centre coordinate whose
+    side is below 1.  Every stream position is evaluated as the start of a
+    box, the boxes' starts follow from the per-position lengths, and the
+    generator ends just past the doubles they used, so rows and generator
+    equal those of one box at a time.
+    """
+    lo, hi = _aspect_range(volume)
+    step = int(hi != lo)
+    state = rng.bit_generator.state
+    u = rng.random(count * (step + 2))
+    w, h = _sides(volume, lo, hi, u)
+    size = step + (w < 1.0) + (h < 1.0)
+    if np.all(size == size[0]):
+        start = np.arange(count) * int(size[0])
+    else:
+        sizes = size.tolist()
+        start = np.empty(count, dtype=np.int64)
+        p = 0
+        for i in range(count):
+            start[i] = p
+            p += sizes[p]
+    w, h = w[start] / 2.0, h[start] / 2.0
+    cx = _centres(w, start + step, u)
+    cy = _centres(h, start + step + (w < 0.5), u)
+    _rewind(rng, state, int(start[-1] + size[start[-1]]))
+    return np.column_stack([cx, cy, w, h])
+
+
+def _rotated_block(volume: float, lo: float, hi: float, step: int,
+                   u: np.ndarray):
+    """Every attempt a rotated box could start at a position of u.
+
+    Returns (angle, w, h, ex, ey, fit) for each position p with a full
+    attempt in u: the angle from u[p], the sides from u[p + 1] (lo == hi
+    draws none), the half extents of the rotated box, and whether it fits.
+    The cosine and sine are ``math.cos`` and ``math.sin``, as in one draw.
+    """
+    n = u.size - step + 1
+    angle = math.pi * u[:n]
+    w, h = _sides(volume, lo, hi, u[step - 1:step - 1 + n])
+    listed = angle.tolist()
+    c = np.abs(np.fromiter(map(math.cos, listed), float, n))
+    s = np.abs(np.fromiter(map(math.sin, listed), float, n))
+    ex = (w * c + h * s) / 2.0
+    ey = (w * s + h * c) / 2.0
+    fit = ~((2.0 * ex > 1.0) | (2.0 * ey > 1.0))
+    return angle, w, h, ex, ey, fit
+
+
+def _next_fit(fit: np.ndarray, step: int) -> np.ndarray:
+    """For each position p, the first q >= p, q = p mod step, whose attempt
+    fits; past every position where none does."""
+    none = fit.size + ROTATED_ATTEMPTS * step
+    first = np.where(fit, np.arange(fit.size), none)
+    for r in range(step):
+        first[r::step] = np.minimum.accumulate(first[r::step][::-1])[::-1]
+    return first
+
+
+def _rotated_rows(volume: float, count: int, rng) -> np.ndarray:
+    """Rows (cx, cy, w/2, h/2, angle) of the next `count` rotated boxes.
+
+    A box makes attempts of `step` doubles (angle, then ratio unless
+    lo == hi) until one fits, at most ROTATED_ATTEMPTS, then takes one
+    double for each centre coordinate whose half extent is below 1/2.  A
+    block of doubles is evaluated at every position, ``_next_fit`` finds
+    each position's first fitting attempt, and the boxes' starts are walked
+    from position to position.  The block ends at the first box it cannot
+    decide; the generator is rewound to that box and the next block starts
+    there, so rows, errors and generator equal those of one box at a time.
+    """
+    lo, hi = _aspect_range(volume)
+    step = 1 + int(hi != lo)
+    longest = ROTATED_ATTEMPTS * step + 2
+    rows = np.empty((count, 5))
+    done = 0
+    grow = 0
+    while done < count:
+        size = max(grow, min(DRAW_BLOCK, (count - done) * (step + 2)))
+        state = rng.bit_generator.state
+        u = rng.random(size)
+        angle, w, h, ex, ey, fit = _rotated_block(volume, lo, hi, step, u)
+        n = angle.size
+        pos = np.arange(n)
+        first = _next_fit(fit, step)
+        found = first - pos < ROTATED_ATTEMPTS * step
+        at = np.minimum(first, n - 1)
+        end = at + step + (ex[at] < 0.5) + (ey[at] < 0.5)
+        # Where the box starting at each position ends: STOP when the block
+        # cannot decide it, FAIL when ROTATED_ATTEMPTS attempts all miss.
+        jump = np.where(found, np.where(end <= size, end, _STOP),
+                        np.where(pos + (ROTATED_ATTEMPTS - 1) * step < n, _FAIL, _STOP))
+        jump = jump.tolist() + [_STOP] * step
+        starts = []
+        p = 0
+        for _ in range(count - done):
+            if jump[p] < 0:
+                break
+            starts.append(p)
+            p = jump[p]
+        if len(starts) < count - done and jump[p] == _FAIL:
+            _rewind(rng, state, p + ROTATED_ATTEMPTS * step)
+            raise ValueError("could not fit a rotated box of the requested volume")
+        if starts:
+            q = first[starts]
+            cx = _centres(ex[q], q + step, u)
+            cy = _centres(ey[q], q + step + (ex[q] < 0.5), u)
+            rows[done:done + len(starts)] = np.column_stack(
+                [cx, cy, w[q] / 2.0, h[q] / 2.0, angle[q]])
+            done += len(starts)
+            grow = 0
+        else:
+            # A block of `longest` doubles decides the box at its start.
+            grow = min(4 * size, longest)
+        _rewind(rng, state, p)
+    return rows
 
 
 def _aligned_box(cx, cy, hw, hh) -> AlignedBox:
@@ -167,7 +303,7 @@ def sample_aligned_box(volume: float, rng) -> AlignedBox:
     Aspect is log-uniform over the ratios that fit in the unit square and
     the center is uniform over the placements keeping the box unclipped.
     """
-    return _aligned_box(*_draw_aligned_box(volume, rng))
+    return _aligned_box(*_aligned_rows(volume, 1, rng)[0])
 
 
 def _rotated_box(cx, cy, hw, hh, angle) -> RotatedBox:
@@ -180,12 +316,12 @@ def sample_rotated_box(volume: float, rng):
     Angle and aspect are drawn until the rotated rectangle fits in the unit
     square; the center is then uniform over the placements keeping it inside.
     """
-    return _rotated_box(*_draw_rotated_box(volume, rng))
+    return _rotated_box(*_rotated_rows(volume, 1, rng)[0])
 
 
-# sampler name -> (draw one box as floats, box object from those floats)
-_SAMPLERS = {"aligned": (_draw_aligned_box, _aligned_box),
-             "rotated": (_draw_rotated_box, _rotated_box)}
+# sampler name -> (draw the rows of count boxes, box object from one row)
+_SAMPLERS = {"aligned": (_aligned_rows, _aligned_box),
+             "rotated": (_rotated_rows, _rotated_box)}
 
 
 class _CellIndex:
@@ -261,7 +397,7 @@ def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
     index = _CellIndex(net.points) if net.size else None
     for start in range(0, trials, CHUNK_BOXES):
         count = min(CHUNK_BOXES, trials - start)
-        rows = np.array([draw(volume, rng) for _ in range(count)])
+        rows = draw(volume, count, rng)
         if index is None:
             yield rows, np.zeros(count, dtype=bool)
             continue
@@ -286,6 +422,9 @@ def verify_net(net: Net, box_sampler: str, volume: float, trials: int,
         raise ValueError("box_sampler must be 'aligned' or 'rotated'")
     if net.dim != 2:
         raise ValueError("net verification is implemented for dimension 2")
+    if trials > MAX_VERIFY_TRIALS:
+        raise ResourceLimitError(f"{trials} trials exceed the limit of "
+                                 f"{MAX_VERIFY_TRIALS} boxes")
     _, make = _SAMPLERS[box_sampler]
     hits = 0
     worst = None

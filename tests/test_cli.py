@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import denseforest.epsnet as epsnet
 from denseforest import __version__, cli
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
 
@@ -250,6 +251,19 @@ def test_density_rows(tmp_path):
     assert float(t) == 10.0 and float(q) == 317 / 100.0
 
 
+def test_density_radius_whose_power_underflows_is_refused(tmp_path, capsys):
+    # 1e-300 squared underflows to 0, which the quotient would divide by.
+    out = tmp_path / "density.csv"
+    assert run("density", "--spec", "z2", "--radii", "1e-300,5",
+               "--out", str(out)) == 2
+    assert "underflows" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("density", "--spec", "z2", "--radii", "1e-150,5",
+               "--out", str(out)) == 0
+    t, q = out.read_text().splitlines()[2].split(",")
+    assert float(t) == 5.0 and float(q) == 81 / 25.0
+
+
 def test_mingap_json(tmp_path):
     out = tmp_path / "gap.json"
     assert run("mingap", "--spec", "z2", "--radius", "4",
@@ -285,6 +299,40 @@ def test_net_and_verify_net_pipeline(tmp_path):
     assert doc["hit_fraction"] == 1.0
     assert doc["boxes_tested"] == 200
     assert doc["slab_lower_bound"]["volume"] > 0.0
+
+
+@pytest.fixture
+def d2_net_csv(tmp_path):
+    net_out = tmp_path / "net.csv"
+    assert run("net", "--method", "d2", "--eps", "0.02", "--out", str(net_out)) == 0
+    return net_out
+
+
+def verify_args(net_csv, out, *extra):
+    return ("verify-net", "--net", str(net_csv), "--eps", "0.02",
+            "--method", "D2Aligned", "--seed", "2", "--out", str(out)) + extra
+
+
+def test_verify_net_rotated_unit_volume_is_argument_error(d2_net_csv, tmp_path, capsys):
+    # A rotated unit square fits in the unit square only within rounding of
+    # the angles 0, pi/2 and pi, so the first box fails all its attempts.
+    out = tmp_path / "report.json"
+    assert run(*verify_args(d2_net_csv, out, "--sampler", "rotated",
+                            "--volume", "1.0", "--trials", "5")) == 2
+    assert "could not fit a rotated box" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_net_trials_over_budget_exit_3(d2_net_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(epsnet, "MAX_VERIFY_TRIALS", 50)
+    out = tmp_path / "report.json"
+    assert run(*verify_args(d2_net_csv, out, "--sampler", "aligned",
+                            "--volume", "0.02", "--trials", "50")) == 0
+    assert json.loads(out.read_text())["boxes_tested"] == 50
+    out.unlink()
+    assert run(*verify_args(d2_net_csv, out, "--sampler", "aligned",
+                            "--volume", "0.02", "--trials", "51")) == 3
+    assert not out.exists()
 
 
 def test_udt_json(tmp_path):

@@ -236,6 +236,21 @@ class TestVerifyNet:
         with pytest.raises(ValueError):
             verify_net(net1, "aligned", volume=0.5, trials=5, seed=0)
 
+    def test_trials_budget(self, monkeypatch):
+        # Just under the budget runs; one box over is refused before any
+        # box is drawn.
+        net = hw_net(0.05, d=2, C=2.0, seed=0)
+        monkeypatch.setattr(epsnet, "MAX_VERIFY_TRIALS", 300)
+        assert verify_net(net, "rotated", 0.05, 300, 4).boxes_tested == 300
+
+        def no_draw(*args):
+            raise AssertionError("a box was drawn")
+
+        monkeypatch.setitem(epsnet._SAMPLERS, "rotated",
+                            (no_draw, epsnet._rotated_box))
+        with pytest.raises(ResourceLimitError, match="301 trials"):
+            verify_net(net, "rotated", 0.05, 301, 4)
+
 
 class TestSlabLowerBound:
     def test_empty_input_gives_unit_cube(self):

@@ -97,8 +97,7 @@ from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   sud_estimate, udt_check,
                                   vacant_strip, visibility_from_segments)
 from denseforest.errors import ResourceLimitError
-from denseforest.epsnet import (Net, _box_hits, _draw_aligned_box,
-                                _draw_rotated_box, _feasible_aspect,
+from denseforest.epsnet import (Net, _aligned_rows, _box_hits, _rotated_rows,
                                 d2_aligned_net, sample_aligned_box,
                                 sample_rotated_box, verify_net)
 from denseforest.generators import (D2, D2_SCALE, CutAndProject,
@@ -1170,20 +1169,31 @@ class _SampledRotatedBox:
         return self.box.contains(pts @ rot)
 
 
-def former_aligned_box(volume, rng):
-    ratio = _feasible_aspect(volume, rng)
+def feasible_aspect(volume, rng):
+    lo = max(1.0 / epsnet.ASPECT_CAP, volume)
+    hi = min(epsnet.ASPECT_CAP, 1.0 / volume)
+    if hi < lo:
+        raise ValueError("volume admits no box within the aspect cap")
+    if hi == lo:
+        return lo
+    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def draw_aligned_box(volume, rng):
+    """The former scalar draw: (cx, cy, w/2, h/2) of the next aligned box."""
+    ratio = feasible_aspect(volume, rng)
     w = math.sqrt(volume * ratio)
     h = math.sqrt(volume / ratio)
     cx = rng.uniform(w / 2.0, 1.0 - w / 2.0) if w < 1.0 else 0.5
     cy = rng.uniform(h / 2.0, 1.0 - h / 2.0) if h < 1.0 else 0.5
-    return AlignedBox.from_bounds([cx - w / 2.0, cy - h / 2.0],
-                                  [cx + w / 2.0, cy + h / 2.0])
+    return cx, cy, w / 2.0, h / 2.0
 
 
-def former_rotated_box(volume, rng, max_attempts=10000):
-    for _ in range(max_attempts):
+def draw_rotated_box(volume, rng):
+    """The former scalar draw: (cx, cy, w/2, h/2, angle) of the next rotated box."""
+    for _ in range(10000):
         angle = float(rng.uniform(0.0, math.pi))
-        ratio = _feasible_aspect(volume, rng)
+        ratio = feasible_aspect(volume, rng)
         w = math.sqrt(volume * ratio)
         h = math.sqrt(volume / ratio)
         c, s = abs(math.cos(angle)), abs(math.sin(angle))
@@ -1193,8 +1203,28 @@ def former_rotated_box(volume, rng, max_attempts=10000):
             continue
         cx = rng.uniform(ex, 1.0 - ex) if ex < 0.5 else 0.5
         cy = rng.uniform(ey, 1.0 - ey) if ey < 0.5 else 0.5
-        return _SampledRotatedBox([cx, cy], [w / 2.0, h / 2.0], angle)
+        return cx, cy, w / 2.0, h / 2.0, angle
     raise ValueError("could not fit a rotated box of the requested volume")
+
+
+SCALAR_DRAWS = {"aligned": draw_aligned_box, "rotated": draw_rotated_box}
+
+
+def former_box(row):
+    """The former sampler's box from the floats one scalar draw returns."""
+    if len(row) == 4:
+        cx, cy, hw, hh = row
+        return AlignedBox.from_bounds([cx - hw, cy - hh], [cx + hw, cy + hh])
+    cx, cy, hw, hh, angle = row
+    return _SampledRotatedBox([cx, cy], [hw, hh], angle)
+
+
+def former_aligned_box(volume, rng):
+    return former_box(draw_aligned_box(volume, rng))
+
+
+def former_rotated_box(volume, rng):
+    return former_box(draw_rotated_box(volume, rng))
 
 
 FORMER_SAMPLERS = {"aligned": former_aligned_box, "rotated": former_rotated_box}
@@ -1247,7 +1277,7 @@ def former_box_hits(net, box_sampler, volume, trials, seed):
     """The former `_box_hits`: KD-tree certificates, then the full-net check."""
     from scipy.spatial import cKDTree
 
-    draw, make = epsnet._SAMPLERS[box_sampler]
+    draw = SCALAR_DRAWS[box_sampler]
     rng = np.random.default_rng(seed)
     tree = cKDTree(net.points) if net.size else None
     for start in range(0, trials, epsnet.CHUNK_BOXES):
@@ -1258,7 +1288,7 @@ def former_box_hits(net, box_sampler, volume, trials, seed):
             continue
         hits = former_certified_hits(net.points, tree, rows, box_sampler == "rotated")
         for i in np.flatnonzero(~hits):
-            hits[i] = bool(np.any(make(*rows[i]).contains(net.points)))
+            hits[i] = bool(np.any(former_box(rows[i]).contains(net.points)))
         yield rows, hits
 
 
@@ -1384,23 +1414,23 @@ class TestVerifyNetOracle:
 
     @pytest.mark.parametrize("volume", [0.003, 0.01, 0.3, 1.0])
     def test_draw_helpers_match_samplers(self, volume):
-        # One generator serves the draw helpers and the samplers in turn; each
+        # One generator serves the array draws and the samplers in turn; each
         # box equals the former sampler's box from a generator with the same seed.
         rng = np.random.default_rng(4)
         expected_rng = np.random.default_rng(4)
-        for i in range(400):
-            drawn = _draw_aligned_box(volume, rng) if i % 2 \
-                else sample_aligned_box(volume, rng)
-            box = epsnet._aligned_box(*drawn) if i % 2 else drawn
-            assert box_fields(box) == \
-                box_fields(former_aligned_box(volume, expected_rng))
-        if volume < 0.5:
-            for i in range(400):
-                drawn = _draw_rotated_box(volume, rng) if i % 2 \
-                    else sample_rotated_box(volume, rng)
-                box = epsnet._rotated_box(*drawn) if i % 2 else drawn
+        for i in range(40):
+            for drawn in (_aligned_rows(volume, 1 + i % 7, rng) if i % 2
+                          else [sample_aligned_box(volume, rng)]):
+                box = epsnet._aligned_box(*drawn) if i % 2 else drawn
                 assert box_fields(box) == \
-                    box_fields(former_rotated_box(volume, expected_rng))
+                    box_fields(former_aligned_box(volume, expected_rng))
+        if volume < 0.5:
+            for i in range(40):
+                for drawn in (_rotated_rows(volume, 1 + i % 7, rng) if i % 2
+                              else [sample_rotated_box(volume, rng)]):
+                    box = epsnet._rotated_box(*drawn) if i % 2 else drawn
+                    assert box_fields(box) == \
+                        box_fields(former_rotated_box(volume, expected_rng))
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_memory_does_not_grow_with_trials(self):
@@ -1415,6 +1445,126 @@ class TestVerifyNetOracle:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
+
+
+class StreamRng:
+    """A generator that returns a fixed list of doubles in order.
+
+    ``random(k)`` and ``uniform(lo, hi) = lo + (hi - lo) u`` read the list as
+    numpy's Generator reads its stream; ``bit_generator.state`` is the
+    position, so a draw can save and restore it.
+    """
+
+    def __init__(self, doubles):
+        self.doubles = np.asarray(doubles, dtype=float)
+        self.bit_generator = self
+        self.state = 0
+
+    def random(self, size):
+        out = self.doubles[self.state:self.state + size].copy()
+        assert out.size == size, "stream exhausted"
+        self.state += size
+        return out
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * float(self.random(1)[0])
+
+
+def draw_both(box_sampler, volume, counts, make_rng):
+    """(rows or error, final state) of the array draw and of the scalar
+    draw over consecutive chunks of `counts` boxes from one generator each."""
+    results = []
+    for array in (True, False):
+        rng = make_rng()
+        rows = []
+        try:
+            for count in counts:
+                if array:
+                    rows.append(epsnet._SAMPLERS[box_sampler][0](volume, count, rng))
+                else:
+                    rows.append(np.array([SCALAR_DRAWS[box_sampler](volume, rng)
+                                          for _ in range(count)]))
+            out = np.concatenate(rows).tobytes()
+        except ValueError as exc:
+            out = (len(rows), str(exc))
+        results.append((out, rng.bit_generator.state))
+    return results
+
+
+# Volumes at and around the edges of the aspect range: 1 draws no ratio,
+# 2^-10 has both sides below 1 at the cap, 0.5 and above can round a side to 1.
+DRAW_VOLUMES = [1.0, 2.0 ** -10, 0.5, 0.2, 0.01, 0.001, 0.9, 1.0 - 2.0 ** -53,
+                2.0 ** -10 * (1.0 + 2.0 ** -52), 1.0 / 3.0]
+DRAW_CHUNKS = [1, 3, epsnet.CHUNK_BOXES - 1, epsnet.CHUNK_BOXES + 1]
+SPECIAL_DOUBLES = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+
+
+class TestBoxDrawOracle:
+    """The array draws give the scalar draws' rows, errors and generator state."""
+
+    @given(st.sampled_from(["aligned", "rotated"]),
+           st.one_of(st.sampled_from(DRAW_VOLUMES), st.floats(1e-4, 1.0)),
+           st.lists(st.sampled_from(DRAW_CHUNKS), min_size=1, max_size=2),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_numpy_generator(self, box_sampler, volume, counts, seed):
+        array, scalar = draw_both(box_sampler, volume, counts,
+                                  lambda: np.random.default_rng(seed))
+        assert array == scalar
+
+    @given(st.sampled_from(["aligned", "rotated"]), st.sampled_from(DRAW_VOLUMES),
+           st.lists(st.sampled_from([1, 2, 3, 7]), min_size=1, max_size=3),
+           st.lists(st.one_of(st.sampled_from(SPECIAL_DOUBLES),
+                              st.floats(0.0, 1.0, exclude_max=True)), max_size=40),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_crafted_streams(self, box_sampler, volume, counts, head, seed):
+        # Doubles of 0 and 1 - 2^-53 put aspect ratios at the ends of their
+        # range, so sides round to 1 and boxes take fewer doubles.
+        tail = np.random.default_rng(seed).random(6 * epsnet.ROTATED_ATTEMPTS)
+        stream = np.concatenate([head, tail])
+        array, scalar = draw_both(box_sampler, volume, counts,
+                                  lambda: StreamRng(stream))
+        assert array == scalar
+
+    def test_side_of_one_draws_no_centre(self):
+        # At volume 1/2 a ratio double of 0 gives the ratio 1/2, so h = 1 and
+        # the box takes 2 doubles; the others take 3.
+        stream = [0.0, 0.25, 0.7, 0.1, 0.2, 0.9, 0.3, 0.6]
+        rng = StreamRng(stream)
+        rows = _aligned_rows(0.5, 2, rng)
+        assert rng.state == 5
+        assert rows[0, 1] == 0.5 and rows[0, 3] == 0.5
+        array, scalar = draw_both("aligned", 0.5, [2], lambda: StreamRng(stream))
+        assert array == scalar
+
+    @pytest.mark.parametrize("fitting", [0, 3])
+    def test_rotated_failure_at_the_same_box(self, fitting):
+        # At volume 1 only the angle 0 fits, with no centre double.  After
+        # `fitting` such boxes, ROTATED_ATTEMPTS misses raise at the next box
+        # and leave the generator just past them.
+        misses = epsnet.ROTATED_ATTEMPTS
+        stream = [0.0] * fitting + [0.3] * misses + [0.0] * 10 + [0.3] * 3 * misses
+        rng = StreamRng(stream)
+        with pytest.raises(ValueError, match="could not fit a rotated box"):
+            _rotated_rows(1.0, fitting + 1, rng)
+        assert rng.state == fitting + misses
+        array, scalar = draw_both("rotated", 1.0, [fitting + 2],
+                                  lambda: StreamRng(stream))
+        assert array == scalar
+
+    def test_rotated_fit_at_the_last_attempt(self):
+        misses = epsnet.ROTATED_ATTEMPTS - 1
+        stream = [0.3] * misses + [0.0] + [0.3] * 3 * misses
+        rng = StreamRng(stream)
+        rows = _rotated_rows(1.0, 1, rng)
+        assert rng.state == misses + 1
+        assert rows.tolist() == [[0.5, 0.5, 0.5, 0.5, 0.0]]
+
+    def test_volume_above_one_refused(self):
+        for box_sampler in ("aligned", "rotated"):
+            with pytest.raises(ValueError, match="aspect cap"):
+                epsnet._SAMPLERS[box_sampler][0](1.5, 3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
