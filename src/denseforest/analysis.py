@@ -52,10 +52,6 @@ DISCREPANCY_BLOCK_CELLS = 2 ** 14
 # slab union) one block of them may hold.
 HEAVY_BLOCK_ANCHORS = 32
 HEAVY_BLOCK_CELLS = 2 ** 20
-# heavy_box refuses an eps whose cube is narrower than this many spacings
-# of floats at the largest coordinate: its bounds would hold eps only to
-# about 1e-9, or not at all, where a box is grown to it.
-MIN_SIDE_SPACINGS = 2 ** 30
 # Rows of the u-grid that udt_check builds at a time.  numpy computes a
 # one-row product as a dot product, which can round differently from the
 # matrix-vector product of several rows, so a chunk never has one row.
@@ -1126,15 +1122,17 @@ def density_profile(spec: PointSetSpec, radii) -> list:
     if not rs or any(r <= 0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("radii must be positive and strictly increasing")
     n = spec.dim
-    if rs[0] ** n == 0.0:
-        raise ValueError(f"radius {rs[0]:g} is too small: its power {n} "
-                         "underflows to 0")
     out = []
     for t in rs:
         pts = enumerate_points(spec, Window.cube(t + 1e-6, n))
         count = int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= t * t)) \
             if pts.shape[0] else 0
-        out.append((t, count / t ** n))
+        # A power that underflows to 0 or near it leaves no finite quotient.
+        power = t ** n
+        if power == 0.0 or not math.isfinite(count / power):
+            raise ValueError(f"radius {t:g} is too small: count/T^{n} "
+                             "overflows a float")
+        out.append((t, count / power))
     return out
 
 
@@ -1253,16 +1251,6 @@ def _inflate_to_volume(box: AlignedBox, target: float) -> AlignedBox:
         if not 0.0 < out.volume < target:
             break
         scale *= (target / out.volume) ** (1.0 / box.dim) * (1.0 + 1e-12)
-    if 0.0 < out.volume < target and np.all(out.hi > out.lo):
-        # A side that stays thin against its coordinates, as a side 1e-12
-        # long grows to 1e-7 at 1, loses up to 1e-9 of the volume to each
-        # rounding, more than those steps add.  Grow once more by 4 times the
-        # most that rounding every bound can take.
-        lost = float(np.sum((np.spacing(np.abs(out.lo)) + np.spacing(np.abs(out.hi)))
-                            / (out.hi - out.lo)))
-        scale *= ((target / out.volume) * (1.0 + 4.0 * lost)) ** (1.0 / box.dim) \
-            * (1.0 + 1e-12)
-        out = AlignedBox.from_bounds(center - half * scale, center + half * scale)
     return out
 
 
@@ -1341,11 +1329,6 @@ def _best_aligned_box(pts: np.ndarray, eps: float):
 
 def _witness_box(pts: np.ndarray, eps: float) -> AlignedBox:
     """The best aligned box of pts, inflated to volume eps."""
-    reach = float(np.max(np.abs(pts)))
-    if eps ** (1.0 / pts.shape[1]) < MIN_SIDE_SPACINGS * np.spacing(reach):
-        raise ValueError(f"eps={eps!r} is too small for boxes at these coordinates: "
-                         f"a cube of volume eps is under {MIN_SIDE_SPACINGS} float "
-                         f"spacings wide at {reach!r}")
     box, _ = _best_aligned_box(pts, eps)
     box = _inflate_to_volume(box, eps)
     # Sides below the spacing of floats near the coordinates cannot grow.
@@ -1361,8 +1344,7 @@ def heavy_box(points, eps: float, rotation_samples: int = 0, seed: int = 0):
     Returns (box, count) — a certified lower-bound witness: the box is
     axis-aligned (or a RotatedBox when rotations are sampled) and the count
     is the number of points it contains after inflating its volume to eps.
-    Raises ValueError when eps is too small against the spacing of floats
-    at the points (MIN_SIDE_SPACINGS) or rounding keeps a box below eps.
+    Raises ValueError when float spacing keeps a candidate box below eps.
     """
     pts = _points_array(points)
     if eps <= 0:

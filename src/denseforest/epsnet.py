@@ -187,15 +187,12 @@ def _aligned_rows(volume: float, count: int, rng) -> np.ndarray:
     u = rng.random(count * (step + 2))
     w, h = _sides(volume, lo, hi, u)
     size = step + (w < 1.0) + (h < 1.0)
-    if np.all(size == size[0]):
-        start = np.arange(count) * int(size[0])
-    else:
-        sizes = size.tolist()
-        start = np.empty(count, dtype=np.int64)
-        p = 0
-        for i in range(count):
-            start[i] = p
-            p += sizes[p]
+    sizes = size.tolist()
+    start = np.empty(count, dtype=np.int64)
+    p = 0
+    for i in range(count):
+        start[i] = p
+        p += sizes[p]
     w, h = w[start] / 2.0, h[start] / 2.0
     cx = _centres(w, start + step, u)
     cy = _centres(h, start + step + (w < 0.5), u)
@@ -293,6 +290,14 @@ def _rotated_rows(volume: float, count: int, rng) -> np.ndarray:
     return rows
 
 
+def _generator(rng):
+    """rng, which the array draws rewind through ``rng.bit_generator.state``."""
+    if not hasattr(rng, "bit_generator"):
+        raise TypeError("rng must be a numpy.random.Generator, "
+                        f"not {type(rng).__name__}")
+    return rng
+
+
 def _aligned_box(cx, cy, hw, hh) -> AlignedBox:
     return AlignedBox.from_bounds([cx - hw, cy - hh], [cx + hw, cy + hh])
 
@@ -302,8 +307,9 @@ def sample_aligned_box(volume: float, rng) -> AlignedBox:
 
     Aspect is log-uniform over the ratios that fit in the unit square and
     the center is uniform over the placements keeping the box unclipped.
+    rng is a ``numpy.random.Generator``; other generators raise TypeError.
     """
-    return _aligned_box(*_aligned_rows(volume, 1, rng)[0])
+    return _aligned_box(*_aligned_rows(volume, 1, _generator(rng))[0])
 
 
 def _rotated_box(cx, cy, hw, hh, angle) -> RotatedBox:
@@ -315,8 +321,9 @@ def sample_rotated_box(volume: float, rng):
 
     Angle and aspect are drawn until the rotated rectangle fits in the unit
     square; the center is then uniform over the placements keeping it inside.
+    rng is a ``numpy.random.Generator``; other generators raise TypeError.
     """
-    return _rotated_box(*_rotated_rows(volume, 1, rng)[0])
+    return _rotated_box(*_rotated_rows(volume, 1, _generator(rng))[0])
 
 
 # sampler name -> (draw the rows of count boxes, box object from one row)

@@ -251,12 +251,14 @@ def test_density_rows(tmp_path):
     assert float(t) == 10.0 and float(q) == 317 / 100.0
 
 
-def test_density_radius_whose_power_underflows_is_refused(tmp_path, capsys):
-    # 1e-300 squared underflows to 0, which the quotient would divide by.
+@pytest.mark.parametrize("radius", ["1e-300", "1e-160"])
+def test_density_radius_whose_power_underflows_is_refused(tmp_path, capsys, radius):
+    # 1e-300 squared underflows to 0, which the quotient would divide by;
+    # 1e-160 squared is the subnormal 1e-320, and 1 / 1e-320 overflows to inf.
     out = tmp_path / "density.csv"
-    assert run("density", "--spec", "z2", "--radii", "1e-300,5",
+    assert run("density", "--spec", "z2", "--radii", f"{radius},5",
                "--out", str(out)) == 2
-    assert "underflows" in capsys.readouterr().err
+    assert "overflows" in capsys.readouterr().err
     assert not out.exists()
     assert run("density", "--spec", "z2", "--radii", "1e-150,5",
                "--out", str(out)) == 0

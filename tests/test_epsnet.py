@@ -181,6 +181,13 @@ class TestBoxSamplers:
                  for sx in (-1, 1) for sy in (-1, 1)]) @ rot.T
             assert np.all(corners >= -1e-9) and np.all(corners <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("sampler", [sample_aligned_box, sample_rotated_box])
+    def test_generator_without_bit_generator_is_type_error(self, sampler):
+        # The draw saves and restores rng.bit_generator.state, which a legacy
+        # RandomState does not have.
+        with pytest.raises(TypeError, match="numpy.random.Generator"):
+            sampler(0.02, np.random.RandomState(1))
+
 
 class TestVerifyNet:
     def test_unit_volume_always_hits_center(self):

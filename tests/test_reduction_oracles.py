@@ -1414,18 +1414,19 @@ class TestVerifyNetOracle:
 
     @pytest.mark.parametrize("volume", [0.003, 0.01, 0.3, 1.0])
     def test_draw_helpers_match_samplers(self, volume):
-        # One generator serves the array draws and the samplers in turn; each
-        # box equals the former sampler's box from a generator with the same seed.
+        # One generator serves the array draws of 1 to 7 boxes and the samplers
+        # in turn; each box equals the former sampler's box from a generator
+        # with the same seed.
         rng = np.random.default_rng(4)
         expected_rng = np.random.default_rng(4)
-        for i in range(40):
+        for i in range(400):
             for drawn in (_aligned_rows(volume, 1 + i % 7, rng) if i % 2
                           else [sample_aligned_box(volume, rng)]):
                 box = epsnet._aligned_box(*drawn) if i % 2 else drawn
                 assert box_fields(box) == \
                     box_fields(former_aligned_box(volume, expected_rng))
         if volume < 0.5:
-            for i in range(40):
+            for i in range(400):
                 for drawn in (_rotated_rows(volume, 1 + i % 7, rng) if i % 2
                               else [sample_rotated_box(volume, rng)]):
                     box = epsnet._rotated_box(*drawn) if i % 2 else drawn
