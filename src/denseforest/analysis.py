@@ -64,6 +64,19 @@ UDT_CHUNK_ROWS = 2 ** 16
 STRIP_COARSE_SHARE = 0.25
 # Candidate pairs whose distances `_min_gap` computes at a time.
 MIN_GAP_PAIR_BLOCK = 2 ** 16
+# Offset lines (directions x offsets) that `find_empty_tube` may scan.  On
+# a 2-vCPU Xeon a line took 0.11-0.56 ms at r = 50 and about 1.1 ms at
+# r = 200 (Peres, three-grid and D2; eps 0.01 and 0.1; 2,000 offsets in
+# each of 2 directions), so the cap runs about 10 s to 2 minutes.  A line
+# holds no array of its own, so memory does not grow with the lines.
+MAX_TUBE_LINES = 10 ** 5
+# Work of the rotations that `heavy_box` samples: each rotation counts its
+# points plus HEAVY_ROTATION_BASE.  On a 2-vCPU Xeon a rotation took 2.3-2.6
+# ms for 2 points, 4-8 ms for 20-60, 10-20 ms for 200 and 46-107 ms for
+# 2,000 (eps 0.001 to 0.5), and 1.4 s for 20,000 at eps 0.01.  That is 53
+# to 91 us per unit at worst, so the cap runs about 1 to 1.5 minutes.
+MAX_HEAVY_ROTATION_WORK = 10 ** 6
+HEAVY_ROTATION_BASE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +954,10 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     dirs = _unit_directions(directions, window.dim)
     if not dirs:
         raise ValueError("at least one direction is required")
+    lines = len(dirs) * offsets_per_direction
+    if lines > MAX_TUBE_LINES:
+        raise ResourceLimitError(f"{lines} offset lines exceed the limit of "
+                                 f"{MAX_TUBE_LINES}")
     pad = epsilon + 1e-6
     pts = enumerate_points(spec, Window(window.lo - pad, window.hi + pad))
     center = (window.lo + window.hi) / 2.0
@@ -1080,7 +1097,10 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     cands = np.unique(np.round(cands, 12), axis=0)
     center = (window.lo + window.hi) / 2.0
     bulk = float(np.min(window.extent)) / 4.0
-    sub = pts[np.all(np.abs(pts - center) <= bulk, axis=1)]
+    near = np.ones(pts.shape[0], dtype=bool)
+    for k in range(dim):
+        near &= np.abs(pts[:, k] - center[k]) <= bulk
+    sub = np.compress(near, pts, axis=0)
     # |x.u| <= dim * (|center|_inf + bulk) for x in P, for c.u and for every
     # central midpoint; eps is 1e-9 of that scale.
     eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
@@ -1171,8 +1191,9 @@ def _min_gap(pts: np.ndarray) -> float:
     if r2 == 0.0:
         return 0.0
     n, d = pts.shape
-    lo = pts.min(axis=0)
-    extent = pts.max(axis=0) - lo
+    # Column by column: a reduction over axis 0 of two columns is ~15x slower.
+    lo = np.array([col.min() for col in pts.T])
+    extent = np.array([col.max() for col in pts.T]) - lo
     per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
     side = max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
     # Cell coordinates floor((x - lo) / side) + 1 are monotone in x, so the
@@ -1184,7 +1205,7 @@ def _min_gap(pts: np.ndarray) -> float:
         keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    pts = pts[order]
+    pts = np.take(pts, order, axis=0)
     del order
     # Sorted by key, a cell's later points and the next cell along the last
     # axis are one run of rows, and so are the three cells along the last
@@ -1221,7 +1242,8 @@ def _least_in_ranges(pts: np.ndarray, start: np.ndarray, stop: np.ndarray) -> fl
     for lo, hi in zip(np.append(0, cuts), np.append(cuts, start.size)):
         rows, cols = run_pairs(start[lo:hi], stop[lo:hi])
         if rows.size:
-            best = min(best, float(np.min(_squared_distances(pts[rows + lo], pts[cols]))))
+            best = min(best, float(np.min(_squared_distances(
+                np.take(pts, rows + lo, axis=0), np.take(pts, cols, axis=0)))))
     return best
 
 
@@ -1353,6 +1375,12 @@ def heavy_box(points, eps: float, rotation_samples: int = 0, seed: int = 0):
         raise ValueError("at least one point is required")
     if pts.shape[1] > 2:
         raise ValueError("heavy-box search is implemented for dimensions 1 and 2")
+    if pts.shape[1] == 2 and rotation_samples > 0:
+        work = rotation_samples * (pts.shape[0] + HEAVY_ROTATION_BASE)
+        if work > MAX_HEAVY_ROTATION_WORK:
+            raise ResourceLimitError(
+                f"{rotation_samples} rotations of {pts.shape[0]} points exceed "
+                f"the limit of {MAX_HEAVY_ROTATION_WORK} units")
     box = _witness_box(pts, eps)
     count = int(np.count_nonzero(box.contains(pts)))
     best = (box, count)

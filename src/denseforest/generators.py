@@ -271,7 +271,9 @@ class LatticeSheet:
 
     def points(self, zs: np.ndarray) -> np.ndarray:
         """basis @ z + shift for every row z of zs."""
-        return _matmul(zs, self.basis.T) + self.shift
+        pts = _matmul(zs, self.basis.T)
+        pts += self.shift
+        return pts
 
     def estimate(self, window: Window) -> float:
         return window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16
@@ -280,7 +282,7 @@ class LatticeSheet:
         _check_budget(self.estimate(window))
         images = (window.corners() - self.shift) @ self.inverse.T
         pts = self.points(_integer_grid(*_integer_ranges(images)))
-        return pts[window.contains(pts)]
+        return np.compress(window.contains(pts), pts, axis=0)
 
 
 Grid = LatticeSheet  # the public name of a translated lattice
@@ -327,7 +329,7 @@ class SequenceSheet:
         first = np.ceil(lo[1:] - vs)
         widths = np.max(np.floor(hi[1:] - vs) - first + 1, axis=0, initial=0)
         pts = self._columns(ks, vs, first, widths.astype(np.int64))
-        return pts[window.contains(pts)]
+        return np.compress(window.contains(pts), pts, axis=0)
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         ys = queries @ self.rotation
@@ -396,7 +398,7 @@ class D2Sheet(PointSetSpec):
     def enumerate(self, window: Window) -> np.ndarray:
         pairs = _d2_nonneg_pairs(*self._reach(window))
         pts = (pairs[:, None, :] * D2_SIGNS[None, :, :]).reshape(-1, 2) * D2_SCALE
-        return pts[window.contains(pts)]
+        return np.compress(window.contains(pts), pts, axis=0)
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
@@ -519,7 +521,7 @@ class CutProjectSheet(PointSetSpec):
 
     def enumerate(self, window: Window) -> np.ndarray:
         u, cut = self._project(_integer_grid(*_integer_ranges(self._cut_corners(window))))
-        return u[cut & window.contains(u)]
+        return np.compress(cut & window.contains(u), u, axis=0)
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
@@ -689,6 +691,20 @@ def integer_lattice(dim: int = 2) -> GridUnion:
 # Enumeration
 # ---------------------------------------------------------------------------
 
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable lexicographic order of the rows: ``np.lexsort(rows.T[::-1])``.
+
+    numpy orders complex values by (real, imag) when neither part is NaN,
+    so two NaN-free columns sort as one complex key, in one stable sort
+    instead of two.  Rows of another width, or holding a NaN, use lexsort:
+    as complex numbers (1, nan) sorts after (2, 0).
+    """
+    if rows.shape[1] == 2 and not np.isnan(rows).any():
+        keys = np.ascontiguousarray(rows).view(np.complex128)[:, 0]
+        return np.argsort(keys, kind="stable")
+    return np.lexsort(rows.T[::-1])
+
+
 def canonicalize_points(pts: np.ndarray) -> np.ndarray:
     """Merge duplicates within 1e-9 and sort rows lexicographically.
 
@@ -696,19 +712,34 @@ def canonicalize_points(pts: np.ndarray) -> np.ndarray:
     stable sort of the keys puts equal keys in runs in input order, and
     adjacent rows compare with float `!=`, so -0.0 equals 0.0 and a row
     holding NaN equals no other.  Rounding can reorder rows, so the kept
-    points are sorted again.
+    points, taken in key order, are sorted again.  Rows that tie in that
+    sort have equal keys as well, so the stable key sort left them in input
+    order, and the result is the one a sort from input order gives.
+
+    Both sorts go through `_row_order`.  For two NaN-free columns it sorts
+    the rows as complex numbers, whose order numpy defines as lexicographic
+    by (real, imag) when neither part is NaN; infinities compare as floats.
+    A stable sort by one strict order is one permutation, so it equals
+    lexsort's, ties (equal keys) staying in input order.  Other widths, and
+    rows holding a NaN, fall back to lexsort.  -0.0 needs no special case:
+    both sorts and the run test compare with float `<` and `!=`, under
+    which -0.0 equals 0.0, and the kept points are already normalized.
     """
     if pts.shape[0] == 0:
         return pts
     pts = pts + 0.0  # normalizes -0.0
     keys = np.round(pts, MERGE_DECIMALS)
-    order = np.lexsort(keys.T[::-1])
-    runs = keys[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(runs[1:] != runs[:-1], axis=1)
-    pts = pts[np.sort(order[first])]
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
+    order = _row_order(keys)
+    runs = np.take(keys, order, axis=0)
+    del keys
+    first = np.zeros(order.size, dtype=bool)
+    first[0] = True
+    for k in range(runs.shape[1]):
+        first[1:] |= runs[1:, k] != runs[:-1, k]
+    del runs
+    pts = np.take(pts, order[first], axis=0)
+    del order, first
+    return np.take(pts, _row_order(pts), axis=0)
 
 
 def enumerate_points(spec: PointSetSpec, window: Window) -> np.ndarray:

@@ -149,9 +149,16 @@ class Window:
         return float(np.prod(self.extent))
 
     def contains(self, points) -> np.ndarray:
-        """Half-open membership mask for an (N, dim) array of points."""
+        """Half-open membership mask for an (N, dim) array of points, built
+        one column at a time."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo) & (pts < self.hi), axis=1)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError("points must be rows of the window's dimension")
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for k in range(self.dim):
+            col = pts[:, k]
+            inside &= (col >= self.lo[k]) & (col < self.hi[k])
+        return inside
 
     def corners(self) -> np.ndarray:
         """All 2^dim corners as an array of shape (2^dim, dim)."""

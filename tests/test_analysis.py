@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import denseforest.analysis as analysis
 from denseforest.analysis import (_line_gap_profile, RotatedBox,
                                   check_visibility, density_profile,
                                   discrepancy, dispersion,
@@ -264,6 +266,35 @@ class TestEmptyTube:
             find_empty_tube(integer_lattice(2), 0.1, Window.cube(2.0, 2),
                             [(1.0, 0.0), bad], 4)
 
+    def test_lines_budget(self, monkeypatch):
+        # Two directions of 6 offsets are 12 lines: just under a budget of
+        # 12, and refused one offset per direction later.
+        monkeypatch.setattr(analysis, "MAX_TUBE_LINES", 12)
+        w = Window.cube(5.0, 2)
+        _, length = find_empty_tube(integer_lattice(2), 0.3, w,
+                                    [(1.0, 0.0), (0.0, 1.0)], 6)
+        assert length == pytest.approx(10.0, abs=1e-6)
+        with pytest.raises(ResourceLimitError, match="14 offset lines"):
+            find_empty_tube(integer_lattice(2), 0.3, w,
+                            [(1.0, 0.0), (0.0, 1.0)], 7)
+
+    def test_lines_refused_before_any_allocation(self, monkeypatch):
+        # 10^9 offsets would ask for 8 GB of offsets alone.  The refusal
+        # comes before the enumeration, which must not run.
+        def no_enumeration(*args):
+            raise AssertionError("points were enumerated")
+
+        monkeypatch.setattr(analysis, "enumerate_points", no_enumeration)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                find_empty_tube(integer_lattice(2), 0.1, Window.cube(200.0, 2),
+                                [(1.0, 0.0), (0.0, 1.0)], 10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
 
 def shortest_dual_width(basis: np.ndarray) -> float:
     inv = np.linalg.inv(basis)
@@ -446,6 +477,25 @@ class TestHeavyBox:
         # A side of 1e-7 near 0.5 is some 10^9 float spacings long.
         box, count = heavy_box([[0.5], [0.9]], 1e-7)
         assert box.volume >= 1e-7 and count == 1
+
+    def test_rotation_budget(self, monkeypatch):
+        # 5 rotations of 18 points count 5 * (18 + 32) = 250 units: just
+        # under a budget of 250, refused at 249 before the first search.
+        pts = np.random.default_rng(6).random((18, 2))
+        monkeypatch.setattr(analysis, "MAX_HEAVY_ROTATION_WORK", 250)
+        _, count = heavy_box(pts, 0.05, rotation_samples=5, seed=2)
+        assert count >= 1
+        monkeypatch.setattr(analysis, "MAX_HEAVY_ROTATION_WORK", 249)
+
+        def no_search(*args):
+            raise AssertionError("a box was searched")
+
+        monkeypatch.setattr(analysis, "_witness_box", no_search)
+        with pytest.raises(ResourceLimitError, match="5 rotations of 18"):
+            heavy_box(pts, 0.05, rotation_samples=5, seed=2)
+        # The budget binds rotations only.
+        with pytest.raises(AssertionError, match="searched"):
+            heavy_box(pts, 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
 from denseforest import __version__, cli
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
@@ -381,6 +382,33 @@ def test_heavy_box_eps_below_float_spacing_is_argument_error(tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "box.json.meta.json").exists()
+
+
+def test_heavy_box_rotations_over_budget_exit_3(tmp_path, monkeypatch):
+    # 4 rotations of 50 points count 4 * (50 + 32) = 328 units.
+    monkeypatch.setattr(analysis, "MAX_HEAVY_ROTATION_WORK", 328)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n" + "\n".join(
+        f"{x},{y}" for x, y in np.random.default_rng(0).uniform(0, 1, (50, 2))))
+    out = tmp_path / "box.json"
+    assert run("heavy-box", "--points", str(pts), "--eps", "0.1",
+               "--rotations", "4", "--out", str(out)) == 0
+    out.unlink()
+    assert run("heavy-box", "--points", str(pts), "--eps", "0.1",
+               "--rotations", "5", "--out", str(out)) == 3
+    assert not out.exists()
+
+
+def test_tube_offsets_over_budget_exit_3(tmp_path, monkeypatch):
+    # The default two directions of 16 offsets are 32 lines.
+    monkeypatch.setattr(analysis, "MAX_TUBE_LINES", 32)
+    out = tmp_path / "tube.json"
+    assert run("tube", "--spec", "z2", "--eps", "0.3", "--radius", "5",
+               "--offsets", "16", "--out", str(out)) == 0
+    out.unlink()
+    assert run("tube", "--spec", "z2", "--eps", "0.3", "--radius", "5",
+               "--offsets", "17", "--out", str(out)) == 3
+    assert not out.exists()
 
 
 def test_calibrate_json(tmp_path):

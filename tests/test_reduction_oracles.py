@@ -20,7 +20,10 @@ bound mark the grid nodes within a bound of some point and compute exact
 distances only for the others; their oracle is a KD-tree query (p = inf)
 of every node, the former code.
 `canonicalize_points` merges rounded duplicates with one stable sort; its
-oracle is `np.unique(axis=0)`.
+oracle is `np.unique(axis=0)`.  Two NaN-free columns sort as one complex
+key; the former code, two lexsorts, is the oracle of that sort.
+`Window.contains` builds its mask one column at a time; its oracle compares
+the whole array at once.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
 coordinates and marches the other sheets in unit steps, each sheet listing
@@ -278,6 +281,27 @@ def canonicalize_oracle(pts):
     pts = pts[np.sort(idx)]
     order = np.lexsort(pts.T[::-1])
     return pts[order]
+
+
+def former_canonicalize(pts):
+    """`canonicalize_points` as two lexsorts of every column."""
+    if pts.shape[0] == 0:
+        return pts
+    pts = pts + 0.0
+    keys = np.round(pts, generators.MERGE_DECIMALS)
+    order = np.lexsort(keys.T[::-1])
+    runs = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(runs[1:] != runs[:-1], axis=1)
+    pts = pts[np.sort(order[first])]
+    order = np.lexsort(pts.T[::-1])
+    return pts[order]
+
+
+def former_window_contains(window, points):
+    """`Window.contains` as one comparison of the whole array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.all((pts >= window.lo) & (pts < window.hi), axis=1)
 
 
 SEQUENCES = [golden_sequence(), tsokanos_sequence(), quadratic_sequence(PHI),
@@ -699,6 +723,163 @@ class TestCanonicalizeOracle:
         raw = np.concatenate([sheet.enumerate(window) for sheet in spec.sheets()])
         self.assert_matches(raw)
         self.assert_matches(raw[::-1].copy())
+
+
+# MERGE_VALUES with NaN and the infinities.
+SPECIAL_VALUES = MERGE_VALUES + [math.nan, math.inf, -math.inf]
+
+
+def special_rows(d, picks):
+    return np.array(SPECIAL_VALUES)[picks[:len(picks) // d * d]].reshape(-1, d)
+
+
+class TestCanonicalizeSort:
+    """`canonicalize_points` sorts two NaN-free columns as one complex key;
+    its oracle is the former code, two lexsorts, and bytes must be equal."""
+
+    @staticmethod
+    def assert_matches(pts):
+        got = canonicalize_points(pts)
+        expected = former_canonicalize(pts)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.integers(1, 3), st.lists(st.integers(0, len(SPECIAL_VALUES) - 1),
+                                       min_size=0, max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_special_values(self, d, picks):
+        self.assert_matches(special_rows(d, picks))
+
+    def test_nan_rows_keep_the_lexicographic_order(self):
+        # As complex numbers (1, nan) sorts after (2, 0), but lexicographic
+        # order puts it first, so rows with a NaN must not take the
+        # complex sort.
+        pts = np.array([[2.0, 0.0], [1.0, math.nan], [math.nan, -1.0],
+                        [math.inf, 3.0], [1.0, -math.inf], [math.nan, math.nan]])
+        keys = pts.view(np.complex128)[:, 0]
+        assert not np.array_equal(np.argsort(keys, kind="stable"),
+                                  np.lexsort(pts.T[::-1]))
+        self.assert_matches(pts)
+        got = canonicalize_points(pts)
+        assert np.isnan(got[-1]).all()
+        assert got[0].tolist() == [1.0, -math.inf]
+
+    @given(st.integers(1, 3), st.integers(0, 2 ** 16), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rows(self, d, seed, n):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-4, 5, (n, d)) * 0.25
+        pts += rng.choice([0.0, 1e-12, -1e-12, 4e-10, -6e-10], size=(n, d))
+        self.assert_matches(pts)
+
+    @pytest.mark.parametrize("layout", ["fortran", "column_slice", "read_only",
+                                        "row_slice"])
+    def test_memory_layouts(self, layout):
+        rng = np.random.default_rng(5)
+        base = rng.integers(-3, 4, (400, 4)) * 0.5 + rng.choice([0.0, 1e-12], (400, 4))
+        pts = {"fortran": np.asfortranarray(base[:, :2]),
+               "column_slice": base[:, 1::2],
+               "read_only": base[:, :2].copy(),
+               "row_slice": base[::3, 2:]}[layout]
+        if layout == "read_only":
+            pts.setflags(write=False)
+        assert pts.shape[1] == 2
+        self.assert_matches(pts)
+
+    def test_fortran_rows_cannot_be_viewed_as_complex(self):
+        # The complex view needs C-contiguous rows; the sum that normalizes
+        # -0.0 keeps the Fortran layout, so the sort must make them so.
+        pts = np.asfortranarray(np.arange(8.0).reshape(4, 2)) + 0.0
+        assert not pts.flags.c_contiguous
+        with pytest.raises(ValueError):
+            pts.view(np.complex128)
+        self.assert_matches(np.asfortranarray(np.arange(8.0).reshape(4, 2)[::-1]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_widths(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.integers(-2, 3, (500, d)) * 0.5 + rng.choice([0.0, 1e-12], (500, d))
+        self.assert_matches(pts)
+        self.assert_matches(np.empty((0, d)))
+
+    def test_rounding_reorders_rows(self):
+        # p lies right of q, but their keys share x = 0.5, so by key p
+        # (smaller y) comes first; the kept points are sorted again.
+        p = [0.5 + 2e-10, 1.0]
+        q = [0.5, 2.0]
+        pts = np.array([q, p, [0.5 - 3e-10, 1.5], [0.25, 7.0],
+                        [0.5 + 2e-10, 1.0 + 3e-10]])
+        keys = np.round(pts, generators.MERGE_DECIMALS)
+        assert not np.array_equal(np.lexsort(keys.T[::-1]), np.lexsort(pts.T[::-1]))
+        self.assert_matches(pts)
+        rng = np.random.default_rng(11)
+        many = rng.integers(0, 6, (2000, 2)) * 0.5 + rng.uniform(-4e-10, 4e-10, (2000, 2))
+        self.assert_matches(many)
+
+    def test_three_grid_sheets(self):
+        # At r = 200 the third sheet has few distinct x, so y decides
+        # almost every comparison.
+        spec, window = ThreeGrid(), Window.cube(200.0, 2)
+        sheets = [sheet.enumerate(window) for sheet in spec.sheets()]
+        third = sheets[2]
+        assert np.unique(third[:, 0]).size <= 401 < third.shape[0] // 100
+        for pts in sheets:
+            self.assert_matches(pts)
+        self.assert_matches(np.concatenate(sheets))
+
+
+# Window bounds, values next to them, NaN and the infinities.
+CONTAINS_VALUES = [-1.5, np.nextafter(-1.5, -2.0), np.nextafter(-1.5, 0.0),
+                   2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
+                   0.0, -0.0, 0.25, 7.0, math.nan, math.inf, -math.inf]
+
+
+class TestWindowContainsOracle:
+    """`Window.contains` builds its mask one column at a time; its oracle
+    compares the whole array at once."""
+
+    @given(st.integers(1, 3), st.lists(st.integers(0, len(CONTAINS_VALUES) - 1),
+                                       min_size=0, max_size=90))
+    @settings(max_examples=150, deadline=None)
+    def test_special_values(self, d, picks):
+        window = Window(np.full(d, -1.5), np.full(d, 2.0))
+        pts = np.array(CONTAINS_VALUES)[picks[:len(picks) // d * d]].reshape(-1, d)
+        got = window.contains(pts)
+        assert got.dtype == bool
+        assert np.array_equal(got, former_window_contains(window, pts))
+
+    def test_bounds_are_half_open(self):
+        window = Window([0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
+        pts = np.array([[0.0, -1.0, 2.0], [1.0, 0.0, 2.5], [0.5, 1.0, 2.5],
+                        [0.5, 0.0, 3.0], [np.nextafter(1.0, 0.0), 0.0, 2.5],
+                        [math.nan, 0.0, 2.5], [0.5, math.inf, 2.5]])
+        got = window.contains(pts)
+        assert got.tolist() == [True, False, False, False, True, False, False]
+        assert np.array_equal(got, former_window_contains(window, pts))
+
+    def test_single_point(self):
+        window = Window([0.0, 0.0], [1.0, 1.0])
+        for point in ([0.5, 0.5], [1.0, 0.5], [0.0, 0.0], [math.nan, 0.5]):
+            got = window.contains(point)
+            assert got.shape == (1,)
+            assert np.array_equal(got, former_window_contains(window, point))
+
+    def test_other_widths_are_refused(self):
+        # The whole-array comparison broadcast one column against every
+        # axis; the mask refuses rows of another width instead.
+        window = Window([0.0, 0.0], [1.0, 1.0])
+        for pts in (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros((2, 4, 2))):
+            with pytest.raises(ValueError, match="window's dimension"):
+                window.contains(pts)
+
+    @given(st.integers(0, 2 ** 16), st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_random_3d(self, seed, n):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(-3, 1, 3).astype(float)
+        window = Window(lo, lo + rng.integers(1, 4, 3))
+        pts = rng.integers(-4, 5, (n, 3)) * 0.5
+        assert np.array_equal(window.contains(pts), former_window_contains(window, pts))
 
 
 def lattice_candidates_near(sheet, queries, radius):
