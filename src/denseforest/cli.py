@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,9 +74,16 @@ def _ints(text: str) -> list:
 
 
 def _write_json(path: str, doc):
+    """Write doc as strict JSON: a NaN or infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
+
+
+def _finite_or_none(value: float):
+    """value, or None (JSON null) when it is infinite."""
+    return value if math.isfinite(value) else None
 
 
 def _write_meta(args, command: str):
@@ -209,8 +217,8 @@ def _cmd_calibrate(args):
     doc = {
         "peres_visibility": {
             "epsilons": epsilons,
-            "estimates": estimates,
-            "check_lengths": [2.0 * v for v in estimates],
+            "estimates": [_finite_or_none(v) for v in estimates],
+            "check_lengths": [_finite_or_none(2.0 * v) for v in estimates],
             "count": args.count,
             "radius": args.radius,
             "l_max": args.l_max,

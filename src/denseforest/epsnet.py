@@ -21,13 +21,9 @@ CHUNK_BOXES = 4096
 # 0.01, hw or d2 net, aligned or rotated), so the cap runs 30 to 75 s; boxes
 # that fall to the full-net check, as at volume 0.001 on a net for 0.01,
 # ran at 1.6e4 to 2.3e4 boxes/s.  Memory does not grow with the boxes: a
-# chunk holds 41 bytes a box, and its draw and check about 1 MB more.
+# chunk holds 41 bytes a box, and its draw and check peak at 2.3 MB (d2
+# net, aligned) to 3.0 MB (hw net, rotated) under tracemalloc.
 MAX_VERIFY_TRIALS = 10 ** 7
-# Each sampled box first tests the net points in the 3 x 3 cells around its
-# centre, for this many boxes at a time and at most CELL_RUN_POINTS points
-# from each row of 3 cells, so the candidate arrays stay near 1 MB.
-CERTIFY_BOXES = 512
-CELL_RUN_POINTS = 32
 # A rotated box makes at most this many attempts to fit in the unit square.
 ROTATED_ATTEMPTS = 10000
 # The rotated draw evaluates blocks of at most this many doubles at once
@@ -353,13 +349,10 @@ class _CellIndex:
         return cell[:, 0] * (self.g + 2) + cell[:, 1]
 
     def near(self, centres: np.ndarray):
-        """(rows, candidate points): the points of the 3 x 3 cells around each
-        centre, at most CELL_RUN_POINTS from each row of 3 cells."""
+        """(start, stop) of the sorted points in the 3 x 3 cells around each
+        centre: three runs per centre, one for each row of 3 cells."""
         runs = self.keys(centres)[:, None] + (self.g + 2) * np.arange(-1, 2)
-        start = self.starts[runs - 1].ravel()
-        stop = np.minimum(self.starts[runs + 2].ravel(), start + CELL_RUN_POINTS)
-        rows, cols = run_pairs(start, stop)
-        return rows // 3, self.points[cols]
+        return self.starts[runs - 1].ravel(), self.starts[runs + 2].ravel()
 
 
 def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.ndarray:
@@ -372,22 +365,24 @@ def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.nd
     ROTATED_HIT_MARGIN inside, far beyond any rounding of that product.
     """
     hits = np.zeros(rows.shape[0], dtype=bool)
-    for lo in range(0, rows.shape[0], CERTIFY_BOXES):
-        chunk = rows[lo:lo + CERTIFY_BOXES]
-        box, near = index.near(chunk[:, :2])
+    if rotated:
+        cos, sin = np.cos(rows[:, 4]), np.sin(rows[:, 4])
+    for run, cols in run_pairs(*index.near(rows[:, :2])):
+        box = run // 3
+        near = np.take(index.points, cols, axis=0)
         x = near[:, 0]
         y = near[:, 1]
-        cx, cy, hw, hh = (chunk[box, j] for j in range(4))
+        cx, cy, hw, hh = (rows[box, j] for j in range(4))
         if not rotated:
             inside = (x >= cx - hw) & (x <= cx + hw) & (y >= cy - hh) & (y <= cy + hh)
         else:
-            c = np.cos(chunk[:, 4])[box]
-            s = np.sin(chunk[:, 4])[box]
+            c = cos[box]
+            s = sin[box]
             u = (x - cx) * c + (y - cy) * s
             v = (y - cy) * c - (x - cx) * s
             inside = ((np.abs(u) <= hw - ROTATED_HIT_MARGIN)
                       & (np.abs(v) <= hh - ROTATED_HIT_MARGIN))
-        hits[lo + box[inside]] = True
+        hits[box[inside]] = True
     return hits
 
 

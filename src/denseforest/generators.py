@@ -233,11 +233,12 @@ def _freeze(obj, **arrays):
 
 
 def _matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """rows @ matrix, never as a one-row product.
+    """rows @ matrix, never as a one-row product; matrix may be a vector.
 
-    numpy multiplies a single row with BLAS gemv, which can round
-    differently from the gemm of several rows; a lone row is doubled so
-    that a point gets the same bits whatever window or batch it comes from.
+    numpy multiplies a single row with BLAS gemv, or by a vector with a dot
+    product, which can round differently from the product of several rows;
+    a lone row is doubled so that a point, or a row of udt_check's u-grid,
+    gets the same bits whatever window, batch or chunk it comes from.
     """
     if rows.shape[0] == 1:
         return (np.concatenate([rows, rows]) @ matrix)[:1]

@@ -454,7 +454,7 @@ class TestHeavyBox:
         assert box.contains([[1.0 / r2, 1.0 / r2]])[0]
         assert not box.contains([[1.0 / r2 + 0.5, 1.0 / r2 - 0.5]])[0]
 
-    @pytest.mark.parametrize("eps", [1e-16, 1e-26, 1e-300])
+    @pytest.mark.parametrize("eps", [1e-300])
     def test_eps_below_float_spacing_is_refused(self, eps):
         # The box's sides fall below the spacing of floats near the points,
         # so inflating cannot bring its volume up to eps.
@@ -464,6 +464,17 @@ class TestHeavyBox:
         with pytest.raises(ValueError, match="too small"):
             heavy_box(pts, eps, rotation_samples=2)
 
+    @pytest.mark.parametrize("eps", [1e-16, 1e-26])
+    def test_eps_near_float_spacing_reaches_eps(self, eps):
+        # At 1e-16 the best box's sides are 3.1e-10 and 3.2e-7, which three
+        # growth steps leave about 1e-9 short of eps; its bounds then widen
+        # by one float each.
+        pts = np.random.default_rng(1).random((50, 2))
+        for rotations in (0, 2):
+            box, count = heavy_box(pts, eps, rotation_samples=rotations)
+            assert box.volume >= eps
+            assert count == np.count_nonzero(box.contains(pts)) >= 1
+
     def test_long_thin_box_reaches_eps(self):
         # The best box of these points is 1.7e-13 wide at x = 1; inflated to
         # volume 0.01 its width is 4.5e-8, and rounding its bounds near 1
@@ -472,6 +483,19 @@ class TestHeavyBox:
                         [1.000000000000507, 0.8571428571428571]])
         box, count = heavy_box(pts, 0.01)
         assert box.volume >= 0.01 and count == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_thin_boxes_near_an_edge_reach_eps(self, seed):
+        # x on sevenths and y within 1e-12 above 1: the best box is about
+        # 1e-12 tall, and 14 of these 40 cases used to round short of eps.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        pts = np.stack([np.round(rng.random(n) * 7) / 7,
+                        1 + rng.random(n) * 1e-12], axis=1)
+        for eps in (0.01, 0.2):
+            box, count = heavy_box(pts, eps)
+            assert box.volume >= eps
+            assert count == np.count_nonzero(box.contains(pts))
 
     def test_small_eps_on_the_line_reaches_eps(self):
         # A side of 1e-7 near 0.5 is some 10^9 float spacings long.
@@ -496,6 +520,10 @@ class TestHeavyBox:
         # The budget binds rotations only.
         with pytest.raises(AssertionError, match="searched"):
             heavy_box(pts, 0.05)
+
+    def test_negative_rotations_are_refused(self):
+        with pytest.raises(ValueError, match="rotation_samples"):
+            heavy_box([[0.2, 0.3], [0.5, 0.5]], 0.1, rotation_samples=-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -384,6 +384,16 @@ def test_heavy_box_eps_below_float_spacing_is_argument_error(tmp_path, capsys):
     assert not (tmp_path / "box.json.meta.json").exists()
 
 
+def test_heavy_box_negative_rotations_is_argument_error(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0.2,0.3\n0.5,0.5\n")
+    out = tmp_path / "box.json"
+    assert run("heavy-box", "--points", str(pts), "--eps", "0.1",
+               "--rotations", "-1", "--out", str(out)) == 2
+    assert "rotation_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heavy_box_rotations_over_budget_exit_3(tmp_path, monkeypatch):
     # 4 rotations of 50 points count 4 * (50 + 32) = 328 units.
     monkeypatch.setattr(analysis, "MAX_HEAVY_ROTATION_WORK", 328)
@@ -420,6 +430,22 @@ def test_calibrate_json(tmp_path):
     assert cal["epsilons"] == [0.6]
     assert len(cal["estimates"]) == 1
     assert cal["check_lengths"][0] == pytest.approx(2.0 * cal["estimates"][0])
+
+
+def test_calibrate_infinite_estimate_is_null(tmp_path):
+    # At eps = 1e-300 a probe of length 8 still misses, so the estimate
+    # and its check length are infinite; strict JSON writes them as null.
+    out = tmp_path / "cal.json"
+    assert run("calibrate", "--eps", "1e-300", "--count", "10", "--l-max", "8",
+               "--radius", "5", "--out", str(out)) == 0
+
+    def no_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    json.loads((tmp_path / "cal.json.meta.json").read_text(),
+               parse_constant=no_constant)
+    cal = json.loads(out.read_text(), parse_constant=no_constant)["peres_visibility"]
+    assert cal["estimates"] == cal["check_lengths"] == [None]
 
 
 def test_threads_flag_does_not_change_output(tmp_path):

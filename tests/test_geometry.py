@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import qmc
 
+import denseforest.geometry as geometry
 from denseforest.geometry import (AlignedBox, Point, Segment, Window,
-                                  _stratified_directions, sample_probes,
+                                  _stratified_directions, run_pairs,
+                                  sample_probes,
                                   sample_segments,
                                   supnorm_point_segment_distance,
                                   tube_bounding_window)
@@ -209,3 +213,34 @@ class TestSampleSegments:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_segments(Window.cube(1.0, 2), 1.0, 0, seed=0)
+
+
+def pairs_oracle(start, stop):
+    """Every (i, j) with start[i] <= j < stop[i], one at a time."""
+    return [(i, j) for i in range(len(start)) for j in range(start[i], stop[i])]
+
+
+class TestRunPairs:
+    # A stop below its start is an empty run, like an equal one.
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 12)),
+                    max_size=25),
+           st.sampled_from([1, 3, 7]))
+    @example([], 3)
+    @example([(0, 0), (5, 2), (2, 2)], 1)
+    @example([(0, 3), (4, 12), (1, 1), (9, 2)], 7)
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_join_to_every_pair(self, runs, block):
+        start = np.array([a for a, _ in runs], dtype=np.int64)
+        stop = start + np.array([n for _, n in runs], dtype=np.int64)
+        with mock.patch.object(geometry, "PAIR_BLOCK", block):
+            blocks = list(run_pairs(start, stop))
+        got = [(int(i), int(j)) for rows, cols in blocks
+               for i, j in zip(rows, cols)]
+        assert got == pairs_oracle(start.tolist(), stop.tolist())
+        for rows, cols in blocks:
+            assert rows.size == cols.size > 0
+            # A block over PAIR_BLOCK pairs is one run alone.
+            assert rows.size <= block or np.all(rows == rows[0])
+        # Each block ends where adding the next row would overflow it.
+        for (rows, _), (nxt, _) in zip(blocks, blocks[1:]):
+            assert rows.size + np.count_nonzero(nxt == nxt[0]) > block

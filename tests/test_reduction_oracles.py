@@ -88,6 +88,7 @@ from scipy.stats import qmc
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
 import denseforest.generators as generators
+import denseforest.geometry as geometry
 from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _candidate_scores, _central_width,
                                   _central_width_bound, _covered,
@@ -621,6 +622,13 @@ class TestMinGapOracle:
         window = Window.cube(radius, 2)
         assert min_gap(ThreeGrid(), window) == \
             min_gap_oracle(enumerate_points(ThreeGrid(), window))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_three_grid_small_pair_blocks(self, block):
+        window = Window.cube(30.0, 2)
+        with mock.patch.object(geometry, "PAIR_BLOCK", block):
+            assert min_gap(ThreeGrid(), window) == \
+                min_gap_oracle(enumerate_points(ThreeGrid(), window))
 
     @given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2 ** 16),
            st.sampled_from([1.0, 0.37, 1e-6]))
@@ -1535,16 +1543,15 @@ def net_cases(draw):
 class TestVerifyNetOracle:
     @given(net_cases(), st.sampled_from(["aligned", "rotated"]),
            st.integers(1, 40), st.integers(0, 2 ** 16),
-           st.integers(1, 9), st.integers(1, 12), st.integers(1, 5))
+           st.integers(1, 9), st.integers(1, 40))
     @settings(max_examples=120, deadline=None)
     def test_matches_per_box_loop(self, case, box_sampler, trials, seed, chunk,
-                                  run_points, certify):
-        # Small chunks, sub-chunks and runs of candidates make a few trials
-        # span several chunks and leave boxes to the full-net check.
+                                  block):
+        # Small chunks and pair blocks make a few trials span several
+        # chunks and cut a box's candidates across blocks.
         net, volume = case
         with mock.patch.object(epsnet, "CHUNK_BOXES", chunk), \
-                mock.patch.object(epsnet, "CELL_RUN_POINTS", run_points), \
-                mock.patch.object(epsnet, "CERTIFY_BOXES", certify):
+                mock.patch.object(geometry, "PAIR_BLOCK", block):
             assert_verify_matches(net, box_sampler, volume, trials, seed)
 
     @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
@@ -1563,6 +1570,12 @@ class TestVerifyNetOracle:
         hits = assert_verify_matches(net, box_sampler, 0.01,
                                      epsnet.CHUNK_BOXES + 500, 7)
         assert 0 < np.count_nonzero(~hits) < hits.size
+        # Some hits are left to the full-net check: their point lies
+        # beyond the cells around the centre.
+        index = epsnet._CellIndex(net.points)
+        assert any(np.any(hit & ~epsnet._certified_hits(index, rows, box_sampler == "rotated"))
+                   for rows, hit in _box_hits(net, box_sampler, 0.01,
+                                              epsnet.CHUNK_BOXES + 500, 7))
 
     @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
     def test_points_on_box_edges_and_corners(self, box_sampler):
