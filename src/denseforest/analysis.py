@@ -44,6 +44,18 @@ GRID_BOUND_CELLS = 2 ** 16
 # 127 rows and each of its arrays (values, sorted windows, order) takes
 # about 16 MB.
 SUD_BLOCK_CELLS = 2 ** 21
+# Work and array budgets of `sud_estimate`, checked before anything is
+# drawn.  A window of N values counts N units for d = 1, and SUD_GRID_UNITS
+# per element of its grid bound (3^d N tiled points and 4096 nodes, fewer
+# than 3^d N where the grid has more) for d >= 2.  On 2 Xeon vCPUs a d = 1 scan of every twist at every shift
+# took 9.3 ns a unit (N = 2^14, 65 shifts, 256 twists), and a d = 2 or 3
+# window 0.26-0.94 us an element (N = 1 to 4096), so the cap runs about
+# 20 s.  The sweep's SUD counts 2.7e8 units at d = 1 and 9.2e7 at d = 2.
+# The twists and the span of a run hold d * (xi_count + 2N) values, which
+# peaked at 40-52 bytes a value (tracemalloc), 0.9 GB at the cap.
+MAX_SUD_WORK = 2 ** 31
+SUD_GRID_UNITS = 100
+MAX_SUD_VALUES = 2 ** 24
 # Cells (slabs x x-buckets) per block of the exact 2-D discrepancy scan.
 # A scan holds at most 12 arrays of one block, 8 bytes a cell (1.5 MB),
 # besides O(n) for the points; 2^14 cells ran faster than 2^12 or 2^16.
@@ -573,7 +585,15 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     if xi_count < 1:
         raise ValueError("xi_count must be at least 1")
     ms = _m_samples(m_max)
-    xis = _xi_samples(xi_count, seq.dim, seed)
+    d = seq.dim
+    per_window = N if d == 1 else SUD_GRID_UNITS * (3 ** d * N + 4096)
+    work = len(ms) * xi_count * per_window
+    if work > MAX_SUD_WORK or d * (xi_count + 2 * N) > MAX_SUD_VALUES:
+        raise ResourceLimitError(
+            f"{len(ms)} shifts, {xi_count} twists and N = {N} need {work} work "
+            f"units and {d * (xi_count + 2 * N)} values (limits {MAX_SUD_WORK} "
+            f"and {MAX_SUD_VALUES})")
+    xis = _xi_samples(xi_count, d, seed)
     best = 0.0
     for shifts in _shift_groups(ms, N):
         idx = np.arange(shifts[0], shifts[-1] + N, dtype=np.int64)
@@ -631,6 +651,15 @@ PROBE_KERNEL_ROWS = 4096 * 25
 # its about L*|B^-1 d|_max columns.
 WALK_FIRST_COLUMNS = 2
 WALK_MAX_COLUMNS = 64
+# Rows that one probe's walk over one sheet is sure to score: its column
+# box times the columns of its first round and those that the widening of
+# its band adds (see `_ColumnWalk`).  On 2 Xeon vCPUs the walk scored
+# 1.3-2.5e6 rows/s, and a first round took about 200 bytes a row (Z^2 at eps
+# 1e3 to 4e4, the Peres forest at L_max 1e11), so a probe at the cap costs
+# up to about 0.8 s and 200 MB a sheet.  The benchmark's walks count 6 rows
+# a probe, eps 1e4 on Z^2 counts 1.2e5 and the Peres forest at L_max 1e11
+# 1.5e5; at L_max 1e12 it counts 5.5e6 to 1.5e7, and the walk ran past 30 s.
+MAX_WALK_ROWS = 2 ** 20
 
 
 def _walk_stencils(k: int, d: int) -> np.ndarray:
@@ -654,8 +683,10 @@ class _ColumnWalk:
 
     r is widened by 1e-9 * (1 + r + |y0| + horizon * |u|) on each axis: far
     above the rounding of y (a few ulps of |y| times the condition number
-    of B) and of the scoring kernel's bounds, and far below one lattice
-    spacing, so every blocker stays inside its column's box.
+    of B) and of the scoring kernel's bounds, so every blocker stays inside
+    its column's box.  Up to horizons near 10^8 the widening is below one
+    lattice spacing; beyond, it adds columns that hold no blocker, whose
+    cost MAX_WALK_ROWS bounds.
     """
 
     def __init__(self, sheet: LatticeSheet, eps: float, bases: np.ndarray,
@@ -683,7 +714,17 @@ class _ColumnWalk:
         # A bound on the stencil k^(d-1) of ``score``, to size the chunks.
         width = self.hi_off - self.lo_off
         width[rows, self.axis] = 0.0
-        self.rows_per_column = (int(np.floor(width.max())) + 2) ** (d - 1)
+        # Every probe scores its first round, and one that round does not
+        # stop walks the 2w columns that the widening w = r_a - r of its
+        # band adds before its entry reaches t = 0.
+        with np.errstate(over="ignore"):
+            box = (np.floor(width.max()) + 2.0) ** (d - 1)
+            work = box * (WALK_FIRST_COLUMNS
+                          + np.ceil(2.0 * np.max(self.r_a - r[self.axis])))
+        if not work <= MAX_WALK_ROWS:
+            raise ResourceLimitError(f"a column walk of {work:.3g} rows a probe "
+                                     f"exceeds the limit of {MAX_WALK_ROWS}")
+        self.rows_per_column = int(box)
         # Column j of a probe is c = sgn * (start + j).
         self.start = np.ceil(self.pos - self.r_a)
         self.done = np.zeros(n)
@@ -725,24 +766,27 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
     Every probe walks the columns of every sheet (see ``_ColumnWalk``) in
     order of entry and stops on a sheet when its next column is entered
     after min(first, horizon).  The sheets advance in joint rounds, so a hit
-    on one sheet ends the walk on the others.
+    on one sheet ends the walk on the others.  ``first`` only falls and a
+    walk's columns only advance, so a probe that stops on a sheet never
+    resumes there: each sheet keeps one shrinking array of its live probes.
     """
     walks = [_ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
     guard = 1e-9 * (1.0 + horizons)
-    everyone = np.arange(bases.shape[0])
+    alive = [np.arange(bases.shape[0])] * len(walks)
     columns = WALK_FIRST_COLUMNS
     while True:
         moved = False
-        for walk in walks:
-            limit = np.minimum(first, horizons) + guard
-            alive = np.flatnonzero(walk.entry(everyone, walk.done) <= limit)
-            if not alive.size:
+        for i, walk in enumerate(walks):
+            live = alive[i]
+            limit = np.minimum(first[live], horizons[live]) + guard[live]
+            live = alive[i] = live[walk.entry(live, walk.done[live]) <= limit]
+            if not live.size:
                 continue
             moved = True
             chunk = max(1, PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
-            for lo in range(0, alive.size, chunk):
-                walk.score(alive[lo:lo + chunk], columns, eps, bases, dirs, first)
-            walk.done[alive] += columns
+            for lo in range(0, live.size, chunk):
+                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
+            walk.done[live] += columns
         if not moved:
             return
         columns = min(2 * columns, WALK_MAX_COLUMNS)
@@ -843,19 +887,8 @@ def check_visibility(spec: PointSetSpec, epsilon: float, L: float, count: int,
                                     sample_segments(window, L, count, seed))
 
 
-def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
-                        count: int, window: Window, seed: int) -> float:
-    """Smallest length on the grid {L_max * 2^-j} at which all probes hit.
-
-    Returns +inf when some probe of length L_max still misses.  The scan
-    computes each probe's first blocking parameter once, so the returned
-    grid value is consistent with check_visibility on the same seed.
-    """
-    _check_epsilon(epsilon)
-    if L_max <= 0:
-        raise ValueError("L_max must be positive")
-    bases, dirs, lengths = sample_probes(window, L_max, count, seed)
-    first = _probe_first_hits(spec, epsilon, bases, dirs, lengths)
+def _grid_estimate(first: np.ndarray, L_max: float) -> float:
+    """Smallest length on the grid {L_max * 2^-j} above every first hit."""
     threshold = float(np.max(first))
     if threshold >= L_max:
         return math.inf
@@ -865,6 +898,34 @@ def estimate_visibility(spec: PointSetSpec, epsilon: float, L_max: float,
             break
         level /= 2.0
     return level
+
+
+def estimate_visibility(spec: PointSetSpec, epsilon, L_max: float,
+                        count: int, window: Window, seed: int):
+    """Smallest length on the grid {L_max * 2^-j} at which all probes hit.
+
+    Returns +inf when some probe of length L_max still misses.  The scan
+    computes each probe's first blocking parameter once, so the returned
+    grid value is consistent with check_visibility on the same seed.
+
+    ``epsilon`` is one value, which gives one estimate, or a sequence,
+    which gives a list of estimates in its order.  Every epsilon is checked
+    before the probes are drawn, and one draw serves them all: the draw
+    depends only on the window, L_max, count and seed.
+    """
+    single = np.ndim(epsilon) == 0
+    epsilons = [epsilon] if single else list(epsilon)
+    for eps in epsilons:
+        _check_epsilon(eps)
+    if L_max <= 0:
+        raise ValueError("L_max must be positive")
+    estimates = []
+    if epsilons:
+        bases, dirs, lengths = sample_probes(window, L_max, count, seed)
+        estimates = [_grid_estimate(_probe_first_hits(spec, eps, bases, dirs,
+                                                      lengths), L_max)
+                     for eps in epsilons]
+    return estimates[0] if single else estimates
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,9 @@ def _cmd_sud(args):
 def _cmd_visibility(args):
     spec = _parse_spec(args.spec)
     window = Window.cube(args.radius, spec.dim)
-    rows = [(eps, estimate_visibility(spec, eps, args.l_max, args.count,
-                                      window, args.seed))
-            for eps in _floats(args.eps)]
+    epsilons = _floats(args.eps)
+    rows = list(zip(epsilons, estimate_visibility(spec, epsilons, args.l_max,
+                                                  args.count, window, args.seed)))
     write_points_csv(args.out, np.reshape(rows, (-1, 2)),
                      header=("epsilon", "estimate"))
 
@@ -210,10 +210,8 @@ def _cmd_calibrate(args):
     spec = PeresForest()
     window = Window.cube(args.radius, 2)
     epsilons = _floats(args.eps)
-    estimates = []
-    for eps in epsilons:
-        estimates.append(estimate_visibility(spec, eps, args.l_max, args.count,
-                                             window, args.seed))
+    estimates = estimate_visibility(spec, epsilons, args.l_max, args.count,
+                                    window, args.seed)
     doc = {
         "peres_visibility": {
             "epsilons": epsilons,

@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 UNIT_NORM_TOL = 1e-12
 # Index pairs that `run_pairs` yields at a time, near the 17-19k of the net
 # certificate's former 512-box blocks.  A warm `_min_gap` on the three-grid
 # at r = 200 (191,053 pairs) took 0.13-0.15 s at every block from 2^13 to
 # 2^16 pairs on 2 Xeon vCPUs (best of 7, two rounds), with no trend by size.
 PAIR_BLOCK = 2 ** 14
+# Probes that one visibility or calibration command may draw.  tracemalloc
+# peaks of `visibility --l-max 64` were 240-670 bytes a probe on Z^2 and
+# 480-850 on the Peres forest (10^4 to 4 * 10^5 probes, eps 0.1 and 0.05),
+# at 23-30 us a probe and epsilon on 2 Xeon vCPUs, so the cap takes under
+# 1 GB and about 30 s an epsilon.
+MAX_PROBES = 10 ** 6
 
 
 def cartesian(*axes) -> np.ndarray:
@@ -382,11 +390,19 @@ def _probe_rows(window: Window, count: int, seed: int):
 
     Row i of the directions is the vector ``Segment`` would receive, and
     norms[i] is ``float(np.linalg.norm(row))``, the value ``Segment``
-    divides it by.
+    divides it by.  Each random probe draws ``standard_normal(dim)`` until
+    its norm is at least 1e-9, then ``random(dim)`` for its base, straight
+    into its rows.  For a 1-D float vector ``np.linalg.norm`` is
+    sqrt(x.dot(x)), the same dot product and a correctly rounded square
+    root, and ``lo + U * extent`` over all the uniforms U at once rounds
+    every entry as the per-row expression does.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > MAX_PROBES:
+        raise ResourceLimitError(f"{count} probes exceed the limit of {MAX_PROBES}")
     dim = window.dim
+    lo, extent = window.lo, window.extent
     rng = np.random.default_rng(seed)
     n_strat = count // 2
     bases = np.empty((count, dim))
@@ -397,18 +413,20 @@ def _probe_rows(window: Window, count: int, seed: int):
         table = np.asarray([float(np.linalg.norm(v)) for v in directions])
         cycle = np.arange(n_strat) % len(directions)
         grid = halton(n_strat, dim)
-        bases[:n_strat] = window.lo + grid * window.extent
+        bases[:n_strat] = lo + grid * extent
         raw[:n_strat] = directions[cycle]
         norms[:n_strat] = table[cycle]
+    normal, uniform, sqrt = rng.standard_normal, rng.random, math.sqrt
     for i in range(n_strat, count):
-        vec = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(vec))
+        vec = raw[i]
+        normal(out=vec)
+        norm = sqrt(vec.dot(vec))
         while norm < 1e-9:
-            vec = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(vec))
-        bases[i] = window.lo + rng.random(dim) * window.extent
-        raw[i] = vec
+            normal(out=vec)
+            norm = sqrt(vec.dot(vec))
+        uniform(out=bases[i])
         norms[i] = norm
+    bases[n_strat:] = lo + bases[n_strat:] * extent
     return bases, raw, norms
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import denseforest.analysis as analysis
-from denseforest.analysis import (_line_gap_profile, RotatedBox,
+from denseforest.analysis import (_line_gap_profile, _probe_first_hits,
+                                  RotatedBox,
                                   check_visibility, density_profile,
                                   discrepancy, dispersion,
                                   estimate_visibility, find_empty_tube,
@@ -17,9 +18,10 @@ from denseforest.analysis import (_line_gap_profile, RotatedBox,
 from denseforest.errors import ResourceLimitError
 from denseforest.generators import (D2, Grid, GridUnion, PeresForest,
                                     ThreeGrid, enumerate_points,
-                                    golden_sequence, integer_lattice,
+                                    concat_linear_sequence,
+                                  golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import (Point, Segment, Window,
+from denseforest.geometry import (Point, Segment, Window, sample_probes,
                                   supnorm_point_segment_distance)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -171,6 +173,63 @@ class TestSUD:
             sud_estimate(golden_sequence(), N=1, m_max=1, xi_count=0, seed=0)
 
 
+SWEEP_SUD = [(tsokanos_sequence(), 16384, 64, 256),
+             (concat_linear_sequence([[0.0, 0.0], [PHI - 1.0, math.sqrt(2.0) - 1.0]]),
+              256, 8, 16)]
+
+
+class TestSUDGuard:
+    def test_work_budget(self, monkeypatch):
+        # d = 1: 3 shifts x 4 twists x N = 16 are 192 units.
+        seq = golden_sequence()
+        monkeypatch.setattr(analysis, "MAX_SUD_WORK", 192)
+        assert sud_estimate(seq, N=16, m_max=2, xi_count=4, seed=1).value > 0.0
+        with pytest.raises(ResourceLimitError, match="256 work units"):
+            sud_estimate(seq, N=16, m_max=3, xi_count=4, seed=1)
+
+    def test_grid_work_budget(self, monkeypatch):
+        # d = 2: each of 2 shifts x 3 twists counts SUD_GRID_UNITS per
+        # element of its grid bound, 9 * 8 tiled points and 64^2 nodes.
+        seq = SWEEP_SUD[1][0]
+        units = 2 * 3 * analysis.SUD_GRID_UNITS * (9 * 8 + 64 ** 2)
+        monkeypatch.setattr(analysis, "MAX_SUD_WORK", units)
+        assert sud_estimate(seq, N=8, m_max=1, xi_count=3, seed=1).value > 0.0
+        with pytest.raises(ResourceLimitError, match=f"{units * 4 // 3} work units"):
+            sud_estimate(seq, N=8, m_max=1, xi_count=4, seed=1)
+
+    def test_value_budget(self, monkeypatch):
+        # d = 1: 5 twists and a span of 2 N = 32 hold 37 values.
+        seq = golden_sequence()
+        monkeypatch.setattr(analysis, "MAX_SUD_VALUES", 37)
+        assert sud_estimate(seq, N=16, m_max=0, xi_count=5, seed=1).value > 0.0
+        with pytest.raises(ResourceLimitError, match="38 values"):
+            sud_estimate(seq, N=16, m_max=0, xi_count=6, seed=1)
+
+    @pytest.mark.parametrize("seq, N, m_max, xi_count", SWEEP_SUD, ids=["d1", "d2"])
+    def test_sweep_sizes_pass(self, seq, N, m_max, xi_count, monkeypatch):
+        class Drawn(Exception):
+            """The guard let the call through to the twist draw."""
+
+        def drawn(*args):
+            raise Drawn
+
+        monkeypatch.setattr(analysis, "_xi_samples", drawn)
+        with pytest.raises(Drawn):
+            sud_estimate(seq, N, m_max, xi_count, seed=1)
+
+    @pytest.mark.parametrize("N, xi_count", [(10 ** 9, 256), (16384, 10 ** 9)])
+    def test_refused_before_any_allocation(self, N, xi_count):
+        # Either size would take at least 8 GB of twists or of span values.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                sud_estimate(tsokanos_sequence(), N, 64, xi_count, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
 class TestVisibility:
     def test_explicit_miss_and_hit(self):
         spec = integer_lattice(2)
@@ -217,6 +276,56 @@ class TestVisibility:
         for call in calls:
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 call()
+
+
+class TestColumnWalkGuard:
+    # One probe along +x from (0.3, 0.05) on Z^2 at eps 2.3: its column box
+    # is floor(2 * 2.3) + 2 = 6 rows, and a widening far below one column
+    # adds one column to the first round's two, 18 rows in all.
+    BASE = np.array([[0.3, 0.05]])
+    EAST = np.array([[1.0, 0.0]])
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 18)
+        first = _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
+                                  np.array([4.0]))
+        assert first[0] < 0.0
+        monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 17)
+        with pytest.raises(ResourceLimitError, match="walk of 18 rows"):
+            _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
+                              np.array([4.0]))
+
+    def test_widening_counts(self, monkeypatch):
+        # At a horizon of 1e10 the band widens by 10.0000000036 columns, so
+        # the walk up to t = 0 adds 21 columns of 6 rows to the first round.
+        monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 138)
+        _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
+                          np.array([1e10]))
+        monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 137)
+        with pytest.raises(ResourceLimitError, match="walk of 138 rows"):
+            _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
+                              np.array([1e10]))
+
+    @pytest.mark.parametrize("spec, eps, L", [
+        (integer_lattice(2), 1e7, 8.0), (PeresForest(), 0.1, 1e12)],
+        ids=["wide-box", "wide-band"])
+    def test_refused_before_the_first_round(self, spec, eps, L):
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, 2), L, 4, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                _probe_first_hits(spec, eps, bases, dirs, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    @pytest.mark.parametrize("spec, eps, L", [
+        (integer_lattice(2), 1e4, 8.0), (PeresForest(), 0.1, 1e11)],
+        ids=["eps-1e4", "l-max-1e11"])
+    def test_inputs_below_the_budget_run(self, spec, eps, L):
+        assert math.isfinite(estimate_visibility(spec, eps, L, 4,
+                                                 Window.cube(50.0, 2), 0))
 
 
 BAD_DIRECTIONS = [(math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf),

@@ -10,6 +10,7 @@ import pytest
 
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
+import denseforest.geometry as geometry
 from denseforest import __version__, cli
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
 
@@ -418,6 +419,36 @@ def test_tube_offsets_over_budget_exit_3(tmp_path, monkeypatch):
     out.unlink()
     assert run("tube", "--spec", "z2", "--eps", "0.3", "--radius", "5",
                "--offsets", "17", "--out", str(out)) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("visibility", "--spec", "z2", "--eps", "0.6,0.51"),
+    ("calibrate", "--eps", "0.6,0.3")])
+def test_probe_count_over_budget_exit_3(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(geometry, "MAX_PROBES", 32)
+    out = tmp_path / "out"
+    common = ("--l-max", "8", "--radius", "5", "--out", str(out))
+    assert run(*command, "--count", "32", *common) == 0
+    out.unlink()
+    assert run(*command, "--count", "33", *common) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("visibility", "--spec", "z2", "--eps", "0.1", "--count", "1000000000"),
+    ("calibrate", "--count", "1000000000"),
+    ("visibility", "--spec", "z2", "--eps", "1e7", "--l-max", "8", "--count", "4"),
+    ("visibility", "--spec", "peres", "--eps", "0.1", "--count", "4",
+     "--l-max", "1e12"),
+    ("sud", "--seq", "tsokanos", "--n", "16384", "--xi-count", "1000000000"),
+    ("sud", "--seq", "tsokanos", "--n", "1000000000")],
+    ids=["visibility-count", "calibrate-count", "wide-box", "wide-band",
+         "sud-xi-count", "sud-n"])
+def test_work_sizes_near_1e9_exit_3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 3
+    assert "resource limit" in capsys.readouterr().err
     assert not out.exists()
 
 

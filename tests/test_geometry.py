@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import qmc
 
 import denseforest.geometry as geometry
+from denseforest.errors import ResourceLimitError
 from denseforest.geometry import (AlignedBox, Point, Segment, Window,
                                   _stratified_directions, run_pairs,
                                   sample_probes,
@@ -190,6 +192,27 @@ class TestSampleSegments:
                 sample_probes(Window.cube(1.0, 2), bad, 4, seed=0)
             with pytest.raises(ValueError):
                 sample_segments(Window.cube(1.0, 2), bad, 4, seed=0)
+
+    def test_probe_budget(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_PROBES", 40)
+        bases, _, _ = sample_probes(Window.cube(5.0, 2), 3.0, 40, seed=1)
+        assert bases.shape == (40, 2)
+        assert len(sample_segments(Window.cube(5.0, 2), 3.0, 40, seed=1)) == 40
+        with pytest.raises(ResourceLimitError, match="41 probes"):
+            sample_probes(Window.cube(5.0, 2), 3.0, 41, seed=1)
+        with pytest.raises(ResourceLimitError, match="41 probes"):
+            sample_segments(Window.cube(5.0, 2), 3.0, 41, seed=1)
+
+    def test_probes_refused_before_any_allocation(self):
+        # 10^9 probes would take 16 GB of bases and directions in 2-D.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                sample_probes(Window.cube(50.0, 2), 64.0, 10 ** 9, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_count_and_norms(self):
         segs = sample_segments(Window.cube(5.0, 2), 3.0, 1000, seed=9)

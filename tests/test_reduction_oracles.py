@@ -34,6 +34,13 @@ points (picked by sheet type), and a brute force that scores every
 enumerated point of the probe's tube.  All three score points with the
 same kernel.
 
+`_probe_rows` draws each random probe straight into its rows, takes its
+norm as sqrt(v.dot(v)) and forms the bases after the loop; its oracle is
+the former per-row loop with `np.linalg.norm`.  `_walk_lattice_sheets`
+keeps one shrinking array of live probes per sheet; its oracle recomputes
+every probe's next entry on every round.  `estimate_visibility` draws one
+sample for a sequence of epsilons; its oracle is one call per epsilon.
+
 `find_empty_tube` passes each offset line only the points of a slab and
 ball around it; its oracle passes every window point.
 
@@ -1113,6 +1120,204 @@ class TestProbeFirstHits:
                                                    lengths).tobytes()
         assert np.isfinite(first).sum() > 32
 
+
+
+def former_probe_rows(window, count, seed):
+    """`_probe_rows` as one loop over the random probes: each base formed in
+    its own row, each norm taken by `np.linalg.norm`."""
+    dim = window.dim
+    rng = np.random.default_rng(seed)
+    n_strat = count // 2
+    bases = np.empty((count, dim))
+    raw = np.empty((count, dim))
+    norms = np.empty(count)
+    if n_strat:
+        directions = geometry._stratified_directions(dim)
+        table = np.asarray([float(np.linalg.norm(v)) for v in directions])
+        cycle = np.arange(n_strat) % len(directions)
+        bases[:n_strat] = window.lo + halton(n_strat, dim) * window.extent
+        raw[:n_strat] = directions[cycle]
+        norms[:n_strat] = table[cycle]
+    for i in range(n_strat, count):
+        vec = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(vec))
+        while norm < 1e-9:
+            vec = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(vec))
+        bases[i] = window.lo + rng.random(dim) * window.extent
+        raw[i] = vec
+        norms[i] = norm
+    return bases, raw, norms
+
+
+class ShrunkNormals:
+    """A generator whose every third normal draw is scaled by 1e-12, below
+    the redraw threshold of a probe direction's norm."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.rng = self.make(seed)
+        self.normals = 0
+
+    def standard_normal(self, size=None, out=None):
+        vec = self.rng.standard_normal(size, out=out)
+        self.normals += 1
+        if self.normals % 3 == 1:
+            vec *= 1e-12
+        return vec
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
+def former_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
+    """`_walk_lattice_sheets` with every probe's next entry recomputed on
+    every round and sheet."""
+    walks = [analysis._ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
+    guard = 1e-9 * (1.0 + horizons)
+    everyone = np.arange(bases.shape[0])
+    columns = analysis.WALK_FIRST_COLUMNS
+    while True:
+        moved = False
+        for walk in walks:
+            limit = np.minimum(first, horizons) + guard
+            alive = np.flatnonzero(walk.entry(everyone, walk.done) <= limit)
+            if not alive.size:
+                continue
+            moved = True
+            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
+            for lo in range(0, alive.size, chunk):
+                walk.score(alive[lo:lo + chunk], columns, eps, bases, dirs, first)
+            walk.done[alive] += columns
+        if not moved:
+            return
+        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
+
+
+PROBE_WINDOWS = {1: Window([-20.0], [20.0]), 2: Window([-3.0, 1.0], [5.0, 2.5]),
+                 3: Window([-4.0, -1.0, 0.5], [4.0, 6.0, 0.75])}
+
+
+class TestProbeDrawOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 257])
+    @pytest.mark.parametrize("seed", [0, 1, 1234])
+    def test_rows_match_the_former_loop(self, dim, count, seed):
+        got = geometry._probe_rows(PROBE_WINDOWS[dim], count, seed)
+        want = former_probe_rows(PROBE_WINDOWS[dim], count, seed)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_draw_matches_the_former_loop(self, seed):
+        window = Window.cube(50.0, 2)
+        got = geometry._probe_rows(window, 10 ** 4, seed)
+        want = former_probe_rows(window, 10 ** 4, seed)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_redrawn_directions_match_the_former_loop(self, dim, monkeypatch):
+        # Every third normal draw is too short, so the redraw loop runs.
+        for count in (1, 2, 3, 64):
+            monkeypatch.setattr(np.random, "default_rng", ShrunkNormals)
+            got = geometry._probe_rows(PROBE_WINDOWS[dim], count, 7)
+            want = former_probe_rows(PROBE_WINDOWS[dim], count, 7)
+            monkeypatch.undo()
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            assert np.all(want[2] >= 1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_norms_are_numpy_norms(self, dim):
+        # The loop takes sqrt(v.dot(v)); a numpy whose norm rounds
+        # otherwise fails here.
+        count = 2001
+        _, raw, norms = geometry._probe_rows(Window.cube(50.0, dim), count, 1)
+        for i in range(count // 2, count):
+            assert norms[i] == float(np.linalg.norm(raw[i]))
+
+
+def record_walk(walk_fn, monkeypatch, sheets, eps, bases, dirs, lengths):
+    """``first`` after ``walk_fn``, and the (sheet, probes, columns) of
+    every chunk it scored."""
+    calls = []
+    score = analysis._ColumnWalk.score
+
+    def recording(walk, sel, columns, *rest):
+        index = next(i for i, s in enumerate(sheets) if s is walk.sheet)
+        calls.append((index, sel.tobytes(), columns))
+        return score(walk, sel, columns, *rest)
+
+    monkeypatch.setattr(analysis._ColumnWalk, "score", recording)
+    first = np.full(bases.shape[0], np.inf)
+    walk_fn(sheets, eps, bases, dirs, np.ceil(lengths), first)
+    monkeypatch.undo()
+    return first, calls
+
+
+class TestShrinkingWalkOracle:
+    @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid(),
+                                      integer_lattice(1), integer_lattice(3)],
+                             ids=["z2", "peres", "three-grid", "z1", "z3"])
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_matches_the_walk_over_every_probe(self, spec, eps, monkeypatch):
+        sheets = [s for s in spec.sheets() if isinstance(s, LatticeSheet)]
+        bases, dirs, lengths = sample_probes(Window.cube(20.0, spec.dim), 300.0, 400, 3)
+        got = record_walk(analysis._walk_lattice_sheets, monkeypatch, sheets,
+                          eps, bases, dirs, lengths)
+        want = record_walk(former_walk_lattice_sheets, monkeypatch, sheets,
+                           eps, bases, dirs, lengths)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        assert np.isfinite(got[0]).any()
+
+
+class TestOneDrawPerCommand:
+    EPSILONS = [0.2, 0.1, 0.05]
+
+    @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid()],
+                             ids=["z2", "peres", "three-grid"])
+    def test_sequence_equals_single_calls(self, spec, monkeypatch):
+        window = Window.cube(20.0, 2)
+        singles = [analysis.estimate_visibility(spec, eps, 64.0, 300, window, 3)
+                   for eps in self.EPSILONS]
+        draws = []
+        sample = analysis.sample_probes
+        monkeypatch.setattr(analysis, "sample_probes",
+                            lambda *a: draws.append(a) or sample(*a))
+        got = analysis.estimate_visibility(spec, self.EPSILONS, 64.0, 300, window, 3)
+        assert np.asarray(got).tobytes() == np.asarray(singles).tobytes()
+        assert len(draws) == 1
+
+    def test_every_epsilon_is_checked_before_the_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("probes were drawn")
+
+        monkeypatch.setattr(analysis, "sample_probes", no_draw)
+        for bad in ([0.1, math.nan], [0.2, 0.0], [-1.0]):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                analysis.estimate_visibility(integer_lattice(2), bad, 8.0, 4,
+                                             Window.cube(2.0, 2), 0)
+        assert analysis.estimate_visibility(integer_lattice(2), [], 8.0, 4,
+                                            Window.cube(2.0, 2), 0) == []
+
+    def test_visibility_csv_equals_single_epsilon_runs(self, tmp_path):
+        from denseforest.cli import run
+
+        def visibility(eps, out):
+            assert run(["visibility", "--spec", "peres", "--eps", eps,
+                        "--l-max", "64", "--count", "300", "--radius", "20",
+                        "--seed", "1", "--out", str(out)]) == 0
+            return out.read_bytes().splitlines(keepends=True)
+
+        both = visibility("0.2,0.1", tmp_path / "both.csv")
+        first = visibility("0.2", tmp_path / "a.csv")
+        second = visibility("0.1", tmp_path / "b.csv")
+        assert first[0] == second[0]
+        assert both == [first[0], *first[1:], *second[1:]]
+        assert len(both) == 3
 
 def former_sequence_enumerate(sheet, window):
     """`SequenceSheet.enumerate` as a loop over the columns k, each column
