@@ -527,7 +527,9 @@ def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
                         N: int, xis: np.ndarray, best: float) -> float:
     """Max of best and, over twists xi and the shifts m of one run, the
     toroidal dispersion of the window {w_j : m <= j < m+N} of
-    w_j = (v_j - xi*j) mod 1, j in idx, with v_j the rows of vs.
+    w_j = (v_j - xi*j) mod 1, j in idx, with v_j the rows of vs.  The mod is
+    t - floor(t), t = v_j - xi*j: the same float as np.mod(t, 1.0), which
+    rounds the same exact value once, and +0.0 for -0.0 and integers.
 
     A block of twist rows first gets the first shift's window, and an
     upper bound from its core, the indices [span, N) (span = shifts[-1] -
@@ -538,8 +540,8 @@ def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
     span = shifts[-1] - shifts[0]
     rows = max(1, SUD_BLOCK_CELLS // vs.size)
     for b in range(0, xis.shape[0], rows):
-        w = np.mod(vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None],
-                   1.0)
+        w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
+        w -= np.floor(w)
         best = max(best, float(np.max(_window_dispersions(w[:, :N]))))
         if span == 0:
             continue
@@ -568,7 +570,7 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     window's gap between two core values lies inside a core gap, and float
     subtraction is monotone, so it is no longer; a gap below the least or
     above the greatest core value is no longer than the core's wrap gap
-    1 - max + min, because np.mod puts every value in [0, 1]; and the
+    1 - max + min, because w - floor(w) puts every value in [0, 1]; and the
     window's own wrap gap is no longer than the core's, since its max is
     no smaller and its min no larger.  For d >= 2 the grid bound takes, at
     each grid node, the sup-norm distance to the nearest point, which a

@@ -75,8 +75,11 @@ every integer b below xmax 2^-lo, the positions lo..hi read off
 
 `halton` is a numpy radical inverse; its oracle is scipy's
 `qmc.Halton(d, scramble=False)`, which the program no longer imports.
-`write_points_csv` formats a chunk of rows with one %-operation; its oracle
-is the per-row writer it replaced, one f-string per float.
+`write_points_csv` builds the "%.17g" text of a chunk of rows with array
+arithmetic (Dekker's exact product with a power of ten, a 4-digit table)
+and leaves only the values outside 1e-6 <= |v| < 1e17 to one %-operation;
+its oracle is the per-row writer, one f-string per float.  The SUD twist
+values t - floor(t) are compared bit for bit with np.mod(t, 1.0).
 
 The fast paths promise the same floats, so every comparison is exact.
 """
@@ -85,6 +88,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -362,6 +366,27 @@ class TestSUDOracle:
         seq = concat_linear_sequence(thetas)
         assert sud_estimate(seq, N, m_max, xi_count, seed).value == \
             sud_oracle(seq, N, m_max, xi_count, seed)
+
+    def test_twist_values_match_np_mod(self):
+        # `_run_dispersion_max` reduces t = v_j - xi*j with t - floor(t),
+        # which rounds the same exact value as np.mod(t, 1.0) (the fmod, plus
+        # 1 when t < 0) once: bit for bit, +0.0 for -0.0 and integers, 1.0
+        # for negatives above -2^-54, and |t| up to 1e20.
+        rng = np.random.default_rng(0)
+        vs = np.concatenate([
+            [-0.0, 0.0, 3.0, -7.0, -2.0 ** 53, -(2.0 ** 52 + 0.5), 0.5, -0.5,
+             -5e-324, -1e-300, -1e-17, -2.0 ** -60, -1e20, 1e20],
+            rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 21, 2000)])
+        vs = np.concatenate([vs, np.round(vs)])[:, None]
+        idx = np.arange(vs.shape[0], dtype=np.int64)
+        xis = np.array([[0.0], [PHI - 1.0], [-0.25], [1e-17], [-3.0]])
+        with mock.patch.object(analysis, "_window_dispersions",
+                               wraps=analysis._window_dispersions) as dispersions:
+            analysis._run_dispersion_max(vs, idx, [0], vs.shape[0], xis, 0.0)
+        (w,), _ = dispersions.call_args
+        expected = np.mod(vs[None, :, :] - xis[:, None, :] * idx[None, :, None], 1.0)
+        assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
+        assert np.signbit(w).sum() == 0 and (w == 1.0).any()
 
     @staticmethod
     def scanned_rows(seq, N, m_max, xi_count, seed):
@@ -2326,7 +2351,7 @@ class TestCSVWriterOracle:
         assert_csv_matches(tmp_path, pts.reshape(-1, 3))
         assert_csv_matches(tmp_path, pts.reshape(1, -1))
 
-    @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (1, 2), (1, 1), (1, 5)])
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (1, 2), (1, 1), (1, 5), (2, 0)])
     def test_empty_and_one_row(self, tmp_path, shape):
         pts = np.arange(float(np.prod(shape))).reshape(shape) / 7.0
         assert_csv_matches(tmp_path, pts)
@@ -2348,6 +2373,108 @@ class TestCSVWriterOracle:
         pts[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
         with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows):
             assert_csv_matches(tmp_path_factory.mktemp("csv"), pts)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_bit_patterns(self, tmp_path, seed):
+        # 10^5 finite doubles of random bits (mostly outside the arithmetic
+        # range; nan and inf are in SPECIAL_FLOATS),
+        # 10^5 with binary exponents -33..66 (about 1e-10 to 7e19) and 10^4
+        # subnormals, each of either sign.
+        rng = np.random.default_rng(seed)
+        n = 10 ** 5
+        mantissa = rng.integers(0, 2 ** 52, 2 * n + 10 ** 4, dtype=np.uint64)
+        exponent = np.concatenate([rng.integers(0, 2047, n),
+                                   rng.integers(1023 - 33, 1023 + 67, n),
+                                   np.zeros(10 ** 4, dtype=np.int64)])
+        sign = rng.integers(0, 2, mantissa.size).astype(np.uint64)
+        bits = (sign << np.uint64(63)) | (exponent.astype(np.uint64) << np.uint64(52)) \
+            | mantissa
+        assert_csv_matches(tmp_path, bits.view(np.float64).reshape(-1, 2))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        pts = np.stack([powers, np.nextafter(powers, 0.0),
+                        np.nextafter(powers, np.inf)], axis=1)
+        assert_csv_matches(tmp_path, np.concatenate([pts, -pts]))
+
+    def test_digits_carrying_into_the_next_decade(self, tmp_path):
+        # Doubles just below a power of ten whose 17 digits round up to it.
+        # None lies where the digits come from arithmetic (1e-6 <= |v| <
+        # 1e17): there the largest double below each 10^k, k = -5..17, is
+        # more than 5e-18 (relative) below it, so the digits never reach
+        # 10^17.  Python's formatter writes the ones that do exist.
+        carrying = [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70,
+                    1e-14, 1e98, 1e129, 1e153, 1e220]
+        for v in carrying:
+            assert Fraction(v) < Fraction(10) ** round(math.log10(v))
+            assert f"{v:.17g}" == f"{v:g}"
+        for k in range(-5, 18):
+            below = max(v for v in (float(f"1e{k}"), math.nextafter(float(f"1e{k}"), 0))
+                        if Fraction(v) < Fraction(10) ** k)
+            assert (Fraction(10) ** k - Fraction(below)) / Fraction(10) ** k > \
+                Fraction(5, 10 ** 18)
+            carrying.append(below)
+        assert_csv_matches(tmp_path, np.array(carrying).reshape(-1, 1))
+
+    def test_ties_round_to_even(self, tmp_path):
+        # a * 10^k ends in exactly .5 for a = odd / 2^(k+1): the 17th digit
+        # is a tie, which goes to the even digit, as in Python's dtoa.
+        assert f"{1234567890123456.25:.17g}" == "1234567890123456.2"
+        assert f"{1234567890123456.75:.17g}" == "1234567890123456.8"
+        rng = np.random.default_rng(5)
+        ties = [1234567890123456.25, 1234567890123456.75]
+        for k in range(1, 11):
+            lo, hi = 10 ** (16 - k), min(10 ** (17 - k), 2 ** (52 - k))
+            odd = rng.integers(lo << (k + 1), hi << (k + 1), 2000) | 1
+            ties.extend(odd / 2.0 ** (k + 1))
+        for v in ties[::97]:
+            assert (Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))).denominator == 2
+        ties = np.array(ties)
+        assert_csv_matches(tmp_path, np.stack([ties, -ties], axis=1))
+
+    def test_low_digits_near_a_multiple_of_10_8(self, tmp_path):
+        # The writer splits the 17 digits D at 10^8 from the rounded product
+        # h; when D ends in nearly eight zeros or nines, h and D can lie on
+        # either side of a multiple of 10^8 (955 of these 7,360 values).
+        rng = np.random.default_rng(3)
+        lows = [*range(8), *range(10 ** 8 - 8, 10 ** 8)]
+        values = [float(f"{int(q) * 10 ** 8 + low}e{x - 16}")
+                  for x in range(-6, 17)
+                  for q in rng.integers(10 ** 8, 10 ** 9, 20) for low in lows]
+        assert_csv_matches(tmp_path, np.array(values).reshape(-1, 2))
+
+    def test_signed_zeros(self, tmp_path):
+        pts = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        assert_csv_matches(tmp_path, pts)
+        assert (tmp_path / "got.csv").read_text() == "x1,x2\n0,-0\n-0,0\n"
+
+    def test_edges_of_the_arithmetic_range(self, tmp_path):
+        # 1e-6 and 1e17 bound the arithmetic; 1e-4 and 1e17 switch %g
+        # between fixed and exponent notation; 1e16 has the largest integer
+        # part.
+        edges = np.array([1e-6, 1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-7,
+                          99999999999999984.0, 1e-7])
+        pts = np.stack([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)],
+                       axis=1)
+        assert_csv_matches(tmp_path, np.concatenate([pts, -pts]))
+
+    @pytest.mark.parametrize("spec", [ThreeGrid(), default_cut_and_project()],
+                             ids=["three-grid", "cut-and-project"])
+    def test_enumerated_sets(self, tmp_path, spec):
+        assert_csv_matches(tmp_path, enumerate_points(spec, Window.cube(50, spec.dim)))
+
+    def test_memory_stays_below_the_former_peak(self, tmp_path):
+        # 543,016 x 2 floats, the size of the three-grid at r = 200.  Chunks
+        # of CSV_CHUNK_ROWS = 2^13 rows peaked at 5.3 MB under tracemalloc;
+        # the %-operation writer on 2^16-row chunks peaked at 7.4 MB.
+        pts = np.random.default_rng(0).standard_normal((543016, 2)) * 100.0
+        tracemalloc.start()
+        try:
+            write_points_csv(tmp_path / "big.csv", pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10 ** 6
 
 
 def former_tsokanos_values(ns):
