@@ -8,6 +8,7 @@ searches whose sampling parameters are recorded in the returned reports.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .generators import (LatticeSheet, PointSetSpec, SequenceSpec,
-                         _matmul, enumerate_points)
+from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
+                         SequenceSpec, _matmul, enumerate_points)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
                        halton, point_coords, run_pairs, sample_probes,
                        sample_segments)
@@ -1064,9 +1065,13 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     return Segment(start, direction, length), float(length)
 
 
-def _dual_direction_candidates(spec: PointSetSpec, dim: int) -> list:
-    """Normals along which constituent lattices project onto discrete sets."""
-    out = []
+def _dual_direction_candidates(spec: PointSetSpec, dim: int):
+    """Normals along which constituent lattices project onto discrete sets.
+
+    Returns (dirs, zs, owner): row j of dirs is z.B^-1 / |z.B^-1| for the
+    primitive integer row zs[j] and the basis B of the lattice sheet
+    spec.sheets()[owner[j]], the sheets taken in order.
+    """
     max_index = 16 if dim <= 2 else max(1, int(round(50000 ** (1.0 / dim))) // 2)
     rng_axis = np.arange(-max_index, max_index + 1)
     zs = cartesian(*[rng_axis] * dim)
@@ -1077,11 +1082,101 @@ def _dual_direction_candidates(spec: PointSetSpec, dim: int) -> list:
     signs = np.sign(zs[np.arange(zs.shape[0]), lead])
     zs = zs * signs[:, None]
     zs = np.unique(zs, axis=0)
-    for sheet in spec.sheets():
+    dirs, owners = [np.empty((0, dim))], [np.empty(0, dtype=np.int64)]
+    for i, sheet in enumerate(spec.sheets()):
         if isinstance(sheet, LatticeSheet):
             duals = zs @ sheet.inverse
-            out.append(duals / np.linalg.norm(duals, axis=1, keepdims=True))
+            dirs.append(duals / np.linalg.norm(duals, axis=1, keepdims=True))
+            owners.append(np.full(zs.shape[0], i))
+    owner = np.concatenate(owners)
+    return np.concatenate(dirs), np.tile(zs, (len(owners) - 1, 1)), owner
+
+
+def _box_chords(window: Window, us: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Length of the chord {x : u.x = offset} of the closed window, per row
+    of the unit normals us (d = 2)."""
+    along = np.stack([-us[:, 1], us[:, 0]], axis=1)
+    foot = offsets[:, None] * us
+    flat = along == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (window.lo - foot) / along
+        b = (window.hi - foot) / along
+    # A chord parallel to a side is the whole line or nothing along it.
+    inside = (foot >= window.lo) & (foot <= window.hi)
+    a = np.where(flat, np.where(inside, -math.inf, math.inf), a)
+    b = np.where(flat, math.inf, b)
+    enter = np.max(np.minimum(a, b), axis=1)
+    leave = np.min(np.maximum(a, b), axis=1)
+    return np.maximum(leave - enter, 0.0)
+
+
+def _spacing_bounds(spec: PointSetSpec, window: Window, us: np.ndarray,
+                    zs: np.ndarray, owner: np.ndarray, bulk: float,
+                    eps: float) -> np.ndarray:
+    """Upper bound on the strip width along us[j] from the level lines of
+    the lattice sheet owner[j] (see `vacant_strip`): s + 2E, or inf where
+    the chord test fails, for d != 2, and for rows with owner -1.  zs[j]
+    is signed so that us[j] lies close to s.zs[j].B^-1."""
+    out = np.full(us.shape[0], math.inf)
+    if window.dim != 2:
+        return out
+    sheets = spec.sheets()
+    bases = np.tile(np.eye(2), (len(sheets), 1, 1))
+    inverses = bases.copy()
+    reach = np.zeros(len(sheets))       # bounds |m|_inf over the window
+    slack = np.zeros(len(sheets))       # rounding of a lattice point
+    dets = np.ones(len(sheets))
+    for i, sheet in enumerate(sheets):
+        if isinstance(sheet, LatticeSheet):
+            bases[i], inverses[i] = sheet.basis, sheet.inverse
+            images = (window.corners() - sheet.shift) @ sheet.inverse.T
+            reach[i] = float(np.max(np.abs(images))) + 1.0
+            slack[i] = 1e-15 * float(np.max(np.abs(sheet.basis).sum(axis=1)
+                                            * reach[i] + np.abs(sheet.shift)))
+            dets[i] = abs(float(np.linalg.det(sheet.basis)))
+    rows = np.flatnonzero(owner >= 0)
+    own = owner[rows]
+    u, z, bases = us[rows], zs[rows], bases[own]
+    norm = np.linalg.norm(np.einsum("nk,nkl->nl", z, inverses[own]), axis=1)
+    s = 1.0 / norm
+    step = dets[own] * norm
+    rho = np.abs(np.einsum("nk,nkl->nl", u, bases) - s[:, None] * z)
+    rho += 1e-15 * (np.einsum("nk,nkl->nl", np.abs(u), np.abs(bases))
+                    + s[:, None] * np.abs(z))
+    radius = float(max(np.max(np.abs(window.lo)), np.max(np.abs(window.hi))))
+    u1 = np.abs(u).sum(axis=1)
+    err = (rho.sum(axis=1) * reach[own]
+           + u1 * (slack[own] + 2.0 * 10.0 ** -MERGE_DECIMALS + 1e-15 * radius))
+    cu = u @ ((window.lo + window.hi) / 2.0)
+    half = bulk + 2.0 * eps + s
+    chords = np.minimum(_box_chords(window, u, cu - half),
+                        _box_chords(window, u, cu + half))
+    ok = (chords >= step + 1.0) & (4.0 * err < s)
+    out[rows] = np.where(ok, s + 2.0 * err, math.inf)
     return out
+
+
+def _strip_candidates(spec: PointSetSpec, window: Window, extras: list,
+                      bulk: float, eps: float):
+    """The candidate directions of `vacant_strip`, each with its leading
+    nonzero entry positive, rounded to 12 digits and sorted, and the least
+    spacing bound of the (sheet, z) pairs that round to each."""
+    dim = window.dim
+    dirs, zs, owner = _dual_direction_candidates(spec, dim)
+    cands = np.concatenate([dirs] + [extra[None, :] for extra in extras])
+    if cands.shape[0] == 0:
+        raise ValueError("no candidate directions: supply candidate_directions")
+    lead = np.argmax(np.abs(cands) > 1e-12, axis=1)
+    signs = np.sign(cands[np.arange(cands.shape[0]), lead])
+    cands, cand_of = np.unique(np.round(cands * signs[:, None], 12), axis=0,
+                               return_inverse=True)
+    cand_of = cand_of.ravel()
+    zs = np.concatenate([zs, np.zeros((len(extras), dim))]) * signs[:, None]
+    owner = np.concatenate([owner, np.full(len(extras), -1)])
+    spacing = np.full(cands.shape[0], math.inf)
+    np.minimum.at(spacing, cand_of, _spacing_bounds(spec, window, cands[cand_of],
+                                                    zs, owner, bulk, eps))
+    return cands, spacing
 
 
 def _central_width(proj: np.ndarray, cu: float, bulk: float):
@@ -1121,70 +1216,111 @@ def vacant_strip(spec: PointSetSpec, window: Window,
     along the direction than the others.  Of the directions of maximal width
     the first in sorted candidate order is reported.
 
-    Only a few directions need the sort of every projection.  Let P be the
-    points of the sub-window |x - center|_inf <= bulk (bulk = half the
-    inradius).  A central gap (a, b) has its midpoint in the band
-    [c.u - bulk, c.u + bulk].  When P's projections reach past both ends of
-    the band, the P-projections a' <= a and b' >= b next to the gap are
-    consecutive among P's, the gap (a', b') meets the band, and b' - a' >=
-    b - a: P is a subset and float subtraction is monotone.  So the largest
-    P-gap meeting the band bounds the width from above.  Nothing in this
-    uses more of P than that it is a subset of the points whose projections
-    reach past both ends of the band, so any such subset gives a bound, and
-    a smaller subset a looser one.  Every direction is first bounded from a
-    fixed seeded draw Q of a quarter of P (`STRIP_COARSE_SHARE`), and the
-    directions are taken in order of decreasing Q-bound until the next one
-    is below the widest strip found.  A direction taken is bounded again
-    from P, and only if that bound is not below the widest strip either are
-    all its projections sorted.  A direction is skipped only when a bound of
-    its width is below a width already found, which leaves the result
-    exactly that of a scan of every direction.  The projections of a subset
-    come from their own product, so they may differ from the full ones in
-    the last bits; the band is widened and the bound raised by 2*eps, with
-    eps at a relative 1e-9 far above those differences and the rounding of
-    the midpoint test.  A direction whose subset projections stay inside
-    the band, or a subset of fewer than two points, gets an infinite bound.
+    Only a few directions need the sort of every projection.  Each direction
+    has up to four upper bounds on its width, from the cheapest to the
+    exact width: the level spacing of a lattice sheet, then the projections
+    of a seeded quarter Q of the sub-window points, then those of all of
+    them (P), then the full sort.
+
+    Subset bounds.  Let P be the points of the sub-window |x - center|_inf
+    <= bulk (bulk = half the inradius).  A central gap (a, b) has its
+    midpoint in the band [c.u - bulk, c.u + bulk].  When P's projections
+    reach past both ends of the band, the P-projections a' <= a and b' >= b
+    next to the gap are consecutive among P's, the gap (a', b') meets the
+    band, and b' - a' >= b - a: P is a subset and float subtraction is
+    monotone.  So the largest P-gap meeting the band bounds the width from
+    above.  Any subset of the points whose projections reach past both ends
+    of the band gives such a bound, and a smaller subset a looser one; Q is
+    a fixed seeded draw of a quarter of P (`STRIP_COARSE_SHARE`).  The
+    projections of a subset come from their own product, so they may differ
+    from the full ones in the last bits; the band is widened and the bound
+    raised by 2*eps, with eps at a relative 1e-9 far above those differences
+    and the rounding of the midpoint test.  A subset whose projections stay
+    inside the band, or of fewer than two points, gives an infinite bound.
+
+    Spacing bound (d = 2).  A candidate u comes from a primitive z and a
+    sheet B.Z^2 + t as u ~ v/|v|, v = z.B^-1 (Cassels, An Introduction to
+    the Geometry of Numbers, 1959).  Take s = 1/|v| as computed, and
+    rho = B^T.u - s.z exactly (z signed as u is).  A sheet point x = B.m + t
+    has x.u = s.(z.m) + t.u + rho.m, so the points with z.m = j lie on a
+    line l_j whose exact projections stay within |rho|_1.M of the level
+    s.j + t.u, M bounding |m|_inf over the window (the corners' images,
+    plus 1).  Along l_j the points are |w| = |det B|.|v| apart.
+
+    Chords.  The chord {x : u.x = y} of a convex window has a length
+    concave in y, so if the chords at y = c.u -+ (bulk + 2*eps + s) are
+    both at least |w| + 1, so is every chord in between.
+
+    Bound.  Let (a, b) be consecutive projections of all the points with a
+    central midpoint, and suppose b - a > s + 2E.  The closed interval of
+    length s around (a + b)/2 lies in (a + E, b - E) and holds a level
+    s.j + t.u, within bulk + s/2 (plus a rounding) of c.u.  When E < s/4,
+    l_j then lies at least s/4 inside the two chords checked, and its own
+    chord is at least |w| + 1 up to errors far below the 1 of slack.  So
+    l_j has a sheet point at least 1/2 from both ends of its chord.  The
+    float copy of that point stays in the half-open window: leaving it
+    would need l_j to run along a side within the rounding of the points,
+    and a line that far inside the two chords does not.  The point, or the
+    enumerated row it merged with, projects within E of the level, so
+    strictly inside (a, b), which contradicts a and b being consecutive.
+    So every central gap is at most s + 2E, and as rounding is monotone,
+    the float sum s + 2E bounds the float width too.
+
+    Margin.  E sums four terms.  |rho|_1.M, with the rounding of rho
+    added to rho, carries the 12-digit rounding of u (|u - v/|v||_inf up to
+    5e-13) across the whole chord, not only the band.  The rest are |u|_1
+    times: the rounding of a lattice point (the basis product plus the
+    shift, taken as 1e-15 of their terms), the duplicate merge of
+    `canonicalize_points` (rows within 1e-9, taken as 2e-9) and the
+    rounding of the product x.u (1e-15 of max |x|_inf).  Each constant is
+    at least twice the rounding it stands for, which also covers the
+    rounding of E itself.  On the three-grid 2E is below 1e-8.  A direction
+    dual to several sheets takes the least of their bounds; extras, and
+    every direction when d != 2, get inf.
+
+    Search.  One heap holds (-bound, k, tier) per direction, every
+    direction first with its spacing bound.  Each step pops the largest
+    bound (ties: smallest k) and refines it by one tier, keeping the least
+    of its bounds, or, at the last tier, sorts every projection and keeps
+    the widest strip found.  The search stops when the top bound is below
+    that width, or equal to it at a larger k, so a direction is dropped
+    only when it cannot beat the widest strip found under the tie rule:
+    the result is that of a scan of every direction (Land and Doig's
+    best-first branch and bound).
     """
     dim = window.dim
     extras = _unit_directions(candidate_directions, dim)
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
-    groups = _dual_direction_candidates(spec, dim)
-    for extra in extras:
-        groups.append(extra[None, :])
-    if not groups:
-        raise ValueError("no candidate directions: supply candidate_directions")
-    cands = np.concatenate(groups)
-    lead = np.argmax(np.abs(cands) > 1e-12, axis=1)
-    signs = np.sign(cands[np.arange(cands.shape[0]), lead])
-    cands = cands * signs[:, None]
-    cands = np.unique(np.round(cands, 12), axis=0)
     center = (window.lo + window.hi) / 2.0
     bulk = float(np.min(window.extent)) / 4.0
+    # |x.u| <= dim * (|center|_inf + bulk) for x in P, for c.u and for every
+    # central midpoint; eps is 1e-9 of that scale.
+    eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
+    cands, spacing = _strip_candidates(spec, window, extras, bulk, eps)
     near = np.ones(pts.shape[0], dtype=bool)
     for k in range(dim):
         near &= np.abs(pts[:, k] - center[k]) <= bulk
     sub = np.compress(near, pts, axis=0)
-    # |x.u| <= dim * (|center|_inf + bulk) for x in P, for c.u and for every
-    # central midpoint; eps is 1e-9 of that scale.
-    eps = 1e-9 * dim * (float(np.max(np.abs(center))) + bulk)
     coarse = sub[np.random.default_rng(0).random(sub.shape[0]) < STRIP_COARSE_SHARE]
-
-    def bound(subset, u):
-        return _central_width_bound(np.sort(subset @ u), float(center @ u),
-                                    bulk, eps)
-
-    bounds = np.array([bound(coarse, u) for u in cands])
+    heap = [(-b, k, 0) for k, b in enumerate(spacing.tolist())]
+    heapq.heapify(heap)
+    subsets = (coarse, sub)
     best_width = -1.0
     best_k = -1
-    for k in np.argsort(-bounds, kind="stable"):
-        if bounds[k] < best_width:
+    while heap:
+        top, k, tier = heap[0]
+        if -top < best_width or (-top == best_width and k > best_k):
             break
+        heapq.heappop(heap)
         u = cands[k]
-        if bound(sub, u) < best_width:
+        cu = float(center @ u)
+        if tier < len(subsets):
+            bound = _central_width_bound(np.sort(subsets[tier] @ u), cu, bulk, eps)
+            heapq.heappush(heap, (max(top, -bound), k, tier + 1))
             continue
-        width = _central_width(np.sort(pts @ u), float(center @ u), bulk)
+        width = _central_width(np.sort(pts @ u), cu, bulk)
         if width is not None and (width > best_width
                                   or (width == best_width and k < best_k)):
             best_width = width

@@ -180,6 +180,8 @@ def _cmd_net(args):
 
 def _cmd_verify_net(args):
     pts = read_points_csv(args.net)
+    if pts.shape[0] == 0:
+        raise ValueError("the net CSV holds no points")
     net = Net(points=pts, epsilon=args.eps, method=args.method)
     report = verify_net(net, args.sampler, args.volume, args.trials, args.seed)
     doc = report.to_json()

@@ -53,6 +53,8 @@ class Net:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise ValueError("net points must form an (N, d) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("net points must be finite")
         if pts.size and (pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12):
             raise ValueError("net points must lie in the unit cube")
         if not 0.0 < self.epsilon <= 1.0:

@@ -1,4 +1,4 @@
-"""Core geometric types and exact sup-norm point/segment computations.
+"""Core geometric types, the blocked pair scan and the probe samplers.
 
 All coordinates are double precision.  The probe objects (segments, windows,
 aligned boxes) are immutable after construction and all operations here are
@@ -279,56 +279,6 @@ def box_json(box) -> dict:
         return {"angle": box.angle, "center": box.center.tolist(),
                 "intervals": box.box.intervals.tolist()}
     return {"intervals": box.intervals.tolist()}
-
-
-def supnorm_segment_distances(points, segment: Segment) -> np.ndarray:
-    """Exact min over t in [0, L] of ||base + t*direction - p||_inf, per point.
-
-    The map t -> ||base + t*direction - p||_inf is convex piecewise linear;
-    its minimum over [0, L] is attained at an endpoint, at a root of one of
-    the coordinate terms |a_i + t*alpha_i|, or at a crossing of two terms,
-    so evaluating those candidate parameters is exact.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != segment.dim:
-        raise ValueError("point dimension does not match segment dimension")
-    alpha = segment.direction
-    a = segment.base[None, :] - pts
-    d = alpha.size
-    candidates = [np.zeros(pts.shape[0]), np.full(pts.shape[0], segment.length)]
-    # Divisions by near-zero components may overflow to +-inf; such
-    # candidates clip to the endpoints below, which are already listed.
-    with np.errstate(over="ignore"):
-        for i in range(d):
-            if alpha[i] != 0.0:
-                candidates.append(-a[:, i] / alpha[i])
-        for i in range(d):
-            for j in range(i + 1, d):
-                diff = alpha[j] - alpha[i]
-                if diff != 0.0:
-                    candidates.append((a[:, i] - a[:, j]) / diff)
-                total = alpha[i] + alpha[j]
-                if total != 0.0:
-                    candidates.append(-(a[:, i] + a[:, j]) / total)
-    ts = np.clip(np.stack(candidates, axis=1), 0.0, segment.length)
-    residuals = a[:, None, :] + ts[:, :, None] * alpha[None, None, :]
-    return np.abs(residuals).max(axis=2).min(axis=1)
-
-
-def supnorm_point_segment_distance(p, segment: Segment) -> float:
-    """Exact sup-norm distance from a point to a segment."""
-    coords = point_coords(p)
-    if coords.size != segment.dim:
-        raise ValueError("point dimension does not match segment dimension")
-    return float(supnorm_segment_distances(coords[None, :], segment)[0])
-
-
-def tube_bounding_window(segment: Segment, eps: float) -> Window:
-    """Smallest window containing every point within sup-norm eps of the segment."""
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    ends = np.stack([segment.base, segment.point_at(segment.length)])
-    return Window(ends.min(axis=0) - eps, ends.max(axis=0) + eps)
 
 
 def _primitive_directions_2d(max_index: int) -> np.ndarray:

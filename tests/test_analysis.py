@@ -21,8 +21,8 @@ from denseforest.generators import (D2, Grid, GridUnion, PeresForest,
                                     concat_linear_sequence,
                                   golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import (Point, Segment, Window, sample_probes,
-                                  supnorm_point_segment_distance)
+from denseforest.geometry import Point, Segment, Window, sample_probes
+from geometry_oracles import supnorm_point_segment_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -339,6 +339,28 @@ def test_verify_net_trials_over_budget_exit_3(d2_net_csv, tmp_path, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", ["nan,0.2", "0.3,inf"])
+def test_verify_net_refuses_a_non_finite_net(tmp_path, capsys, row):
+    net_csv = tmp_path / "net.csv"
+    net_csv.write_text(f"x1,x2\n0.5,0.5\n{row}\n0.1,0.1\n")
+    out = tmp_path / "report.json"
+    assert run(*verify_args(net_csv, out, "--volume", "0.02", "--trials", "5")) == 2
+    assert "net points must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+def test_verify_net_refuses_an_empty_net(tmp_path, capsys):
+    net_csv = tmp_path / "net.csv"
+    net_csv.write_text("x1,x2\n")
+    out = tmp_path / "report.json"
+    assert run(*verify_args(net_csv, out, "--volume", "0.02", "--trials", "5")) == 2
+    assert "the net CSV holds no points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_udt_json(tmp_path):
     out = tmp_path / "udt.json"
     assert run("udt", "--thetas", "[0.0, 1.618033988749895]", "--xi", "0.0",

@@ -31,6 +31,14 @@ class TestNetType:
         with pytest.raises(ValueError):
             Net(points=np.array([[0.5, 0.5]]), epsilon=0.5, method="Other")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_refused(self, bad):
+        # min() and max() of an array holding NaN are NaN, which no range
+        # test catches, so finiteness is tested first.
+        with pytest.raises(ValueError, match="finite"):
+            Net(points=np.array([[0.5, 0.5], [bad, 0.2]]), epsilon=0.5,
+                method="HausslerWelzl")
+
     def test_caller_array_is_copied(self):
         # Writing the caller's array, or the base of a read-only view of
         # it, leaves the net as it was built.

@@ -11,9 +11,9 @@ from denseforest.errors import ResourceLimitError
 from denseforest.geometry import (AlignedBox, Point, Segment, Window,
                                   _stratified_directions, run_pairs,
                                   sample_probes,
-                                  sample_segments,
-                                  supnorm_point_segment_distance,
-                                  tube_bounding_window)
+                                  sample_segments)
+from geometry_oracles import (supnorm_point_segment_distance,
+                              tube_bounding_window)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)

@@ -3,15 +3,16 @@
 `sud_estimate` bounds each twist by the dispersion of the core that all
 windows of a run of shifts share, and only for the twists whose bound can
 still win sorts the span once and keeps each shift's window by index;
-`vacant_strip` bounds every direction from a seeded quarter of the
-sub-window around the centre, bounds the directions that can still win from
-the whole sub-window, and fully sorts only those whose bound can still win.
-The oracles below compute the same quantities the direct way: one sort per
-(shift, twist) matrix, one full sort per direction, and the scan that
-bounds every direction from the sub-window alone.  The SUD tests count the
-twist rows that reach the per-shift scan, and a strip test the directions
-that reach each tier, so that pruned and surviving cases are both
-exercised.
+`vacant_strip` bounds every direction by the level spacing of a lattice
+sheet and refines, best bound first, only the directions that can still
+win: from a seeded quarter of the sub-window around the centre, then from
+the whole sub-window, then by the full sort.  The oracles below compute the
+same quantities the direct way: one sort per (shift, twist) matrix, one
+full sort per direction, and the scan that bounds every direction from the
+sub-window alone; the spacing bounds are checked against the full width of
+every direction they bound.  The SUD tests count the twist rows that reach
+the per-shift scan, and a strip test the directions that reach each tier,
+so that pruned and surviving cases are both exercised.
 
 `min_gap` scans the pairs of neighbouring cells of a grid whose side is
 the least distance between consecutive rows; its oracle is the unbounded
@@ -106,9 +107,9 @@ from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _grid_bound,
                                   _dual_direction_candidates, _m_samples,
                                   _min_gap, _probe_first_hits, _shift_groups,
-                                  _toroidal_dispersion, _unit_directions,
-                                  _xi_samples, discrepancy, dispersion,
-                                  find_empty_tube, heavy_box, min_gap,
+                                  _strip_candidates, _toroidal_dispersion,
+                                  _unit_directions, _xi_samples, discrepancy,
+                                  dispersion, find_empty_tube, heavy_box, min_gap,
                                   sud_estimate, udt_check,
                                   vacant_strip, visibility_from_segments)
 from denseforest.errors import ResourceLimitError
@@ -128,7 +129,8 @@ from denseforest.generators import (D2, D2_SCALE, CutAndProject,
                                     quadratic_sequence, tsokanos_sequence,
                                     write_points_csv)
 from denseforest.geometry import (AlignedBox, Segment, Window, cartesian,
-                                  halton, sample_probes, tube_bounding_window)
+                                  halton, sample_probes)
+from geometry_oracles import tube_bounding_window
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -165,13 +167,13 @@ def strip_oracle(spec, window, candidate_directions=()):
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
-    groups = _dual_direction_candidates(spec, window.dim)
+    groups = [_dual_direction_candidates(spec, window.dim)[0]]
     for extra in candidate_directions:
         extra = np.asarray(extra, dtype=float)
         groups.append((extra / np.linalg.norm(extra))[None, :])
-    if not groups:
-        raise ValueError("no candidate directions")
     cands = np.concatenate(groups)
+    if cands.shape[0] == 0:
+        raise ValueError("no candidate directions")
     lead = np.argmax(np.abs(cands) > 1e-12, axis=1)
     signs = np.sign(cands[np.arange(cands.shape[0]), lead])
     cands = np.unique(np.round(cands * signs[:, None], 12), axis=0)
@@ -214,12 +216,12 @@ def strip_p_bound_oracle(spec, window, candidate_directions=()):
     pts = enumerate_points(spec, window)
     if pts.shape[0] < 2:
         raise ValueError("at least two points are required")
-    groups = _dual_direction_candidates(spec, dim)
+    groups = [_dual_direction_candidates(spec, dim)[0]]
     for extra in extras:
         groups.append(extra[None, :])
-    if not groups:
-        raise ValueError("no candidate directions: supply candidate_directions")
     cands = np.concatenate(groups)
+    if cands.shape[0] == 0:
+        raise ValueError("no candidate directions: supply candidate_directions")
     lead = np.argmax(np.abs(cands) > 1e-12, axis=1)
     signs = np.sign(cands[np.arange(cands.shape[0]), lead])
     cands = cands * signs[:, None]
@@ -498,6 +500,9 @@ class TestStripOracle:
         rising = itertools.count()
         monkeypatch.setattr(analysis, "_central_width_bound",
                             lambda *args: 1e9 + next(rising))
+        monkeypatch.setattr(analysis, "_spacing_bounds",
+                            lambda spec, window, us, *args:
+                            2e9 + np.arange(us.shape[0], dtype=float))
         assert_strip_matches(integer_lattice(2), Window.cube(20.0, 2))
         assert_strip_matches(ThreeGrid(), Window.cube(30.0, 2))
 
@@ -554,22 +559,136 @@ class TestStripCoarseTier:
         assert_strip_matches(spec, window)
 
     def test_directions_reaching_each_tier(self):
-        # At r = 100 the quarter bounds all 957 directions, 72 of them get
-        # the sub-window bound and 4 the full sort.
+        # At r = 100 all 957 directions get a finite spacing bound; 79 are
+        # refined by the quarter, 22 of those by the sub-window, and 3 of
+        # those get the full sort.
         spec, window = ThreeGrid(), Window.cube(100.0, 2)
         with mock.patch.object(analysis, "_central_width_bound",
                                wraps=analysis._central_width_bound) as bound, \
                 mock.patch.object(analysis, "_central_width",
                                   wraps=analysis._central_width) as full:
             rep = vacant_strip(spec, window)
+        cands, spacing, _, _ = spacing_cases(spec, window)
+        assert cands.shape[0] == 957
+        assert np.all(np.isfinite(spacing))
         sizes = [c.args[0].size for c in bound.call_args_list]
         sub_size = max(sizes)
-        assert len(sizes) == 957 + 72
-        assert sizes.count(sub_size) == 72
-        assert full.call_count == 4
+        assert len(sizes) == 79 + 22
+        assert sizes.count(sub_size) == 22
+        assert full.call_count == 3
         width, direction = strip_p_bound_oracle(spec, window)
         assert rep.width == width
         assert rep.direction.tobytes() == direction.tobytes()
+
+
+def spacing_cases(spec, window, extras=()):
+    """The strip candidates and their spacing bounds, with the full width
+    (None where no gap is central) of each candidate whose bound is finite.
+    Returns (cands, spacing, finite, widths)."""
+    pts = enumerate_points(spec, window)
+    center = (window.lo + window.hi) / 2.0
+    bulk = float(np.min(window.extent)) / 4.0
+    eps = 1e-9 * window.dim * (float(np.max(np.abs(center))) + bulk)
+    cands, spacing = _strip_candidates(spec, window,
+                                       _unit_directions(extras, window.dim),
+                                       bulk, eps)
+    finite = np.flatnonzero(np.isfinite(spacing))
+    widths = [_central_width(np.sort(pts @ cands[k]), float(center @ cands[k]), bulk)
+              for k in finite]
+    return cands, spacing, finite, widths
+
+
+def assert_spacing_bounds_hold(spec, window, extras=()):
+    """Every finite spacing bound is at least the width of its direction.
+    Returns the number of finite bounds and of candidates."""
+    cands, spacing, finite, widths = spacing_cases(spec, window, extras)
+    for k, width in zip(finite, widths):
+        if width is not None:
+            assert spacing[k] >= width, (cands[k], spacing[k], width)
+    return finite.size, cands.shape[0]
+
+
+class TestStripSpacingTier:
+    """The lattice-spacing bound against the full width of each direction."""
+
+    @pytest.mark.parametrize("radius", [30.0, 50.0, 100.0])
+    def test_three_grid(self, radius):
+        finite, total = assert_spacing_bounds_hold(ThreeGrid(), Window.cube(radius, 2))
+        assert finite == total == 957
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+                              st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=3),
+           st.floats(-12.0, -3.0), st.floats(-12.0, -3.0),
+           st.floats(3.0, 12.0), st.floats(3.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_grid_unions(self, grids, lo_x, lo_y, hi_x, hi_y):
+        sheets = []
+        for entries, tx, ty in grids:
+            basis = np.asarray(entries).reshape(2, 2)
+            assume(abs(np.linalg.det(basis)) >= 0.3)
+            sheets.append(Grid(basis, np.array([tx, ty])))
+        assert_spacing_bounds_hold(GridUnion(tuple(sheets)),
+                                   Window([lo_x, lo_y], [hi_x, hi_y]), [(1.0, 2.0)])
+
+    @pytest.mark.parametrize("basis, radius", [
+        ([[3.0, 0.0], [0.0, 3.0]], 4.0),       # covolume 9 in a small window
+        ([[2.5, 1.0], [0.5, 2.0]], 3.0),
+        ([[1.0, 0.0], [0.0, 1.0]], 1.5),
+    ])
+    def test_chord_condition_fails_on_small_windows(self, basis, radius):
+        # Level lines that cross the window in short chords may hold no
+        # point, so those directions keep an infinite bound.
+        spec = GridUnion((Grid(np.asarray(basis), np.array([0.3, 0.1])),))
+        finite, total = assert_spacing_bounds_hold(spec, Window.cube(radius, 2))
+        assert finite < total
+
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[2.0, 1.0], [1.0, 1.0]],
+        [[5.0, 2.0], [2.0, 1.0]],
+        [[math.sqrt(3.0), math.sqrt(2.0)], [0.0, 1.0]],
+    ])
+    def test_single_lattice_width_equals_spacing(self, basis):
+        # One lattice has no point between two level lines, so every central
+        # gap is the level spacing and the bound exceeds it by its margin.
+        spec = GridUnion((Grid(np.asarray(basis), np.array([0.25, 0.5])),))
+        window = Window.cube(30.0, 2)
+        cands, spacing, finite, widths = spacing_cases(spec, window)
+        assert finite.size > 0
+        for k, width in zip(finite, widths):
+            assert width is not None
+            assert 0.0 <= spacing[k] - width <= 1e-7, (cands[k], spacing[k], width)
+        rep = vacant_strip(spec, window)
+        k = int(np.flatnonzero((cands == rep.direction).all(axis=1))[0])
+        assert rep.width <= spacing[k] <= rep.width + 1e-7
+
+    def test_extras_and_other_dimensions_get_no_spacing_bound(self):
+        cands, spacing, _, _ = spacing_cases(integer_lattice(2), Window.cube(10.0, 2),
+                                             [(1.0, 3.0 ** 0.5)])
+        extra = np.flatnonzero(np.all(np.abs(cands - [0.5, 3.0 ** 0.5 / 2.0]) < 1e-9,
+                                      axis=1))
+        assert extra.size == 1 and spacing[extra[0]] == math.inf
+        _, spacing, _, _ = spacing_cases(integer_lattice(3), Window.cube(4.0, 3))
+        assert np.all(spacing == math.inf)
+
+    def test_three_grid_at_radius_200(self):
+        # The sweep benchmark's strip: its width and direction, and at most
+        # 152 quarter, 27 sub-window and 6 full sorts.
+        spec, window = ThreeGrid(), Window.cube(200.0, 2)
+        with mock.patch.object(analysis, "_central_width_bound",
+                               wraps=analysis._central_width_bound) as bound, \
+                mock.patch.object(analysis, "_central_width",
+                                  wraps=analysis._central_width) as full:
+            rep = vacant_strip(spec, window)
+        assert np.float64(rep.width).tobytes() == \
+            np.float64(0.14174290272305257).tobytes()
+        assert rep.direction.tobytes() == np.array([0.8, 0.6]).tobytes()
+        sizes = [c.args[0].size for c in bound.call_args_list]
+        sub_size = max(sizes)
+        assert len(sizes) - sizes.count(sub_size) <= 152
+        assert sizes.count(sub_size) <= 27
+        assert full.call_count <= 6
 
 
 @st.composite
