@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
                          SequenceSpec, _matmul, enumerate_points)
-from .geometry import (AlignedBox, RotatedBox, Segment, Window, cartesian,
-                       halton, point_coords, run_pairs, sample_probes,
-                       sample_segments)
+from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
+                       cartesian, halton, point_coords, run_pairs,
+                       sample_probes)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
 # x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
@@ -663,6 +663,9 @@ WALK_MAX_COLUMNS = 64
 # a probe, eps 1e4 on Z^2 counts 1.2e5 and the Peres forest at L_max 1e11
 # 1.5e5; at L_max 1e12 it counts 5.5e6 to 1.5e7, and the walk ran past 30 s.
 MAX_WALK_ROWS = 2 ** 20
+# The longest period of residue classes that the walk's skip tries: the
+# denominators of the rational slopes that `sample_probes` draws.
+SKIP_MAX_PERIOD = 8
 
 
 def _walk_stencils(k: int, d: int) -> np.ndarray:
@@ -690,6 +693,31 @@ class _ColumnWalk:
     its column's box.  Up to horizons near 10^8 the widening is below one
     lattice spacing; beyond, it adds columns that hold no blocker, whose
     cost MAX_WALK_ROWS bounds.
+
+    A miss along a rational slope would walk every column up to its
+    horizon, so before each round at WALK_MAX_COLUMNS ``skip`` jumps over
+    columns whose box provably holds no integer on some off axis i.  In
+    exact arithmetic column j's box is y0 + (start + j - r_a - pos) u / speed
+    plus the offsets, so q columns on it moves by q*sigma_i, sigma_i =
+    u_i / speed: an integer plus delta_i = q*sigma_i - round(q*sigma_i).
+    Take the float box [lo, hi] of column done + r, r < q, exactly as
+    ``score`` computes it, with no integer in [lo - g, hi + g] for a margin
+    g.  Then column done + r + k*q stays empty on axis i while k*|delta_i|
+    is below the gap, less g, on the side the box drifts to (every k when
+    delta_i = 0).  A class is empty while any off axis is; the dominant
+    axis always holds its column.  The jump is q times the fewest blocks
+    over the q classes, for the best q <= SKIP_MAX_PERIOD (Sos 1958 and
+    Swierczkowski 1958: a probe that leaves a box-wide gap over many
+    columns has a slope near p/q with small q), and it never passes the
+    first column entered after min(first, horizon).
+
+    g is 1e-9 * (1 + r_a + |y0| + horizon * |u|) (largest entries).  It
+    covers the float error of ``score``'s box at both columns, a few ulps
+    of that scale for |t| below the horizon, and the error of k * delta,
+    under 2^-50 * k*q for k*q columns below the horizon, with room to
+    spare.  So every skipped column's float box holds no integer: the
+    walk would have scored no point there, and ``first`` below the
+    horizon is the same bit for bit.
     """
 
     def __init__(self, sheet: LatticeSheet, eps: float, bases: np.ndarray,
@@ -731,19 +759,58 @@ class _ColumnWalk:
         # Column j of a probe is c = sgn * (start + j).
         self.start = np.ceil(self.pos - self.r_a)
         self.done = np.zeros(n)
+        # The gap that ``skip`` leaves between a box and the integers.
+        self.margin = 1e-9 * (1.0 + self.r_a + np.abs(self.y0).max(axis=1)
+                              + horizons * np.abs(self.u).max(axis=1))
 
     def entry(self, sel, j) -> np.ndarray:
         return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
+
+    def bounds(self, sel: np.ndarray, j: np.ndarray):
+        """The float box y(entry(j)) + [lo_off, hi_off] of the columns ``j``
+        (one row per probe of ``sel``) before it is rounded to integers."""
+        t_in = self.entry(sel[:, None], j)
+        y_in = self.y0[sel, None, :] + t_in[:, :, None] * self.u[sel, None, :]
+        return y_in + self.lo_off[sel, None, :], y_in + self.hi_off[sel, None, :]
+
+    def skip(self, sel: np.ndarray, limit: np.ndarray):
+        """Advance ``done`` of the probes ``sel`` over columns proved empty.
+
+        ``limit`` caps each probe's jump at the first column entered after
+        it.  For each q <= SKIP_MAX_PERIOD the columns split into q residue
+        classes; every block of q columns moves a class's box by an integer
+        plus delta = q*sigma - round(q*sigma) on each axis (see the class
+        docstring), so a box that holds no integer stays empty for as many
+        blocks as its gap on the side it drifts to allows.
+        """
+        lo, hi = self.bounds(sel, self.done[sel, None] + np.arange(SKIP_MAX_PERIOD))
+        m = np.floor(hi)
+        margin = self.margin[sel, None, None]
+        left = lo - m - margin
+        right = m + 1.0 - hi - margin
+        empty = (left > 0.0) & (right > 0.0)
+        empty[np.arange(sel.size), :, self.axis[sel]] = False
+        sigma = self.u[sel] / self.speed[sel, None]
+        jump = np.zeros(sel.size)
+        for q in range(1, SKIP_MAX_PERIOD + 1):
+            delta = (q * sigma - np.rint(q * sigma))[:, None, :]
+            room = np.where(delta > 0.0, right[:, :q], left[:, :q])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                blocks = np.floor(room / np.abs(delta)) + 1.0
+            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=2)
+            jump = np.maximum(jump, q * blocks.min(axis=1))
+        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
+                       - self.start[sel]) + 1.0
+        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
 
     def score(self, sel: np.ndarray, columns: int, eps: float,
               bases: np.ndarray, dirs: np.ndarray, first: np.ndarray):
         """Lower ``first`` over the next ``columns`` columns of the probes ``sel``."""
         d = bases.shape[1]
         j = self.done[sel, None] + np.arange(columns)
-        t_in = self.entry(sel[:, None], j)
-        y_in = self.y0[sel, None, :] + t_in[:, :, None] * self.u[sel, None, :]
-        lo = np.ceil(y_in + self.lo_off[sel, None, :])
-        hi = np.floor(y_in + self.hi_off[sel, None, :])
+        lo, hi = self.bounds(sel, j)
+        lo = np.ceil(lo)
+        hi = np.floor(hi)
         axis = self.axis[sel]
         on_axis = (np.arange(d) == axis[:, None])[:, None, :]
         col = (self.sgn[sel, None] * (self.start[sel, None] + j))[:, :, None]
@@ -777,12 +844,20 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
     guard = 1e-9 * (1.0 + horizons)
     alive = [np.arange(bases.shape[0])] * len(walks)
     columns = WALK_FIRST_COLUMNS
+
+    def entered(walk, live):
+        limit = np.minimum(first[live], horizons[live]) + guard[live]
+        keep = walk.entry(live, walk.done[live]) <= limit
+        return live[keep], limit[keep]
+
     while True:
         moved = False
         for i, walk in enumerate(walks):
-            live = alive[i]
-            limit = np.minimum(first[live], horizons[live]) + guard[live]
-            live = alive[i] = live[walk.entry(live, walk.done[live]) <= limit]
+            live, limit = entered(walk, alive[i])
+            if columns == WALK_MAX_COLUMNS and live.size:
+                walk.skip(live, limit)
+                live, _ = entered(walk, live)
+            alive[i] = live
             if not live.size:
                 continue
             moved = True
@@ -851,11 +926,20 @@ def _check_epsilon(epsilon: float):
         raise ValueError("epsilon must be positive and finite")
 
 
-def _segments_to_arrays(segments):
-    bases = np.asarray([s.base for s in segments], dtype=float)
-    dirs = np.asarray([s.direction for s in segments], dtype=float)
-    lengths = np.asarray([s.length for s in segments], dtype=float)
-    return bases, dirs, lengths
+def _visibility_report(spec: PointSetSpec, epsilon: float, bases: np.ndarray,
+                       dirs: np.ndarray, lengths: np.ndarray,
+                       segment_at) -> VisibilityReport:
+    """Hit statistics of the probes; ``segment_at(i)`` gives probe i as a
+    ``Segment``, built only for the worst miss."""
+    first = _probe_first_hits(spec, epsilon, bases, dirs, lengths)
+    hits = first < lengths
+    worst = None
+    if not np.all(hits):
+        misses = np.flatnonzero(~hits)
+        worst = segment_at(int(misses[np.argmax(first[misses])]))
+    return VisibilityReport(epsilon=float(epsilon), L=float(np.max(lengths)),
+                            segments_tested=int(bases.shape[0]),
+                            hit_fraction=float(np.mean(hits)), worst_segment=worst)
 
 
 def visibility_from_segments(spec: PointSetSpec, epsilon: float,
@@ -864,17 +948,11 @@ def visibility_from_segments(spec: PointSetSpec, epsilon: float,
     _check_epsilon(epsilon)
     if not segments:
         raise ValueError("at least one probe segment is required")
-    bases, dirs, lengths = _segments_to_arrays(segments)
-    first = _probe_first_hits(spec, epsilon, bases, dirs, lengths)
-    hits = first < lengths
-    fraction = float(np.mean(hits))
-    worst = None
-    if not np.all(hits):
-        misses = np.flatnonzero(~hits)
-        worst = segments[int(misses[np.argmax(first[misses])])]
-    return VisibilityReport(epsilon=float(epsilon), L=float(np.max(lengths)),
-                            segments_tested=len(segments),
-                            hit_fraction=fraction, worst_segment=worst)
+    bases = np.asarray([s.base for s in segments], dtype=float)
+    dirs = np.asarray([s.direction for s in segments], dtype=float)
+    lengths = np.asarray([s.length for s in segments], dtype=float)
+    return _visibility_report(spec, epsilon, bases, dirs, lengths,
+                              segments.__getitem__)
 
 
 def check_visibility(spec: PointSetSpec, epsilon: float, L: float, count: int,
@@ -882,12 +960,15 @@ def check_visibility(spec: PointSetSpec, epsilon: float, L: float, count: int,
     """Probe the set with `count` seeded segments of length L based in the window.
 
     A probe hits when some forest point comes within sup-norm epsilon of it.
+    The report equals that of ``visibility_from_segments`` on
+    ``sample_segments(window, L, count, seed)``.
     """
     _check_epsilon(epsilon)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return visibility_from_segments(spec, epsilon,
-                                    sample_segments(window, L, count, seed))
+    bases, rows, dirs, lengths = _probes(window, L, count, seed)
+    return _visibility_report(spec, epsilon, bases, dirs, lengths,
+                              lambda i: Segment(bases[i], rows[i], L))
 
 
 def _grid_estimate(first: np.ndarray, L_max: float) -> float:

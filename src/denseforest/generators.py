@@ -979,10 +979,18 @@ def write_points_csv(path, pts: np.ndarray, header=None):
 
 
 def read_points_csv(path) -> np.ndarray:
+    """The points of a CSV written by ``write_points_csv``, one row each.
+
+    A file that holds only its header gives shape (0, header columns).
+    """
     with open(path) as handle:
         header = handle.readline().strip()
         if not header.startswith("x1"):
             raise ValueError("point CSV must start with an x1,...,xn header")
+        start = handle.tell()
+        if not any(line.strip() for line in handle):
+            return np.empty((0, len(header.split(","))))
+        handle.seek(start)
         data = np.loadtxt(handle, delimiter=",", ndmin=2)
     return data
 

@@ -128,9 +128,6 @@ class Segment:
     def dim(self) -> int:
         return self.base.size
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.base + t * self.direction
-
     def translated(self, offset) -> "Segment":
         return Segment(self.base + np.asarray(offset, dtype=float),
                        self.direction, self.length)
@@ -380,12 +377,13 @@ def _probe_rows(window: Window, count: int, seed: int):
     return bases, raw, norms
 
 
-def sample_probes(window: Window, length: float, count: int, seed: int):
-    """The probes of ``sample_segments`` as arrays (bases, directions, lengths).
+def _probes(window: Window, length: float, count: int, seed: int):
+    """The arrays of ``sample_probes`` with the drawn direction rows:
+    (bases, rows, unit directions, lengths).
 
-    Makes the same random draws in the same order, and normalizes each
-    direction by the same expression as ``Segment``, so every entry equals
-    the corresponding ``Segment`` attribute exactly.
+    ``Segment(bases[i], rows[i], length)`` is probe i of ``sample_segments``.
+    Built from the unit direction instead, it would divide by a norm that
+    can be 1 +- 2^-52 and move the last bit.
     """
     length = float(length)
     if not (length >= 0.0) or not np.isfinite(length):
@@ -393,8 +391,18 @@ def sample_probes(window: Window, length: float, count: int, seed: int):
     bases, raw, norms = _probe_rows(window, count, seed)
     # Row by row division by a scalar, as in Segment: a vectorized norm
     # (np.linalg.norm(axis=1)) rounds differently in the last bit.
-    dirs = raw / norms[:, None]
-    return bases, dirs, np.full(count, length)
+    return bases, raw, raw / norms[:, None], np.full(count, length)
+
+
+def sample_probes(window: Window, length: float, count: int, seed: int):
+    """The probes of ``sample_segments`` as arrays (bases, directions, lengths).
+
+    Makes the same random draws in the same order, and normalizes each
+    direction by the same expression as ``Segment``, so every entry equals
+    the corresponding ``Segment`` attribute exactly.
+    """
+    bases, _, dirs, lengths = _probes(window, length, count, seed)
+    return bases, dirs, lengths
 
 
 def sample_segments(window: Window, length: float, count: int, seed: int):

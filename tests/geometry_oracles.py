@@ -1,5 +1,5 @@
-"""Sup-norm distances from points to segments, and the window around a
-segment's sup-norm tube.
+"""Sup-norm distances from points to segments, the points of a segment, and
+the window around a segment's sup-norm tube.
 
 The program itself never needs these: the visibility probes score blockers
 with `analysis._candidate_scores`.  The tests use them as exact oracles.
@@ -52,9 +52,14 @@ def supnorm_point_segment_distance(p, segment: Segment) -> float:
     return float(supnorm_segment_distances(coords[None, :], segment)[0])
 
 
+def point_at(segment: Segment, t: float) -> np.ndarray:
+    """The point base + t*direction of the segment's line."""
+    return segment.base + t * segment.direction
+
+
 def tube_bounding_window(segment: Segment, eps: float) -> Window:
     """Smallest window containing every point within sup-norm eps of the segment."""
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    ends = np.stack([segment.base, segment.point_at(segment.length)])
+    ends = np.stack([segment.base, point_at(segment, segment.length)])
     return Window(ends.min(axis=0) - eps, ends.max(axis=0) + eps)

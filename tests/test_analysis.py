@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -21,7 +22,8 @@ from denseforest.generators import (D2, Grid, GridUnion, PeresForest,
                                     concat_linear_sequence,
                                   golden_sequence, integer_lattice,
                                     quadratic_sequence, tsokanos_sequence)
-from denseforest.geometry import Point, Segment, Window, sample_probes
+from denseforest.geometry import (Point, Segment, Window, sample_probes,
+                                  sample_segments)
 from geometry_oracles import supnorm_point_segment_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -256,6 +258,18 @@ class TestVisibility:
                                Window.cube(5.0, 2), seed=2)
         assert rep.hit_fraction == 1.0
         assert rep.worst_segment is None
+
+    @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), D2()],
+                             ids=["z2", "peres", "d2"])
+    @pytest.mark.parametrize("eps, length", [(0.05, 24.0), (0.2, 3.0), (0.6, 1.0)])
+    def test_report_equals_the_segment_report(self, spec, eps, length):
+        window = Window.cube(20.0, 2)
+        got = check_visibility(spec, eps, length, 301, window, seed=4)
+        want = visibility_from_segments(spec, eps,
+                                        sample_segments(window, length, 301, 4))
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        # Z^2 misses at eps 0.05 and 0.2, D2 at 0.05: a worst segment is built.
+        assert (got.worst_segment is None) == (got.hit_fraction == 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -351,7 +351,7 @@ def test_verify_net_refuses_a_non_finite_net(tmp_path, capsys, row):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_verify_net_refuses_an_empty_net(tmp_path, capsys):
     net_csv = tmp_path / "net.csv"
     net_csv.write_text("x1,x2\n")

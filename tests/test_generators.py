@@ -456,3 +456,16 @@ class TestSerialization:
         assert np.array_equal(back, pts)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2"
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("text", ["x1,x2,x3\n", "x1,x2,x3", "x1,x2,x3\n\n  \n"])
+    def test_header_only_csv_keeps_its_columns(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        back = read_points_csv(path)
+        assert back.shape == (0, 3) and back.dtype == float
+
+    def test_rows_after_a_blank_line_are_read(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x1,x2\n\n0.5,1.5\n2,3\n")
+        assert read_points_csv(path).tolist() == [[0.5, 1.5], [2.0, 3.0]]

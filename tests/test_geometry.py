@@ -12,7 +12,7 @@ from denseforest.geometry import (AlignedBox, Point, Segment, Window,
                                   _stratified_directions, run_pairs,
                                   sample_probes,
                                   sample_segments)
-from geometry_oracles import (supnorm_point_segment_distance,
+from geometry_oracles import (point_at, supnorm_point_segment_distance,
                               tube_bounding_window)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
@@ -105,7 +105,7 @@ class TestDistance:
         dist = supnorm_point_segment_distance(Point(p), s)
         p_arr = np.asarray(p, float)
         end_a = np.abs(p_arr - s.base).max()
-        end_b = np.abs(p_arr - s.point_at(s.length)).max()
+        end_b = np.abs(p_arr - point_at(s, s.length)).max()
         assert dist <= min(end_a, end_b) + 1e-9
         # distance to the full line, realized as a segment long enough to
         # cover every candidate foot point

@@ -39,7 +39,10 @@ same kernel.
 norm as sqrt(v.dot(v)) and forms the bases after the loop; its oracle is
 the former per-row loop with `np.linalg.norm`.  `_walk_lattice_sheets`
 keeps one shrinking array of live probes per sheet; its oracle recomputes
-every probe's next entry on every round.  `estimate_visibility` draws one
+every probe's next entry on every round.  The walk also skips the columns
+whose box provably holds no integer; its oracle is the walk without the
+skip, compared below the horizon, and every skipped column's float box is
+checked to be empty as `score` rounds it.  `estimate_visibility` draws one
 sample for a sequence of epsilons; its oracle is one call per epsilon.
 
 `find_empty_tube` passes each offset line only the points of a slab and
@@ -1383,6 +1386,31 @@ class TestProbeDrawOracle:
             assert norms[i] == float(np.linalg.norm(raw[i]))
 
 
+def unskipped_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
+    """`_walk_lattice_sheets` with no skip: every probe scores each of its
+    columns until its next entry passes min(first, horizon)."""
+    walks = [analysis._ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
+    guard = 1e-9 * (1.0 + horizons)
+    alive = [np.arange(bases.shape[0])] * len(walks)
+    columns = analysis.WALK_FIRST_COLUMNS
+    while True:
+        moved = False
+        for i, walk in enumerate(walks):
+            live = alive[i]
+            limit = np.minimum(first[live], horizons[live]) + guard[live]
+            live = alive[i] = live[walk.entry(live, walk.done[live]) <= limit]
+            if not live.size:
+                continue
+            moved = True
+            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
+            for lo in range(0, live.size, chunk):
+                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
+            walk.done[live] += columns
+        if not moved:
+            return
+        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
+
+
 def record_walk(walk_fn, monkeypatch, sheets, eps, bases, dirs, lengths):
     """``first`` after ``walk_fn``, and the (sheet, probes, columns) of
     every chunk it scored."""
@@ -1401,7 +1429,20 @@ def record_walk(walk_fn, monkeypatch, sheets, eps, bases, dirs, lengths):
     return first, calls
 
 
+def scored_rows(calls):
+    """The (probe, column) rows of every chunk ``record_walk`` saw."""
+    return sum(len(sel) // 8 * columns for _, sel, columns in calls)
+
+
+def below_horizon(first, lengths):
+    """``first`` with every value at or past the horizon set to +inf, as
+    ``_probe_first_hits`` reports it."""
+    return np.where(first < np.ceil(lengths), first, np.inf)
+
+
 class TestShrinkingWalkOracle:
+    # The skip moves where the rounds start, so the chunks differ from the
+    # former walk's and so does ``first`` past the horizon.
     @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid(),
                                       integer_lattice(1), integer_lattice(3)],
                              ids=["z2", "peres", "three-grid", "z1", "z3"])
@@ -1413,9 +1454,183 @@ class TestShrinkingWalkOracle:
                           eps, bases, dirs, lengths)
         want = record_walk(former_walk_lattice_sheets, monkeypatch, sheets,
                            eps, bases, dirs, lengths)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
-        assert np.isfinite(got[0]).any()
+        got_first = below_horizon(got[0], lengths)
+        assert got_first.tobytes() == below_horizon(want[0], lengths).tobytes()
+        assert scored_rows(got[1]) <= scored_rows(want[1])
+        assert np.isfinite(got_first).any()
+
+
+def nudge(draw, x):
+    """x itself, a few ulps away, or 1e-15 to 1e-2 away (log-uniform); the
+    last kind, 1e-4 to 1e-2 away, drifts by a box width within the horizon."""
+    kind = draw(st.sampled_from(["exact", "ulps", "offset", "drift"]))
+    if kind == "ulps":
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(1, 4))):
+            x = float(np.nextafter(x, toward))
+    elif kind == "offset":
+        x += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-15.0, -2.0))
+    elif kind == "drift":
+        x += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-4.0, -2.0))
+    return x
+
+
+@st.composite
+def near_rational_probes(draw):
+    """Long probes along and near the rational directions of `sample_probes`:
+    integer vectors with entries up to 8, the axes and diagonals among them,
+    with one entry nudged."""
+    family = draw(st.sampled_from(["z2", "three-grid", "peres", "z3"]))
+    spec = probe_spec(family, 0)
+    d = spec.dim
+    eps = draw(st.floats(0.01, 0.6))
+    n = draw(st.integers(1, 6))
+    coords = st.one_of(st.floats(-50.0, 50.0),
+                       st.integers(-400, 400).map(lambda k: k / 8.0))
+    bases, dirs, lengths = [], [], []
+    for _ in range(n):
+        bases.append(draw(st.lists(coords, min_size=d, max_size=d)))
+        kind = draw(st.sampled_from(["axis", "diagonal", "rational"]))
+        if kind == "axis":
+            vec = np.zeros(d)
+            vec[draw(st.integers(0, d - 1))] = 1.0
+        elif kind == "diagonal":
+            vec = np.ones(d)
+        else:
+            vec = np.asarray(draw(st.lists(st.integers(-8, 8), min_size=d,
+                                           max_size=d)), dtype=float)
+            assume(np.any(vec))
+        vec *= np.asarray(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=d, max_size=d)))
+        i = draw(st.integers(0, d - 1))
+        vec[i] = nudge(draw, vec[i])
+        dirs.append(vec / np.linalg.norm(vec))
+        lengths.append(draw(st.one_of(st.sampled_from([64.0, 1000.0, 4096.0]),
+                                      st.floats(0.0, 4096.0))))
+    return spec, eps, np.asarray(bases), np.asarray(dirs), np.asarray(lengths)
+
+
+def record_skips(monkeypatch, sheets, eps, bases, dirs, lengths):
+    """``first`` after `_walk_lattice_sheets`, and the (walk, probe, done
+    before, done after) of every probe that a skip moved."""
+    skips = []
+    skip = analysis._ColumnWalk.skip
+
+    def recording(walk, sel, limit):
+        before = walk.done[sel].copy()
+        skip(walk, sel, limit)
+        moved = walk.done[sel] != before
+        skips.extend(zip([walk] * int(moved.sum()), sel[moved], before[moved],
+                         walk.done[sel][moved]))
+
+    monkeypatch.setattr(analysis._ColumnWalk, "skip", recording)
+    first = np.full(bases.shape[0], np.inf)
+    analysis._walk_lattice_sheets(sheets, eps, bases, dirs, np.ceil(lengths), first)
+    monkeypatch.undo()
+    return first, skips
+
+
+def assert_skipped_columns_are_empty(skips):
+    """Every skipped column's float box, as ``score`` rounds it, holds no
+    integer on some axis other than the dominant one."""
+    for walk, probe, before, after in skips:
+        lo, hi = walk.bounds(np.array([probe]), np.arange(before, after)[None, :])
+        empty = np.ceil(lo[0]) > np.floor(hi[0])
+        empty[:, walk.axis[probe]] = False
+        assert empty.any(axis=1).all(), (probe, before, after)
+
+
+class TestColumnSkip:
+    """The skip leaves ``first`` below the horizon bit for bit as the walk
+    without it found it, and skips only columns whose box is empty."""
+
+    @given(near_rational_probes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_unskipped_walk(self, case):
+        spec, eps, bases, dirs, lengths = case
+        sheets = spec.sheets()
+        horizons = np.ceil(lengths)
+        want = np.full(bases.shape[0], np.inf)
+        unskipped_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, want)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, skips = record_skips(monkeypatch, sheets, eps, bases, dirs, lengths)
+        assert below_horizon(got, lengths).tobytes() == \
+            below_horizon(want, lengths).tobytes()
+        assert_skipped_columns_are_empty(skips)
+
+    @pytest.mark.parametrize("spec", [integer_lattice(2), ThreeGrid(), PeresForest(),
+                                      integer_lattice(3)],
+                             ids=["z2", "three-grid", "peres", "z3"])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.6])
+    def test_seeded_probes(self, spec, eps, monkeypatch):
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, spec.dim), 4096.0,
+                                             500, 2)
+        want = np.full(bases.shape[0], np.inf)
+        unskipped_walk_lattice_sheets(spec.sheets(), eps, bases, dirs,
+                                      np.ceil(lengths), want)
+        got, skips = record_skips(monkeypatch, spec.sheets(), eps, bases, dirs,
+                                  lengths)
+        assert below_horizon(got, lengths).tobytes() == \
+            below_horizon(want, lengths).tobytes()
+        assert_skipped_columns_are_empty(skips)
+
+    # Z^2 at eps 0.01 from (0.3, y) along slopes within ulps of 1/3 and
+    # 2/7: the float box of column 62, where the first skip looks, lies
+    # 1e-14 to 1e-12 above the row below it.  Over the next 4,000 columns
+    # the box drifts by a few 1e-14, and some of its float boxes reach the
+    # row; a skip with no margin would jump over them.
+    GRAZING = [(0.11333592543122409, 0.9486832980505138, 0.31622776601683794),
+               (0.09857368056979768, 0.9615239476408232, 0.274721127897378)]
+
+    def test_a_box_that_grazes_an_integer_is_not_skipped(self, monkeypatch):
+        bases = np.array([[0.3, y] for y, _, _ in self.GRAZING])
+        dirs = np.array([[a, b] for _, a, b in self.GRAZING])
+        lengths = np.full(2, 4096.0)
+        sheets = integer_lattice(2).sheets()
+        walk = analysis._ColumnWalk(sheets[0], 0.01, bases, dirs, lengths)
+        lo, _ = walk.bounds(np.arange(2), np.full((2, 1), 62.0))
+        gap = lo[:, 0, 1] - np.floor(lo[:, 0, 1])
+        assert np.all((gap > 0.0) & (gap < 1e-12))
+        first, skips = record_skips(monkeypatch, sheets, 0.01, bases, dirs, lengths)
+        want = np.full(2, np.inf)
+        unskipped_walk_lattice_sheets(sheets, 0.01, bases, dirs, lengths, want)
+        assert first.tobytes() == want.tobytes()
+        assert_skipped_columns_are_empty(skips)
+
+    def test_a_skip_stops_at_the_dominant_axis(self, monkeypatch):
+        # Z^2 at eps 0.1 from (0.3, 0.5): along +x every column's box on the
+        # off axis y is about [0.4, 0.6], so the probe jumps to its horizon.
+        # With slope 1e-4 the box drifts up to the row y = 1 near x = 4000,
+        # and the probe jumps only to there.  Were the dominant axis, which
+        # always holds its column, counted as empty for ever, both probes
+        # would jump to the horizon.
+        bases = np.array([[0.3, 0.5], [0.3, 0.5]])
+        dirs = np.array([[1.0, 0.0], [1.0, 1e-4]])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        lengths = np.array([4096.0, 4096.0])
+        sheets = integer_lattice(2).sheets()
+        first, skips = record_skips(monkeypatch, sheets, 0.1, bases, dirs, lengths)
+        want = np.full(2, np.inf)
+        unskipped_walk_lattice_sheets(sheets, 0.1, bases, dirs, np.ceil(lengths), want)
+        assert first.tobytes() == want.tobytes()
+        assert first[0] == np.inf and 3990.0 < first[1] < 4010.0
+        ends = {int(p): after for _, p, _, after in skips}
+        assert ends[0] == 4096.0 and 3900.0 < ends[1] < first[1]
+
+
+class TestWalkWork:
+    def test_z2_misses_skip_their_columns(self, monkeypatch):
+        # The benchmark's Z^2 draw at a fifth of its count: before the
+        # skip, the misses walked about 4,096 columns each.
+        spec = integer_lattice(2)
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, 2), 4096.0, 2000, 1)
+        got = record_walk(analysis._walk_lattice_sheets, monkeypatch,
+                          spec.sheets(), 0.1, bases, dirs, lengths)
+        want = record_walk(unskipped_walk_lattice_sheets, monkeypatch,
+                           spec.sheets(), 0.1, bases, dirs, lengths)
+        assert below_horizon(got[0], lengths).tobytes() == \
+            below_horizon(want[0], lengths).tobytes()
+        assert scored_rows(got[1]) * 10 < scored_rows(want[1])
 
 
 class TestOneDrawPerCommand:
