@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_limit
 from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
                          SequenceSpec, _matmul, enumerate_points)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
@@ -392,8 +392,7 @@ def _slab_extremes(vals: np.ndarray, scale: np.ndarray, n: int,
 
 def _discrepancy_1d(xs: np.ndarray, n: int) -> float:
     # The scan is linear in the critical values, of which there are at most n + 2.
-    if n + 2 > MAX_DISCREPANCY_WORK:
-        raise ResourceLimitError("too many critical intervals for exact discrepancy")
+    check_limit("critical intervals", n + 2, MAX_DISCREPANCY_WORK)
     vals, bucket = _buckets(xs)
     cum = np.cumsum(np.bincount(bucket, minlength=vals.size))[None, :]
     over, under = _slab_extremes(vals, np.ones(1), n, cum, cum)
@@ -412,9 +411,7 @@ def _discrepancy_2d(pts: np.ndarray, n: int) -> float:
     """
     yv, level = _buckets(pts[:, 1])
     m = yv.size
-    work_estimate = (m * (m + 1) / 2) * (n + 2)
-    if work_estimate > MAX_DISCREPANCY_WORK:
-        raise ResourceLimitError("too many critical boxes for exact discrepancy")
+    check_limit("critical-box work units", m * (m + 1) / 2 * (n + 2), MAX_DISCREPANCY_WORK)
     xv, bucket = _buckets(pts[:, 0])
     k = xv.size
     order = np.argsort(level, kind="stable")
@@ -591,11 +588,8 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     d = seq.dim
     per_window = N if d == 1 else SUD_GRID_UNITS * (3 ** d * N + 4096)
     work = len(ms) * xi_count * per_window
-    if work > MAX_SUD_WORK or d * (xi_count + 2 * N) > MAX_SUD_VALUES:
-        raise ResourceLimitError(
-            f"{len(ms)} shifts, {xi_count} twists and N = {N} need {work} work "
-            f"units and {d * (xi_count + 2 * N)} values (limits {MAX_SUD_WORK} "
-            f"and {MAX_SUD_VALUES})")
+    check_limit(f"work units of {len(ms)} shifts x {xi_count} twists", work, MAX_SUD_WORK)
+    check_limit("values of twists and spans", d * (xi_count + 2 * N), MAX_SUD_VALUES)
     xis = _xi_samples(xi_count, d, seed)
     best = 0.0
     for shifts in _shift_groups(ms, N):
@@ -645,9 +639,9 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
     return np.where(valid, t_lo, np.inf)
 
 
-# Candidate rows (columns x box stencil) per chunk of the lattice column
-# walk, as many as one call of the unit-step march it replaced scored (4096
-# probes x a 5x5 stencil); at d = 3 that is about 2.5 MB per float array.
+# Candidate rows (columns x box stencil) per chunk of the lattice column walk
+# and of the unit-step march, as many as one march call scored before the
+# walk (4096 probes x a 5x5 stencil); at d = 3 about 2.5 MB per float array.
 PROBE_KERNEL_ROWS = 4096 * 25
 # Columns per probe in the walk's first round; each round doubles it up to
 # the cap.  Most probes are hit within a few columns, a miss walks all of
@@ -752,9 +746,7 @@ class _ColumnWalk:
             box = (np.floor(width.max()) + 2.0) ** (d - 1)
             work = box * (WALK_FIRST_COLUMNS
                           + np.ceil(2.0 * np.max(self.r_a - r[self.axis])))
-        if not work <= MAX_WALK_ROWS:
-            raise ResourceLimitError(f"a column walk of {work:.3g} rows a probe "
-                                     f"exceeds the limit of {MAX_WALK_ROWS}")
+        check_limit("rows a probe of a column walk", work, MAX_WALK_ROWS)
         self.rows_per_column = int(box)
         # Column j of a probe is c = sgn * (start + j).
         self.start = np.ceil(self.pos - self.r_a)
@@ -883,14 +875,16 @@ def _march_sheets(sheets, eps: float, bases: np.ndarray, dirs: np.ndarray,
     guard = (eps + reach) * math.sqrt(d) + 1e-9
     horizons = np.ceil(lengths)
     alive = np.arange(n_probe)
-    chunk = 4096
     t = 0.0
     while alive.size:
-        for start in range(0, alive.size, chunk):
-            sel = alive[start:start + chunk]
-            q = bases[sel] + t * dirs[sel]
-            for sheet in sheets:
-                cand, rows = sheet.candidates_near(q, reach)
+        waypoints = bases[alive] + t * dirs[alive]
+        for sheet in sheets:
+            per = sheet.near_rows(waypoints, reach)
+            check_limit("candidate rows a waypoint", per, MAX_WALK_ROWS)
+            chunk = max(1, int(PROBE_KERNEL_ROWS // per))
+            for start in range(0, alive.size, chunk):
+                sel = alive[start:start + chunk]
+                cand, rows = sheet.candidates_near(waypoints[start:start + chunk], reach)
                 np.minimum.at(first, sel[rows], _candidate_scores(
                     cand, bases[sel][rows], dirs[sel][rows], eps))
         t += 1.0
@@ -1102,9 +1096,7 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
     if not dirs:
         raise ValueError("at least one direction is required")
     lines = len(dirs) * offsets_per_direction
-    if lines > MAX_TUBE_LINES:
-        raise ResourceLimitError(f"{lines} offset lines exceed the limit of "
-                                 f"{MAX_TUBE_LINES}")
+    check_limit("offset lines", lines, MAX_TUBE_LINES)
     pad = epsilon + 1e-6
     pts = enumerate_points(spec, Window(window.lo - pad, window.hi + pad))
     center = (window.lo + window.hi) / 2.0
@@ -1661,11 +1653,9 @@ def heavy_box(points, eps: float, rotation_samples: int = 0, seed: int = 0):
     if rotation_samples < 0:
         raise ValueError("rotation_samples must be nonnegative")
     if pts.shape[1] == 2 and rotation_samples > 0:
-        work = rotation_samples * (pts.shape[0] + HEAVY_ROTATION_BASE)
-        if work > MAX_HEAVY_ROTATION_WORK:
-            raise ResourceLimitError(
-                f"{rotation_samples} rotations of {pts.shape[0]} points exceed "
-                f"the limit of {MAX_HEAVY_ROTATION_WORK} units")
+        check_limit(f"units of {rotation_samples} rotations of {pts.shape[0]} points",
+                    rotation_samples * (pts.shape[0] + HEAVY_ROTATION_BASE),
+                    MAX_HEAVY_ROTATION_WORK)
     box = _witness_box(pts, eps)
     count = int(np.count_nonzero(box.contains(pts)))
     best = (box, count)
@@ -1709,8 +1699,7 @@ def udt_check(thetas, xi, T: int):
     d = arr.shape[1]
     # The grid is built in chunks, so this cap bounds time, not memory:
     # 1.1e8 (d = 1) to 3.5e7 (d = 3) rows times thetas per second measured.
-    if d * (2 * t_int + 1) ** d > 10 ** 8:
-        raise ResourceLimitError("u-grid too large for exhaustive margin search")
+    check_limit("u-grid entries", d * (2 * t_int + 1) ** d, 10 ** 8)
     width = 2 * t_int + 1
     rest = [np.arange(-t_int, t_int + 1)] * (d - 1) if d > 1 else []
     # Chunks of whole leading-axis slices.

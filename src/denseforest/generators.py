@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_limit
 from .geometry import Window, cartesian
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -203,27 +203,20 @@ class PointSetSpec:
         return {"variant": self.variant, "params": self.params()}
 
 
-def _check_budget(estimate: float):
-    if estimate > MAX_ENUMERATED_POINTS:
-        raise ResourceLimitError(
-            f"enumeration would produce about {estimate:.3g} points "
-            f"(limit {MAX_ENUMERATED_POINTS:.0e})")
-
-
 def _integer_ranges(images: np.ndarray):
-    """Inclusive integer bounds covering the rows of ``images`` per axis."""
-    lo = np.ceil(images.min(axis=0) - 1e-9).astype(np.int64)
-    hi = np.floor(images.max(axis=0) + 1e-9).astype(np.int64)
-    return lo, hi
+    """Inclusive integer bounds, as floats, covering the rows of ``images`` per axis."""
+    return np.ceil(images.min(axis=0) - 1e-9), np.floor(images.max(axis=0) + 1e-9)
 
 
 def _grid_size(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(np.maximum(hi - lo + 1, 0).astype(float)))
+    return float(np.prod(np.maximum(hi - lo + 1.0, 0.0)))
 
 
 def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    _check_budget(_grid_size(lo, hi))
-    return cartesian(*[np.arange(a, b + 1) for a, b in zip(lo, hi)])
+    # Floats do not wrap past 2^63 as int64 does; an empty axis (size 0) empties all.
+    size = _grid_size(lo, hi)
+    check_limit("integer points", size, MAX_ENUMERATED_POINTS)
+    return cartesian(*[np.arange(a, min(b + 1.0, a + size)) for a, b in zip(lo, hi)])
 
 
 def _freeze(obj, **arrays):
@@ -282,7 +275,7 @@ class LatticeSheet:
         return window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16
 
     def enumerate(self, window: Window) -> np.ndarray:
-        _check_budget(self.estimate(window))
+        check_limit("points", self.estimate(window), MAX_ENUMERATED_POINTS)
         images = (window.corners() - self.shift) @ self.inverse.T
         pts = self.points(_integer_grid(*_integer_ranges(images)))
         return np.compress(window.contains(pts), pts, axis=0)
@@ -320,7 +313,7 @@ class SequenceSheet:
         return pts.reshape(-1, self.dim) @ self.rotation.T
 
     def enumerate(self, window: Window) -> np.ndarray:
-        _check_budget(self.estimate(window))
+        check_limit("points", self.estimate(window), MAX_ENUMERATED_POINTS)
         pre = window.corners() @ self.rotation  # corners in unrotated frame
         lo = pre.min(axis=0) - 1e-9
         hi = pre.max(axis=0) + 1e-9
@@ -334,8 +327,14 @@ class SequenceSheet:
         pts = self._columns(ks, vs, first, widths.astype(np.int64))
         return np.compress(window.contains(pts), pts, axis=0)
 
+    def near_rows(self, queries: np.ndarray, radius: float) -> float:
+        """The rows ``candidates_near`` lists per query, sized in float."""
+        return math.prod([2.0 * math.floor(radius + 0.5) + 3.0] * self.dim)
+
     def candidates_near(self, queries: np.ndarray, radius: float):
         ys = queries @ self.rotation
+        # Past 2^52 a float holds no fraction, so unit columns run together.
+        check_limit("units to a waypoint", np.abs(ys).max(initial=0.0), 2 ** 52)
         k_reach = int(math.floor(radius + 0.5)) + 1
         k_off = np.arange(-k_reach, k_reach + 1)
         ks = (np.rint(ys[:, 0]).astype(np.int64)[:, None] + k_off[None, :]).ravel()
@@ -396,12 +395,16 @@ class D2Sheet(PointSetSpec):
     def estimate(self, window: Window) -> float:
         # Four sign choices of at most the pairs bound of `_d2_nonneg_pairs`.
         xmax, ymax = self._reach(window)
-        return 4.0 * (math.floor(xmax) + 1.0) * (math.floor(ymax) + 1.0)
+        return 4.0 * (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0)
 
     def enumerate(self, window: Window) -> np.ndarray:
         pairs = _d2_nonneg_pairs(*self._reach(window))
         pts = (pairs[:, None, :] * D2_SIGNS[None, :, :]).reshape(-1, 2) * D2_SCALE
         return np.compress(window.contains(pts), pts, axis=0)
+
+    def near_rows(self, queries: np.ndarray, radius: float) -> float:
+        """The rows ``candidates_near`` lists per query at most, sized in float."""
+        return 4.0 * (np.floor(2.0 * _d2_reach(queries, radius)) + 2.0) ** 2
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
@@ -411,7 +414,7 @@ class D2Sheet(PointSetSpec):
         ``_d2_pairs``, so the points are the floats of ``enumerate``.
         """
         reflected = (queries / D2_SCALE)[:, None, :] * D2_SIGNS
-        r = radius / D2_SCALE + 1e-9 * (1.0 + np.abs(reflected).max(initial=0.0))
+        r = _d2_reach(queries, radius)
         offsets = np.arange(math.floor(2.0 * r) + 2)
         top = np.floor(reflected + r).astype(np.int64)
         i, j = np.broadcast_arrays(top[:, :, :1, None] - offsets[:, None],
@@ -422,6 +425,10 @@ class D2Sheet(PointSetSpec):
 
 
 D2 = D2Sheet  # the public name of the bit-reversal set
+
+
+def _d2_reach(queries: np.ndarray, radius: float) -> float:
+    return radius / D2_SCALE + 1e-9 * (1.0 + np.abs(queries / D2_SCALE).max(initial=0.0))
 
 
 def _d2_pairs(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -442,9 +449,8 @@ def _d2_nonneg_pairs(xmax: float, ymax: float) -> np.ndarray:
     # 10 and 2000), 2.7 at (1000, 3) and 4.0 at (0.5, 1e4).  The build
     # peaks at about 41 bytes per pair (tracemalloc: 1.26e6 pairs at
     # xmax = ymax = 1590, 3.65e6 at 2700).
-    limit = MAX_ENUMERATED_POINTS // 4
-    if (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0) > limit:
-        raise ResourceLimitError("bit-reversal enumeration exceeds the point budget")
+    bound = (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0)
+    check_limit("bit-reversal pairs", bound, MAX_ENUMERATED_POINTS // 4)
     # Row i pairs with j = 2t + (i mod 2).  x = i + f(j) and f ignores bit
     # 0 of j, so with t sorted once by f(2t) rows in ascending i list the
     # pairs in ascending x, the order that `d2_aligned_net` keeps in its
@@ -526,16 +532,23 @@ class CutProjectSheet(PointSetSpec):
         u, cut = self._project(_integer_grid(*_integer_ranges(self._cut_corners(window))))
         return np.compress(cut & window.contains(u), u, axis=0)
 
+    def _stencil(self, radius: float):
+        corners = self._cut_corners(Window.cube(radius, self.dim))
+        return corners.min(axis=0), np.floor(np.ptp(corners, axis=0)) + 2.0
+
+    def near_rows(self, queries: np.ndarray, radius: float) -> float:
+        """The rows ``candidates_near`` lists per query, sized in float."""
+        return math.prod(self._stencil(radius)[1].tolist())
+
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
 
         In grid coordinates the cut around q is the cut around 0 moved by
         q @ phys.T @ inv.T: floor(ptp) + 2 integers per axis from its first.
         """
-        corners = self._cut_corners(Window.cube(radius, self.dim))
-        lo = corners.min(axis=0)
-        widths = np.floor(corners.max(axis=0) - lo).astype(np.int64) + 2
+        lo, widths = self._stencil(radius)
         moved = queries @ self.phys_basis.T @ self.grid.inverse.T
+        check_limit("grid units to a waypoint", np.abs(moved).max(initial=0.0), 2 ** 52)
         stencil = cartesian(*[np.arange(w) for w in widths])
         zs = np.ceil(moved + (lo - 1e-9))[:, None, :] + stencil
         u, cut = self._project(zs.reshape(-1, self.grid.dim))
@@ -751,7 +764,7 @@ def enumerate_points(spec: PointSetSpec, window: Window) -> np.ndarray:
     if window.dim != spec.dim:
         raise ValueError("window dimension does not match the point set")
     sheets = spec.sheets()
-    _check_budget(sum(sheet.estimate(window) for sheet in sheets))
+    check_limit("points", sum(s.estimate(window) for s in sheets), MAX_ENUMERATED_POINTS)
     if not sheets:
         return np.empty((0, spec.dim))
     return canonicalize_points(np.concatenate([s.enumerate(window) for s in sheets]))

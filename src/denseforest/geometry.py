@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_limit
 
-UNIT_NORM_TOL = 1e-12
 # Index pairs that `run_pairs` yields at a time, near the 17-19k of the net
 # certificate's former 512-box blocks.  A warm `_min_gap` on the three-grid
 # at r = 200 (191,053 pairs) took 0.13-0.15 s at every block from 2^13 to
@@ -346,8 +345,7 @@ def _probe_rows(window: Window, count: int, seed: int):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count > MAX_PROBES:
-        raise ResourceLimitError(f"{count} probes exceed the limit of {MAX_PROBES}")
+    check_limit("probes", count, MAX_PROBES)
     dim = window.dim
     lo, extent = window.lo, window.extent
     rng = np.random.default_rng(seed)

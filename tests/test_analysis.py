@@ -305,7 +305,7 @@ class TestColumnWalkGuard:
                                   np.array([4.0]))
         assert first[0] < 0.0
         monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 17)
-        with pytest.raises(ResourceLimitError, match="walk of 18 rows"):
+        with pytest.raises(ResourceLimitError, match="18 rows a probe"):
             _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
                               np.array([4.0]))
 
@@ -316,7 +316,7 @@ class TestColumnWalkGuard:
         _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
                           np.array([1e10]))
         monkeypatch.setattr(analysis, "MAX_WALK_ROWS", 137)
-        with pytest.raises(ResourceLimitError, match="walk of 138 rows"):
+        with pytest.raises(ResourceLimitError, match="138 rows a probe"):
             _probe_first_hits(integer_lattice(2), 2.3, self.BASE, self.EAST,
                               np.array([1e10]))
 

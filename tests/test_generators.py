@@ -267,6 +267,12 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_points(integer_lattice(2), Window.cube(1e6, 2))
 
+    def test_empty_axis_builds_no_integer_box(self):
+        # The box is 6e12 integers wide along x and holds none along y; as
+        # one axis empties it, nothing is built along x either.
+        thin = GridUnion((Grid([[1e-12, 0.0], [0.0, 1e12]], [0.0, 5e11]),))
+        assert enumerate_points(thin, Window.cube(3.0, 2)).shape == (0, 2)
+
     def test_budget_refuses_about_three_gigabytes(self):
         # An estimate of 3.2e7 points, about 3 GB at 97 bytes per point.
         with pytest.raises(ResourceLimitError):
