@@ -19,7 +19,7 @@ from .errors import check_limit
 from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
                          SequenceSpec, _matmul, enumerate_points)
 from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
-                       cartesian, halton, point_coords, run_pairs,
+                       cartesian, halton, point_array, run_pairs,
                        sample_probes)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
@@ -160,30 +160,12 @@ class SUDEstimate:
                 "xi_samples": self.xi_samples, "value": self.value}
 
 
-def _points_array(points) -> np.ndarray:
-    """Coerce Point objects / tuples / arrays to a (N, d) float array.
-
-    A one-dimensional array-like is read as N scalar points in d=1.
-    """
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=float)
-    else:
-        arr = np.asarray([point_coords(p) for p in points], dtype=float) \
-            if len(points) else np.empty((0, 1))
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("points must form an (N, d) array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must have finite coordinates")
-    return arr
-
-
-def _unit_cube_check(arr: np.ndarray):
+def _cube_points(points) -> np.ndarray:
+    """The points as a nonempty (N, d) array in the unit cube."""
+    arr = point_array(points, unit_cube=True)
     if arr.shape[0] == 0:
         raise ValueError("at least one point is required")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise ValueError("points must lie in the unit cube")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +178,7 @@ def dispersion(points) -> DispersionReport:
     d=1 is exact (boundary distances and half the largest interior gap);
     d>=2 is a grid lower bound whose error is at most grid_resolution/2.
     """
-    arr = _points_array(points)
-    _unit_cube_check(arr)
+    arr = _cube_points(points)
     n, d = arr.shape
     if d == 1:
         u = np.sort(arr[:, 0])
@@ -450,8 +431,7 @@ def discrepancy(points) -> float:
     Overfull deviations are attained on closed boxes with faces through
     point coordinates; underfull ones on open boxes, both enumerated exactly.
     """
-    arr = _points_array(points)
-    _unit_cube_check(arr)
+    arr = _cube_points(points)
     n, d = arr.shape
     if d == 1:
         return _discrepancy_1d(arr[:, 0], n)
@@ -584,6 +564,8 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
         raise ValueError("m_max must be nonnegative")
     if xi_count < 1:
         raise ValueError("xi_count must be at least 1")
+    # Indices below m_max + N are cast to int64, and Tsokanos adds 2 to them.
+    check_limit("sequence indices (m_max + N)", m_max + N, 2 ** 62)
     ms = _m_samples(m_max)
     d = seq.dim
     per_window = N if d == 1 else SUD_GRID_UNITS * (3 ** d * N + 4096)
@@ -594,8 +576,11 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     best = 0.0
     for shifts in _shift_groups(ms, N):
         idx = np.arange(shifts[0], shifts[-1] + N, dtype=np.int64)
-        best = _run_dispersion_max(seq.extended_values(idx), idx, shifts, N,
-                                   xis, best)
+        with np.errstate(over="ignore"):
+            vs = seq.extended_values(idx)
+        if not np.all(np.isfinite(vs)):
+            raise ValueError(f"sequence values from index {shifts[0]} are not all finite")
+        best = _run_dispersion_max(vs, idx, shifts, N, xis, best)
     return SUDEstimate(N=int(N), m_samples=ms, xi_samples=int(xi_count),
                        value=best)
 
@@ -604,25 +589,25 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
 # Visibility probing
 # ---------------------------------------------------------------------------
 
-def _blocked_intervals(b: np.ndarray, dirs: np.ndarray, eps: float):
-    """Open parameter intervals (t_lo, t_hi) on which lines block points.
-
-    Row j of ``b`` is a point minus its line's base and ``dirs`` holds the
-    line directions (one per row, or one shared).  The line is within
-    sup-norm eps of the point exactly for t_lo < t < t_hi, an empty set when
-    t_lo >= t_hi.  A flat axis (direction 0) blocks everywhere or nowhere.
-    """
+def _line_box(lo: np.ndarray, hi: np.ndarray, dirs: np.ndarray, closed: bool = False):
+    """(enter, leave) per line: the line t*dir lies in its open box for
+    enter < t < leave (closed box and ends with ``closed``), empty when
+    enter >= leave.  Rows of ``lo`` and ``hi`` are box bounds minus each
+    line's base, which every caller subtracts itself; ``dirs`` has one row
+    per line or one for all.  A 0 (or -0) entry of dir holds the whole line
+    when 0 lies strictly between its bounds (weakly with ``closed``), and
+    none of it otherwise: the slab test of Kay and Kajiya (1986)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo = (b - eps) / dirs
-        hi = (b + eps) / dirs
-    lo2 = np.minimum(lo, hi)
-    hi2 = np.maximum(lo, hi)
+        a = lo / dirs
+        b = hi / dirs
+    enter = np.minimum(a, b)
+    leave = np.maximum(a, b)
     flat = dirs == 0.0
     if np.any(flat):
-        inside = np.abs(b) < eps
-        lo2 = np.where(flat, np.where(inside, -np.inf, np.inf), lo2)
-        hi2 = np.where(flat, np.where(inside, np.inf, -np.inf), hi2)
-    return lo2.max(axis=-1), hi2.min(axis=-1)
+        inside = (lo <= 0.0) & (hi >= 0.0) if closed else (lo < 0.0) & (hi > 0.0)
+        enter = np.where(flat, np.where(inside, -np.inf, np.inf), enter)
+        leave = np.where(flat, np.where(inside, np.inf, -np.inf), leave)
+    return enter.max(axis=-1), leave.min(axis=-1)
 
 
 def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
@@ -630,11 +615,13 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
     """Earliest parameter at which each candidate point starts blocking.
 
     For candidate p against the line base + t*dir, the blocked set
-    {t : sup-norm(base + t*dir - p) < eps} is an open interval (t_lo, t_hi);
-    the score is t_lo when the interval is nonempty and reaches past t=0,
-    else +inf.  A probe of length L is hit by p exactly when score < L.
+    {t : sup-norm(base + t*dir - p) < eps} is the open interval (t_lo, t_hi)
+    of the line in the box (p - base) -+ eps; the score is t_lo when the
+    interval is nonempty and reaches past t=0, else +inf.  A probe of
+    length L is hit by p exactly when score < L.
     """
-    t_lo, t_hi = _blocked_intervals(cand - bases, dirs, eps)
+    b = cand - bases
+    t_lo, t_hi = _line_box(b - eps, b + eps, dirs)
     valid = (t_lo < t_hi) & (t_hi > 0.0)
     return np.where(valid, t_lo, np.inf)
 
@@ -1015,10 +1002,10 @@ def _unit_directions(directions, dim: int) -> list:
 
     Refuses a direction of the wrong length, or one whose norm is not a
     positive finite number: a zero, NaN or infinite entry, or a vector
-    whose norm underflows or overflows.
+    whose norm underflows or overflows.  A lone number is one direction.
     """
     out = []
-    for raw in directions:
+    for raw in [directions] if isinstance(directions, float) else directions:
         vec = np.asarray(raw, dtype=float)
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(vec)) if vec.shape == (dim,) else math.nan
@@ -1034,22 +1021,6 @@ def _orthonormal_complement(direction: np.ndarray) -> np.ndarray:
     return q[:, 1:direction.size]
 
 
-def _clip_line(base: np.ndarray, direction: np.ndarray, window: Window):
-    t0, t1 = -np.inf, np.inf
-    for j in range(base.size):
-        if direction[j] == 0.0:
-            if not (window.lo[j] <= base[j] <= window.hi[j]):
-                return None
-            continue
-        a = (window.lo[j] - base[j]) / direction[j]
-        b = (window.hi[j] - base[j]) / direction[j]
-        t0 = max(t0, min(a, b))
-        t1 = min(t1, max(a, b))
-    if not np.isfinite(t0) or not np.isfinite(t1) or t0 >= t1:
-        return None
-    return t0, t1
-
-
 def _line_gap_profile(pts: np.ndarray, base: np.ndarray, direction: np.ndarray,
                       eps: float, t0: float, t1: float):
     """Unblocked gaps and merged blocked intervals of a clipped line.
@@ -1058,7 +1029,8 @@ def _line_gap_profile(pts: np.ndarray, base: np.ndarray, direction: np.ndarray,
     sup-norm eps of it; gaps partition [t0, t1] minus the blocked union.
     """
     if pts.shape[0]:
-        t_lo, t_hi = _blocked_intervals(pts - base, direction, eps)
+        b = pts - base
+        t_lo, t_hi = _line_box(b - eps, b + eps, direction)
         t_lo = np.maximum(t_lo, t0)
         t_hi = np.minimum(t_hi, t1)
         keep = t_lo < t_hi
@@ -1088,6 +1060,13 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
 
     Returns (segment, length); the segment keeps sup-norm distance >= eps
     from every point of the set within the window.
+
+    Each base is built with one product per offset, and one closed
+    `_line_box` call clips a direction's lines to the window.  With a base
+    on a face an end may be -0.0 where a per-axis clip gave +0.0, which
+    moves no reported float: a base, centre + product, is never -0.0 as
+    (lo + hi)/2 never is, so base + t*direction and each gap length are the
+    same for either zero.
     """
     _check_epsilon(epsilon)
     if offsets_per_direction < 1:
@@ -1118,12 +1097,12 @@ def find_empty_tube(spec: PointSetSpec, epsilon: float, window: Window,
         proj = pts @ comp
         order = np.argsort(proj[:, 0])
         sorted_proj = proj[order, 0]
-        for off in offs:
-            base = center + comp @ (off - center @ comp)
-            clip = _clip_line(base, direction, window)
-            if clip is None:
+        bases = np.array([center + comp @ (off - center @ comp) for off in offs])
+        enter, leave = _line_box(window.lo - bases, window.hi - bases, direction,
+                                 closed=True)
+        for off, base, t0, t1 in zip(offs, bases, enter, leave):
+            if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
                 continue
-            t0, t1 = clip
             i0 = np.searchsorted(sorted_proj, off[0] - radius, side="left")
             i1 = np.searchsorted(sorted_proj, off[0] + radius, side="right")
             slab = order[i0:i1]
@@ -1170,16 +1149,7 @@ def _box_chords(window: Window, us: np.ndarray, offsets: np.ndarray) -> np.ndarr
     of the unit normals us (d = 2)."""
     along = np.stack([-us[:, 1], us[:, 0]], axis=1)
     foot = offsets[:, None] * us
-    flat = along == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (window.lo - foot) / along
-        b = (window.hi - foot) / along
-    # A chord parallel to a side is the whole line or nothing along it.
-    inside = (foot >= window.lo) & (foot <= window.hi)
-    a = np.where(flat, np.where(inside, -math.inf, math.inf), a)
-    b = np.where(flat, math.inf, b)
-    enter = np.max(np.minimum(a, b), axis=1)
-    leave = np.min(np.maximum(a, b), axis=1)
+    enter, leave = _line_box(window.lo - foot, window.hi - foot, along, closed=True)
     return np.maximum(leave - enter, 0.0)
 
 
@@ -1643,7 +1613,7 @@ def heavy_box(points, eps: float, rotation_samples: int = 0, seed: int = 0):
     is the number of points it contains after inflating its volume to eps.
     Raises ValueError when float spacing keeps a candidate box below eps.
     """
-    pts = _points_array(points)
+    pts = point_array(points)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if pts.shape[0] == 0:
@@ -1686,13 +1656,11 @@ def udt_check(thetas, xi, T: int):
     arr = np.asarray(thetas, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("thetas must be a nonempty list of d-vectors")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("thetas must be a nonempty list of d-vectors, d >= 1")
     xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi_vec.shape != (arr.shape[1],):
         raise ValueError("xi must match the dimension of thetas")
-    if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(xi_vec))):
-        raise ValueError("thetas and xi must have finite entries")
     t_int = int(T)
     if t_int < 1:
         raise ValueError("T must be at least 1")
@@ -1700,6 +1668,11 @@ def udt_check(thetas, xi, T: int):
     # The grid is built in chunks, so this cap bounds time, not memory:
     # 1.1e8 (d = 1) to 3.5e7 (d = 3) rows times thetas per second measured.
     check_limit("u-grid entries", d * (2 * t_int + 1) ** d, 10 ** 8)
+    # Every product u.(xi - theta) is at most T * |xi - theta|_1 in size.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = t_int * np.abs(xi_vec - arr).sum(axis=1)
+    if not np.all(np.isfinite(reach)):
+        raise ValueError("thetas, xi and T * |xi - theta|_1 must be finite")
     width = 2 * t_int + 1
     rest = [np.arange(-t_int, t_int + 1)] * (d - 1) if d > 1 else []
     # Chunks of whole leading-axis slices.

@@ -61,8 +61,22 @@ def _parse_seq(args):
     if name == "concat-linear":
         if not args.thetas:
             raise ValueError("concat-linear requires --thetas")
-        return concat_linear_sequence(json.loads(args.thetas))
+        return concat_linear_sequence(_json_numbers(args.thetas))
     raise ValueError(f"unknown sequence: {args.seq!r}")
+
+
+def _json_numbers(text: str):
+    """A JSON flag of numbers and lists of them, integers read as floats (inf
+    past the float range); an object, string, true, false or null is refused."""
+    doc = json.loads(text, parse_int=float)
+    todo = [doc]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, list):
+            todo.extend(value)
+        elif not isinstance(value, float):
+            raise ValueError(f"expected numbers and lists of them, got {value!r:.40}")
+    return doc
 
 
 def _floats(text: str) -> list:
@@ -138,7 +152,7 @@ def _cmd_visibility(args):
 def _cmd_tube(args):
     spec = _parse_spec(args.spec)
     window = Window.cube(args.radius, spec.dim)
-    directions = json.loads(args.directions)
+    directions = _json_numbers(args.directions)
     segment, length = find_empty_tube(spec, args.eps, window, directions,
                                       args.offsets)
     _write_json(args.out, {
@@ -151,7 +165,7 @@ def _cmd_tube(args):
 def _cmd_strip(args):
     spec = _parse_spec(args.spec)
     window = Window.cube(args.radius, spec.dim)
-    extras = json.loads(args.directions) if args.directions else []
+    extras = _json_numbers(args.directions) if args.directions else []
     report = vacant_strip(spec, window, extras)
     _write_json(args.out, report.to_json())
 
@@ -192,8 +206,8 @@ def _cmd_verify_net(args):
 
 
 def _cmd_udt(args):
-    thetas = json.loads(args.thetas)
-    xi = json.loads(args.xi)
+    thetas = _json_numbers(args.thetas)
+    xi = _json_numbers(args.xi)
     best, margin = udt_check(thetas, xi, args.t)
     _write_json(args.out, {"best_index": best, "margin": margin, "T": args.t})
 
@@ -240,31 +254,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        """A subcommand that runs func, with the flags every one takes."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--threads", type=int, default=1,
                        help="max internal parallelism (results are identical "
                             "for every value)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        return p
 
-    p = sub.add_parser("generate", help="enumerate a point set over a window")
+    p = command("generate", _cmd_generate, "enumerate a point set over a window")
     p.add_argument("--spec", required=True,
                    help="preset name or path to a spec JSON file")
     p.add_argument("--radius", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("dispersion", help="exact/grid dispersion of a CSV point set")
+    p = command("dispersion", _cmd_dispersion,
+                "exact/grid dispersion of a CSV point set")
     p.add_argument("--points", required=True, help="input CSV of points")
-    common(p)
-    p.set_defaults(func=_cmd_dispersion)
 
-    p = sub.add_parser("discrepancy", help="exact box discrepancy of a CSV point set")
+    p = command("discrepancy", _cmd_discrepancy,
+                "exact box discrepancy of a CSV point set")
     p.add_argument("--points", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_discrepancy)
 
-    p = sub.add_parser("sud", help="super-uniform dispersion estimates over N")
+    p = command("sud", _cmd_sud, "super-uniform dispersion estimates over N")
     p.add_argument("--seq", required=True,
                    help="golden | tsokanos | quadratic | concat-linear")
     p.add_argument("--alpha", type=float, default=PHI,
@@ -273,56 +287,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated N values")
     p.add_argument("--m-max", type=int, default=64)
     p.add_argument("--xi-count", type=int, default=256)
-    common(p)
-    p.set_defaults(func=_cmd_sud)
 
-    p = sub.add_parser("visibility", help="visibility estimates per epsilon")
+    p = command("visibility", _cmd_visibility, "visibility estimates per epsilon")
     p.add_argument("--spec", required=True)
     p.add_argument("--eps", required=True, help="comma-separated epsilons")
     p.add_argument("--l-max", type=float, default=4096.0)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--radius", type=float, default=50.0)
-    common(p)
-    p.set_defaults(func=_cmd_visibility)
 
-    p = sub.add_parser("tube", help="longest segment avoiding all points by eps")
+    p = command("tube", _cmd_tube, "longest segment avoiding all points by eps")
     p.add_argument("--spec", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--radius", type=float, default=50.0)
     p.add_argument("--directions", default="[[1,0],[0,1]]",
                    help="JSON list of direction vectors")
     p.add_argument("--offsets", type=int, default=100)
-    common(p)
-    p.set_defaults(func=_cmd_tube)
 
-    p = sub.add_parser("strip", help="widest vacant strip over dual directions")
+    p = command("strip", _cmd_strip, "widest vacant strip over dual directions")
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=float, default=50.0)
     p.add_argument("--directions", help="JSON list of extra directions")
-    common(p)
-    p.set_defaults(func=_cmd_strip)
 
-    p = sub.add_parser("density", help="point counts over Euclidean balls")
+    p = command("density", _cmd_density, "point counts over Euclidean balls")
     p.add_argument("--spec", required=True)
     p.add_argument("--radii", required=True, help="comma-separated radii")
-    common(p)
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("mingap", help="minimum pairwise distance in a window")
+    p = command("mingap", _cmd_mingap, "minimum pairwise distance in a window")
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=float, default=50.0)
-    common(p)
-    p.set_defaults(func=_cmd_mingap)
 
-    p = sub.add_parser("net", help="build an epsilon-net")
+    p = command("net", _cmd_net, "build an epsilon-net")
     p.add_argument("--method", required=True, help="hw | d2")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--C", type=float, default=16.0)
-    common(p)
-    p.set_defaults(func=_cmd_net)
 
-    p = sub.add_parser("verify-net", help="probe a net CSV with seeded boxes")
+    p = command("verify-net", _cmd_verify_net, "probe a net CSV with seeded boxes")
     p.add_argument("--net", required=True, help="net CSV path")
     p.add_argument("--eps", type=float, required=True, help="net epsilon tag")
     p.add_argument("--method", default="HausslerWelzl",
@@ -330,32 +330,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default="aligned", help="aligned | rotated")
     p.add_argument("--volume", type=float, required=True)
     p.add_argument("--trials", type=int, default=10000)
-    common(p)
-    p.set_defaults(func=_cmd_verify_net)
 
-    p = sub.add_parser("udt", help="uniformly Diophantine margin check")
+    p = command("udt", _cmd_udt, "uniformly Diophantine margin check")
     p.add_argument("--thetas", required=True, help="JSON list of shifts")
     p.add_argument("--xi", required=True, help="JSON vector")
     p.add_argument("--t", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_udt)
 
-    p = sub.add_parser("heavy-box", help="densest small box over a CSV point set")
+    p = command("heavy-box", _cmd_heavy_box, "densest small box over a CSV point set")
     p.add_argument("--points", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--rotations", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_heavy_box)
 
-    p = sub.add_parser("calibrate",
-                       help="measure visibility scaling constants for the "
-                            "Peres forest and store them for the test suite")
+    p = command("calibrate", _cmd_calibrate,
+                "measure visibility scaling constants for the "
+                "Peres forest and store them for the test suite")
     p.add_argument("--eps", default="0.2,0.1,0.05")
     p.add_argument("--l-max", type=float, default=4096.0)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--radius", type=float, default=50.0)
-    common(p)
-    p.set_defaults(func=_cmd_calibrate)
 
     return parser
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import check_limit
 from .generators import D2Sheet
-from .geometry import AlignedBox, RotatedBox, Window, box_json, run_pairs
+from .geometry import (AlignedBox, RotatedBox, Window, box_json, point_array,
+                       run_pairs)
 
 # Planar points hw_net may draw (it counts coordinates: 2 * MAX_NET_SIZE / d
 # points in dimension d > 2).  On 2 Xeon vCPUs it drew 10^5 and 10^6 points in
@@ -53,15 +54,7 @@ class Net:
     method: str
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2:
-            raise ValueError("net points must form an (N, d) array")
-        if not np.isfinite(pts).all():
-            raise ValueError("net points must be finite")
-        if pts.size and (pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12):
-            raise ValueError("net points must lie in the unit cube")
+        pts = point_array(self.points, "net points", unit_cube=True)
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.method not in ("HausslerWelzl", "D2Aligned"):
@@ -447,14 +440,13 @@ def slab_lower_bound(points, dim: int | None = None) -> AlignedBox:
     Sorting each coordinate (with 0/1 sentinels) splits the cube into k+1
     slabs along that axis; the best axis's largest gap is returned.  The
     slab is open in its interior, so boundary points do not intersect it.
+    A point that is not finite or lies outside the unit cube is refused.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = point_array(points, unit_cube=True)
     if pts.size == 0:
         if dim is None:
             raise ValueError("dim is required for an empty point list")
         pts = np.empty((0, dim))
-    if pts.ndim == 1:
-        pts = pts[:, None]
     d = pts.shape[1]
     if dim is not None and d != dim:
         raise ValueError("points do not match the requested dimension")

@@ -130,7 +130,10 @@ def quadratic_sequence(alpha: float = PHI) -> SequenceSpec:
 
 
 def concat_linear_sequence(thetas) -> SequenceSpec:
-    return SequenceSpec("ConcatLinear", thetas=tuple(np.atleast_2d(np.asarray(thetas, dtype=float)).tolist()))
+    arr = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if arr.ndim != 2:
+        raise ValueError("ConcatLinear thetas must be a list of vectors")
+    return SequenceSpec("ConcatLinear", thetas=tuple(arr.tolist()))
 
 
 def seq_eval(spec: SequenceSpec, k: int):
@@ -209,7 +212,8 @@ def _integer_ranges(images: np.ndarray):
 
 
 def _grid_size(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(np.maximum(hi - lo + 1.0, 0.0)))
+    with np.errstate(over="ignore"):    # inf past the float range
+        return float(np.prod(np.maximum(hi - lo + 1.0, 0.0)))
 
 
 def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -395,7 +399,8 @@ class D2Sheet(PointSetSpec):
     def estimate(self, window: Window) -> float:
         # Four sign choices of at most the pairs bound of `_d2_nonneg_pairs`.
         xmax, ymax = self._reach(window)
-        return 4.0 * (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0)
+        with np.errstate(over="ignore"):    # inf past the float range
+            return 4.0 * (np.floor(xmax) + 1.0) * (np.floor(ymax) + 1.0)
 
     def enumerate(self, window: Window) -> np.ndarray:
         pairs = _d2_nonneg_pairs(*self._reach(window))
@@ -404,7 +409,8 @@ class D2Sheet(PointSetSpec):
 
     def near_rows(self, queries: np.ndarray, radius: float) -> float:
         """The rows ``candidates_near`` lists per query at most, sized in float."""
-        return 4.0 * (np.floor(2.0 * _d2_reach(queries, radius)) + 2.0) ** 2
+        with np.errstate(over="ignore"):    # inf past the float range
+            return 4.0 * (np.floor(2.0 * _d2_reach(queries, radius)) + 2.0) ** 2
 
     def candidates_near(self, queries: np.ndarray, radius: float):
         """(points, rows): every point within sup-norm ``radius`` of query rows[j].
@@ -797,8 +803,19 @@ def spec_to_json(spec: PointSetSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> PointSetSpec:
-    variant = doc.get("variant")
-    params = doc.get("params", {}) or {}
+    """The point set a spec object describes; ValueError names a missing key
+    or a value of the wrong type."""
+    if not isinstance(doc, dict):
+        raise ValueError("a spec must be a JSON object")
+    try:
+        return _spec_from_dict(doc.get("variant"), doc.get("params", {}) or {})
+    except KeyError as exc:
+        raise ValueError(f"the spec lacks the key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"the spec holds a value of the wrong type: {exc}") from None
+
+
+def _spec_from_dict(variant, params) -> PointSetSpec:
     if variant == "PeresForest":
         return PeresForest()
     if variant == "GeneralizedPeres":

@@ -94,6 +94,26 @@ def point_coords(p) -> np.ndarray:
     return np.atleast_1d(np.asarray(p, dtype=float))
 
 
+def point_array(points, what: str = "points", unit_cube: bool = False) -> np.ndarray:
+    """Point objects, coordinate rows or an array as a finite (N, d) float
+    array; a one-dimensional input is N points in d = 1.  With ``unit_cube``
+    every coordinate must also lie in [0, 1], up to 1e-12."""
+    if isinstance(points, np.ndarray):
+        arr = np.asarray(points, dtype=float)
+    else:
+        arr = np.asarray([point_coords(p) for p in points], dtype=float) \
+            if len(points) else np.empty((0, 1))
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"{what} must form an (N, d) array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    if unit_cube and arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
+        raise ValueError(f"{what} must lie in the unit cube")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """The directed segment {base + t*direction : 0 <= t <= length}.
@@ -169,7 +189,8 @@ class Window:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.extent))
+        with np.errstate(over="ignore"):    # inf past the float range
+            return float(np.prod(self.extent))
 
     def contains(self, points) -> np.ndarray:
         """Half-open membership mask for an (N, dim) array of points, built

@@ -1,9 +1,13 @@
-"""Sup-norm distances from points to segments, the points of a segment, and
-the window around a segment's sup-norm tube.
+"""Sup-norm distances from points to segments, the points of a segment, the
+window around a segment's sup-norm tube, and the former per-caller slab
+tests of line clipping and window chords.
 
 The program itself never needs these: the visibility probes score blockers
-with `analysis._candidate_scores`.  The tests use them as exact oracles.
+with `analysis._candidate_scores`, and every line-box interval comes from
+`analysis._line_box`.  The tests use them as exact oracles.
 """
+
+import math
 
 import numpy as np
 
@@ -63,3 +67,39 @@ def tube_bounding_window(segment: Segment, eps: float) -> Window:
         raise ValueError("eps must be positive")
     ends = np.stack([segment.base, point_at(segment, segment.length)])
     return Window(ends.min(axis=0) - eps, ends.max(axis=0) + eps)
+
+
+def clip_line(base: np.ndarray, direction: np.ndarray, window: Window):
+    """(t0, t1) of the line base + t*direction in the closed window, one
+    axis at a time, or None when it misses the window or is unbounded."""
+    t0, t1 = -np.inf, np.inf
+    for j in range(base.size):
+        if direction[j] == 0.0:
+            if not (window.lo[j] <= base[j] <= window.hi[j]):
+                return None
+            continue
+        a = (window.lo[j] - base[j]) / direction[j]
+        b = (window.hi[j] - base[j]) / direction[j]
+        t0 = max(t0, min(a, b))
+        t1 = min(t1, max(a, b))
+    if not np.isfinite(t0) or not np.isfinite(t1) or t0 >= t1:
+        return None
+    return t0, t1
+
+
+def box_chords(window: Window, us: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Length of the chord {x : u.x = offset} of the closed window, per row
+    of the unit normals us (d = 2), with its own flat-axis rule."""
+    along = np.stack([-us[:, 1], us[:, 0]], axis=1)
+    foot = offsets[:, None] * us
+    flat = along == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (window.lo - foot) / along
+        b = (window.hi - foot) / along
+    # A chord parallel to a side is the whole line or nothing along it.
+    inside = (foot >= window.lo) & (foot <= window.hi)
+    a = np.where(flat, np.where(inside, -math.inf, math.inf), a)
+    b = np.where(flat, math.inf, b)
+    enter = np.max(np.minimum(a, b), axis=1)
+    leave = np.min(np.maximum(a, b), axis=1)
+    return np.maximum(leave - enter, 0.0)

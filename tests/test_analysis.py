@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from denseforest.generators import (D2, Grid, GridUnion, PeresForest,
                                     quadratic_sequence, tsokanos_sequence)
 from denseforest.geometry import (Point, Segment, Window, sample_probes,
                                   sample_segments)
-from geometry_oracles import supnorm_point_segment_distance
+from geometry_oracles import box_chords, clip_line, supnorm_point_segment_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -198,6 +199,29 @@ class TestSUDGuard:
         assert sud_estimate(seq, N=8, m_max=1, xi_count=3, seed=1).value > 0.0
         with pytest.raises(ResourceLimitError, match=f"{units * 4 // 3} work units"):
             sud_estimate(seq, N=8, m_max=1, xi_count=4, seed=1)
+
+    @pytest.mark.parametrize("m_max", [2 ** 63, 10 ** 400])
+    def test_indices_past_int64(self, m_max):
+        # m_max + N above 2^62 is refused before any shift is cast to int64.
+        with pytest.raises(ResourceLimitError, match=r"sequence indices \(m_max \+ N\)"):
+            sud_estimate(golden_sequence(), N=16, m_max=m_max, xi_count=4, seed=1)
+
+    def test_indices_up_to_the_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = sud_estimate(golden_sequence(), N=16, m_max=2 ** 62 - 16,
+                               xi_count=2, seed=1)
+        assert len(est.m_samples) == 64
+        assert 0.0 < est.value <= 0.5
+
+    def test_values_past_the_float_range(self):
+        # theta * k overflows; the NaN that w - floor(w) made of inf once
+        # vanished in the max and left the value 0.
+        seq = concat_linear_sequence([[1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not all finite"):
+                sud_estimate(seq, N=8, m_max=2, xi_count=2, seed=1)
 
     def test_value_budget(self, monkeypatch):
         # d = 1: 5 twists and a span of 2 N = 32 hold 37 values.
@@ -418,6 +442,86 @@ class TestEmptyTube:
             tracemalloc.stop()
         assert peak < 2 ** 16
 
+
+# Direction entries and coordinates that test the flat-axis rule and the
+# ends of the float range: zeros of both signs, 1e-300 and 1e300.
+EDGE_ENTRIES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.5]
+entries = st.sampled_from(EDGE_ENTRIES) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def windows_and_points(draw, dim):
+    """A window and a point on each axis at lo, hi, 0, inside or outside."""
+    lo = np.array([draw(st.floats(-5.0, 4.0)) for _ in range(dim)])
+    hi = lo + np.array([draw(st.sampled_from([1e-300, 1.0, 2.5])
+                             | st.floats(0.01, 6.0)) for _ in range(dim)])
+    hi = np.maximum(hi, np.nextafter(lo, np.inf))
+    window = Window(lo, hi)
+    base = np.array([draw(st.sampled_from([lo[k], hi[k], 0.0, -0.0])
+                          | st.floats(lo[k] - 3.0, hi[k] + 3.0)) for k in range(dim)])
+    return window, base
+
+
+class TestLineBox:
+    """`_line_box` against the former per-caller slab tests."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(windows_and_points(d), st.lists(entries, min_size=d,
+                                                            max_size=d))))
+    def test_clip_matches_the_per_axis_loop(self, case):
+        (window, base), direction = case
+        direction = np.array(direction)
+        enter, leave = analysis._line_box(window.lo - base[None, :],
+                                          window.hi - base[None, :],
+                                          direction, closed=True)
+        t0, t1 = enter[0], leave[0]
+        with np.errstate(over="ignore"):
+            expected = clip_line(base, direction, window)
+        if expected is None:
+            assert not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1)
+        else:
+            # Equal floats, up to the sign of a zero end.
+            assert (t0, t1) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(windows_and_points(2), st.lists(st.tuples(entries, entries).filter(
+        lambda u: u != (0.0, 0.0)), min_size=1, max_size=6),
+        st.lists(st.sampled_from(["lo0", "hi0", "lo1", "hi1", "zero"])
+                 | st.floats(-12.0, 12.0), min_size=1, max_size=6))
+    def test_chords_match_bit_for_bit(self, case, normals, picks):
+        window, _ = case
+        us = np.array(normals)
+        us = us / np.hypot(us[:, 0], us[:, 1])[:, None]
+        us = us[np.any(us != 0.0, axis=1)]
+        named = {"lo0": window.lo[0], "hi0": window.hi[0], "lo1": window.lo[1],
+                 "hi1": window.hi[1], "zero": 0.0}
+        offsets = np.resize([named.get(p, p) for p in picks], us.shape[0]).astype(float)
+        got = analysis._box_chords(window, us, offsets)
+        with np.errstate(over="ignore"):
+            assert got.tobytes() == box_chords(window, us, offsets).tobytes()
+
+    def test_axis_chords_through_faces_and_corners(self):
+        # Normals along the axes put every foot on a face or a corner.
+        window = Window(np.array([-1.0, 0.0]), np.array([2.0, 3.0]))
+        us = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                       [-0.0, 1.0], [1.0, -0.0]] * 3)
+        offsets = np.array([-1.0, 0.0, 1.0, -3.0, 3.0, 2.0, 2.0, 3.0, -2.0,
+                            0.0, 0.0, -1.0, 5.0, -5.0, 0.0, -0.0, -0.0, -0.0])
+        got = analysis._box_chords(window, us, offsets)
+        assert got.tobytes() == box_chords(window, us, offsets).tobytes()
+
+    def test_flat_axis_rule(self):
+        # A flat axis holds the whole line where 0 lies strictly inside its
+        # bounds (weakly when closed), and none of it otherwise.
+        lo = np.array([[-1.0, -1.0], [0.0, -1.0], [-0.5, -0.0]])
+        dirs = np.array([0.0, 1.0])
+        enter, leave = analysis._line_box(lo, lo + 1.0, dirs)
+        assert enter.tolist() == [math.inf, math.inf, 0.0]
+        assert leave.tolist() == [-math.inf, -math.inf, 1.0]
+        enter, leave = analysis._line_box(lo, lo + 1.0, dirs, closed=True)
+        assert enter.tolist() == [-1.0, -1.0, 0.0]
+        assert leave.tolist() == [0.0, 0.0, 1.0]
 
 def shortest_dual_width(basis: np.ndarray) -> float:
     inv = np.linalg.inv(basis)
@@ -698,3 +802,17 @@ class TestUDT:
     def test_non_finite_input_is_refused(self, thetas, xi):
         with pytest.raises(ValueError, match="finite"):
             udt_check(thetas, xi=xi, T=4)
+
+    def test_zero_width_thetas_are_refused(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            udt_check([[]], xi=[], T=4)
+
+    @pytest.mark.parametrize("thetas, xi", [([1e308], -1e308), ([0.1], 1e308),
+                                            ([[0.0, 5e307]], [0.0, -5e307])])
+    def test_products_past_the_float_range_are_refused(self, thetas, xi):
+        # xi - theta, or T times it, passes the float range: refused before
+        # any product, where it once printed overflow warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"T \* \|xi - theta\|_1 must be finite"):
+                udt_check(thetas, xi=xi, T=4)

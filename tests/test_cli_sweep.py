@@ -1,14 +1,19 @@
-"""Every subcommand, driven in-process over extreme numeric inputs.
+"""Every subcommand, driven in-process over extreme numeric inputs, integer
+literals past the int64 and float ranges, malformed point CSVs and JSON
+values of the wrong shape.
 
 Each case must exit 0, 2 or 3 without an exception escaping ``cli.run``,
-print no RuntimeWarning about an invalid cast, and write only strict JSON.
+print no RuntimeWarning, and write only strict JSON.
 """
 
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denseforest import cli
 from denseforest.epsnet import hw_net
@@ -43,6 +48,12 @@ NUMERIC = {"--radius", "--alpha", "--n", "--m-max", "--xi-count", "--eps",
            "--l-max", "--count", "--offsets", "--radii", "--d", "--C",
            "--volume", "--trials", "--t", "--rotations", "--seed", "--threads"}
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e19", "1e300"]
+# The flags that argparse reads as integers (--n as a comma-separated list),
+# and integer literals past int64 and far past the float range.
+INTEGER = {"--n", "--m-max", "--xi-count", "--count", "--offsets", "--d",
+           "--trials", "--t", "--rotations", "--seed", "--threads"}
+HUGE_INTEGERS = {"2**63": str(2 ** 63), "10**400": "1" + "0" * 400,
+                 "-10**400": "-1" + "0" * 400}
 CSV_OUTPUT = {"generate", "sud", "visibility", "density", "net"}
 
 
@@ -81,9 +92,8 @@ def _run_clean(argv, tmp_path):
         warnings.simplefilter("always")
         code = cli.run(argv + ["--out", str(out)])
     assert code in (0, 2, 3)
-    casts = [str(w.message) for w in caught
-             if issubclass(w.category, RuntimeWarning) and "cast" in str(w.message)]
-    assert not casts
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime
     written = [out.with_name(out.name + ".meta.json")]
     if out.suffix == ".json":
         written.append(out)
@@ -100,6 +110,129 @@ def test_numeric_flag(tmp_path, capsys, inputs, command, flag, value):
         del argv[argv.index(flag):argv.index(flag) + 2]
     # The = form passes values such as -inf, which argparse would read as a flag.
     _run_clean([command, *argv, f"{flag}={value}"], tmp_path)
+
+
+def _integer_cases():
+    for command, argv in COMMANDS.items():
+        flags = [f for f in argv if f in INTEGER] + ["--seed", "--threads"]
+        for flag in flags:
+            for name, value in HUGE_INTEGERS.items():
+                yield pytest.param(command, flag, value, id=f"{command}{flag}={name}")
+
+
+@pytest.mark.parametrize("command, flag, value", list(_integer_cases()))
+def test_integer_flag_past_the_number_range(tmp_path, capsys, inputs, command,
+                                            flag, value):
+    argv = [inputs.get(token, token) for token in COMMANDS[command]]
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    _run_clean([command, *argv, f"{flag}={value}"], tmp_path)
+
+
+# Malformed point CSVs for every command that reads one.  Each is refused
+# with exit 2 unless EXIT_0 lists it: one column is a 1-D point set, and
+# heavy-box takes points outside the unit cube.
+BAD_CSVS = {"empty": "", "header-only": "x1,x2\n", "blank-lines": "\n\n\n",
+            "nan-row": "x1,x2\n0.5,nan\n0.2,0.3\n",
+            "inf-row": "x1,x2\ninf,0.5\n0.2,0.3\n",
+            "one-column": "x1\n0.5\n0.2\n",
+            "three-columns": "x1,x2,x3\n0.5,0.5,0.5\n0.2,0.3,0.4\n",
+            "outside-cube": "x1,x2\n2.0,0.5\n0.2,0.3\n",
+            "text-cell": "x1,x2\n0.5,abc\n0.2,0.3\n",
+            "short-row": "x1,x2\n0.5,0.5\n0.2\n", "no-header": "0.5,0.5\n0.2,0.3\n"}
+CSV_COMMANDS = {"dispersion": "--points", "discrepancy": "--points",
+                "heavy-box": "--points", "verify-net": "--net"}
+EXIT_0 = {("one-column", "dispersion"), ("one-column", "discrepancy"),
+          ("one-column", "heavy-box"), ("three-columns", "dispersion"),
+          ("outside-cube", "heavy-box")}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+@pytest.mark.parametrize("name", sorted(BAD_CSVS))
+def test_malformed_points_csv(tmp_path, capsys, inputs, name, command):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(BAD_CSVS[name])
+    argv = [inputs.get(token, token) for token in COMMANDS[command]]
+    argv[argv.index(CSV_COMMANDS[command]) + 1] = str(path)
+    code = _run_clean([command, *argv], tmp_path)
+    assert code == (0 if (name, command) in EXIT_0 else 2)
+    if code:
+        _one_error_line(capsys)
+
+
+DIRECTION_VALUES = ["[]", "[[]]", "{}", '"x"', "[[1,0],[1]]", "[[NaN,1]]",
+                    "[[Infinity,0]]", "[[1e308,1e308]]", "[[-1e308,1e308]]", "[[1,0,0]]"]
+JSON_FLAGS = {
+    ("tube", "--directions"): DIRECTION_VALUES,
+    ("strip", "--directions"): DIRECTION_VALUES,
+    ("sud", "--thetas"): ["[]", "[[]]", "{}", '"x"', "[[0.1],[0.2,0.3]]", "[[NaN]]",
+                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]"],
+    ("udt", "--thetas"): ["[]", "[[]]", "{}", '"x"', "[[0.1],[0.2,0.3]]", "[[NaN]]",
+                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]", "[[0.1,0.2]]"],
+    ("udt", "--xi"): ["[]", "[[]]", "{}", '"x"', "[[0.3],[0.3,0.4]]", "[NaN]",
+                      "[Infinity]", "[1e308]", "[-1e308]", "[0.3,0.4]"],
+}
+SPEC_DOCUMENTS = ["[]", '"x"', "{}", '{"variant": "CutAndProject", "params": {}}']
+JSON_COMMANDS = dict(COMMANDS, sud=["--seq", "concat-linear", "--thetas", "[[0.3]]",
+                                    "--n", "8", "--m-max", "2", "--xi-count", "2"])
+
+
+def _json_argv(command, flag, value, inputs, root):
+    """The small invocation of ``command`` with ``flag`` set to ``value``; a
+    spec document goes through a file."""
+    argv = [inputs.get(token, token) for token in JSON_COMMANDS[command]]
+    if flag == "--spec":
+        path = Path(root) / "spec.json"
+        path.write_text(value)
+        value = str(path)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return [command, *argv, flag, value]
+
+
+def _json_cases():
+    for (command, flag), values in JSON_FLAGS.items():
+        for value in values:
+            yield pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+    for doc in SPEC_DOCUMENTS:
+        yield pytest.param("generate", "--spec", doc, id=f"spec={doc}")
+
+
+@pytest.mark.parametrize("command, flag, value", list(_json_cases()))
+def test_json_value_of_the_wrong_shape(tmp_path, capsys, inputs, command, flag, value):
+    # Every case is refused except an empty list of extra strip directions.
+    code = _run_clean(_json_argv(command, flag, value, inputs, tmp_path), tmp_path)
+    assert code == (0 if (command, value) == ("strip", "[]") else 2)
+    if code:
+        _one_error_line(capsys)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3)
+    | st.sampled_from([1e308, -1e308, 2 ** 63, 10 ** 400, -(10 ** 400)]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+VARIANTS = ["PeresForest", "GeneralizedPeres", "ThreeGrid", "D2", "GridUnion",
+            "CutAndProject"]
+spec_documents = json_values | st.builds(
+    lambda variant, params: {"variant": variant, "params": params},
+    st.sampled_from(VARIANTS), json_values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(JSON_FLAGS) + [("generate", "--spec")]).flatmap(
+    lambda key: st.tuples(st.just(key), spec_documents if key[1] == "--spec"
+                          else json_values)))
+def test_drawn_json_values(inputs, case):
+    (command, flag), value = case
+    with tempfile.TemporaryDirectory() as root:
+        _run_clean(_json_argv(command, flag, json.dumps(value), inputs, root), Path(root))
 
 
 @pytest.mark.parametrize("radius", ["1e19", "1e300"])

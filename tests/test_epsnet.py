@@ -280,6 +280,16 @@ class TestSlabLowerBound:
         with pytest.raises(ValueError):
             slab_lower_bound([[0.5, 0.5]], dim=3)
 
+    def test_non_finite_point_is_refused(self):
+        # Sorted, the NaN once gave the slab [0, 1] x [0.5, 1].
+        with pytest.raises(ValueError, match="points must be finite"):
+            slab_lower_bound([[math.nan, 0.5], [0.2, 0.3]])
+
+    def test_point_outside_the_cube_is_refused(self):
+        # The point once stretched the slab to x in [0, 2], volume 2.
+        with pytest.raises(ValueError, match="unit cube"):
+            slab_lower_bound([[2.0, 0.5]])
+
     @given(st.lists(st.tuples(unit, unit), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_pigeonhole_volume_and_emptiness(self, pairs):

@@ -454,6 +454,34 @@ class TestSerialization:
         with pytest.raises(ValueError):
             spec_from_json({"variant": "Nope", "params": {}})
 
+    @pytest.mark.parametrize("doc", [[], "x", None, 3.0])
+    def test_spec_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"variant": "CutAndProject", "params": {}}, "grid"),
+        ({"variant": "GeneralizedPeres", "params": {}}, "sequence"),
+        ({"variant": "GeneralizedPeres", "params": {"sequence": {}}}, "variant"),
+        ({"variant": "GridUnion", "params": {"grids": [{"basis": [[1, 0], [0, 1]]}]}},
+         "translation")])
+    def test_missing_key_is_named(self, doc, key):
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            spec_from_json(doc)
+
+    @pytest.mark.parametrize("variant, params", [
+        ("GridUnion", {"grids": 5}), ("GridUnion", {"grids": ["x"]}),
+        ("GeneralizedPeres", {"sequence": [1.0]}), ("ThreeGrid", {"x": 5.0}),
+        ("ThreeGrid", "x"),
+        ("GeneralizedPeres", {"sequence": {"variant": "Golden"}, "n": math.inf})])
+    def test_value_of_the_wrong_type_is_refused(self, variant, params):
+        with pytest.raises(ValueError, match="wrong type"):
+            spec_from_json({"variant": variant, "params": params})
+
+    def test_concat_linear_thetas_must_be_vectors(self):
+        with pytest.raises(ValueError, match="list of vectors"):
+            concat_linear_sequence([[[0.1, 0.2]]])
+
     def test_csv_round_trip(self, tmp_path):
         pts = enumerate_points(PeresForest(), Window.cube(3.0, 2))
         path = tmp_path / "pts.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import qmc
 import denseforest.geometry as geometry
 from denseforest.errors import ResourceLimitError
 from denseforest.geometry import (AlignedBox, Point, Segment, Window,
-                                  _stratified_directions, run_pairs,
+                                  _stratified_directions, point_array, run_pairs,
                                   sample_probes,
                                   sample_segments)
 from geometry_oracles import (point_at, supnorm_point_segment_distance,
@@ -46,6 +47,28 @@ class TestTypes:
         assert np.allclose(w.extent, 4.0)
         assert w.contains(np.array([[0.0, 0.0, 0.0]]))[0]
         assert w.contains(np.array([[2.0, 0.0, 0.0]]))[0] == False  # noqa: E712  half-open
+
+    def test_window_volume_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Window.cube(1e300, 2).volume == np.inf
+
+    def test_point_array(self):
+        assert point_array([0.5, 0.25]).shape == (2, 1)
+        assert point_array([Point([0.1, 0.2]), (0.3, 0.4)]).tolist() == [[0.1, 0.2],
+                                                                         [0.3, 0.4]]
+        assert point_array([]).shape == (0, 1)
+        with pytest.raises(ValueError, match=r"net points must form an \(N, d\)"):
+            point_array(np.zeros((2, 2, 2)), "net points")
+        with pytest.raises(ValueError, match="points must be finite"):
+            point_array([[0.5, np.nan]])
+        # The unit cube allows 1e-12 on either side, and no more.
+        edge = [[-1e-12, 1.0 + 1e-12]]
+        assert point_array(edge, unit_cube=True).tolist() == edge
+        assert point_array([[-2e-12, 0.5]]).shape == (1, 2)
+        for outside in ([[-2e-12, 0.5]], [[0.5, 1.0 + 2e-12]]):
+            with pytest.raises(ValueError, match="must lie in the unit cube"):
+                point_array(outside, unit_cube=True)
 
     def test_aligned_box_volume_and_containment(self):
         b = AlignedBox.from_bounds([0.0, 0.0], [0.5, 2.0])
