@@ -23,10 +23,11 @@ from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
                        sample_probes)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
-# x-bucket of one (y_a, y_b) slab, so a 2-D call costs (m(m+1)/2)(n+2)
-# units for m y-levels and n points.  The traced unitcube run of perfbench
-# (200 points, 4.14M units in 0.174 s on a 2-vCPU Xeon) measured 2.38e7
-# units/s, so a call at the cap runs about 3 minutes.
+# x-bucket of one (y_a, y_b) slab, so a 2-D call costs at most
+# (m(m+1)/2)(n+2) units for m y-levels and n points, the cost of scanning
+# every slab.  The traced unitcube run of perfbench (200 points, 4.14M
+# units in 0.174 s on a 2-vCPU Xeon) measured 2.38e7 units/s when every
+# slab was scanned, so a call at the cap runs at most about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
 # Grid nodes of the d >= 2 dispersion bound.  Its cover table peaks at 16
 # bytes a node (the int64 counts and one bincount of box corners), 4.2 MB
@@ -61,6 +62,11 @@ MAX_SUD_VALUES = 2 ** 24
 # A scan holds at most 12 arrays of one block, 8 bytes a cell (1.5 MB),
 # besides O(n) for the points; 2^14 cells ran faster than 2^12 or 2^16.
 DISCREPANCY_BLOCK_CELLS = 2 ** 14
+# Level spacing of the coarse grid of the exact 2-D discrepancy: the slabs
+# with both ends on every 4th y-level (and the top one) are scanned first,
+# and they bound every other slab.  At 200 uniform points that is 1,378 of
+# 20,503 slabs.
+DISCREPANCY_COARSE_STEP = 4
 # Heavy-box anchors counted together, and the cells (anchors x sorted
 # slab union) one block of them may hold.
 HEAVY_BLOCK_ANCHORS = 32
@@ -380,48 +386,157 @@ def _discrepancy_1d(xs: np.ndarray, n: int) -> float:
     return max(float(over[0]), float(under[0]), 0.0)
 
 
-def _discrepancy_2d(pts: np.ndarray, n: int) -> float:
-    """Scan every slab [y_a, y_b] of the y-levels over one x-bucket table.
+class _Slabs:
+    """The slabs [yv[a], yv[b]] (y-levels a <= b) of 2-D points, scanned by
+    `_slab_extremes` as gathers from one prefix table, and the coarse slabs
+    that bound them.
 
-    P[level, bucket] counts the points of each y-level in each x-bucket.
-    For each lower level ia, running sums of P[ia:] over levels and buckets
-    give every closed slab's cumulative counts at once, and the open slab
-    (y_a, y_b) is the closed one up to the level below y_b minus P[ia]
-    (empty when y_b = y_a).  Rows of P are built and scanned in blocks of
-    at most DISCREPANCY_BLOCK_CELLS cells (one row when a row is longer).
+    S[l, x] counts the points with level < l and bucket <= x.  The closed
+    slab (a, b) has the running counts S[b+1] - S[a] over the x-buckets,
+    the open slab S[max(b, a+1)] - S[a+1] (none when b <= a + 1), and its
+    boxes have area (yv[b] - yv[a]) * x-length.  These are the integers and
+    the float that running sums over the levels give, and `_slab_extremes`
+    works row by row, so a slab's over and under are the same floats
+    whichever slabs share its call.
+
+    The coarse grid G holds every DISCREPANCY_COARSE_STEP-th level from 0
+    and the top level m - 1.  ``over_c[i, j]`` and ``under_c[i, j]`` hold
+    the scanned over and under of the coarse slab (G[i], G[j]) for i <= j,
+    and 0 for i > j, which is the empty slab.
     """
-    yv, level = _buckets(pts[:, 1])
-    m = yv.size
-    check_limit("critical-box work units", m * (m + 1) / 2 * (n + 2), MAX_DISCREPANCY_WORK)
-    xv, bucket = _buckets(pts[:, 0])
-    k = xv.size
-    order = np.argsort(level, kind="stable")
-    level, bucket = level[order], bucket[order]
-    starts = np.searchsorted(level, np.arange(m + 1))
 
-    def table(a, b):
-        """Rows a..b-1 of P, each as running sums over the buckets."""
-        lo, hi = starts[a], starts[b]
-        cells = (level[lo:hi] - a) * k + bucket[lo:hi]
-        rows = np.bincount(cells, minlength=(b - a) * k).reshape(b - a, k)
-        return np.cumsum(rows, axis=1)
+    def __init__(self, pts: np.ndarray, n: int):
+        yv, level = _buckets(pts[:, 1])
+        m = yv.size
+        check_limit("critical-box work units", m * (m + 1) / 2 * (n + 2),
+                    MAX_DISCREPANCY_WORK)
+        xv, bucket = _buckets(pts[:, 0])
+        k = xv.size
+        # Under the work guard n < 1.4e9, so every count fits in int32.
+        counts = np.bincount(level * k + bucket, minlength=m * k).reshape(m, k)
+        self.table = np.zeros((m + 1, k), dtype=np.int32)
+        np.cumsum(counts.cumsum(axis=1), axis=0, out=self.table[1:])
+        del counts  # freed before the coarse scan's blocks are built
+        self.xv, self.yv, self.n = xv, yv, n
+        self.step = max(1, DISCREPANCY_BLOCK_CELLS // k)
+        self.grid = np.append(np.arange(0, m - 1, DISCREPANCY_COARSE_STEP), m - 1)
+        self.floor = np.searchsorted(self.grid, np.arange(m), side="right") - 1
+        self.ceil = np.searchsorted(self.grid, np.arange(m))
+        g = self.grid.size
+        self.over_c, self.under_c = np.zeros((g, g)), np.zeros((g, g))
+        rows, cols = np.triu_indices(g)
+        for r in range(0, rows.size, self.step):
+            i, j = rows[r:r + self.step], cols[r:r + self.step]
+            self.over_c[i, j], self.under_c[i, j] = self.extremes(self.grid[i],
+                                                                  self.grid[j])
 
-    step = max(1, DISCREPANCY_BLOCK_CELLS // k)
-    best = 0.0
-    for ia in range(m):
-        base = table(ia, ia + 1)[0]
-        prev = base
-        for b0 in range(ia, m, step):
-            b1 = min(b0 + step, m)
-            closed = np.cumsum(table(b0, b1), axis=0)
-            if b0 > ia:
-                closed += prev
-            open_ = np.empty_like(closed)
-            np.subtract(prev, base, out=open_[0])
-            np.subtract(closed[:-1], base, out=open_[1:])
-            over, under = _slab_extremes(xv, yv[b0:b1] - yv[ia], n, closed, open_)
+    def extremes(self, a: np.ndarray, b: np.ndarray):
+        """Over and under of the slabs (a[r], b[r])."""
+        S = self.table
+        return _slab_extremes(self.xv, self.yv[b] - self.yv[a], self.n,
+                              S[b + 1] - S[a], S[np.maximum(b, a + 1)] - S[a + 1])
+
+    def bounds(self, a: np.ndarray, b: np.ndarray):
+        """Upper bounds on over and under of the slabs (a[r], b[r]).
+
+        Take a slab with height h = yv[b] - yv[a] (the float the scan
+        uses), closed and open point counts C and O, and its inner coarse
+        slab I, ceil_G(a) to floor_G(b), and outer one U, floor_G(a) to
+        ceil_G(b).  I is the empty slab (over = under = 0, no height, no
+        points) when ceil_G(a) > floor_G(b).  I lies inside the slab and U
+        contains it, and h_I <= h <= h_U because float subtraction is
+        monotone.  Let W = xv[-1] - xv[0] >= 1 be the width of the buckets
+        and E = W - 1 how far they reach past [0, 1] (at most 2e-12 by the
+        input check).  In exact arithmetic
+
+            over  <= min(over(I) + (C - C_I)/n,  over(U) + (h_U - h) W),
+            under <= min(under(I) + h W - h_I,   under(U) + (O_U - O)/n).
+
+        Moving a box's y-faces to those of I or U keeps its x-faces, so
+        its count changes by at most the points between the old and new
+        y-faces, C - C_I or O_U - O, and its area by at most the change of
+        height times its width w <= W.  An overfull box loses points moving
+        in and area moving out; an underfull open box loses area moving in
+        and gains points moving out.  That gives the four terms, with
+        h W - h_I = (h - h_I) W + h_I E, where h_I E pays for the faces
+        below.
+
+        The moved box must also be one the coarse scan counts.
+        `_slab_extremes` drops a bucket outside [0, 1] that its slab holds
+        no point in.  U holds every point of the slab, so it keeps every
+        face the slab keeps, but I may drop one.  A closed box of I with
+        such a face holds the points of the box shrunk past that bucket,
+        on less area, so the shrunk box dominates it.  Shrinking stops at
+        a kept face (the buckets 0 and 1 always are) or at an empty box,
+        worth 0, and over(I) >= 0 (the zero-width box at 0).  An open box
+        of I that moves a dropped face to the nearest kept bucket towards
+        [0, 1] keeps or loses points and loses at most h_I E of area over
+        both faces, and under(I) >= 0 (two adjacent buckets in [0, 1]).
+
+        In floats every term is O(1): counts / n <= 1, heights and widths
+        at most 1 + 2e-12.  So a scanned over or under is within 2^-49 of
+        its exact value, and a bound within 2^-48, and a slab's scanned
+        value is at most its float bound + 2^-47.  The margin of 2^-30 in
+        `_discrepancy_2d` covers that with room to spare.
+        """
+        yv, grid, n, width = self.yv, self.grid, self.n, self.xv[-1] - self.xv[0]
+        total = self.table[:, -1]
+        h = yv[b] - yv[a]
+        i, j = self.ceil[a], self.floor[b]
+        lo, hi = grid[i], grid[j]
+        h_in = np.maximum(yv[hi] - yv[lo], 0.0)
+        closed = total[b + 1] - total[a] - np.maximum(total[hi + 1] - total[lo], 0)
+        over = self.over_c[i, j] + closed / n
+        under = self.under_c[i, j] + (h * width - h_in)
+        i, j = self.floor[a], self.ceil[b]
+        lo, hi = grid[i], grid[j]
+        opened = (total[np.maximum(hi, lo + 1)] - total[lo + 1]
+                  - (total[np.maximum(b, a + 1)] - total[a + 1]))
+        over = np.minimum(over, self.over_c[i, j] + (yv[hi] - yv[lo] - h) * width)
+        under = np.minimum(under, self.under_c[i, j] + opened / n)
+        return over, under
+
+
+def _discrepancy_2d(pts: np.ndarray, n: int) -> float:
+    """Scan the slabs [y_a, y_b] of the y-levels coarse to fine.
+
+    `_Slabs` scans every slab with both ends on its coarse grid, and their
+    max sets ``best``.  Then, one block of lower levels at a time, every
+    other slab gets its bound (`_Slabs.bounds`), and the slabs whose
+    bound + 2^-30 exceeds the running ``best`` are scanned, largest bound
+    first, in blocks of at most DISCREPANCY_BLOCK_CELLS cells (one slab
+    when a slab is longer).  A block of lower levels spans at most
+    DISCREPANCY_BLOCK_CELLS / 8 (level, level) pairs (one lower level when
+    it has more), whose bounds take about 20 arrays of 8 bytes a pair, a
+    fifth of one scan block.
+
+    The result is the max of 0 and every slab's over and under, bit for
+    bit.  A scanned slab gives the floats that a scan of every slab gives.
+    A slab that is not scanned has a float value at most its bound +
+    2^-47, below the bound + 2^-30 that was at most ``best`` when it was
+    passed over, and ``best`` is a max of scanned values.  So no slab left
+    out could have raised the max.
+    """
+    slabs = _Slabs(pts, n)
+    m = slabs.yv.size
+    best = max(0.0, float(slabs.over_c.max()), float(slabs.under_c.max()))
+    on_grid = slabs.floor == slabs.ceil
+    levels = max(1, DISCREPANCY_BLOCK_CELLS // (8 * m))
+    for a0 in range(0, m, levels):
+        a, b = np.nonzero(np.triu(np.ones((min(levels, m - a0), m), dtype=bool), a0))
+        a += a0
+        fine = ~(on_grid[a] & on_grid[b])
+        a, b = a[fine], b[fine]
+        bound = np.maximum(*slabs.bounds(a, b)) + 2.0 ** -30
+        live = np.flatnonzero(bound > best)
+        live = live[np.argsort(-bound[live], kind="stable")]
+        for r in range(0, live.size, slabs.step):
+            rows = live[r:r + slabs.step]
+            rows = rows[bound[rows] > best]
+            if rows.size == 0:
+                break
+            over, under = slabs.extremes(a[rows], b[rows])
             best = max(best, float(over.max()), float(under.max()))
-            prev = closed[-1]
     return best
 
 
@@ -457,9 +572,13 @@ def _xi_samples(count: int, d: int, seed: int) -> np.ndarray:
 
 
 def _m_samples(m_max: int) -> list:
+    """Every shift up to m_max when there are at most 65, else the 64
+    shifts round(j * m_max / 63) in integers.  The quotient is never a
+    tie (2j * m_max is even and 63 (2i + 1) is odd), and m_max / 63 > 1,
+    so the shifts run strictly up from 0 to m_max."""
     if m_max <= 64:
         return list(range(m_max + 1))
-    return [int(v) for v in np.unique(np.round(np.linspace(0, m_max, 64)).astype(np.int64))]
+    return [(2 * j * m_max + 63) // 126 for j in range(64)]
 
 
 def _shift_groups(ms: list, N: int) -> list:

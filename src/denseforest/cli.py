@@ -24,7 +24,7 @@ from .epsnet import Net, d2_aligned_net, hw_net, slab_lower_bound, verify_net
 from .errors import ResourceLimitError
 from .generators import (PeresForest, concat_linear_sequence,
                          default_cut_and_project, enumerate_points,
-                         golden_sequence, integer_lattice, load_spec,
+                         golden_sequence, integer_lattice, json_loads, load_spec,
                          quadratic_sequence, read_points_csv,
                          tsokanos_sequence, write_points_csv, D2, PHI,
                          ThreeGrid)
@@ -68,7 +68,7 @@ def _parse_seq(args):
 def _json_numbers(text: str):
     """A JSON flag of numbers and lists of them, integers read as floats (inf
     past the float range); an object, string, true, false or null is refused."""
-    doc = json.loads(text, parse_int=float)
+    doc = json_loads(text, parse_int=float)
     todo = [doc]
     while todo:
         value = todo.pop()

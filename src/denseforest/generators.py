@@ -68,6 +68,9 @@ class SequenceSpec:
                 raise ValueError("ConcatLinear needs at least one direction vector")
             if len({len(t) for t in thetas}) != 1:
                 raise ValueError("ConcatLinear direction vectors must share a dimension")
+            if not thetas[0]:
+                raise ValueError("ConcatLinear thetas have width 0: each needs "
+                                 "at least one coordinate")
             if not np.all(np.isfinite(thetas)):
                 raise ValueError("ConcatLinear direction vectors must be finite")
             object.__setattr__(self, "thetas", thetas)
@@ -1025,6 +1028,16 @@ def read_points_csv(path) -> np.ndarray:
     return data
 
 
+def json_loads(text: str, **kwargs):
+    """``json.loads``, refusing with ValueError a document nested past the
+    parser's recursion limit (about 1,000 levels), which it would raise as
+    RecursionError."""
+    try:
+        return json.loads(text, **kwargs)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def load_spec(path_or_doc) -> PointSetSpec:
     """Load a PointSetSpec from a JSON document, JSON text, or file path."""
     if isinstance(path_or_doc, PointSetSpec):
@@ -1033,6 +1046,6 @@ def load_spec(path_or_doc) -> PointSetSpec:
         return spec_from_json(path_or_doc)
     text = str(path_or_doc)
     if text.lstrip().startswith("{"):
-        return spec_from_json(json.loads(text))
+        return spec_from_json(json_loads(text))
     with open(text) as handle:
-        return spec_from_json(json.load(handle))
+        return spec_from_json(json_loads(handle.read()))

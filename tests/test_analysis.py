@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,8 +212,27 @@ class TestSUDGuard:
             warnings.simplefilter("error")
             est = sud_estimate(golden_sequence(), N=16, m_max=2 ** 62 - 16,
                                xi_count=2, seed=1)
-        assert len(est.m_samples) == 64
+        assert len(est.m_samples) == 64 and est.m_samples[-1] == 2 ** 62 - 16
         assert 0.0 < est.value <= 0.5
+
+    @given(st.integers(0, 2 ** 45 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_shift_samples_as_before_below_2_45(self, m_max):
+        # The former float rounding: its error stays below 1/126 here, and
+        # the exact quotient j * m_max / 63 is never within 1/126 of a tie.
+        former = list(range(m_max + 1)) if m_max <= 64 else \
+            [int(v) for v in np.unique(np.round(np.linspace(0, m_max, 64)).astype(np.int64))]
+        assert analysis._m_samples(m_max) == former
+
+    @given(st.integers(65, 2 ** 62) | st.sampled_from([2 ** 53 + 1, 2 ** 62 - 16, 2 ** 62]))
+    @settings(max_examples=400, deadline=None)
+    def test_shift_samples_end_at_m_max(self, m_max):
+        # Through float64 the last shift of 2^62 - 16 was 2^62, and 2^53 + 1
+        # was never sampled.
+        ms = analysis._m_samples(m_max)
+        assert len(ms) == 64 and ms[0] == 0 and ms[-1] == m_max
+        assert all(type(m) is int for m in ms)
+        assert all(lo < hi for lo, hi in zip(ms, ms[1:]))
 
     def test_values_past_the_float_range(self):
         # theta * k overflows; the NaN that w - floor(w) made of inf once
@@ -254,6 +274,46 @@ class TestSUDGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16
+
+
+class TestEchoedParameters:
+    """Every parameter a report echoes is the one its computation used."""
+
+    @given(st.integers(1, 24), st.integers(0, 300), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sud(self, N, m_max, xi_count, seed):
+        used = []
+        real = analysis._run_dispersion_max
+
+        def spy(vs, idx, shifts, n, xis, best):
+            used.append((list(shifts), n, xis.shape[0]))
+            return real(vs, idx, shifts, n, xis, best)
+
+        with mock.patch.object(analysis, "_run_dispersion_max", spy):
+            est = sud_estimate(golden_sequence(), N, m_max, xi_count, seed)
+        assert est.N == N and {n for _, n, _ in used} == {N}
+        assert est.m_samples == [m for shifts, _, _ in used for m in shifts]
+        assert est.m_samples[0] == 0 and est.m_samples[-1] == m_max
+        assert est.xi_samples == xi_count and {x for _, _, x in used} == {xi_count}
+
+    @given(st.floats(1e-3, 2.0), st.floats(0.0, 32.0), st.integers(1, 20),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_visibility(self, eps, L, count, seed):
+        used = []
+        real = analysis._probe_first_hits
+
+        def spy(spec, e, bases, dirs, lengths):
+            used.append((e, bases.shape[0], lengths))
+            return real(spec, e, bases, dirs, lengths)
+
+        with mock.patch.object(analysis, "_probe_first_hits", spy):
+            rep = check_visibility(PeresForest(), eps, L, count, Window.cube(5.0, 2), seed)
+        (e, rows, lengths), = used
+        assert rep.epsilon == e == eps
+        assert rep.L == L and np.all(lengths == L)
+        assert rep.segments_tested == rows == count
 
 
 class TestVisibility:

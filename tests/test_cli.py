@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
@@ -483,6 +486,32 @@ def test_calibrate_json(tmp_path):
     assert cal["epsilons"] == [0.6]
     assert len(cal["estimates"]) == 1
     assert cal["check_lengths"][0] == pytest.approx(2.0 * cal["estimates"][0])
+
+
+@given(st.integers(1, 16), st.floats(1.0, 20.0), st.floats(1.0, 32.0),
+       st.integers(0, 2 ** 63 - 1))
+@settings(max_examples=20, deadline=None)
+def test_calibrate_echoes_the_parameters_it_used(count, radius, l_max, seed):
+    used = []
+    real = cli.estimate_visibility
+
+    def spy(spec, epsilons, L_max, n, window, s):
+        used.append((L_max, n, window, s))
+        return real(spec, epsilons, L_max, n, window, s)
+
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(cli, "estimate_visibility", spy):
+        out = Path(root) / "cal.json"
+        assert run("calibrate", "--eps", "0.6", "--count", str(count), "--radius",
+                   repr(radius), "--l-max", repr(l_max), "--seed", str(seed),
+                   "--out", str(out)) == 0
+        cal = json.loads(out.read_text())["peres_visibility"]
+    (L_max, n, window, s), = used
+    assert cal["count"] == n == count
+    assert cal["l_max"] == L_max == l_max
+    assert cal["seed"] == s == seed
+    assert cal["radius"] == radius
+    assert window.lo.tolist() == [-radius] * 2 and window.hi.tolist() == [radius] * 2
 
 
 def test_calibrate_infinite_estimate_is_null(tmp_path):

@@ -212,6 +212,25 @@ def test_json_value_of_the_wrong_shape(tmp_path, capsys, inputs, command, flag, 
         _one_error_line(capsys)
 
 
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("command, flag", list(JSON_FLAGS) + [("generate", "--spec")],
+                         ids=lambda v: v.lstrip("-"))
+def test_json_nested_past_the_parser_limit(tmp_path, capsys, inputs, command, flag):
+    # json.loads raises RecursionError about 1,000 levels down.
+    assert _run_clean(_json_argv(command, flag, DEEP, inputs, tmp_path), tmp_path) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("thetas", ["[[]]", "[]"])
+def test_zero_width_thetas_named(tmp_path, capsys, inputs, thetas):
+    # Such thetas were refused only by halton's "d must be at least 1".
+    assert _run_clean(_json_argv("sud", "--thetas", thetas, inputs, tmp_path),
+                      tmp_path) == 2
+    assert "thetas have width 0" in capsys.readouterr().err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3)
     | st.sampled_from([1e308, -1e308, 2 ** 63, 10 ** 400, -(10 ** 400)]),
