@@ -92,10 +92,11 @@ STRIP_COARSE_SHARE = 0.25
 # holds no array of its own, so memory does not grow with the lines.
 MAX_TUBE_LINES = 10 ** 5
 # Work of the rotations that `heavy_box` samples: each rotation counts its
-# points plus HEAVY_ROTATION_BASE.  On a 2-vCPU Xeon a rotation took 2.3-2.6
-# ms for 2 points, 4-8 ms for 20-60, 10-20 ms for 200 and 46-107 ms for
-# 2,000 (eps 0.001 to 0.5), and 1.4 s for 20,000 at eps 0.01.  That is 53
-# to 91 us per unit at worst, so the cap runs about 1 to 1.5 minutes.
+# points plus HEAVY_ROTATION_BASE.  On a 2-vCPU Xeon a rotation took 0.1-1.1
+# ms for 2 points, 0.8-4.1 ms for 20-60, 6-12 ms for 200 and 48-118 ms for
+# 2,000 (eps 0.001 to 0.5), and 1.3 s for 20,000 at eps 0.01.  The worst,
+# 58-66 us per unit, is at 2,000 and 20,000 points, which sample anchors
+# and sweep both axes, so the cap runs about 1 minute.
 MAX_HEAVY_ROTATION_WORK = 10 ** 6
 HEAVY_ROTATION_BASE = 32
 
@@ -1667,8 +1668,9 @@ def _best_aligned_box(pts: np.ndarray, eps: float):
         # count beats every earlier one: anchors ascending, then the
         # smallest lower edge.  An anchor whose slab holds no more than the
         # best count, or an edge whose window over the block does not, can
-        # not beat it.
+        # not beat it.  Returns whether the best count rose.
         nonlocal best_cnt, best_box
+        start = best_cnt
         anchors = primary[::stride]
         if width >= primary[-1] - primary[0]:
             anchors = primary[:1]
@@ -1704,12 +1706,33 @@ def _best_aligned_box(pts: np.ndarray, eps: float):
                     best_box = AlignedBox.from_bounds(lo_b, hi_b)
             live = live[blk.size:]
             live = live[i1[live] - i0[live] > best_cnt]
+        return best_cnt > start
 
+    # With every point an anchor (stride 1), both sweeps of a ratio reach
+    # the same count: moving a best box's left edge to its leftmost point
+    # and its bottom edge to its lowest point keeps every point (fl is
+    # monotone) and puts the box among the candidates of both.  So only the
+    # sweep of the narrower slab runs, unless its lone anchor's slab rounds
+    # short of the last point.  The witness stays the first x-sweep box of
+    # the final count: when a lone y-sweep set that count, its ratio's
+    # x-sweep runs again from one below and replaces the box if it reaches
+    # the count.
+    recheck = None
     for ratio in 2.0 ** np.linspace(-10, 10, 41):
         w = math.sqrt(eps * ratio)
         h = math.sqrt(eps / ratio)
-        sweep(xs, ys_by_x, w, h, flip=False)
-        sweep(ys, xs_by_y, h, w, flip=True)
+        along_x = w <= h
+        axis, width = (xs, w) if along_x else (ys, h)
+        both = stride > 1 or (width >= axis[-1] - axis[0]
+                              and axis[0] + width < axis[-1])
+        if (both or along_x) and sweep(xs, ys_by_x, w, h, flip=False):
+            recheck = None
+        if (both or not along_x) and sweep(ys, xs_by_y, h, w, flip=True):
+            recheck = None if both else (w, h)
+    if recheck is not None:
+        best_cnt -= 1
+        if not sweep(xs, ys_by_x, *recheck, flip=False):
+            best_cnt += 1
     return best_box, best_cnt
 
 
@@ -1772,12 +1795,20 @@ def udt_check(thetas, xi, T: int):
     the distance of u . (xi - theta_i) to the nearest integer; the returned
     index is 1-based.
     """
-    arr = np.asarray(thetas, dtype=float)
+    # numpy refuses ragged lists, such as [[0.1], [0.2, 0.3]]; they fail the
+    # shape checks below as empty arrays.
+    try:
+        arr = np.asarray(thetas, dtype=float)
+    except ValueError:
+        arr = np.empty(0)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("thetas must be a nonempty list of d-vectors, d >= 1")
-    xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
+        raise ValueError("thetas must be a nonempty list of d-vectors of one d >= 1")
+    try:
+        xi_vec = np.atleast_1d(np.asarray(xi, dtype=float))
+    except ValueError:
+        xi_vec = np.empty(0)
     if xi_vec.shape != (arr.shape[1],):
         raise ValueError("xi must match the dimension of thetas")
     t_int = int(T)

@@ -67,7 +67,8 @@ class SequenceSpec:
             if not thetas:
                 raise ValueError("ConcatLinear needs at least one direction vector")
             if len({len(t) for t in thetas}) != 1:
-                raise ValueError("ConcatLinear direction vectors must share a dimension")
+                raise ValueError("ConcatLinear thetas must share a dimension, got "
+                                 f"widths {sorted({len(t) for t in thetas})}")
             if not thetas[0]:
                 raise ValueError("ConcatLinear thetas have width 0: each needs "
                                  "at least one coordinate")
@@ -133,10 +134,20 @@ def quadratic_sequence(alpha: float = PHI) -> SequenceSpec:
 
 
 def concat_linear_sequence(thetas) -> SequenceSpec:
-    arr = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if arr.ndim != 2:
+    """One vector (a number or a list of numbers) or a list of vectors.
+
+    Each vector becomes its own tuple before any array is built, so vectors
+    of different widths are refused by SequenceSpec, which names them.
+    """
+    def is_vector(t):
+        return isinstance(t, (list, tuple)) or np.ndim(t) > 0
+
+    rows = list(thetas) if is_vector(thetas) else [thetas]
+    if not any(map(is_vector, rows)):
+        rows = [rows]
+    if not all(map(is_vector, rows)) or any(is_vector(x) for t in rows for x in t):
         raise ValueError("ConcatLinear thetas must be a list of vectors")
-    return SequenceSpec("ConcatLinear", thetas=tuple(arr.tolist()))
+    return SequenceSpec("ConcatLinear", thetas=tuple(tuple(t) for t in rows))
 
 
 def seq_eval(spec: SequenceSpec, k: int):

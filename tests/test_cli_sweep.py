@@ -171,9 +171,11 @@ JSON_FLAGS = {
     ("tube", "--directions"): DIRECTION_VALUES,
     ("strip", "--directions"): DIRECTION_VALUES,
     ("sud", "--thetas"): ["[]", "[[]]", "{}", '"x"', "[[0.1],[0.2,0.3]]", "[[NaN]]",
-                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]"],
+                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]", "[[0.1],[]]",
+                          "[0.1,[0.2]]"],
     ("udt", "--thetas"): ["[]", "[[]]", "{}", '"x"', "[[0.1],[0.2,0.3]]", "[[NaN]]",
-                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]", "[[0.1,0.2]]"],
+                          "[[Infinity]]", "[[1e308]]", "[[-1e308]]", "[[0.1,0.2]]",
+                          "[[0.1],[]]", "[0.1,[0.2]]"],
     ("udt", "--xi"): ["[]", "[[]]", "{}", '"x"', "[[0.3],[0.3,0.4]]", "[NaN]",
                       "[Infinity]", "[1e308]", "[-1e308]", "[0.3,0.4]"],
 }
@@ -229,6 +231,21 @@ def test_zero_width_thetas_named(tmp_path, capsys, inputs, thetas):
     assert _run_clean(_json_argv("sud", "--thetas", thetas, inputs, tmp_path),
                       tmp_path) == 2
     assert "thetas have width 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sud", "udt"])
+@pytest.mark.parametrize("thetas", ["[[0.1],[0.2,0.3]]", "[[0.1],[]]", "[0.1,[0.2]]"])
+def test_ragged_thetas_named(tmp_path, capsys, inputs, command, thetas):
+    # numpy refused these with its "inhomogeneous shape" text.
+    assert _run_clean(_json_argv(command, "--thetas", thetas, inputs, tmp_path),
+                      tmp_path) == 2
+    assert "thetas" in capsys.readouterr().err
+
+
+def test_ragged_xi_named(tmp_path, capsys, inputs):
+    assert _run_clean(_json_argv("udt", "--xi", "[[0.3],[0.3,0.4]]", inputs, tmp_path),
+                      tmp_path) == 2
+    assert "xi must match" in capsys.readouterr().err
 
 
 json_values = st.recursive(

@@ -66,7 +66,8 @@ point) and the former KD-tree certificate from the 8 nearest net points.
 y-level and x-bucket, many slabs per array pass, and scans only the slabs
 on a coarse grid of y-levels and those that the coarse slabs cannot rule
 out; `heavy_box` counts a block of anchors at once
-from ranks in their sorted slab union.  Their oracles are the loops they
+from ranks in their sorted slab union and, below 512 points, sweeps each
+aspect ratio along its narrower side only.  Their oracles are the loops they
 replaced: one critical-value scan per slab, and one sort per anchor, aspect
 ratio and sweep axis.  `udt_check` builds its u-grid in chunks; its oracle
 builds the whole grid.
@@ -2631,18 +2632,74 @@ class TestDiscrepancyOracle:
         assert peak <= 12 * 8 * analysis.DISCREPANCY_BLOCK_CELLS + 100 * n
 
 
+@st.composite
+def plane_points(draw, max_n=60):
+    """Points inside and outside the unit square: uniform, sevenths, on a
+    line, stretched and shifted, or rotated as `heavy_box` rotates them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, max_n))
+    pts = rng.random((n, 2))
+    kind = draw(st.sampled_from(["uniform", "sevenths", "line", "stretched", "rotated"]))
+    if kind == "sevenths":
+        pts = np.round(pts * 7.0) / 7.0
+    elif kind == "line":
+        pts[:, 1] = 0.3 * pts[:, 0] + 0.1
+    elif kind == "stretched":
+        pts = pts * rng.uniform(0.1, 5.0, 2) - 0.5
+    elif kind == "rotated":
+        angle = rng.uniform(0.0, math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        pts = pts @ np.array([[c, -s], [s, c]])
+    return pts
+
+
+# A last point one float above 0.75, so that fl(-0.5 + 1.25) = 0.75 leaves it
+# out of the slab of the lone anchor -0.5.
+PAST_THREE_QUARTERS = 0.75 + 2.0 ** -53
+
+
 class TestHeavyBoxOracle:
-    @given(cube_points(max_n=40), st.sampled_from([1e-4, 0.01, 0.05, 0.3, 2.0]),
+    @given(cube_points(max_n=40) | plane_points(),
+           st.sampled_from([1e-4, 0.01, 0.05, 0.3, 2.0]),
            st.integers(1, 4), st.integers(1, 64))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
+    @example(np.random.default_rng(2).random((8, 2)), 0.05, 32, 2 ** 20)
     def test_matches_anchor_loop(self, pts, eps, anchors, cells):
         # Small blocks cut the live anchors and the cell budget in many places.
+        # Below 512 points only the narrower sweep of each ratio runs, and a
+        # lone y-sweep that sets the final count is rechecked by its ratio's
+        # x-sweep; in the example that recheck replaces the y-sweep's box.
         box, count, _ = best_aligned_box_oracle(pts, eps)
         got = _best_aligned_box(pts, eps)
         assert_box_equal(got, (box, count))
         with mock.patch.object(analysis, "HEAVY_BLOCK_ANCHORS", anchors), \
                 mock.patch.object(analysis, "HEAVY_BLOCK_CELLS", cells):
             assert_box_equal(_best_aligned_box(pts, eps), (box, count))
+
+    @pytest.mark.parametrize("pts, eps, hi", [
+        # A y-sweep that ran alone sets the count, and the x-sweep's rerun
+        # finds no box of it: its lone anchor's slab misses the last point.
+        ([[-0.5, 5.0], [-0.4, 0.0], [PAST_THREE_QUARTERS, 0.0],
+          [PAST_THREE_QUARTERS, 0.6], [-0.4, 0.6]], 0.78125, [0.85, 0.625]),
+        # The narrow x-sweep's lone anchor misses the last point, so the
+        # ratio runs both sweeps.
+        ([[-0.5, 50.0], [-0.4, 0.0], [PAST_THREE_QUARTERS, 0.0],
+          [PAST_THREE_QUARTERS, 2.3], [-0.4, 2.3]], 3.125, [0.85, 2.5])],
+        ids=["recheck-keeps-y-box", "both-sweeps"])
+    def test_lone_anchor_short_of_last_point(self, pts, eps, hi):
+        pts = np.array(pts)
+        box, count, _ = best_aligned_box_oracle(pts, eps)
+        assert count == 4
+        assert box.lo.tolist() == [-0.4, 0.0] and box.hi.tolist() == hi
+        assert_box_equal(_best_aligned_box(pts, eps), (box, count))
+
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_last_size_with_every_anchor(self, n):
+        # 511 points sweep once per ratio; 512 sample every other anchor and
+        # sweep both axes.
+        pts = np.random.default_rng(n).random((n, 2))
+        box, count, _ = best_aligned_box_oracle(pts, 0.01)
+        assert_box_equal(_best_aligned_box(pts, 0.01), (box, count))
 
     @given(cube_points(max_n=40, dim=1), st.sampled_from([1e-3, 0.1, 0.5]))
     @settings(max_examples=30, deadline=None)
@@ -2653,6 +2710,8 @@ class TestHeavyBoxOracle:
         (300, 1, 0.01, False), (600, 0, 0.01, False), (600, 0, 0.05, False),
         (700, 3, 0.02, True)])
     def test_stride_sampled_anchors(self, n, seed, eps, sevenths):
+        # 300 points have stride 1 and sweep once per ratio; from 512 points
+        # every (n // 256)-th anchor is sampled and both sweeps run.
         pts = np.random.default_rng(seed).random((n, 2))
         if sevenths:
             pts = np.round(pts * 7.0) / 7.0
