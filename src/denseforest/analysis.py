@@ -8,6 +8,7 @@ searches whose sampling parameters are recorded in the returned reports.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -43,7 +44,7 @@ GRID_BOUND_CELLS = 2 ** 16
 # Cells (twist rows x span indices x d) per block of the SUD window scan,
 # so a block holds max(1, SUD_BLOCK_CELLS // (span * d)) rows whatever N
 # is.  At N = 2^14 and m_max = 64 a span has 16,448 indices, a block has
-# 127 rows and each of its arrays (values, sorted windows, order) takes
+# 127 rows and each of its arrays (values, sorted cores, order) takes
 # about 16 MB.
 SUD_BLOCK_CELLS = 2 ** 21
 # Work and array budgets of `sud_estimate`, checked before anything is
@@ -629,25 +630,36 @@ def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
     t - floor(t), t = v_j - xi*j: the same float as np.mod(t, 1.0), which
     rounds the same exact value once, and +0.0 for -0.0 and integers.
 
-    A block of twist rows first gets the first shift's window, and an
-    upper bound from its core, the indices [span, N) (span = shifts[-1] -
-    shifts[0]) that every window of the run keeps.  Only the rows whose
-    bound exceeds the best value so far go on to `_shift_windows_max`; see
-    `sud_estimate` for why the bound holds.
+    Each row of a block of twists gets only an upper bound, the dispersion
+    of its core: the indices [span, N) (span = shifts[-1] - shifts[0]) that
+    every window of the run keeps (see `sud_estimate` for why it bounds
+    them).  The rows are then visited best bound first, ties by row, in
+    batches of 1, 2, 4, ...; each batch drops the rows whose bound is at
+    most the best value so far, and `_shift_windows_max` scans the others
+    over every shift of the run.  The search stops at the first bound that
+    cannot win (best-first branch and bound, Land and Doig, 1960).  A run
+    of one shift (span 0) or with an empty core (span N) takes every row's
+    first window instead, and with an empty core scans every row.
     """
     span = shifts[-1] - shifts[0]
+    offsets = [m - shifts[0] for m in shifts]
     rows = max(1, SUD_BLOCK_CELLS // vs.size)
     for b in range(0, xis.shape[0], rows):
         w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
         w -= np.floor(w)
-        best = max(best, float(np.max(_window_dispersions(w[:, :N]))))
-        if span == 0:
+        if span == 0 or span == N:
+            best = max(best, float(np.max(_window_dispersions(w[:, :N]))))
+            if span:
+                best = max(best, _shift_windows_max(w, offsets[1:], N))
             continue
-        if span < N:
-            w = w[_window_dispersions(w[:, span:N]) > best]
-        if w.shape[0]:
-            best = max(best, _shift_windows_max(
-                w, [m - shifts[0] for m in shifts[1:]], N))
+        bound = _window_dispersions(w[:, span:N])
+        order = np.argsort(-bound, kind="stable")
+        start, size = 0, 1
+        while start < order.size and bound[order[start]] > best:
+            batch = order[start:start + size]
+            batch = batch[bound[batch] > best]
+            best = max(best, _shift_windows_max(w[batch], offsets, N))
+            start, size = start + size, 2 * size
     return best
 
 
@@ -659,9 +671,10 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     sampled shifts m and twists xi (xi matters only mod 1).  The shift-m set
     is the window m <= j < m+N of the single sequence v_j - xi*j, so the
     sequence is evaluated once over each span of `_shift_groups`, one span
-    at a time, and for d = 1 each span is sorted once per block of twists.
+    at a time.  For d = 1 each twist's core is sorted once, and its span
+    only if the twist is scanned.
 
-    Most twists need only their group's first window.  The core of a group,
+    Most twists need only their core's value.  The core of a group,
     the indices [span, N) with span = shifts[-1] - shifts[0], is kept by
     every window of the group, and its toroidal dispersion bounds every
     window's from above.  For d = 1, adding points can only split gaps: a
@@ -674,9 +687,10 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     each grid node, the sup-norm distance to the nearest point, which a
     superset can only lower, and a point's distance to a node is the same
     float in every set.  So a twist whose core bound is at most the best
-    value so far cannot change the result, and the other shifts are scanned
-    only where it is larger, which leaves the value exactly that of a scan
-    of every (m, xi).  An empty core (span >= N) bounds nothing.
+    value so far cannot change the result, and its windows are scanned
+    only where the bound is larger.  The best value only ever holds a
+    window's value, so the result is exactly that of a scan of every
+    (m, xi).  An empty core (span >= N) bounds nothing.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -1344,13 +1358,21 @@ def _strip_candidates(spec: PointSetSpec, window: Window, extras: list,
 
 def _central_width(proj: np.ndarray, cu: float, bulk: float):
     """Largest gap of sorted projections whose midpoint lies within bulk of
-    the centre's projection cu, or None when no gap does."""
-    gaps = np.diff(proj)
-    mids = (proj[:-1] + proj[1:]) / 2.0
-    central = np.abs(mids - cu) <= bulk
-    if not np.any(central):
+    the centre's projection cu, or None when no gap does.
+
+    The rounded midpoints (proj[i] + proj[i+1]) / 2 - cu never decrease
+    with i, since float addition and division are monotone, so the gaps
+    with -bulk <= mid - cu <= bulk form one run.  Bisection finds its ends
+    from the same float expressions at the probed indices."""
+    def mid(i):
+        return (proj[i] + proj[i + 1]) / 2.0 - cu
+
+    gaps = range(proj.size - 1)
+    lo = bisect.bisect_left(gaps, True, key=lambda i: mid(i) >= -bulk)
+    hi = bisect.bisect_left(gaps, True, key=lambda i: mid(i) > bulk)
+    if hi <= lo:
         return None
-    return float(np.max(gaps[central]))
+    return float(np.max(np.diff(proj[lo:hi + 1])))
 
 
 def _central_width_bound(q: np.ndarray, cu: float, bulk: float,

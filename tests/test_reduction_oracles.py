@@ -1,18 +1,21 @@
 """Differential tests of the fast reductions and probe scans against direct oracles.
 
 `sud_estimate` bounds each twist by the dispersion of the core that all
-windows of a run of shifts share, and only for the twists whose bound can
-still win sorts the span once and keeps each shift's window by index;
-`vacant_strip` bounds every direction by the level spacing of a lattice
-sheet and refines, best bound first, only the directions that can still
-win: from a seeded quarter of the sub-window around the centre, then from
-the whole sub-window, then by the full sort.  The oracles below compute the
-same quantities the direct way: one sort per (shift, twist) matrix, one
-full sort per direction, and the scan that bounds every direction from the
-sub-window alone; the spacing bounds are checked against the full width of
-every direction they bound.  The SUD tests count the twist rows that reach
-the per-shift scan, and a strip test the directions that reach each tier,
-so that pruned and surviving cases are both exercised.
+windows of a run of shifts share, and, best bound first, only for the
+twists whose bound can still win sorts the span once and keeps each
+shift's window by index; `vacant_strip` bounds every direction by the level
+spacing of a lattice sheet and refines, best bound first, only the
+directions that can still win: from a seeded quarter of the sub-window
+around the centre, then from the whole sub-window, then by the full sort,
+whose central gaps are one run found by bisection.  The oracles below
+compute the same quantities the direct way: one sort per (shift, twist)
+matrix and the former two-pass scan that took every twist's first window,
+one full sort per direction, the scan that bounds every direction from the
+sub-window alone, and a mask over every gap; the spacing bounds are checked
+against the full width of every direction they bound.  The SUD tests count
+the twist rows that reach the per-shift scan, and a strip test the
+directions that reach each tier, so that pruned and surviving cases are
+both exercised.
 
 `min_gap` scans the pairs of neighbouring cells of a grid whose side is
 the least distance between consecutive rows; its oracle is the unbounded
@@ -91,6 +94,7 @@ values t - floor(t) are compared bit for bit with np.mod(t, 1.0).
 The fast paths promise the same floats, so every comparison is exact.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -163,6 +167,48 @@ def sud_oracle(seq, N, m_max, xi_count, seed):
                 pts = np.mod(vs - np.outer(idx.astype(float), xi), 1.0)
                 best = max(best, _toroidal_dispersion(pts))
     return best
+
+
+def former_run_dispersion_max(vs, idx, shifts, N, xis, best):
+    """The two-pass run scan that best-first SUD replaced: each block's
+    first windows raise best, and each row's core bound then decides
+    whether the row is scanned over the other shifts."""
+    span = shifts[-1] - shifts[0]
+    rows = max(1, analysis.SUD_BLOCK_CELLS // vs.size)
+    for b in range(0, xis.shape[0], rows):
+        w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
+        w -= np.floor(w)
+        best = max(best, float(np.max(analysis._window_dispersions(w[:, :N]))))
+        if span == 0:
+            continue
+        if span < N:
+            w = w[analysis._window_dispersions(w[:, span:N]) > best]
+        if w.shape[0]:
+            best = max(best, analysis._shift_windows_max(
+                w, [m - shifts[0] for m in shifts[1:]], N))
+    return best
+
+
+def sud_block_cells(cells):
+    """SUD_BLOCK_CELLS patched to cells, or left as it is for None."""
+    if cells is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(analysis, "SUD_BLOCK_CELLS", cells)
+
+
+def former_sud_value(seq, N, m_max, xi_count, seed):
+    with mock.patch.object(analysis, "_run_dispersion_max", former_run_dispersion_max):
+        return sud_estimate(seq, N, m_max, xi_count, seed).value
+
+
+def former_central_width(proj, cu, bulk):
+    """The mask over every gap that the central run replaced."""
+    gaps = np.diff(proj)
+    mids = (proj[:-1] + proj[1:]) / 2.0
+    central = np.abs(mids - cu) <= bulk
+    if not np.any(central):
+        return None
+    return float(np.max(gaps[central]))
 
 
 def strip_oracle(spec, window, candidate_directions=()):
@@ -407,9 +453,121 @@ class TestSUDOracle:
     @pytest.mark.parametrize("seq, N", [(tsokanos_sequence(), 2 ** 11),
                                         (quadratic_sequence(PHI), 2 ** 12)])
     def test_every_row_pruned(self, seq, N):
-        value, rows = self.scanned_rows(seq, N, 64, 64, 0)
-        assert rows == 0
+        # Every twist row but the one with the top core bound is pruned: the
+        # scan of that row over all 65 shifts reaches a value that no other
+        # row's bound exceeds.  The run fits one block.
+        xis = _xi_samples(64, 1, 0)
+        idx = np.arange(64 + N, dtype=np.int64)
+        w = np.mod(seq.extended_values(idx)[:, 0] - xis * idx, 1.0)
+        core = np.sort(w[:, 64:N], axis=1)
+        bounds = np.maximum(np.max(np.diff(core, axis=1), axis=1),
+                            1.0 - core[:, -1] + core[:, 0]) / 2.0
+        assert analysis.SUD_BLOCK_CELLS // idx.size >= 64
+        with mock.patch.object(analysis, "_shift_windows_max",
+                               wraps=analysis._shift_windows_max) as scan:
+            value = sud_estimate(seq, N, 64, 64, 0).value
+        (rows, offsets, _), _ = scan.call_args
+        assert scan.call_count == 1 and offsets == list(range(65))
+        assert np.array_equal(rows[:, :, 0], w[[np.argmax(bounds)]])
         assert value == sud_oracle(seq, N, 64, 64, 0)
+
+    @pytest.mark.parametrize("seq, N, m_max, xi_count, seed", [
+        (tsokanos_sequence(), 2 ** 11, 64, 64, 0),
+        (quadratic_sequence(PHI), 2 ** 12, 64, 64, 0),
+        (golden_sequence(), 16, 8, 64, 1),    # 27 rows scanned
+    ])
+    def test_one_value_sort_per_twist(self, seq, N, m_max, xi_count, seed):
+        # One run, so each twist's values are sorted once, for its core
+        # bound, and again only if its row is scanned.  The two-pass scan
+        # also sorted every twist's first window: 2 * xi_count rows.
+        with mock.patch.object(analysis, "_window_dispersions",
+                               wraps=analysis._window_dispersions) as sorts, \
+                mock.patch.object(analysis, "_shift_windows_max",
+                                  wraps=analysis._shift_windows_max) as scan:
+            value = sud_estimate(seq, N, m_max, xi_count, seed).value
+        scanned = sum(c.args[0].shape[0] for c in scan.call_args_list)
+        sorted_rows = sum(c.args[0].shape[0] for c in sorts.call_args_list)
+        assert sorted_rows + scanned <= xi_count + scanned
+        assert value == sud_oracle(seq, N, m_max, xi_count, seed)
+
+    @staticmethod
+    def block_log(seq, N, m_max, xi_count, seed, bound=None):
+        """The value, and per block of twists its core columns and the rows
+        of each of its scans.  ``bound`` replaces the core bound."""
+        core, scan = analysis._window_dispersions, analysis._shift_windows_max
+        blocks = []
+
+        def logged_core(w):
+            blocks.append((w, []))
+            return core(w) if bound is None else bound(w)
+
+        def logged_scan(w, offsets, n):
+            blocks[-1][1].append(w)
+            return scan(w, offsets, n)
+
+        with mock.patch.object(analysis, "_window_dispersions", logged_core), \
+                mock.patch.object(analysis, "_shift_windows_max", logged_scan):
+            value = sud_estimate(seq, N, m_max, xi_count, seed).value
+        return value, blocks
+
+    @pytest.mark.parametrize("cells", [None, 5 * 24, 24])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_many_survivors_scan_in_doubling_batches(self, cells, forced):
+        # Golden, N = 16, m_max 8 and 64 twists: 27 rows reach the scan in
+        # one block, the last batch with 12 of its 16 rows.  Forced, a bound
+        # of 2 on even rows and 1 on odd ones (every toroidal dispersion is
+        # at most 1/2) sends every row through: the even rows first, then
+        # the odd ones, each in row order, since ties go by row.  Blocks of
+        # 5 and 1 rows carry the best value across blocks.
+        seq, N, m_max, xi_count, seed = golden_sequence(), 16, 8, 64, 1
+        with sud_block_cells(cells):
+            value, blocks = self.block_log(
+                seq, N, m_max, xi_count, seed,
+                (lambda w: 2.0 - np.arange(w.shape[0]) % 2) if forced else None)
+        assert value == sud_oracle(seq, N, m_max, xi_count, seed)
+        assert sum(core.shape[0] for core, _ in blocks) == xi_count
+        for core, scans in blocks:
+            rows, sizes = core.shape[0], [w.shape[0] for w in scans]
+            assert 0 not in sizes
+            assert len(sizes) <= math.ceil(math.log2(rows)) + 1
+            if forced:
+                assert sizes == [min(2 ** k, rows - 2 ** k + 1)
+                                 for k in range(len(sizes))]
+                assert np.array_equal(np.concatenate(scans)[:, m_max:N],
+                                      np.concatenate([core[0::2], core[1::2]]))
+        if cells is None and not forced:
+            assert [[w.shape[0] for w in scans] for _, scans in blocks] == \
+                [[1, 2, 4, 8, 12]]
+
+    @given(st.sampled_from(SEQUENCES[:3]), st.integers(1, 80), st.integers(0, 150),
+           st.integers(1, 24), st.integers(0, 2 ** 16),
+           st.sampled_from([None, 1, 100, 600]))
+    @example(golden_sequence(), 5, 5, 7, 0, None)       # span == N: empty core
+    @example(tsokanos_sequence(), 40, 0, 9, 1, None)    # span 0
+    @example(quadratic_sequence(PHI), 6, 100, 12, 2, 1)  # sampled, one row a block
+    @example(golden_sequence(), 16, 8, 64, 1, 100)      # survivors in several blocks
+    @settings(max_examples=60, deadline=None)
+    def test_matches_former_two_pass(self, seq, N, m_max, xi_count, seed, cells):
+        with sud_block_cells(cells):
+            got = sud_estimate(seq, N, m_max, xi_count, seed).value
+            want = former_sud_value(seq, N, m_max, xi_count, seed)
+        assert got.hex() == want.hex()
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=2),
+           st.integers(1, 24), st.integers(0, 70), st.integers(1, 4),
+           st.integers(0, 2 ** 16), st.sampled_from([None, 1, 200]))
+    @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 5, 5, 3, 0, None)  # span == N
+    @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 7, 0, 3, 0, 1)     # span 0
+    @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 3, 65, 2, 5, None)  # sampled
+    @settings(max_examples=20, deadline=None)
+    def test_two_dimensional_matches_former_two_pass(self, thetas, N, m_max,
+                                                    xi_count, seed, cells):
+        seq = concat_linear_sequence(thetas)
+        with sud_block_cells(cells):
+            got = sud_estimate(seq, N, m_max, xi_count, seed).value
+            want = former_sud_value(seq, N, m_max, xi_count, seed)
+        assert got.hex() == want.hex()
 
     def test_surviving_rows_are_scanned(self):
         # One of the 16 twists has a core bound above every first window,
@@ -527,6 +685,31 @@ class TestStripOracle:
         rep = assert_strip_matches(integer_lattice(2), Window.cube(20.0, 2))
         assert rep.width == 1.0
         assert list(rep.direction) == [0.0, 1.0]
+
+
+class TestCentralRunOracle:
+    """`_central_width` bisects for the run of central gaps; its oracle is
+    the mask over every gap."""
+
+    @given(st.lists(st.one_of(st.integers(-4, 4).map(float),
+                              st.floats(-10.0, 10.0, allow_subnormal=False)),
+                    max_size=40),
+           st.floats(-20.0, 20.0), st.one_of(st.just(0.0), st.floats(0.0, 8.0)))
+    @example([0.0, 2.0], 0.0, 1.0)          # n = 2, mid - cu == bulk
+    @example([0.0, 2.0], 2.0, 1.0)          # mid - cu == -bulk
+    @example([0.0, 2.0], 5.0, 1.0)          # no central gap: None
+    @example([-1.0, 1.0, 1.0, 1.0, 3.0], 1.0, 0.0)   # ties, bulk 0
+    @example([-3.0, -1.0, 0.5, 4.0], 15.0, 2.0)      # cu past every projection
+    @example([-3.0, -1.0, 0.5, 4.0], -15.0, 2.0)
+    @example([7.0], 7.0, 1.0)                         # no gap at all
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mask(self, values, cu, bulk):
+        proj = np.sort(np.array(values, dtype=float))
+        got = _central_width(proj, cu, bulk)
+        want = former_central_width(proj, cu, bulk)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.hex() == want.hex()
 
 
 class TestStripCoarseTier:
