@@ -246,114 +246,111 @@ def _cmd_calibrate(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+# The flags every subcommand takes, then each subcommand as name: (function,
+# help, its own flags), in the order --help lists them.  A flag is (name,
+# add_argument keywords).  Plain data: no parser is built at import.
+COMMON_FLAGS = (
+    ("--out", dict(required=True, help="output file path")),
+    ("--threads", dict(type=int, default=1, help="accepted and ignored")),
+    ("--seed", dict(type=int, default=0, help="RNG seed")),
+)
+SPEC_FLAG = ("--spec", dict(required=True))
+RADIUS_FLAG = ("--radius", dict(type=float, default=50.0))
+COMMANDS = {
+    "generate": (_cmd_generate, "enumerate a point set over a window", (
+        ("--spec", dict(required=True,
+                        help="preset name or path to a spec JSON file")),
+        ("--radius", dict(type=float, required=True)))),
+    "dispersion": (_cmd_dispersion, "exact/grid dispersion of a CSV point set", (
+        ("--points", dict(required=True, help="input CSV of points")),)),
+    "discrepancy": (_cmd_discrepancy, "exact box discrepancy of a CSV point set", (
+        ("--points", dict(required=True)),)),
+    "sud": (_cmd_sud, "super-uniform dispersion estimates over N", (
+        ("--seq", dict(required=True,
+                       help="golden | tsokanos | quadratic | concat-linear")),
+        ("--alpha", dict(type=float, default=PHI,
+                         help="coefficient for the quadratic sequence")),
+        ("--thetas", dict(help="JSON list of vectors for concat-linear")),
+        ("--n", dict(required=True, help="comma-separated N values")),
+        ("--m-max", dict(type=int, default=64)),
+        ("--xi-count", dict(type=int, default=256)))),
+    "visibility": (_cmd_visibility, "visibility estimates per epsilon", (
+        SPEC_FLAG,
+        ("--eps", dict(required=True, help="comma-separated epsilons")),
+        ("--l-max", dict(type=float, default=4096.0)),
+        ("--count", dict(type=int, default=10000)),
+        RADIUS_FLAG)),
+    "tube": (_cmd_tube, "longest segment avoiding all points by eps", (
+        SPEC_FLAG,
+        ("--eps", dict(type=float, required=True)),
+        RADIUS_FLAG,
+        ("--directions", dict(default="[[1,0],[0,1]]",
+                              help="JSON list of direction vectors")),
+        ("--offsets", dict(type=int, default=100)))),
+    "strip": (_cmd_strip, "widest vacant strip over dual directions", (
+        SPEC_FLAG, RADIUS_FLAG,
+        ("--directions", dict(help="JSON list of extra directions")))),
+    "density": (_cmd_density, "point counts over Euclidean balls", (
+        SPEC_FLAG,
+        ("--radii", dict(required=True, help="comma-separated radii")))),
+    "mingap": (_cmd_mingap, "minimum pairwise distance in a window", (
+        SPEC_FLAG, RADIUS_FLAG)),
+    "net": (_cmd_net, "build an epsilon-net", (
+        ("--method", dict(required=True, help="hw | d2")),
+        ("--eps", dict(type=float, required=True)),
+        ("--d", dict(type=int, default=2)),
+        ("--C", dict(type=float, default=16.0)))),
+    "verify-net": (_cmd_verify_net, "probe a net CSV with seeded boxes", (
+        ("--net", dict(required=True, help="net CSV path")),
+        ("--eps", dict(type=float, required=True, help="net epsilon tag")),
+        ("--method", dict(default="HausslerWelzl",
+                          help="HausslerWelzl | D2Aligned")),
+        ("--sampler", dict(default="aligned", help="aligned | rotated")),
+        ("--volume", dict(type=float, required=True)),
+        ("--trials", dict(type=int, default=10000)))),
+    "udt": (_cmd_udt, "uniformly Diophantine margin check", (
+        ("--thetas", dict(required=True, help="JSON list of shifts")),
+        ("--xi", dict(required=True, help="JSON vector")),
+        ("--t", dict(type=int, required=True)))),
+    "heavy-box": (_cmd_heavy_box, "densest small box over a CSV point set", (
+        ("--points", dict(required=True)),
+        ("--eps", dict(type=float, required=True)),
+        ("--rotations", dict(type=int, default=0)))),
+    "calibrate": (_cmd_calibrate,
+                  "measure visibility scaling constants for the "
+                  "Peres forest and store them for the test suite", (
+        ("--eps", dict(default="0.2,0.1,0.05")),
+        ("--l-max", dict(type=float, default=4096.0)),
+        ("--count", dict(type=int, default=10000)),
+        RADIUS_FLAG)),
+}
+
+
+def _build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named subcommands (every one by default)."""
     parser = argparse.ArgumentParser(
         prog="denseforest",
         description="Construct explicit point sets and measure density, "
                     "dispersion, discrepancy, visibility, and net quality.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help):
-        """A subcommand that runs func, with the flags every one takes."""
+    # Usage lists every name even when fewer are built; the full parser keeps
+    # argparse's default metavar, which its errors print as "command".
+    every = None if len(names) == len(COMMANDS) else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        func, help, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="max internal parallelism (results are identical "
-                            "for every value)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        return p
-
-    p = command("generate", _cmd_generate, "enumerate a point set over a window")
-    p.add_argument("--spec", required=True,
-                   help="preset name or path to a spec JSON file")
-    p.add_argument("--radius", type=float, required=True)
-
-    p = command("dispersion", _cmd_dispersion,
-                "exact/grid dispersion of a CSV point set")
-    p.add_argument("--points", required=True, help="input CSV of points")
-
-    p = command("discrepancy", _cmd_discrepancy,
-                "exact box discrepancy of a CSV point set")
-    p.add_argument("--points", required=True)
-
-    p = command("sud", _cmd_sud, "super-uniform dispersion estimates over N")
-    p.add_argument("--seq", required=True,
-                   help="golden | tsokanos | quadratic | concat-linear")
-    p.add_argument("--alpha", type=float, default=PHI,
-                   help="coefficient for the quadratic sequence")
-    p.add_argument("--thetas", help="JSON list of vectors for concat-linear")
-    p.add_argument("--n", required=True, help="comma-separated N values")
-    p.add_argument("--m-max", type=int, default=64)
-    p.add_argument("--xi-count", type=int, default=256)
-
-    p = command("visibility", _cmd_visibility, "visibility estimates per epsilon")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--eps", required=True, help="comma-separated epsilons")
-    p.add_argument("--l-max", type=float, default=4096.0)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--radius", type=float, default=50.0)
-
-    p = command("tube", _cmd_tube, "longest segment avoiding all points by eps")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--radius", type=float, default=50.0)
-    p.add_argument("--directions", default="[[1,0],[0,1]]",
-                   help="JSON list of direction vectors")
-    p.add_argument("--offsets", type=int, default=100)
-
-    p = command("strip", _cmd_strip, "widest vacant strip over dual directions")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=float, default=50.0)
-    p.add_argument("--directions", help="JSON list of extra directions")
-
-    p = command("density", _cmd_density, "point counts over Euclidean balls")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--radii", required=True, help="comma-separated radii")
-
-    p = command("mingap", _cmd_mingap, "minimum pairwise distance in a window")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=float, default=50.0)
-
-    p = command("net", _cmd_net, "build an epsilon-net")
-    p.add_argument("--method", required=True, help="hw | d2")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--C", type=float, default=16.0)
-
-    p = command("verify-net", _cmd_verify_net, "probe a net CSV with seeded boxes")
-    p.add_argument("--net", required=True, help="net CSV path")
-    p.add_argument("--eps", type=float, required=True, help="net epsilon tag")
-    p.add_argument("--method", default="HausslerWelzl",
-                   help="HausslerWelzl | D2Aligned")
-    p.add_argument("--sampler", default="aligned", help="aligned | rotated")
-    p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--trials", type=int, default=10000)
-
-    p = command("udt", _cmd_udt, "uniformly Diophantine margin check")
-    p.add_argument("--thetas", required=True, help="JSON list of shifts")
-    p.add_argument("--xi", required=True, help="JSON vector")
-    p.add_argument("--t", type=int, required=True)
-
-    p = command("heavy-box", _cmd_heavy_box, "densest small box over a CSV point set")
-    p.add_argument("--points", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rotations", type=int, default=0)
-
-    p = command("calibrate", _cmd_calibrate,
-                "measure visibility scaling constants for the "
-                "Peres forest and store them for the test suite")
-    p.add_argument("--eps", default="0.2,0.1,0.05")
-    p.add_argument("--l-max", type=float, default=4096.0)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--radius", type=float, default=50.0)
-
+        for flag, keywords in COMMON_FLAGS + flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Build only the invoked command; --help, --version, no command or an
+    # unknown one get them all.
+    parser = _build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,6 +1,8 @@
+import argparse
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from denseforest import __version__, cli
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -291,6 +294,80 @@ def test_generate_spec_help_names_what_it_takes(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "preset name or path to a spec JSON file" in out
     assert "JSON document" not in out
+
+
+def _command_argv(name, every):
+    """name with its required flags, or with every flag, given a valid value."""
+    value = {int: "7", float: "0.5"}
+    argv = [name]
+    for flag, keywords in cli.COMMON_FLAGS + cli.COMMANDS[name][2]:
+        if every or keywords.get("required"):
+            argv += [flag, value.get(keywords.get("type"), "x")]
+    return argv
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["defaults", "every-flag"])
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_reads_the_config_of_the_full_one(name, every):
+    # .meta.json dumps every parsed key, so the two parsers must agree on all.
+    argv = _command_argv(name, every)
+    one = vars(cli._build_parser([name]).parse_args(argv))
+    full = vars(cli._build_parser().parse_args(argv))
+    assert one == full
+    assert one["func"] is full["func"] is cli.COMMANDS[name][0]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return int(exc.value.code or 0), captured.out, captured.err
+
+
+TEXT_CASES = ([["--help"], ["--version"], [], ["frobnicate", "--out", "x"],
+               ["generate", "--spec", "z2", "--radius", "2", "--out", "x", "stray"]]
+              + [[name, "--help"] for name in cli.COMMANDS]
+              + [[name] for name in cli.COMMANDS])
+
+
+@pytest.mark.parametrize("argv", TEXT_CASES, ids=" ".join)
+def test_run_prints_what_the_full_parser_prints(argv, capsys):
+    def via_run(argv):
+        raise SystemExit(cli.run(argv))
+    full = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(via_run, argv, capsys) == full
+    printed = full[1] + full[2]
+    if "usage: denseforest [-h]" in printed:
+        assert "{%s}" % ",".join(cli.COMMANDS) in printed
+
+
+def test_a_run_builds_only_its_own_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run("udt", "--thetas", "[0.1]", "--xi", "[0.3]", "--t", "4",
+               "--out", str(tmp_path / "udt.json")) == 0
+    assert built == ["denseforest", "denseforest udt"]
+    for name in cli.COMMANDS:
+        built.clear()
+        assert run(name, "--help") == 0
+        assert len(built) == 2
+    built.clear()
+    cli._build_parser()
+    assert len(built) == 1 + len(cli.COMMANDS)
+
+
+def test_readme_lists_the_command_table():
+    section = README.read_text().split("## Command-line interface")[1]
+    table = section.split("Examples:")[0]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert names == list(cli.COMMANDS)
 
 
 def test_net_and_verify_net_pipeline(tmp_path):
