@@ -584,15 +584,15 @@ def _m_samples(m_max: int) -> list:
 
 
 def _shift_groups(ms: list, N: int) -> list:
-    """Runs of consecutive shifts whose first and last differ by at most N.
+    """Runs of consecutive shifts whose first and last differ by at most N // 2.
 
-    The windows m <= j < m+N of a run lie in one span of at most 2N indices,
-    so one sort of the span serves every shift of the run, and a sampled
-    m_max far above N never makes a span longer than 2N.
+    The windows m <= j < m+N of a run lie in one span of at most 1.5N
+    indices, so one sort of the span serves every shift of the run, and
+    every window keeps the run's core, its last N - N // 2 >= 1 indices.
     """
     groups = [[ms[0]]]
     for m in ms[1:]:
-        if m - groups[-1][0] <= N:
+        if m - groups[-1][0] <= N // 2:
             groups[-1].append(m)
         else:
             groups.append([m])
@@ -637,9 +637,8 @@ def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
     batches of 1, 2, 4, ...; each batch drops the rows whose bound is at
     most the best value so far, and `_shift_windows_max` scans the others
     over every shift of the run.  The search stops at the first bound that
-    cannot win (best-first branch and bound, Land and Doig, 1960).  A run
-    of one shift (span 0) or with an empty core (span N) takes every row's
-    first window instead, and with an empty core scans every row.
+    cannot win (best-first branch and bound, Land and Doig, 1960).  The
+    core of a run of one shift is its window, so its bound is its value.
     """
     span = shifts[-1] - shifts[0]
     offsets = [m - shifts[0] for m in shifts]
@@ -647,12 +646,10 @@ def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
     for b in range(0, xis.shape[0], rows):
         w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
         w -= np.floor(w)
-        if span == 0 or span == N:
-            best = max(best, float(np.max(_window_dispersions(w[:, :N]))))
-            if span:
-                best = max(best, _shift_windows_max(w, offsets[1:], N))
-            continue
         bound = _window_dispersions(w[:, span:N])
+        if span == 0:
+            best = max(best, float(np.max(bound)))
+            continue
         order = np.argsort(-bound, kind="stable")
         start, size = 0, 1
         while start < order.size and bound[order[start]] > best:
@@ -690,7 +687,7 @@ def sud_estimate(seq: SequenceSpec, N: int, m_max: int, xi_count: int,
     value so far cannot change the result, and its windows are scanned
     only where the bound is larger.  The best value only ever holds a
     window's value, so the result is exactly that of a scan of every
-    (m, xi).  An empty core (span >= N) bounds nothing.
+    (m, xi).  A run spans at most N // 2, so no core is empty.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -1310,7 +1307,7 @@ def _spacing_bounds(spec: PointSetSpec, window: Window, us: np.ndarray,
             reach[i] = float(np.max(np.abs(images))) + 1.0
             slack[i] = 1e-15 * float(np.max(np.abs(sheet.basis).sum(axis=1)
                                             * reach[i] + np.abs(sheet.shift)))
-            dets[i] = abs(float(np.linalg.det(sheet.basis)))
+            dets[i] = sheet.det
     rows = np.flatnonzero(owner >= 0)
     own = owner[rows]
     u, z, bases = us[rows], zs[rows], bases[own]

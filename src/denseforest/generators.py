@@ -245,6 +245,20 @@ def _freeze(obj, **arrays):
         object.__setattr__(obj, name, arr)
 
 
+def _abs_det(matrix: np.ndarray, refusal: str) -> float:
+    """|det matrix|, refused with ValueError(refusal) unless 1e-12 < |det| < inf.
+
+    Subnormal entries make the LU factorization divide by zero, and entries
+    near the float range overflow it; the check refuses both results, so
+    numpy's warnings about them are kept quiet.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det = abs(float(np.linalg.det(matrix)))
+    if not 1e-12 < det < math.inf:
+        raise ValueError(refusal)
+    return det
+
+
 def _matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """rows @ matrix, never as a one-row product; matrix may be a vector.
 
@@ -265,6 +279,7 @@ class LatticeSheet:
     basis: np.ndarray
     shift: np.ndarray
     inverse: np.ndarray = field(init=False)
+    det: float = field(init=False)      # |det basis|
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -275,9 +290,9 @@ class LatticeSheet:
             raise ValueError("lattice shift dimension must match the basis")
         if not (np.isfinite(basis).all() and np.isfinite(shift).all()):
             raise ValueError("lattice basis and shift must be finite")
-        if abs(np.linalg.det(basis)) <= 1e-12:
-            raise ValueError("lattice basis must have |det| > 1e-12")
+        det = _abs_det(basis, "lattice basis must have 1e-12 < |det| < inf")
         _freeze(self, basis=basis, shift=shift, inverse=np.linalg.inv(basis))
+        object.__setattr__(self, "det", det)
 
     @property
     def dim(self) -> int:
@@ -290,7 +305,7 @@ class LatticeSheet:
         return pts
 
     def estimate(self, window: Window) -> float:
-        return window.volume / abs(np.linalg.det(self.basis)) * 1.2 + 16
+        return window.volume / self.det * 1.2 + 16
 
     def enumerate(self, window: Window) -> np.ndarray:
         check_limit("points", self.estimate(window), MAX_ENUMERATED_POINTS)
@@ -505,8 +520,10 @@ class CutProjectSheet(PointSetSpec):
             raise ValueError("subspace bases must be finite")
         n = phys.shape[0]
         stacked = np.concatenate([phys, internal], axis=1)
-        if stacked.shape != (n, n) or abs(np.linalg.det(stacked)) <= 1e-12:
-            raise ValueError("physical and internal bases must span complementary subspaces")
+        refusal = "physical and internal bases must span complementary subspaces"
+        if stacked.shape != (n, n):
+            raise ValueError(refusal)
+        _abs_det(stacked, refusal)
         a, b = (float(x) for x in self.window_interval)
         if not a < b:
             raise ValueError("window interval must satisfy a < b")

@@ -248,6 +248,28 @@ def test_ragged_xi_named(tmp_path, capsys, inputs):
     assert "xi must match" in capsys.readouterr().err
 
 
+# Spec documents whose determinant check printed numpy's divide-by-zero or
+# overflow warning; the overflowing basis is singular and was accepted.
+SINGULAR_SPECS = {
+    "subnormal-grid": {"variant": "GridUnion", "params": {"grids": [
+        {"basis": [[0.0, 0.0], [5e-324, 2.0]], "translation": [0.0, 0.0]}]}},
+    "overflowing-grid": {"variant": "GridUnion", "params": {"grids": [
+        {"basis": [[1e308, 1e308], [1e308, 1e308]], "translation": [0.0, 0.0]}]}},
+    "subnormal-cut-and-project": {"variant": "CutAndProject", "params": {
+        "grid": {"basis": [[1.0, 0.0], [0.0, 1.0]], "translation": [0.0, 0.0]},
+        "phys_basis": [[0.0], [5e-324]], "int_basis": [[0.0], [2.0]],
+        "window_interval": [0.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_SPECS))
+@pytest.mark.parametrize("command", ["generate", "strip"])
+def test_singular_basis_refused(tmp_path, capsys, inputs, command, name):
+    doc = json.dumps(SINGULAR_SPECS[name])
+    assert _run_clean(_json_argv(command, "--spec", doc, inputs, tmp_path), tmp_path) == 2
+    _one_error_line(capsys)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3)
     | st.sampled_from([1e308, -1e308, 2 ** 63, 10 ** 400, -(10 ** 400)]),

@@ -343,6 +343,11 @@ class TestEnumeration:
             Grid(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             GridUnion((Grid(np.eye(2), np.zeros(2)), Grid(np.eye(3), np.zeros(3))))
+        # Singular, but its determinant overflows to inf; and a subnormal
+        # entry, whose determinant divides by zero.
+        for basis in ([[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [5e-324, 2.0]]):
+            with pytest.raises(ValueError, match="det"):
+                Grid(basis, [0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_lattice_input_is_refused(self, bad):

@@ -399,10 +399,25 @@ class TestSUDOracle:
         N, m_max = 8, 10 ** 5
         groups = _shift_groups(_m_samples(m_max), N)
         assert [m for g in groups for m in g] == _m_samples(m_max)
-        assert all(g[-1] - g[0] <= N for g in groups)
+        assert all(g[-1] - g[0] <= N // 2 for g in groups)
         seq = tsokanos_sequence()
         assert sud_estimate(seq, N, m_max, 5, 6).value == \
             sud_oracle(seq, N, m_max, 5, 6)
+
+    @given(st.integers(1, 2 ** 16), st.one_of(st.integers(0, 200),
+                                              st.integers(0, 10 ** 9)))
+    @example(1, 64)
+    @example(3, 64)
+    @settings(max_examples=60, deadline=None)
+    def test_runs_span_at_most_half_n(self, N, m_max):
+        # The runs cover the shifts in order, each spans at most N // 2, so
+        # its core keeps N - N // 2 >= 1 indices, and a run ends only where
+        # the next shift lies more than N // 2 past its first.
+        ms = _m_samples(m_max)
+        groups = _shift_groups(ms, N)
+        assert [m for g in groups for m in g] == ms
+        assert all(g[-1] - g[0] <= N // 2 for g in groups)
+        assert all(b[0] - a[0] > N // 2 for a, b in zip(groups, groups[1:]))
 
     @pytest.mark.parametrize("N, m_max", [(1, 3), (17, 5), (12, 90)])
     def test_two_dimensional_sequence(self, N, m_max):
@@ -539,25 +554,29 @@ class TestSUDOracle:
             assert [[w.shape[0] for w in scans] for _, scans in blocks] == \
                 [[1, 2, 4, 8, 12]]
 
-    @given(st.sampled_from(SEQUENCES[:3]), st.integers(1, 80), st.integers(0, 150),
+    @given(st.sampled_from(SEQUENCES[:3]), st.integers(1, 80),
+           st.one_of(st.integers(0, 150), st.integers(10 ** 5, 10 ** 6)),
            st.integers(1, 24), st.integers(0, 2 ** 16),
            st.sampled_from([None, 1, 100, 600]))
-    @example(golden_sequence(), 5, 5, 7, 0, None)       # span == N: empty core
+    @example(golden_sequence(), 5, 5, 7, 0, None)       # runs 0-2 and 3-5
     @example(tsokanos_sequence(), 40, 0, 9, 1, None)    # span 0
     @example(quadratic_sequence(PHI), 6, 100, 12, 2, 1)  # sampled, one row a block
     @example(golden_sequence(), 16, 8, 64, 1, 100)      # survivors in several blocks
+    @example(golden_sequence(), 16, 64, 16, 0, 100)     # runs of 9 consecutive shifts
     @settings(max_examples=60, deadline=None)
     def test_matches_former_two_pass(self, seq, N, m_max, xi_count, seed, cells):
         with sud_block_cells(cells):
             got = sud_estimate(seq, N, m_max, xi_count, seed).value
             want = former_sud_value(seq, N, m_max, xi_count, seed)
         assert got.hex() == want.hex()
+        assert got.hex() == sud_oracle(seq, N, m_max, xi_count, seed).hex()
 
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                     min_size=1, max_size=2),
-           st.integers(1, 24), st.integers(0, 70), st.integers(1, 4),
-           st.integers(0, 2 ** 16), st.sampled_from([None, 1, 200]))
-    @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 5, 5, 3, 0, None)  # span == N
+           st.integers(1, 80),
+           st.one_of(st.integers(0, 70), st.integers(10 ** 5, 10 ** 6)),
+           st.integers(1, 4), st.integers(0, 2 ** 16), st.sampled_from([None, 1, 200]))
+    @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 5, 5, 3, 0, None)  # runs 0-2 and 3-5
     @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 7, 0, 3, 0, 1)     # span 0
     @example([(PHI - 1.0, math.sqrt(2.0) - 1.0)], 3, 65, 2, 5, None)  # sampled
     @settings(max_examples=20, deadline=None)
@@ -568,6 +587,24 @@ class TestSUDOracle:
             got = sud_estimate(seq, N, m_max, xi_count, seed).value
             want = former_sud_value(seq, N, m_max, xi_count, seed)
         assert got.hex() == want.hex()
+        assert got.hex() == sud_oracle(seq, N, m_max, xi_count, seed).hex()
+
+    @pytest.mark.parametrize("seq", [golden_sequence(), concat_linear_sequence(
+        [[PHI - 1.0, math.sqrt(2.0) - 1.0]])], ids=["d1", "d2"])
+    @pytest.mark.parametrize("N, m_max", [(16, 10 ** 6), (1, 20)])
+    def test_one_shift_run_reads_its_core(self, seq, N, m_max):
+        # Every run holds one shift, so each block of 3 twist rows takes one
+        # core value per row, its window, and no row reaches the scan.
+        runs = len(_shift_groups(_m_samples(m_max), N))
+        assert runs == len(_m_samples(m_max))
+        with sud_block_cells(3 * N * seq.dim), \
+                mock.patch.object(analysis, "_window_dispersions",
+                                  wraps=analysis._window_dispersions) as cores, \
+                mock.patch.object(analysis, "_shift_windows_max",
+                                  wraps=analysis._shift_windows_max) as scan:
+            value = sud_estimate(seq, N, m_max, 10, 7).value
+        assert cores.call_count == runs * 4 and scan.call_count == 0
+        assert value == sud_oracle(seq, N, m_max, 10, 7)
 
     def test_surviving_rows_are_scanned(self):
         # One of the 16 twists has a core bound above every first window,
@@ -616,20 +653,33 @@ class TestSUDOracle:
         assert peaks[1] < peaks[0] + 2 * 8 * N
 
 
+# A drawn basis with a subnormal entry, whose determinant divides by zero.
+SUBNORMAL_BASIS_DRAW = ([([0.0, 0.0, 5e-324, 2.0], 0.0, 0.0)], -3.0, -3.0, 3.0, 3.0)
+
+
+def drawn_grid_union(grids):
+    """The union of the drawn (basis entries, tx, ty) grids, each basis with
+    |det| >= 0.3.  The drawn entries include subnormals, whose determinant
+    divides by zero, so it is taken with numpy's warnings off."""
+    sheets = []
+    for entries, tx, ty in grids:
+        basis = np.asarray(entries).reshape(2, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assume(abs(np.linalg.det(basis)) >= 0.3)
+        sheets.append(Grid(basis, np.array([tx, ty])))
+    return GridUnion(tuple(sheets))
+
+
 class TestStripOracle:
     @given(st.lists(st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
                               st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                     min_size=1, max_size=3),
            st.floats(-12.0, -3.0), st.floats(-12.0, -3.0),
            st.floats(3.0, 12.0), st.floats(3.0, 12.0))
+    @example(*SUBNORMAL_BASIS_DRAW)
     @settings(max_examples=25, deadline=None)
     def test_random_grid_unions(self, grids, lo_x, lo_y, hi_x, hi_y):
-        sheets = []
-        for entries, tx, ty in grids:
-            basis = np.asarray(entries).reshape(2, 2)
-            assume(abs(np.linalg.det(basis)) >= 0.3)
-            sheets.append(Grid(basis, np.array([tx, ty])))
-        assert_strip_matches(GridUnion(tuple(sheets)),
+        assert_strip_matches(drawn_grid_union(grids),
                              Window([lo_x, lo_y], [hi_x, hi_y]))
 
     @pytest.mark.parametrize("radius", [30.0, 50.0, 100.0])
@@ -720,14 +770,10 @@ class TestStripCoarseTier:
                     min_size=1, max_size=3),
            st.floats(-12.0, -3.0), st.floats(-12.0, -3.0),
            st.floats(3.0, 12.0), st.floats(3.0, 12.0))
+    @example(*SUBNORMAL_BASIS_DRAW)
     @settings(max_examples=25, deadline=None)
     def test_random_grid_unions(self, grids, lo_x, lo_y, hi_x, hi_y):
-        sheets = []
-        for entries, tx, ty in grids:
-            basis = np.asarray(entries).reshape(2, 2)
-            assume(abs(np.linalg.det(basis)) >= 0.3)
-            sheets.append(Grid(basis, np.array([tx, ty])))
-        assert_strip_matches_p_bound(GridUnion(tuple(sheets)),
+        assert_strip_matches_p_bound(drawn_grid_union(grids),
                                      Window([lo_x, lo_y], [hi_x, hi_y]))
 
     @pytest.mark.parametrize("radius", [30.0, 50.0, 100.0])
@@ -810,14 +856,10 @@ class TestStripSpacingTier:
                     min_size=1, max_size=3),
            st.floats(-12.0, -3.0), st.floats(-12.0, -3.0),
            st.floats(3.0, 12.0), st.floats(3.0, 12.0))
+    @example(*SUBNORMAL_BASIS_DRAW)
     @settings(max_examples=40, deadline=None)
     def test_random_grid_unions(self, grids, lo_x, lo_y, hi_x, hi_y):
-        sheets = []
-        for entries, tx, ty in grids:
-            basis = np.asarray(entries).reshape(2, 2)
-            assume(abs(np.linalg.det(basis)) >= 0.3)
-            sheets.append(Grid(basis, np.array([tx, ty])))
-        assert_spacing_bounds_hold(GridUnion(tuple(sheets)),
+        assert_spacing_bounds_hold(drawn_grid_union(grids),
                                    Window([lo_x, lo_y], [hi_x, hi_y]), [(1.0, 2.0)])
 
     @pytest.mark.parametrize("basis, radius", [
