@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +34,18 @@ EULER_GAMMA = 0.5772156649015329
 MAX_ENUMERATED_POINTS = 3 * 10 ** 7
 MERGE_DECIMALS = 9
 # Rows that write_points_csv formats at a time.  Writing the three-grid at
-# r = 200 (543,016 x 2 floats) peaked at 5.3 MB under tracemalloc with this
-# value (2.7 MB at 2^12 rows, 10.4 MB at 2^14) and took 0.24 s (2-vCPU
-# Xeon); the former %-operation writer took 0.66 s and peaked at 7.4 MB.
+# r = 200 (543,016 x 2 floats) on two threads peaked at 4.4 MB under
+# tracemalloc with this value (2.3 MB at 2^12 rows, 8.7 MB at 2^14) and
+# took 0.20 s (0.27 s at 2^12, where the second thread gained nothing,
+# and 0.18 s at 2^14; 2-vCPU Xeon).  On one thread it took 0.26 s and
+# peaked at 2.2 MB; the former %-operation writer took 0.66 s and 7.4 MB.
 CSV_CHUNK_ROWS = 2 ** 13
+# Most threads that format write_points_csv's chunks, the calling thread
+# among them.  Python code and short numpy calls hold the interpreter
+# lock, so two threads wrote the three-grid above 1.3-1.5x as fast as one,
+# not 2x.  Each thread holds one more chunk (2.2 MB at peak), so a third
+# would pass the 6 MB that two fit.
+CSV_WORKERS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +955,9 @@ def _times_pow10(a: np.ndarray, x: np.ndarray, pow10):
     return h, a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
-def _float_fields(v: np.ndarray, tables) -> np.ndarray:
-    """The "%.17g" text of each float of v, as NUL-padded _FIELD-byte rows.
+def _digit_words(v: np.ndarray, words, pow10):
+    """The 4-byte words of each float's field, its table row x + 6 and the
+    mask of the floats left to the %-operation.
 
     For 1e-6 <= |v| < 1e17 the 17 digits are the integer D nearest to
     |v| * 10^(16 - x), x = floor(log10 |v|), ties to even as in dtoa: with
@@ -955,10 +966,8 @@ def _float_fields(v: np.ndarray, tables) -> np.ndarray:
     ten; comparing h + l with 10^16 and 10^17 exactly corrects it.  No D
     reaches 10^17: a double would have to lie within 5e-18 (relative) below
     a power of ten 10^-5 ... 10^17, and the nearest lie 8e-17 or more below.
-    Zeros print as "0" and "-0"; every other value, nan and inf too, is
-    formatted by one %-operation.
+    The float temporaries end with this call, before the byte stage.
     """
-    words, head, tail, fill, pow10 = tables
     a = np.abs(v)
     zero = a == 0.0
     fast = (a >= 1e-6) & (a < 1e17)
@@ -975,41 +984,133 @@ def _float_fields(v: np.ndarray, tables) -> np.ndarray:
     # D = hi * 10^8 + lo: the floor can be one off, the carry puts it right.
     hi = np.floor(h / 1e8)
     lo = h - hi * 1e8 + np.rint(l)
+    del a, h, l
     carry = np.floor(lo / 1e8)
     hi += carry
     lo -= carry * 1e8
     hi[zero] = lo[zero] = x[zero] = 0.0
     # The words of a field: sign, leading digit, four groups of 4 digits
     # whose trailing zeros are NUL when no nonzero group follows, two NULs.
-    words_at = np.empty((v.size, _FIELD // 4), dtype=np.intp)
-    words_at[:, 0] = _NUL_WORD + np.signbit(v)
-    lead = np.floor(hi / 1e8)
-    words_at[:, 1] = lead + _LEADS
-    hi -= lead * 1e8
-    hi_4, lo_4 = np.floor(hi / 1e4), np.floor(lo / 1e4)
-    groups = (hi_4, hi - hi_4 * 1e4, lo_4, lo - lo_4 * 1e4)
+    hi, lo = hi.astype(np.intp), lo.astype(np.intp)
+    text = np.zeros((v.size, _FIELD // 4), dtype=np.uint32)
+    text[:, 0] = words.take(_NUL_WORD + np.signbit(v))
+    lead = hi // 10 ** 8
+    text[:, 1] = words.take(lead + _LEADS)
+    hi -= lead * 10 ** 8
+    hi_4, lo_4 = hi // 10 ** 4, lo // 10 ** 4
+    groups = (hi_4, hi - hi_4 * 10 ** 4, lo_4, lo - lo_4 * 10 ** 4)
     nul = np.ones(v.size, dtype=bool)
     for j in (3, 2, 1, 0):
-        words_at[:, 2 + j] = groups[j] + nul * _QUADS_NUL
+        text[:, 2 + j] = words.take(groups[j] + nul * _QUADS_NUL)
         nul &= groups[j] == 0
-    words_at[:, 6:] = _NUL_WORD
-    text = words.take(words_at).view(np.uint64)
+    return text.view(np.uint64), (x + 6).astype(np.intp), ~(fast | zero)
+
+
+def _float_fields(v: np.ndarray, tables) -> np.ndarray:
+    """The "%.17g" text of each float of v, as NUL-padded _FIELD-byte rows.
+
+    `_digit_words` writes the digits; the tables of the row's exponent keep
+    the head, shift the tail one byte to let the point in and add the fill.
+    Zeros print as "0" and "-0"; every other value, nan and inf too, is
+    formatted by one %-operation.
+    """
+    words, head, tail, fill, pow10 = tables
+    text, row, slow = _digit_words(v, words, pow10)
     raw = text.view(np.uint8)
-    row = (x + 6).astype(np.intp)
     after_point = raw.ravel().take(np.arange(_DIGIT0 + 1, raw.size, _FIELD)
                                    + np.maximum(row - 6, 0))
+    # The tail table never keeps byte 0, so the bytes shift as one run.
     shifted = np.zeros_like(raw)
-    shifted[:, 1:] = raw[:, :-1]
+    shifted.reshape(-1)[1:] = raw.reshape(-1)[:-1]
     text &= head.take(row, axis=0)
     text |= shifted.view(np.uint64) & tail.take(row, axis=0)
     text |= fill.take(2 * row + (after_point != 0), axis=0)
-    slow = ~(fast | zero)
     if slow.any():
         values = v[slow].tolist()
         slow_text = ("%.17g " * len(values)) % tuple(values)
         raw[slow] = np.array(slow_text.split(), dtype=f"S{_FIELD}").view(
             np.uint8).reshape(-1, _FIELD)
     return raw
+
+
+def _csv_workers() -> int:
+    """min(CSV_WORKERS, the CPUs this process may run on)."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(CSV_WORKERS, len(os.sched_getaffinity(0)))
+    return min(CSV_WORKERS, os.cpu_count() or 1)
+
+
+def _write_in_order(write, make, count: int, workers: int):
+    """Call write(make(i)) for i = 0, ..., count - 1 in that order, with
+    make(i) run by this thread or by one of `workers` - 1 more.
+
+    Each thread takes the next index only while fewer than `workers` are
+    taken but not yet written, so at most `workers` results are held at
+    once.  This thread writes each result when its turn comes and makes
+    one itself whenever it has none to write.  An exception from make(i)
+    is raised here when make(i) is due to be written; an exception from
+    write stops the other threads.  No thread outlives the call.
+    """
+    cond = threading.Condition()
+    results = {}
+    taken = written = 0
+    stop = False
+
+    def take():
+        """The next index to make, or None (called holding cond)."""
+        nonlocal taken
+        if stop or taken == count or taken - written == workers:
+            return None
+        taken += 1
+        return taken - 1
+
+    def make_one(i):
+        try:
+            result = make(i), None
+        except BaseException as exc:  # the writer raises it in turn
+            result = None, exc
+        with cond:
+            results[i] = result
+            cond.notify_all()
+
+    def work():
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or taken == count
+                              or taken - written < workers)
+                i = take()
+            if i is None:
+                return
+            make_one(i)
+
+    threads = []
+    try:
+        for _ in range(min(workers, count) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        while written < count:
+            with cond:
+                i = None if written in results else take()
+            if i is not None:
+                make_one(i)
+                continue
+            with cond:
+                cond.wait_for(lambda: written in results)
+                result, exc = results.pop(written)
+            if exc is not None:
+                raise exc
+            write(result)
+            del result  # freed before its slot goes to the next index
+            with cond:
+                written += 1
+                cond.notify_all()
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def write_points_csv(path, pts: np.ndarray, header=None):
@@ -1019,24 +1120,31 @@ def write_points_csv(path, pts: np.ndarray, header=None):
     text is "%.17g" % v, the same as format(v, ".17g"), for every float,
     inf and nan too.  `_float_fields` builds the fields of CSV_CHUNK_ROWS
     rows at a time with array arithmetic; the separators go in their last
-    bytes and one mask drops the NUL padding.
+    bytes and one mask drops the NUL padding.  This thread and up to
+    `_csv_workers()` - 1 more format the chunks, and this thread writes
+    them in order, so the bytes do not depend on the thread count.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rows, cols = pts.shape
     if header is None:
         header = [f"x{i + 1}" for i in range(cols)]
     tables = _csv_tables()
+    chunk_rows = CSV_CHUNK_ROWS
+
+    def chunk_text(k):
+        block = pts[k * chunk_rows:(k + 1) * chunk_rows]
+        text = _float_fields(block.ravel(), tables).reshape(len(block), cols, -1)
+        text[:, :, -1] = ord(",")
+        text[:, -1, -1] = ord("\n")
+        return str(text[text != 0], "ascii")
+
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
         if cols == 0:
             handle.write("\n" * rows)
             return
-        for start in range(0, rows, CSV_CHUNK_ROWS):
-            block = pts[start:start + CSV_CHUNK_ROWS]
-            text = _float_fields(block.ravel(), tables).reshape(len(block), cols, -1)
-            text[:, :, -1] = ord(",")
-            text[:, -1, -1] = ord("\n")
-            handle.write(text[text != 0].tobytes().decode("ascii"))
+        _write_in_order(handle.write, chunk_text, -(-rows // chunk_rows),
+                        _csv_workers())
 
 
 def read_points_csv(path) -> np.ndarray:

@@ -88,7 +88,8 @@ every integer b below xmax 2^-lo, the positions lo..hi read off
 `write_points_csv` builds the "%.17g" text of a chunk of rows with array
 arithmetic (Dekker's exact product with a power of ten, a 4-digit table)
 and leaves only the values outside 1e-6 <= |v| < 1e17 to one %-operation;
-its oracle is the per-row writer, one f-string per float.  The SUD twist
+the tests run it on one to three threads, the caller among them, and its
+oracle is the per-row writer, one f-string per float.  The SUD twist
 values t - floor(t) are compared bit for bit with np.mod(t, 1.0).
 
 The fast paths promise the same floats, so every comparison is exact.
@@ -98,6 +99,9 @@ import contextlib
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -729,6 +733,13 @@ class TestStripOracle:
         assert width == 4.0
         subset = np.array([-4.0, np.nextafter(-0.5, 0.0), np.nextafter(3.5, 0.0), 4.0])
         assert _central_width_bound(subset, 0.0, 3.0, 1e-9 * 3.0) >= width
+
+    @pytest.mark.parametrize("q", [[-3.5, 0.0, 5.0], [-5.0, 0.0, 3.5]],
+                             ids=["first-at-lo", "last-at-hi"])
+    def test_bound_needs_projections_past_the_band(self, q):
+        # The band is [-3.5, 3.5]; a projection exactly at an end does not
+        # reach past it, so no bound.
+        assert _central_width_bound(np.array(q), 0.0, 3.0, 0.25) == math.inf
 
     def test_tied_widths_report_first_candidate(self):
         # (0, 1) and (1, 0) both have width 1; (0, 1) sorts first.
@@ -3042,6 +3053,26 @@ def assert_csv_matches(tmp_path, pts, header=None):
     assert got.read_bytes() == expected.read_bytes()
 
 
+def raised_within(seconds, fn, *args):
+    """The exception fn(*args) raises, or None, run on a thread that must
+    end within `seconds` and leave as many threads running as before it."""
+    before = threading.active_count()
+    raised = [None]
+
+    def call():
+        try:
+            fn(*args)
+        except Exception as exc:
+            raised[0] = exc
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert not caller.is_alive()
+    assert threading.active_count() == before
+    return raised[0]
+
+
 class TestCSVWriterOracle:
     def test_special_floats(self, tmp_path):
         pts = np.array(SPECIAL_FLOATS)
@@ -3060,17 +3091,27 @@ class TestCSVWriterOracle:
         assert (tmp_path / "got.csv").read_text() == "N,value\n8,0.25\n16,inf\n"
 
     @given(st.integers(1, 5), st.integers(0, 23), st.integers(1, 4),
-           st.integers(0, 2 ** 16))
+           st.integers(0, 2 ** 16), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_rows_cross_chunk_edges(self, tmp_path_factory, chunk_rows, rows,
-                                    cols, seed):
+                                    cols, seed, workers):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300,
                                                                        (rows, cols))
         special = rng.random((rows, cols)) < 0.1
         pts[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
-        with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows):
-            assert_csv_matches(tmp_path_factory.mktemp("csv"), pts)
+        # Thread switches every 10 us, so the threads finish out of order.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows), \
+                    mock.patch.object(generators, "_csv_workers", return_value=workers):
+                error = raised_within(10.0, assert_csv_matches,
+                                      tmp_path_factory.mktemp("csv"), pts)
+        finally:
+            sys.setswitchinterval(interval)
+        if error is not None:
+            raise error
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_bit_patterns(self, tmp_path, seed):
@@ -3162,17 +3203,96 @@ class TestCSVWriterOracle:
         assert_csv_matches(tmp_path, enumerate_points(spec, Window.cube(50, spec.dim)))
 
     def test_memory_stays_below_the_former_peak(self, tmp_path):
-        # 543,016 x 2 floats, the size of the three-grid at r = 200.  Chunks
-        # of CSV_CHUNK_ROWS = 2^13 rows peaked at 5.3 MB under tracemalloc;
-        # the %-operation writer on 2^16-row chunks peaked at 7.4 MB.
+        # 543,016 x 2 floats, the size of the three-grid at r = 200, with
+        # two chunks of CSV_CHUNK_ROWS = 2^13 rows in flight on any host.
+        # The one-thread writer peaked at 5.3 MB under tracemalloc; the
+        # %-operation writer on 2^16-row chunks peaked at 7.4 MB.
         pts = np.random.default_rng(0).standard_normal((543016, 2)) * 100.0
-        tracemalloc.start()
-        try:
-            write_points_csv(tmp_path / "big.csv", pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mock.patch.object(generators, "_csv_workers", return_value=2):
+            tracemalloc.start()
+            try:
+                write_points_csv(tmp_path / "big.csv", pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 6 * 10 ** 6
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_chunk_is_raised_and_ends_every_thread(self, tmp_path, workers):
+        pts = np.arange(40.0).reshape(-1, 2)
+        float_fields = generators._float_fields
+
+        def failing(v, tables):
+            if v[0] == pts[8, 0]:
+                raise ArithmeticError("third chunk")
+            return float_fields(v, tables)
+
+        with mock.patch.object(generators, "CSV_CHUNK_ROWS", 4), \
+                mock.patch.object(generators, "_csv_workers", return_value=workers), \
+                mock.patch.object(generators, "_float_fields", failing):
+            error = raised_within(5.0, write_points_csv, tmp_path / "a.csv", pts)
+        assert isinstance(error, ArithmeticError) and str(error) == "third chunk"
+        expected = tmp_path / "expected.csv"
+        former_write_points_csv(expected, pts[:8])
+        assert (tmp_path / "a.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_write_is_raised_and_stops_the_threads(self, tmp_path, workers):
+        # Chunk 1's write fails.  Every other chunk is slow, so any second
+        # thread is still formatting one then.  No thread may start a chunk
+        # while `workers` chunks are taken but not yet written.
+        pts = np.arange(200.0).reshape(-1, 2)
+        started, written, in_flight = itertools.count(), [], []
+        float_fields = generators._float_fields
+
+        def counted(v, tables):
+            in_flight.append(next(started) + 1 - len(written))
+            if v[0] != pts[2, 0]:
+                time.sleep(0.1)
+            return float_fields(v, tables)
+
+        def failing_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+
+            def failing_write(text):
+                if text[0].isdigit() and written:
+                    time.sleep(0.05)
+                    raise OSError(28, "No space left on device")
+                if text[0].isdigit():
+                    written.append(text)
+                return write(text)
+
+            handle.write = failing_write
+            return handle
+
+        with mock.patch.object(generators, "CSV_CHUNK_ROWS", 2), \
+                mock.patch.object(generators, "_csv_workers", return_value=workers), \
+                mock.patch.object(generators, "_float_fields", counted), \
+                mock.patch.object(generators, "open", failing_open, create=True):
+            error = raised_within(5.0, write_points_csv, tmp_path / "w.csv", pts)
+        assert isinstance(error, OSError) and error.errno == 28
+        assert max(in_flight) <= workers
+        assert len(in_flight) <= 1 + workers
+
+    def test_a_thread_that_cannot_start_ends_the_others(self, tmp_path):
+        # The second of two helper threads fails to start, as in a process
+        # out of threads; the first is still joined.
+        starts = itertools.count()
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                if next(starts) == 1:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        before = threading.active_count()
+        with mock.patch.object(generators, "CSV_CHUNK_ROWS", 2), \
+                mock.patch.object(generators, "_csv_workers", return_value=3), \
+                mock.patch.object(generators.threading, "Thread", SecondStartFails), \
+                pytest.raises(RuntimeError, match="can't start"):
+            write_points_csv(tmp_path / "t.csv", np.arange(40.0).reshape(-1, 2))
+        assert threading.active_count() == before
 
 
 def former_tsokanos_values(ns):
