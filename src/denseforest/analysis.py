@@ -727,7 +727,9 @@ def _line_box(lo: np.ndarray, hi: np.ndarray, dirs: np.ndarray, closed: bool = F
     line's base, which every caller subtracts itself; ``dirs`` has one row
     per line or one for all.  A 0 (or -0) entry of dir holds the whole line
     when 0 lies strictly between its bounds (weakly with ``closed``), and
-    none of it otherwise: the slab test of Kay and Kajiya (1986)."""
+    none of it otherwise: the slab test of Kay and Kajiya (1986).  The axes
+    are folded in order, as a max (min) over the last axis takes them for
+    d <= 8 (signed zeros too), without numpy's per-row cost of a reduction."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = lo / dirs
         b = hi / dirs
@@ -738,7 +740,11 @@ def _line_box(lo: np.ndarray, hi: np.ndarray, dirs: np.ndarray, closed: bool = F
         inside = (lo <= 0.0) & (hi >= 0.0) if closed else (lo < 0.0) & (hi > 0.0)
         enter = np.where(flat, np.where(inside, -np.inf, np.inf), enter)
         leave = np.where(flat, np.where(inside, np.inf, -np.inf), leave)
-    return enter.max(axis=-1), leave.min(axis=-1)
+    t_in, t_out = enter[..., 0], leave[..., 0]
+    for k in range(1, enter.shape[-1]):
+        t_in = np.maximum(t_in, enter[..., k])
+        t_out = np.minimum(t_out, leave[..., k])
+    return t_in, t_out
 
 
 def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
@@ -759,7 +765,9 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
 
 # Candidate rows (columns x box stencil) per chunk of the lattice column walk
 # and of the unit-step march, as many as one march call scored before the
-# walk (4096 probes x a 5x5 stencil); at d = 3 about 2.5 MB per float array.
+# walk (4096 probes x a 5x5 stencil).  The walk holds a chunk as one 0.8 MB
+# (stencil x columns x probes) plane per axis, and a full chunk peaked at
+# 16-22 MB (see MAX_WALK_ROWS).
 PROBE_KERNEL_ROWS = 4096 * 25
 # Columns per probe in the walk's first round; each round doubles it up to
 # the cap.  Most probes are hit within a few columns, a miss walks all of
@@ -769,9 +777,9 @@ WALK_MAX_COLUMNS = 64
 # Rows that one probe's walk over one sheet is sure to score: its column
 # box times the columns of its first round and those that the widening of
 # its band adds (see `_ColumnWalk`).  On 2 Xeon vCPUs the walk scored
-# 1.3-2.5e6 rows/s, and a first round took about 200 bytes a row (Z^2 at eps
+# 6.8e6-1.4e7 rows/s, and a first round took 160-210 bytes a row (Z^2 at eps
 # 1e3 to 4e4, the Peres forest at L_max 1e11), so a probe at the cap costs
-# up to about 0.8 s and 200 MB a sheet.  The benchmark's walks count 6 rows
+# up to about 0.15 s and 220 MB a sheet.  The benchmark's walks count 6 rows
 # a probe, eps 1e4 on Z^2 counts 1.2e5 and the Peres forest at L_max 1e11
 # 1.5e5; at L_max 1e12 it counts 5.5e6 to 1.5e7, and the walk ran past 30 s.
 MAX_WALK_ROWS = 2 ** 20
@@ -781,9 +789,10 @@ SKIP_MAX_PERIOD = 8
 
 
 def _walk_stencils(k: int, d: int) -> np.ndarray:
-    """Offsets {0..k-1}^(d-1) placed on every axis but a, stacked over a."""
+    """Offsets {0..k-1}^(d-1) placed on every axis but a, indexed
+    [coordinate, offset, a]."""
     grid = cartesian(*[np.arange(k, dtype=float)] * (d - 1))
-    return np.stack([np.insert(grid, a, 0.0, axis=1) for a in range(d)])
+    return np.stack([np.insert(grid, a, 0.0, axis=1).T for a in range(d)], axis=2)
 
 
 class _ColumnWalk:
@@ -830,6 +839,13 @@ class _ColumnWalk:
     spare.  So every skipped column's float box holds no integer: the
     walk would have scored no point there, and ``first`` below the
     horizon is the same bit for bit.
+
+    y0, u, lo_off and hi_off are (d, n) arrays, one contiguous row per
+    lattice axis, and every step works one axis at a time on planes whose
+    last axis runs over the probes: numpy runs a reduction or broadcast
+    once per row of its last axis, and with that axis d = 2 long the
+    per-row cost was most of the walk's time.  Each step is exact, so every
+    first hit is the same float.
     """
 
     def __init__(self, sheet: LatticeSheet, eps: float, bases: np.ndarray,
@@ -837,51 +853,57 @@ class _ColumnWalk:
         n, d = bases.shape
         inv = sheet.inverse
         self.sheet = sheet
-        self.y0 = (bases - sheet.shift) @ inv.T
-        self.u = dirs @ inv.T
-        r = eps * np.abs(inv).sum(axis=1)
-        rp = r + 1e-9 * (1.0 + r + np.abs(self.y0)
-                         + horizons[:, None] * np.abs(self.u))
-        rows = np.arange(n)
-        self.axis = np.argmax(np.abs(self.u), axis=1)
-        u_a = self.u[rows, self.axis]
-        self.sgn = np.sign(u_a)
-        self.speed = np.abs(u_a)
-        self.pos = self.sgn * self.y0[rows, self.axis]
-        self.r_a = rp[rows, self.axis]
+        # The products keep their row form, which a transposed product may
+        # not round alike; only their results are transposed.
+        self.y0 = np.ascontiguousarray(((bases - sheet.shift) @ inv.T).T)
+        self.u = np.ascontiguousarray((dirs @ inv.T).T)
+        r = eps * np.abs(inv).sum(axis=1)[:, None]
+        abs_y0, abs_u = np.abs(self.y0), np.abs(self.u)
+        rp = r + 1e-9 * (1.0 + r + abs_y0 + horizons * abs_u)
+        # The dominant axis a = argmax |u_i|, the first of equal ones.
+        self.speed = abs_u.max(axis=0)
+        self.axis = np.zeros(n, dtype=np.intp)
+        for i in range(d - 1, -1, -1):
+            self.axis[abs_u[i] == self.speed] = i
+        dominant = self.axis * n + np.arange(n)   # flat indices of (a, probe)
+        self.sgn = np.sign(np.take(self.u, dominant))
+        self.pos = self.sgn * np.take(self.y0, dominant)
+        self.r_a = np.take(rp, dominant)
         # Offsets of the box from y at the column entry: the band spans
         # t in [entry, entry + 2 r_a / speed], plus r on either side.
-        sweep = (2.0 * self.r_a / self.speed)[:, None] * self.u
+        sweep = (2.0 * self.r_a / self.speed) * self.u
         self.lo_off = np.minimum(sweep, 0.0) - rp
         self.hi_off = np.maximum(sweep, 0.0) + rp
         # A bound on the stencil k^(d-1) of ``score``, to size the chunks.
         width = self.hi_off - self.lo_off
-        width[rows, self.axis] = 0.0
+        np.put(width, dominant, 0.0)
         # Every probe scores its first round, and one that round does not
         # stop walks the 2w columns that the widening w = r_a - r of its
         # band adds before its entry reaches t = 0.
         with np.errstate(over="ignore"):
             box = (np.floor(width.max()) + 2.0) ** (d - 1)
             work = box * (WALK_FIRST_COLUMNS
-                          + np.ceil(2.0 * np.max(self.r_a - r[self.axis])))
+                          + np.ceil(2.0 * np.max(self.r_a - np.take(r, self.axis))))
         check_limit("rows a probe of a column walk", work, MAX_WALK_ROWS)
         self.rows_per_column = int(box)
         # Column j of a probe is c = sgn * (start + j).
         self.start = np.ceil(self.pos - self.r_a)
         self.done = np.zeros(n)
         # The gap that ``skip`` leaves between a box and the integers.
-        self.margin = 1e-9 * (1.0 + self.r_a + np.abs(self.y0).max(axis=1)
-                              + horizons * np.abs(self.u).max(axis=1))
+        self.margin = 1e-9 * (1.0 + self.r_a + abs_y0.max(axis=0)
+                              + horizons * self.speed)
 
     def entry(self, sel, j) -> np.ndarray:
         return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
 
     def bounds(self, sel: np.ndarray, j: np.ndarray):
         """The float box y(entry(j)) + [lo_off, hi_off] of the columns ``j``
-        (one row per probe of ``sel``) before it is rounded to integers."""
-        t_in = self.entry(sel[:, None], j)
-        y_in = self.y0[sel, None, :] + t_in[:, :, None] * self.u[sel, None, :]
-        return y_in + self.lo_off[sel, None, :], y_in + self.hi_off[sel, None, :]
+        before it is rounded to integers.  Column j[c, p] belongs to probe
+        sel[p]; lo and hi are (d, columns, probes) arrays."""
+        y0, u, lo_off, hi_off = (np.take(a, sel, axis=1)[:, None]
+                                 for a in (self.y0, self.u, self.lo_off, self.hi_off))
+        y_in = y0 + self.entry(sel, j) * u
+        return y_in + lo_off, y_in + hi_off
 
     def skip(self, sel: np.ndarray, limit: np.ndarray):
         """Advance ``done`` of the probes ``sel`` over columns proved empty.
@@ -893,22 +915,22 @@ class _ColumnWalk:
         docstring), so a box that holds no integer stays empty for as many
         blocks as its gap on the side it drifts to allows.
         """
-        lo, hi = self.bounds(sel, self.done[sel, None] + np.arange(SKIP_MAX_PERIOD))
+        lo, hi = self.bounds(sel, self.done[sel] + np.arange(SKIP_MAX_PERIOD)[:, None])
         m = np.floor(hi)
-        margin = self.margin[sel, None, None]
+        margin = self.margin[sel]
         left = lo - m - margin
         right = m + 1.0 - hi - margin
         empty = (left > 0.0) & (right > 0.0)
-        empty[np.arange(sel.size), :, self.axis[sel]] = False
-        sigma = self.u[sel] / self.speed[sel, None]
+        empty &= (np.arange(empty.shape[0])[:, None] != self.axis[sel])[:, None]
+        sigma = np.take(self.u, sel, axis=1) / self.speed[sel]
         jump = np.zeros(sel.size)
         for q in range(1, SKIP_MAX_PERIOD + 1):
-            delta = (q * sigma - np.rint(q * sigma))[:, None, :]
+            delta = (q * sigma - np.rint(q * sigma))[:, None]
             room = np.where(delta > 0.0, right[:, :q], left[:, :q])
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 blocks = np.floor(room / np.abs(delta)) + 1.0
-            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=2)
-            jump = np.maximum(jump, q * blocks.min(axis=1))
+            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=0)
+            jump = np.maximum(jump, q * blocks.min(axis=0))
         end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
                        - self.start[sel]) + 1.0
         self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
@@ -917,25 +939,25 @@ class _ColumnWalk:
               bases: np.ndarray, dirs: np.ndarray, first: np.ndarray):
         """Lower ``first`` over the next ``columns`` columns of the probes ``sel``."""
         d = bases.shape[1]
-        j = self.done[sel, None] + np.arange(columns)
+        j = self.done[sel] + np.arange(columns)[:, None]
         lo, hi = self.bounds(sel, j)
         lo = np.ceil(lo)
         hi = np.floor(hi)
         axis = self.axis[sel]
-        on_axis = (np.arange(d) == axis[:, None])[:, None, :]
-        col = (self.sgn[sel, None] * (self.start[sel, None] + j))[:, :, None]
+        on_axis = (np.arange(d)[:, None] == axis)[:, None]
+        col = self.sgn[sel] * (self.start[sel] + j)
         lo = np.where(on_axis, col, lo)
         hi = np.where(on_axis, col, hi)
         k = int((hi - lo).max()) + 1
-        stencil = _walk_stencils(k, d)[axis]
-        zs = lo[:, :, None, :] + stencil[:, None, :, :]
-        inside = np.flatnonzero(np.all(zs <= hi[:, :, None, :], axis=-1))
-        owner = sel[inside // (columns * stencil.shape[1])]
+        # (d, stencil, columns, probes): one plane of offsets per coordinate.
+        zs = lo[:, None] + np.take(_walk_stencils(k, d), axis, axis=2)[:, :, None]
+        inside = np.flatnonzero((zs <= hi[:, None]).all(axis=0))
+        owner = np.take(sel, inside % sel.size)
         # A lattice point must have the same coordinates, hence the same
         # score, on every path: LatticeSheet.points never multiplies one row.
-        pts = self.sheet.points(zs.reshape(-1, d))
+        pts = self.sheet.points(np.stack([np.take(z, inside) for z in zs], axis=1))
         np.minimum.at(first, owner, _candidate_scores(
-            pts[inside], bases[owner], dirs[owner], eps))
+            pts, np.take(bases, owner, axis=0), np.take(dirs, owner, axis=0), eps))
 
 
 def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,

@@ -251,9 +251,15 @@ class AlignedBox:
         return float(np.prod(self.intervals[:, 1] - self.intervals[:, 0]))
 
     def contains(self, points) -> np.ndarray:
-        """Closed membership mask."""
+        """Closed membership mask for an (N, dim) array of points, built one
+        column at a time."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError("points must be rows of the box's dimension")
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for col, (a, b) in zip(pts.T, self.intervals):
+            inside &= (col >= a) & (col <= b)
+        return inside
 
     def __repr__(self):
         pairs = ", ".join(f"[{a}, {b}]" for a, b in self.intervals)

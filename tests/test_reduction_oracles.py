@@ -374,6 +374,12 @@ def former_window_contains(window, points):
     return np.all((pts >= window.lo) & (pts < window.hi), axis=1)
 
 
+def former_box_contains(box, points):
+    """`AlignedBox.contains` as one comparison of the whole array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
+
+
 SEQUENCES = [golden_sequence(), tsokanos_sequence(), quadratic_sequence(PHI),
              concat_linear_sequence([[PHI - 1.0], [math.sqrt(2.0) - 1.0]])]
 
@@ -1283,6 +1289,59 @@ class TestWindowContainsOracle:
         assert np.array_equal(window.contains(pts), former_window_contains(window, pts))
 
 
+class TestAlignedBoxContainsOracle:
+    """`AlignedBox.contains` builds its mask one column at a time; its
+    oracle compares the whole array at once."""
+
+    @given(st.integers(1, 3), st.lists(st.integers(0, len(CONTAINS_VALUES) - 1),
+                                       min_size=0, max_size=90))
+    @settings(max_examples=150, deadline=None)
+    def test_special_values(self, d, picks):
+        box = AlignedBox.from_bounds(np.full(d, -1.5), np.full(d, 2.0))
+        pts = np.array(CONTAINS_VALUES)[picks[:len(picks) // d * d]].reshape(-1, d)
+        got = box.contains(pts)
+        assert got.dtype == bool
+        assert np.array_equal(got, former_box_contains(box, pts))
+
+    def test_faces_are_inside_and_nan_rows_are_not(self):
+        box = AlignedBox.from_bounds([0.0, -1.0, 2.0], [1.0, 1.0, 2.0])
+        pts = np.array([[0.0, -1.0, 2.0], [1.0, 1.0, 2.0], [0.5, 0.0, 2.0],
+                        [np.nextafter(1.0, 2.0), 0.0, 2.0], [0.5, 0.0, np.nextafter(2.0, 3.0)],
+                        [math.nan, 0.0, 2.0], [0.5, math.nan, 2.0], [math.nan] * 3,
+                        [0.5, -math.inf, 2.0]])
+        got = box.contains(pts)
+        assert got.tolist() == [True, True, True, False, False, False, False, False, False]
+        assert np.array_equal(got, former_box_contains(box, pts))
+        for point in pts:
+            assert np.array_equal(box.contains(point), former_box_contains(box, point))
+
+    def test_rotated_box(self):
+        rng = np.random.default_rng(5)
+        box = RotatedBox(0.3, AlignedBox.from_bounds([-0.2, -0.1], [0.2, 0.1]), (0.5, 0.5))
+        pts = rng.random((500, 2))
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotated = (pts - box.center) @ np.array([[c, -s], [s, c]])
+        assert np.array_equal(box.contains(pts), former_box_contains(box.box, rotated))
+        assert 0 < box.contains(pts).sum() < 500
+
+    def test_other_widths_are_refused(self):
+        # The whole-array comparison broadcast one column against every
+        # axis; the mask refuses rows of another width instead.
+        box = AlignedBox.from_bounds([0.0, 0.0], [1.0, 1.0])
+        for pts in (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros((2, 4, 2))):
+            with pytest.raises(ValueError, match="box's dimension"):
+                box.contains(pts)
+
+    @given(st.integers(0, 2 ** 16), st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_random_3d(self, seed, n):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(-3, 1, 3).astype(float)
+        box = AlignedBox.from_bounds(lo, lo + rng.integers(0, 4, 3))
+        pts = rng.integers(-4, 5, (n, 3)) * 0.5
+        assert np.array_equal(box.contains(pts), former_box_contains(box, pts))
+
+
 def lattice_candidates_near(sheet, queries, radius):
     """Lattice points of a stencil covering sup-norm ``radius`` around each query.
 
@@ -1773,10 +1832,10 @@ def assert_skipped_columns_are_empty(skips):
     """Every skipped column's float box, as ``score`` rounds it, holds no
     integer on some axis other than the dominant one."""
     for walk, probe, before, after in skips:
-        lo, hi = walk.bounds(np.array([probe]), np.arange(before, after)[None, :])
-        empty = np.ceil(lo[0]) > np.floor(hi[0])
-        empty[:, walk.axis[probe]] = False
-        assert empty.any(axis=1).all(), (probe, before, after)
+        lo, hi = walk.bounds(np.array([probe]), np.arange(before, after)[:, None])
+        empty = np.ceil(lo[:, :, 0]) > np.floor(hi[:, :, 0])
+        empty[walk.axis[probe]] = False
+        assert empty.any(axis=0).all(), (probe, before, after)
 
 
 class TestColumnSkip:
@@ -1827,8 +1886,8 @@ class TestColumnSkip:
         lengths = np.full(2, 4096.0)
         sheets = integer_lattice(2).sheets()
         walk = analysis._ColumnWalk(sheets[0], 0.01, bases, dirs, lengths)
-        lo, _ = walk.bounds(np.arange(2), np.full((2, 1), 62.0))
-        gap = lo[:, 0, 1] - np.floor(lo[:, 0, 1])
+        lo, _ = walk.bounds(np.arange(2), np.full((1, 2), 62.0))
+        gap = lo[1, 0, :] - np.floor(lo[1, 0, :])
         assert np.all((gap > 0.0) & (gap < 1e-12))
         first, skips = record_skips(monkeypatch, sheets, 0.01, bases, dirs, lengths)
         want = np.full(2, np.inf)
@@ -1870,6 +1929,249 @@ class TestWalkWork:
         assert below_horizon(got[0], lengths).tobytes() == \
             below_horizon(want[0], lengths).tobytes()
         assert scored_rows(got[1]) * 10 < scored_rows(want[1])
+
+
+def former_line_box(lo, hi, dirs, closed=False):
+    """`_line_box` with one max (min) over the last axis of the slabs."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = lo / dirs
+        b = hi / dirs
+    enter = np.minimum(a, b)
+    leave = np.maximum(a, b)
+    flat = dirs == 0.0
+    if np.any(flat):
+        inside = (lo <= 0.0) & (hi >= 0.0) if closed else (lo < 0.0) & (hi > 0.0)
+        enter = np.where(flat, np.where(inside, -np.inf, np.inf), enter)
+        leave = np.where(flat, np.where(inside, np.inf, -np.inf), leave)
+    return enter.max(axis=-1), leave.min(axis=-1)
+
+
+def former_candidate_scores(cand, bases, dirs, eps):
+    b = cand - bases
+    t_lo, t_hi = former_line_box(b - eps, b + eps, dirs)
+    return np.where((t_lo < t_hi) & (t_hi > 0.0), t_lo, np.inf)
+
+
+LINE_BOX_BOUNDS = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, -2.5, 1e-300]
+LINE_BOX_DIRS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 2.0, 1e-200]
+
+
+@st.composite
+def line_box_cases(draw):
+    """Bounds with signed zeros and infinities, and directions with zero
+    entries, one row per line or one row for all; d = 1 to 4."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+
+    def rows(values, count):
+        flat = draw(st.lists(values, min_size=count * d, max_size=count * d))
+        return np.array(flat, dtype=float).reshape(count, d)
+
+    bounds = st.sampled_from(LINE_BOX_BOUNDS) | st.floats(-10.0, 10.0)
+    lo, hi = rows(bounds, n), rows(bounds, n)
+    dirs = rows(st.sampled_from(LINE_BOX_DIRS) | st.floats(-4.0, 4.0),
+                draw(st.sampled_from([1, n])))
+    if draw(st.booleans()) and dirs.shape[0] == 1:
+        dirs = dirs[0]
+    return lo, hi, dirs, draw(st.booleans())
+
+
+class TestLineBoxFold:
+    @given(line_box_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_last_axis_reduction(self, case):
+        lo, hi, dirs, closed = case
+        got = analysis._line_box(lo, hi, dirs, closed)
+        want = former_line_box(lo, hi, dirs, closed)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    def test_signed_zero_ties(self):
+        # Every slab enters at +-0: the fold keeps the zero a reduction keeps.
+        lo = np.array([[0.0, -1.0], [-1.0, 0.0], [0.0, 0.0]])
+        for dirs in (np.array([1.0, -1.0]), np.array([-1.0, 1.0]), np.array([1.0, 1.0])):
+            got = analysis._line_box(lo, lo + 1.0, dirs)
+            want = former_line_box(lo, lo + 1.0, dirs)
+            for g, w in zip(got, want):
+                assert np.array_equal(np.signbit(g), np.signbit(w)) and np.array_equal(g, w)
+
+
+WALK_STATE = ("y0", "u", "lo_off", "hi_off")
+
+
+def former_walk_state(sheet, eps, bases, dirs, horizons):
+    """The state of `_ColumnWalk` as the former row-major constructor built
+    it: (n, d) coordinate arrays and per-probe values."""
+    n, d = bases.shape
+    inv = sheet.inverse
+    y0 = (bases - sheet.shift) @ inv.T
+    u = dirs @ inv.T
+    r = eps * np.abs(inv).sum(axis=1)
+    rp = r + 1e-9 * (1.0 + r + np.abs(y0) + horizons[:, None] * np.abs(u))
+    rows = np.arange(n)
+    axis = np.argmax(np.abs(u), axis=1)
+    sgn = np.sign(u[rows, axis])
+    pos = sgn * y0[rows, axis]
+    r_a = rp[rows, axis]
+    sweep = (2.0 * r_a / np.abs(u[rows, axis]))[:, None] * u
+    lo_off = np.minimum(sweep, 0.0) - rp
+    hi_off = np.maximum(sweep, 0.0) + rp
+    width = hi_off - lo_off
+    width[rows, axis] = 0.0
+    return {"y0": y0, "u": u, "lo_off": lo_off, "hi_off": hi_off, "axis": axis,
+            "sgn": sgn, "speed": np.abs(u[rows, axis]), "pos": pos, "r_a": r_a,
+            "start": np.ceil(pos - r_a),
+            "margin": 1e-9 * (1.0 + r_a + np.abs(y0).max(axis=1)
+                              + horizons * np.abs(u).max(axis=1)),
+            "rows_per_column": int((np.floor(width.max()) + 2.0) ** (d - 1))}
+
+
+class FormerColumnWalk(analysis._ColumnWalk):
+    """`_ColumnWalk` with the former row-major ``bounds``, ``skip`` and
+    ``score``, run on (n, d) views of the walk's transposed state."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rows = {name: getattr(self, name).T for name in WALK_STATE}
+        self.skipped = 0
+
+    def bounds(self, sel, j):
+        y0, u, lo_off, hi_off = (self.rows[name] for name in WALK_STATE)
+        t_in = self.entry(sel[:, None], j)
+        y_in = y0[sel, None, :] + t_in[:, :, None] * u[sel, None, :]
+        return y_in + lo_off[sel, None, :], y_in + hi_off[sel, None, :]
+
+    def skip(self, sel, limit):
+        before = self.done[sel]
+        lo, hi = self.bounds(sel, self.done[sel, None] + np.arange(analysis.SKIP_MAX_PERIOD))
+        m = np.floor(hi)
+        margin = self.margin[sel, None, None]
+        left = lo - m - margin
+        right = m + 1.0 - hi - margin
+        empty = (left > 0.0) & (right > 0.0)
+        empty[np.arange(sel.size), :, self.axis[sel]] = False
+        sigma = self.rows["u"][sel] / self.speed[sel, None]
+        jump = np.zeros(sel.size)
+        for q in range(1, analysis.SKIP_MAX_PERIOD + 1):
+            delta = (q * sigma - np.rint(q * sigma))[:, None, :]
+            room = np.where(delta > 0.0, right[:, :q], left[:, :q])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                blocks = np.floor(room / np.abs(delta)) + 1.0
+            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=2)
+            jump = np.maximum(jump, q * blocks.min(axis=1))
+        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
+                       - self.start[sel]) + 1.0
+        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
+        self.skipped += int(np.sum(self.done[sel] - before))
+
+    def score(self, sel, columns, eps, bases, dirs, first):
+        d = bases.shape[1]
+        j = self.done[sel, None] + np.arange(columns)
+        lo, hi = self.bounds(sel, j)
+        lo = np.ceil(lo)
+        hi = np.floor(hi)
+        axis = self.axis[sel]
+        on_axis = (np.arange(d) == axis[:, None])[:, None, :]
+        col = (self.sgn[sel, None] * (self.start[sel, None] + j))[:, :, None]
+        lo = np.where(on_axis, col, lo)
+        hi = np.where(on_axis, col, hi)
+        k = int((hi - lo).max()) + 1
+        stencil = analysis._walk_stencils(k, d).transpose(2, 1, 0)[axis]
+        zs = lo[:, :, None, :] + stencil[:, None, :, :]
+        inside = np.flatnonzero(np.all(zs <= hi[:, :, None, :], axis=-1))
+        owner = sel[inside // (columns * stencil.shape[1])]
+        pts = self.sheet.points(zs.reshape(-1, d))
+        np.minimum.at(first, owner, former_candidate_scores(
+            pts[inside], bases[owner], dirs[owner], eps))
+
+
+def skewed_lattice_3d():
+    basis = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.1]])
+    return GridUnion((Grid(basis, np.array([0.1, 0.7, 0.35])),))
+
+
+def former_walk_first_hits(monkeypatch, spec, eps, bases, dirs, lengths):
+    """``_probe_first_hits`` with every walk a `FormerColumnWalk`, and the
+    columns that its skips jumped."""
+    walks = []
+
+    def make(*args):
+        walks.append(FormerColumnWalk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(analysis, "_ColumnWalk", make)
+    first = _probe_first_hits(spec, eps, bases, dirs, lengths)
+    monkeypatch.undo()
+    return first, sum(w.skipped for w in walks)
+
+
+WALK_SPECS = {"z2": integer_lattice(2), "peres": PeresForest(), "three-grid": ThreeGrid(),
+              "skewed-3d": skewed_lattice_3d()}
+
+
+class TestCoordinateMajorWalk:
+    """The walk's (d, n) layout against the former row-major walk."""
+
+    @pytest.mark.parametrize("name", list(WALK_SPECS))
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_state_matches_the_former_constructor(self, name, eps):
+        spec = WALK_SPECS[name]
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, spec.dim), 4096.0, 300, 2)
+        horizons = np.ceil(lengths)
+        for sheet in spec.sheets():
+            walk = analysis._ColumnWalk(sheet, eps, bases, dirs, horizons)
+            want = former_walk_state(sheet, eps, bases, dirs, horizons)
+            for key in WALK_STATE:
+                got = getattr(walk, key)
+                # One contiguous row per lattice axis, and no row-major copy.
+                assert got.shape == (spec.dim, 300) and got.flags.c_contiguous
+                assert got.T.tobytes() == want[key].tobytes(), key
+            for key, value in want.items():
+                if key not in WALK_STATE:
+                    assert np.asarray(getattr(walk, key)).tobytes() == \
+                        np.asarray(value).tobytes(), key
+            assert not any(isinstance(v, np.ndarray) and v.shape == (300, spec.dim)
+                           for v in vars(walk).values())
+
+    @pytest.mark.parametrize("name", list(WALK_SPECS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_first_hits_match_the_former_walk(self, name, seed, monkeypatch):
+        # Half the probes run along the stratified rational slopes; at eps
+        # 0.01 some walk past 62 columns on every set, and skips run.
+        spec = WALK_SPECS[name]
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, spec.dim), 4096.0, 400, seed)
+        for eps in (0.01, 0.05, 0.2):
+            want, skipped = former_walk_first_hits(monkeypatch, spec, eps, bases, dirs,
+                                                   lengths)
+            got = _probe_first_hits(spec, eps, bases, dirs, lengths)
+            assert got.tobytes() == want.tobytes()
+            assert np.isfinite(got).any()
+            assert skipped > 0 or eps > 0.01
+
+    @given(near_rational_probes())
+    @settings(max_examples=60, deadline=None)
+    def test_near_rational_probes_match_the_former_walk(self, case):
+        spec, eps, bases, dirs, lengths = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            want, _ = former_walk_first_hits(monkeypatch, spec, eps, bases, dirs, lengths)
+        assert _probe_first_hits(spec, eps, bases, dirs, lengths).tobytes() == want.tobytes()
+
+
+class TestWalkMemory:
+    def test_benchmark_peres_draw_peak(self):
+        # The benchmark's Peres draw at eps 0.2 peaked at 10.47 MiB with
+        # the row-major walk (numpy 2.4.6); the (d, n) layout must not add
+        # a copy of the walk's state, or a larger chunk, on top of that.
+        bases, dirs, lengths = sample_probes(Window.cube(50.0, 2), 4096.0, 10 ** 4, 1)
+        tracemalloc.start()
+        try:
+            _probe_first_hits(PeresForest(), 0.2, bases, dirs, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.47 * 2 ** 20
 
 
 class TestOneDrawPerCommand:
