@@ -846,18 +846,30 @@ class _ColumnWalk:
     once per row of its last axis, and with that axis d = 2 long the
     per-row cost was most of the walk's time.  Each step is exact, so every
     first hit is the same float.
+
+    The walk holds only its live probes, in order; ``ids`` maps each back
+    to its probe index.  ``keep`` drops the others from every per-probe
+    array at once, so ``entry``, ``bounds``, ``skip`` and ``score`` work on
+    contiguous slices and gather nothing per call.
     """
+
+    PER_PROBE = ("ids", "y0", "u", "lo_off", "hi_off", "speed", "axis", "sgn",
+                 "pos", "r_a", "start", "done", "margin")
 
     def __init__(self, sheet: LatticeSheet, eps: float, bases: np.ndarray,
                  dirs: np.ndarray, horizons: np.ndarray):
         n, d = bases.shape
         inv = sheet.inverse
         self.sheet = sheet
+        self.ids = np.arange(n)
         # The products keep their row form, which a transposed product may
         # not round alike; only their results are transposed.
         self.y0 = np.ascontiguousarray(((bases - sheet.shift) @ inv.T).T)
         self.u = np.ascontiguousarray((dirs @ inv.T).T)
-        r = eps * np.abs(inv).sum(axis=1)[:, None]
+        # An eps near the float range overflows r or the sweep, and inf * 0
+        # reads NaN: such a walk needs more rows than a float counts.
+        with np.errstate(over="ignore"):
+            r = eps * np.abs(inv).sum(axis=1)[:, None]
         abs_y0, abs_u = np.abs(self.y0), np.abs(self.u)
         rp = r + 1e-9 * (1.0 + r + abs_y0 + horizons * abs_u)
         # The dominant axis a = argmax |u_i|, the first of equal ones.
@@ -871,7 +883,8 @@ class _ColumnWalk:
         self.r_a = np.take(rp, dominant)
         # Offsets of the box from y at the column entry: the band spans
         # t in [entry, entry + 2 r_a / speed], plus r on either side.
-        sweep = (2.0 * self.r_a / self.speed) * self.u
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep = (2.0 * self.r_a / self.speed) * self.u
         self.lo_off = np.minimum(sweep, 0.0) - rp
         self.hi_off = np.maximum(sweep, 0.0) + rp
         # A bound on the stencil k^(d-1) of ``score``, to size the chunks.
@@ -880,11 +893,12 @@ class _ColumnWalk:
         # Every probe scores its first round, and one that round does not
         # stop walks the 2w columns that the widening w = r_a - r of its
         # band adds before its entry reaches t = 0.
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             box = (np.floor(width.max()) + 2.0) ** (d - 1)
             work = box * (WALK_FIRST_COLUMNS
                           + np.ceil(2.0 * np.max(self.r_a - np.take(r, self.axis))))
-        check_limit("rows a probe of a column walk", work, MAX_WALK_ROWS)
+        check_limit("rows a probe of a column walk", np.inf if np.isnan(work) else work,
+                    MAX_WALK_ROWS)
         self.rows_per_column = int(box)
         # Column j of a probe is c = sgn * (start + j).
         self.start = np.ceil(self.pos - self.r_a)
@@ -893,20 +907,27 @@ class _ColumnWalk:
         self.margin = 1e-9 * (1.0 + self.r_a + abs_y0.max(axis=0)
                               + horizons * self.speed)
 
-    def entry(self, sel, j) -> np.ndarray:
-        return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
+    def keep(self, live: np.ndarray):
+        """Drop the probes where ``live`` is False, keeping the others' order."""
+        if not live.all():
+            kept = np.flatnonzero(live)
+            for name in self.PER_PROBE:
+                a = getattr(self, name)
+                setattr(self, name, np.take(a, kept, axis=a.ndim - 1))
 
-    def bounds(self, sel: np.ndarray, j: np.ndarray):
+    def entry(self, j, s=slice(None)) -> np.ndarray:
+        return (self.start[s] + j - self.r_a[s] - self.pos[s]) / self.speed[s]
+
+    def bounds(self, j: np.ndarray, s=slice(None)):
         """The float box y(entry(j)) + [lo_off, hi_off] of the columns ``j``
-        before it is rounded to integers.  Column j[c, p] belongs to probe
-        sel[p]; lo and hi are (d, columns, probes) arrays."""
-        y0, u, lo_off, hi_off = (np.take(a, sel, axis=1)[:, None]
-                                 for a in (self.y0, self.u, self.lo_off, self.hi_off))
-        y_in = y0 + self.entry(sel, j) * u
-        return y_in + lo_off, y_in + hi_off
+        before it is rounded to integers.  Column j[c, p] belongs to live
+        probe p of the slice ``s``; lo and hi are (d, columns, probes)
+        arrays."""
+        y_in = self.y0[:, None, s] + self.entry(j, s) * self.u[:, None, s]
+        return y_in + self.lo_off[:, None, s], y_in + self.hi_off[:, None, s]
 
-    def skip(self, sel: np.ndarray, limit: np.ndarray):
-        """Advance ``done`` of the probes ``sel`` over columns proved empty.
+    def skip(self, limit: np.ndarray):
+        """Advance ``done`` of the live probes over columns proved empty.
 
         ``limit`` caps each probe's jump at the first column entered after
         it.  For each q <= SKIP_MAX_PERIOD the columns split into q residue
@@ -915,15 +936,14 @@ class _ColumnWalk:
         docstring), so a box that holds no integer stays empty for as many
         blocks as its gap on the side it drifts to allows.
         """
-        lo, hi = self.bounds(sel, self.done[sel] + np.arange(SKIP_MAX_PERIOD)[:, None])
+        lo, hi = self.bounds(self.done + np.arange(SKIP_MAX_PERIOD)[:, None])
         m = np.floor(hi)
-        margin = self.margin[sel]
-        left = lo - m - margin
-        right = m + 1.0 - hi - margin
+        left = lo - m - self.margin
+        right = m + 1.0 - hi - self.margin
         empty = (left > 0.0) & (right > 0.0)
-        empty &= (np.arange(empty.shape[0])[:, None] != self.axis[sel])[:, None]
-        sigma = np.take(self.u, sel, axis=1) / self.speed[sel]
-        jump = np.zeros(sel.size)
+        empty &= (np.arange(empty.shape[0])[:, None] != self.axis)[:, None]
+        sigma = self.u / self.speed
+        jump = np.zeros(self.done.size)
         for q in range(1, SKIP_MAX_PERIOD + 1):
             delta = (q * sigma - np.rint(q * sigma))[:, None]
             room = np.where(delta > 0.0, right[:, :q], left[:, :q])
@@ -931,28 +951,28 @@ class _ColumnWalk:
                 blocks = np.floor(room / np.abs(delta)) + 1.0
             blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=0)
             jump = np.maximum(jump, q * blocks.min(axis=0))
-        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
-                       - self.start[sel]) + 1.0
-        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
+        end = np.floor(limit * self.speed + self.r_a + self.pos - self.start) + 1.0
+        self.done += np.minimum(jump, np.maximum(end - self.done, 0.0))
 
-    def score(self, sel: np.ndarray, columns: int, eps: float,
+    def score(self, s: slice, columns: int, eps: float,
               bases: np.ndarray, dirs: np.ndarray, first: np.ndarray):
-        """Lower ``first`` over the next ``columns`` columns of the probes ``sel``."""
+        """Lower ``first`` over the next ``columns`` columns of the live
+        probes in the slice ``s``."""
         d = bases.shape[1]
-        j = self.done[sel] + np.arange(columns)[:, None]
-        lo, hi = self.bounds(sel, j)
+        j = self.done[s] + np.arange(columns)[:, None]
+        lo, hi = self.bounds(j, s)
         lo = np.ceil(lo)
         hi = np.floor(hi)
-        axis = self.axis[sel]
+        axis = self.axis[s]
         on_axis = (np.arange(d)[:, None] == axis)[:, None]
-        col = self.sgn[sel] * (self.start[sel] + j)
+        col = self.sgn[s] * (self.start[s] + j)
         lo = np.where(on_axis, col, lo)
         hi = np.where(on_axis, col, hi)
         k = int((hi - lo).max()) + 1
         # (d, stencil, columns, probes): one plane of offsets per coordinate.
         zs = lo[:, None] + np.take(_walk_stencils(k, d), axis, axis=2)[:, :, None]
         inside = np.flatnonzero((zs <= hi[:, None]).all(axis=0))
-        owner = np.take(sel, inside % sel.size)
+        owner = np.take(self.ids[s], inside % axis.size)
         # A lattice point must have the same coordinates, hence the same
         # score, on every path: LatticeSheet.points never multiplies one row.
         pts = self.sheet.points(np.stack([np.take(z, inside) for z in zs], axis=1))
@@ -970,33 +990,34 @@ def _walk_lattice_sheets(sheets, eps: float, bases: np.ndarray,
     after min(first, horizon).  The sheets advance in joint rounds, so a hit
     on one sheet ends the walk on the others.  ``first`` only falls and a
     walk's columns only advance, so a probe that stops on a sheet never
-    resumes there: each sheet keeps one shrinking array of its live probes.
+    resumes there: each walk drops it for good.
     """
     walks = [_ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
     guard = 1e-9 * (1.0 + horizons)
-    alive = [np.arange(bases.shape[0])] * len(walks)
     columns = WALK_FIRST_COLUMNS
 
-    def entered(walk, live):
-        limit = np.minimum(first[live], horizons[live]) + guard[live]
-        keep = walk.entry(live, walk.done[live]) <= limit
-        return live[keep], limit[keep]
+    def entered(walk):
+        ids = walk.ids
+        limit = np.minimum(first[ids], horizons[ids]) + guard[ids]
+        live = walk.entry(walk.done) <= limit
+        walk.keep(live)
+        return limit[live]
 
     while True:
         moved = False
-        for i, walk in enumerate(walks):
-            live, limit = entered(walk, alive[i])
-            if columns == WALK_MAX_COLUMNS and live.size:
-                walk.skip(live, limit)
-                live, _ = entered(walk, live)
-            alive[i] = live
-            if not live.size:
+        for walk in walks:
+            limit = entered(walk)
+            if columns == WALK_MAX_COLUMNS and limit.size:
+                walk.skip(limit)
+                entered(walk)
+            n = walk.ids.size
+            if not n:
                 continue
             moved = True
             chunk = max(1, PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
-            for lo in range(0, live.size, chunk):
-                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
-            walk.done[live] += columns
+            for lo in range(0, n, chunk):
+                walk.score(slice(lo, lo + chunk), columns, eps, bases, dirs, first)
+            walk.done += columns
         if not moved:
             return
         columns = min(2 * columns, WALK_MAX_COLUMNS)

@@ -581,7 +581,8 @@ class CutProjectSheet(PointSetSpec):
 
     def _stencil(self, radius: float):
         corners = self._cut_corners(Window.cube(radius, self.dim))
-        return corners.min(axis=0), np.floor(np.ptp(corners, axis=0)) + 2.0
+        with np.errstate(over="ignore"):    # inf widths past the float range
+            return corners.min(axis=0), np.floor(np.ptp(corners, axis=0)) + 2.0
 
     def near_rows(self, queries: np.ndarray, radius: float) -> float:
         """The rows ``candidates_near`` lists per query, sized in float."""

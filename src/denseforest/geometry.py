@@ -365,17 +365,20 @@ def _probe_rows(window: Window, count: int, seed: int):
     norms[i] is ``float(np.linalg.norm(row))``, the value ``Segment``
     divides it by.  Each random probe draws ``standard_normal(dim)`` until
     its norm is at least 1e-9, then ``random(dim)`` for its base, straight
-    into its rows.  For a 1-D float vector ``np.linalg.norm`` is
-    sqrt(x.dot(x)), the same dot product and a correctly rounded square
-    root, and ``lo + U * extent`` over all the uniforms U at once rounds
-    every entry as the per-row expression does.
+    into its rows.  A norm below 1e-9 is rarer than one draw in 10^9,
+    so the loop draws each probe once, and the norms follow from one
+    stacked ``matmul`` of the rows with themselves, which numpy runs as one
+    BLAS dot per row: the bits of ``x.dot(x)``, the dot product under
+    ``np.linalg.norm`` of a 1-D vector.  Should a norm fall short, the draw
+    starts over from the seed and redraws each short direction in turn.
+    ``lo + U * extent`` over all the uniforms U at once rounds every entry
+    as the per-row expression does.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     check_limit("probes", count, MAX_PROBES)
     dim = window.dim
     lo, extent = window.lo, window.extent
-    rng = np.random.default_rng(seed)
     n_strat = count // 2
     bases = np.empty((count, dim))
     raw = np.empty((count, dim))
@@ -388,16 +391,18 @@ def _probe_rows(window: Window, count: int, seed: int):
         bases[:n_strat] = lo + grid * extent
         raw[:n_strat] = directions[cycle]
         norms[:n_strat] = table[cycle]
-    normal, uniform, sqrt = rng.standard_normal, rng.random, math.sqrt
-    for i in range(n_strat, count):
-        vec = raw[i]
-        normal(out=vec)
-        norm = sqrt(vec.dot(vec))
-        while norm < 1e-9:
+    rows, spots = raw[n_strat:], bases[n_strat:]
+    for redraw in (False, True):
+        rng = np.random.default_rng(seed)
+        normal, uniform = rng.standard_normal, rng.random
+        for vec, spot in zip(rows, spots):
             normal(out=vec)
-            norm = sqrt(vec.dot(vec))
-        uniform(out=bases[i])
-        norms[i] = norm
+            while redraw and math.sqrt(vec.dot(vec)) < 1e-9:
+                normal(out=vec)
+            uniform(out=spot)
+        norms[n_strat:] = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+        if not np.any(norms[n_strat:] < 1e-9):
+            break
     bases[n_strat:] = lo + bases[n_strat:] * extent
     return bases, raw, norms
 

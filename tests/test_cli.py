@@ -554,6 +554,27 @@ def test_work_sizes_near_1e9_exit_3(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1e308", "1e300"])
+@pytest.mark.parametrize("spec", sorted(cli.SPEC_PRESETS))
+def test_huge_eps_exits_3_with_one_line(tmp_path, spec, eps):
+    # An eps near the float range overflows the walk's box (inf * 0 once
+    # read NaN) and the cut-and-project stencil: the work reads inf, with
+    # no RuntimeWarning, and the refusal is one line.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "denseforest.cli", "visibility", "--spec", spec, "--eps", eps,
+                           "--count", "3", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"resource limit: inf [a-z ]+ exceed the limit of \d+\n",
+                        proc.stderr), proc.stderr
+    assert not out.exists()
+
+
 def test_calibrate_json(tmp_path):
     out = tmp_path / "cal.json"
     assert run("calibrate", "--eps", "0.6", "--l-max", "16", "--count", "32",

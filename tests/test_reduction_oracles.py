@@ -38,11 +38,14 @@ points (picked by sheet type), and a brute force that scores every
 enumerated point of the probe's tube.  All three score points with the
 same kernel.
 
-`_probe_rows` draws each random probe straight into its rows, takes its
-norm as sqrt(v.dot(v)) and forms the bases after the loop; its oracle is
-the former per-row loop with `np.linalg.norm`.  `_walk_lattice_sheets`
-keeps one shrinking array of live probes per sheet; its oracle recomputes
-every probe's next entry on every round.  The walk also skips the columns
+`_probe_rows` draws each random probe straight into its rows, takes the
+norms from one stacked matmul and forms the bases after the loop, and it
+starts over with a per-probe check when a norm is short; its oracle is the
+former per-row loop with `np.linalg.norm`.  `_walk_lattice_sheets` holds
+only the live probes of each sheet's walk, compressed when some drop; its
+oracles are the index-based walk it replaced, which gathers every probe's
+state by index on every call, and a walk that recomputes every probe's
+next entry on every round.  The walk also skips the columns
 whose box provably holds no integer; its oracle is the walk without the
 skip, compared below the horizon, and every skipped column's float box is
 checked to be empty as `score` rounds it.  `estimate_visibility` draws one
@@ -96,6 +99,7 @@ The fast paths promise the same floats, so every comparison is exact.
 """
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -1595,31 +1599,140 @@ def former_probe_rows(window, count, seed):
     return bases, raw, norms
 
 
-class ShrunkNormals:
-    """A generator whose every third normal draw is scaled by 1e-12, below
-    the redraw threshold of a probe direction's norm."""
+class ShortNormals:
+    """A generator that counts its draws and scales its normal draws whose
+    numbers (from 1) are in ``short`` by 1e-12, below the redraw threshold
+    of a probe direction's norm."""
 
     make = staticmethod(np.random.default_rng)
 
-    def __init__(self, seed):
+    def __init__(self, short, seed):
         self.rng = self.make(seed)
-        self.normals = 0
+        self.short = short
+        self.normals = self.uniforms = 0
 
     def standard_normal(self, size=None, out=None):
         vec = self.rng.standard_normal(size, out=out)
         self.normals += 1
-        if self.normals % 3 == 1:
+        if self.normals in self.short:
             vec *= 1e-12
         return vec
 
     def random(self, size=None, out=None):
+        self.uniforms += 1
         return self.rng.random(size, out=out)
+
+
+def draw_with_short_normals(monkeypatch, short, window, count, seed):
+    """`_probe_rows` and `former_probe_rows` with `ShortNormals` generators,
+    and the generators that `_probe_rows` made."""
+    made = []
+
+    def make(seed):
+        made.append(ShortNormals(short, seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", make)
+    got = geometry._probe_rows(window, count, seed)
+    draws = list(made)
+    want = former_probe_rows(window, count, seed)
+    monkeypatch.undo()
+    return got, want, draws
+
+
+class IndexColumnWalk(analysis._ColumnWalk):
+    """`_ColumnWalk` as it was before it held only its live probes: every
+    probe stays in its state, and ``entry``, ``bounds``, ``skip`` and
+    ``score`` gather the state of the probe indices ``sel`` on each call."""
+
+    def entry(self, sel, j):
+        return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
+
+    def bounds(self, sel, j):
+        y0, u, lo_off, hi_off = (np.take(a, sel, axis=1)[:, None]
+                                 for a in (self.y0, self.u, self.lo_off, self.hi_off))
+        y_in = y0 + self.entry(sel, j) * u
+        return y_in + lo_off, y_in + hi_off
+
+    def skip(self, sel, limit):
+        lo, hi = self.bounds(sel, self.done[sel] + np.arange(analysis.SKIP_MAX_PERIOD)[:, None])
+        m = np.floor(hi)
+        margin = self.margin[sel]
+        left = lo - m - margin
+        right = m + 1.0 - hi - margin
+        empty = (left > 0.0) & (right > 0.0)
+        empty &= (np.arange(empty.shape[0])[:, None] != self.axis[sel])[:, None]
+        sigma = np.take(self.u, sel, axis=1) / self.speed[sel]
+        jump = np.zeros(sel.size)
+        for q in range(1, analysis.SKIP_MAX_PERIOD + 1):
+            delta = (q * sigma - np.rint(q * sigma))[:, None]
+            room = np.where(delta > 0.0, right[:, :q], left[:, :q])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                blocks = np.floor(room / np.abs(delta)) + 1.0
+            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=0)
+            jump = np.maximum(jump, q * blocks.min(axis=0))
+        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
+                       - self.start[sel]) + 1.0
+        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
+
+    def score(self, sel, columns, eps, bases, dirs, first):
+        d = bases.shape[1]
+        j = self.done[sel] + np.arange(columns)[:, None]
+        lo, hi = self.bounds(sel, j)
+        lo = np.ceil(lo)
+        hi = np.floor(hi)
+        axis = self.axis[sel]
+        on_axis = (np.arange(d)[:, None] == axis)[:, None]
+        col = self.sgn[sel] * (self.start[sel] + j)
+        lo = np.where(on_axis, col, lo)
+        hi = np.where(on_axis, col, hi)
+        k = int((hi - lo).max()) + 1
+        zs = lo[:, None] + np.take(analysis._walk_stencils(k, d), axis, axis=2)[:, :, None]
+        inside = np.flatnonzero((zs <= hi[:, None]).all(axis=0))
+        owner = np.take(sel, inside % sel.size)
+        pts = self.sheet.points(np.stack([np.take(z, inside) for z in zs], axis=1))
+        np.minimum.at(first, owner, _candidate_scores(
+            pts, np.take(bases, owner, axis=0), np.take(dirs, owner, axis=0), eps))
+
+
+def index_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first,
+                              walk_type=IndexColumnWalk):
+    """`_walk_lattice_sheets` as it was with `IndexColumnWalk`: one shrinking
+    array of live probe indices per sheet."""
+    walks = [walk_type(s, eps, bases, dirs, horizons) for s in sheets]
+    guard = 1e-9 * (1.0 + horizons)
+    alive = [np.arange(bases.shape[0])] * len(walks)
+    columns = analysis.WALK_FIRST_COLUMNS
+
+    def entered(walk, live):
+        limit = np.minimum(first[live], horizons[live]) + guard[live]
+        keep = walk.entry(live, walk.done[live]) <= limit
+        return live[keep], limit[keep]
+
+    while True:
+        moved = False
+        for i, walk in enumerate(walks):
+            live, limit = entered(walk, alive[i])
+            if columns == analysis.WALK_MAX_COLUMNS and live.size:
+                walk.skip(live, limit)
+                live, _ = entered(walk, live)
+            alive[i] = live
+            if not live.size:
+                continue
+            moved = True
+            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
+            for lo in range(0, live.size, chunk):
+                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
+            walk.done[live] += columns
+        if not moved:
+            return
+        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
 
 
 def former_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
     """`_walk_lattice_sheets` with every probe's next entry recomputed on
     every round and sheet."""
-    walks = [analysis._ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
+    walks = [IndexColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
     guard = 1e-9 * (1.0 + horizons)
     everyone = np.arange(bases.shape[0])
     columns = analysis.WALK_FIRST_COLUMNS
@@ -1666,17 +1779,46 @@ class TestProbeDrawOracle:
     def test_redrawn_directions_match_the_former_loop(self, dim, monkeypatch):
         # Every third normal draw is too short, so the redraw loop runs.
         for count in (1, 2, 3, 64):
-            monkeypatch.setattr(np.random, "default_rng", ShrunkNormals)
-            got = geometry._probe_rows(PROBE_WINDOWS[dim], count, 7)
-            want = former_probe_rows(PROBE_WINDOWS[dim], count, 7)
-            monkeypatch.undo()
+            got, want, _ = draw_with_short_normals(monkeypatch, range(1, 10 ** 6, 3),
+                                                   PROBE_WINDOWS[dim], count, 7)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
             assert np.all(want[2] >= 1e-9)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count, where", [(64, "first"), (64, "last"), (65, "last"),
+                                              (1, "first")])
+    def test_one_short_normal_redraws_like_the_former_loop(self, dim, count, where,
+                                                           monkeypatch):
+        # One short normal, at the first or the last random probe, or at
+        # the only probe: the first pass is thrown away, and the second
+        # redraws that direction alone, as the former loop did.
+        randoms = count - count // 2
+        short = {1 if where == "first" else randoms}
+        got, want, draws = draw_with_short_normals(monkeypatch, short,
+                                                   PROBE_WINDOWS[dim], count, 7)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert np.all(want[2] >= 1e-9)
+        assert [(g.normals, g.uniforms) for g in draws] == [(randoms, randoms),
+                                                           (randoms + 1, randoms)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 257])
+    def test_a_clean_draw_is_one_pass(self, dim, count, monkeypatch):
+        # One normal and one uniform draw per random probe, from one
+        # generator: no second pass.
+        got, want, draws = draw_with_short_normals(monkeypatch, set(),
+                                                   PROBE_WINDOWS[dim], count, 7)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        randoms = count - count // 2
+        assert [(g.normals, g.uniforms) for g in draws] == [(randoms, randoms)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_norms_are_numpy_norms(self, dim):
-        # The loop takes sqrt(v.dot(v)); a numpy whose norm rounds
+        # The norms come from one stacked matmul, one BLAS dot per row, which
+        # must round as sqrt(v.dot(v)); a numpy whose norm or matmul rounds
         # otherwise fails here.
         count = 2001
         _, raw, norms = geometry._probe_rows(Window.cube(50.0, dim), count, 1)
@@ -1684,43 +1826,34 @@ class TestProbeDrawOracle:
             assert norms[i] == float(np.linalg.norm(raw[i]))
 
 
-def unskipped_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
-    """`_walk_lattice_sheets` with no skip: every probe scores each of its
+class UnskippedColumnWalk(IndexColumnWalk):
+    """`IndexColumnWalk` with no skip: every probe scores each of its
     columns until its next entry passes min(first, horizon)."""
-    walks = [analysis._ColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
-    guard = 1e-9 * (1.0 + horizons)
-    alive = [np.arange(bases.shape[0])] * len(walks)
-    columns = analysis.WALK_FIRST_COLUMNS
-    while True:
-        moved = False
-        for i, walk in enumerate(walks):
-            live = alive[i]
-            limit = np.minimum(first[live], horizons[live]) + guard[live]
-            live = alive[i] = live[walk.entry(live, walk.done[live]) <= limit]
-            if not live.size:
-                continue
-            moved = True
-            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
-            for lo in range(0, live.size, chunk):
-                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
-            walk.done[live] += columns
-        if not moved:
-            return
-        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
+
+    def skip(self, sel, limit):
+        pass
+
+
+unskipped_walk_lattice_sheets = functools.partial(index_walk_lattice_sheets,
+                                                  walk_type=UnskippedColumnWalk)
 
 
 def record_walk(walk_fn, monkeypatch, sheets, eps, bases, dirs, lengths):
-    """``first`` after ``walk_fn``, and the (sheet, probes, columns) of
-    every chunk it scored."""
+    """``first`` after ``walk_fn``, and the (sheet, probe ids, columns) of
+    every chunk it scored, from `_ColumnWalk` (a slice of its live probes)
+    or `IndexColumnWalk` (probe indices)."""
     calls = []
-    score = analysis._ColumnWalk.score
 
-    def recording(walk, sel, columns, *rest):
-        index = next(i for i, s in enumerate(sheets) if s is walk.sheet)
-        calls.append((index, sel.tobytes(), columns))
-        return score(walk, sel, columns, *rest)
+    def recorder(score):
+        def recording(walk, sel, columns, *rest):
+            index = next(i for i, s in enumerate(sheets) if s is walk.sheet)
+            ids = walk.ids[sel] if isinstance(sel, slice) else sel
+            calls.append((index, ids.tobytes(), columns))
+            return score(walk, sel, columns, *rest)
+        return recording
 
-    monkeypatch.setattr(analysis._ColumnWalk, "score", recording)
+    for walk_type in (analysis._ColumnWalk, IndexColumnWalk):
+        monkeypatch.setattr(walk_type, "score", recorder(walk_type.score))
     first = np.full(bases.shape[0], np.inf)
     walk_fn(sheets, eps, bases, dirs, np.ceil(lengths), first)
     monkeypatch.undo()
@@ -1756,6 +1889,56 @@ class TestShrinkingWalkOracle:
         assert got_first.tobytes() == below_horizon(want[0], lengths).tobytes()
         assert scored_rows(got[1]) <= scored_rows(want[1])
         assert np.isfinite(got_first).any()
+
+
+class TestLiveProbeWalk:
+    """The walk that holds only its live probes against `IndexColumnWalk`:
+    the same chunks in the same order, hence ``first`` bit for bit."""
+
+    @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid(),
+                                      integer_lattice(1), integer_lattice(3)],
+                             ids=["z2", "peres", "three-grid", "z1", "z3"])
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_matches_the_index_walk(self, spec, eps, monkeypatch):
+        sheets = [s for s in spec.sheets() if isinstance(s, LatticeSheet)]
+        bases, dirs, lengths = sample_probes(Window.cube(20.0, spec.dim), 300.0, 400, 3)
+        jumped = []
+        skip = analysis._ColumnWalk.skip
+
+        def counting(walk, limit):
+            before = walk.done.sum()
+            skip(walk, limit)
+            jumped.append(walk.done.sum() - before)
+
+        monkeypatch.setattr(analysis._ColumnWalk, "skip", counting)
+        got = record_walk(analysis._walk_lattice_sheets, monkeypatch, sheets,
+                          eps, bases, dirs, lengths)
+        want = record_walk(index_walk_lattice_sheets, monkeypatch, sheets,
+                           eps, bases, dirs, lengths)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        assert np.isfinite(got[0]).any()
+        # On Z^1 every probe meets a point within its first columns, so no
+        # walk reaches the rounds that skip.
+        assert sum(jumped) > 0 or eps > 0.01 or spec.dim == 1
+
+    def test_keep_compresses_every_probe_array(self):
+        bases, dirs, lengths = sample_probes(Window.cube(20.0, 2), 300.0, 40, 3)
+        sheet = PeresForest().sheets()[1]
+        walk = analysis._ColumnWalk(sheet, 0.05, bases, dirs, np.ceil(lengths))
+        full = IndexColumnWalk(sheet, 0.05, bases, dirs, np.ceil(lengths))
+        walk.keep(np.ones(40, dtype=bool))
+        walk.keep(np.arange(40) % 3 != 1)
+        walk.keep(np.arange(27) % 2 == 0)
+        ids = np.arange(40)[np.arange(40) % 3 != 1][::2]
+        assert walk.ids.tobytes() == ids.tobytes()
+        for name in analysis._ColumnWalk.PER_PROBE:
+            got, want = getattr(walk, name), getattr(full, name)
+            assert got.flags.c_contiguous and got.shape == want.shape[:-1] + (ids.size,)
+            assert got.tobytes() == np.take(want, ids, axis=-1).tobytes(), name
+        j = np.arange(3.0)[:, None] + walk.done
+        for got, want in zip(walk.bounds(j), full.bounds(ids, j)):
+            assert got.tobytes() == want.tobytes()
 
 
 def nudge(draw, x):
@@ -1809,17 +1992,22 @@ def near_rational_probes(draw):
 
 
 def record_skips(monkeypatch, sheets, eps, bases, dirs, lengths):
-    """``first`` after `_walk_lattice_sheets`, and the (walk, probe, done
-    before, done after) of every probe that a skip moved."""
+    """``first`` after `_walk_lattice_sheets`, and the (box, probe id, done
+    before, done after) of every probe that a skip moved.  The box, read
+    at skip time while the walk still holds the probe, is the dominant axis
+    and, per axis and skipped column, whether the column's float box, as
+    ``score`` rounds it, holds no integer."""
     skips = []
     skip = analysis._ColumnWalk.skip
 
-    def recording(walk, sel, limit):
-        before = walk.done[sel].copy()
-        skip(walk, sel, limit)
-        moved = walk.done[sel] != before
-        skips.extend(zip([walk] * int(moved.sum()), sel[moved], before[moved],
-                         walk.done[sel][moved]))
+    def recording(walk, limit):
+        before = walk.done.copy()
+        skip(walk, limit)
+        for p in np.flatnonzero(walk.done != before):
+            lo, hi = walk.bounds(np.arange(before[p], walk.done[p])[:, None],
+                                 slice(p, p + 1))
+            box = (np.ceil(lo[:, :, 0]) > np.floor(hi[:, :, 0]), walk.axis[p])
+            skips.append((box, walk.ids[p], before[p], walk.done[p]))
 
     monkeypatch.setattr(analysis._ColumnWalk, "skip", recording)
     first = np.full(bases.shape[0], np.inf)
@@ -1831,10 +2019,8 @@ def record_skips(monkeypatch, sheets, eps, bases, dirs, lengths):
 def assert_skipped_columns_are_empty(skips):
     """Every skipped column's float box, as ``score`` rounds it, holds no
     integer on some axis other than the dominant one."""
-    for walk, probe, before, after in skips:
-        lo, hi = walk.bounds(np.array([probe]), np.arange(before, after)[:, None])
-        empty = np.ceil(lo[:, :, 0]) > np.floor(hi[:, :, 0])
-        empty[walk.axis[probe]] = False
+    for (empty, axis), probe, before, after in skips:
+        empty[axis] = False
         assert empty.any(axis=0).all(), (probe, before, after)
 
 
@@ -1886,7 +2072,7 @@ class TestColumnSkip:
         lengths = np.full(2, 4096.0)
         sheets = integer_lattice(2).sheets()
         walk = analysis._ColumnWalk(sheets[0], 0.01, bases, dirs, lengths)
-        lo, _ = walk.bounds(np.arange(2), np.full((1, 2), 62.0))
+        lo, _ = walk.bounds(np.full((1, 2), 62.0))
         gap = lo[1, 0, :] - np.floor(lo[1, 0, :])
         assert np.all((gap > 0.0) & (gap < 1e-12))
         first, skips = record_skips(monkeypatch, sheets, 0.01, bases, dirs, lengths)
@@ -2028,8 +2214,8 @@ def former_walk_state(sheet, eps, bases, dirs, horizons):
             "rows_per_column": int((np.floor(width.max()) + 2.0) ** (d - 1))}
 
 
-class FormerColumnWalk(analysis._ColumnWalk):
-    """`_ColumnWalk` with the former row-major ``bounds``, ``skip`` and
+class FormerColumnWalk(IndexColumnWalk):
+    """`IndexColumnWalk` with the former row-major ``bounds``, ``skip`` and
     ``score``, run on (n, d) views of the walk's transposed state."""
 
     def __init__(self, *args):
@@ -2101,7 +2287,8 @@ def former_walk_first_hits(monkeypatch, spec, eps, bases, dirs, lengths):
         walks.append(FormerColumnWalk(*args))
         return walks[-1]
 
-    monkeypatch.setattr(analysis, "_ColumnWalk", make)
+    monkeypatch.setattr(analysis, "_walk_lattice_sheets",
+                        functools.partial(index_walk_lattice_sheets, walk_type=make))
     first = _probe_first_hits(spec, eps, bases, dirs, lengths)
     monkeypatch.undo()
     return first, sum(w.skipped for w in walks)
