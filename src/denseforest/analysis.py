@@ -41,12 +41,18 @@ DISPERSION_GRID_BUDGET = 2 ** 18
 # brute-force distances or of its cover table may hold.
 GRID_BOUND_SAMPLE = 64
 GRID_BOUND_CELLS = 2 ** 16
-# Cells (twist rows x span indices x d) per block of the SUD window scan,
-# so a block holds max(1, SUD_BLOCK_CELLS // (span * d)) rows whatever N
-# is.  At N = 2^14 and m_max = 64 a span has 16,448 indices, a block has
-# 127 rows and each of its arrays (values, sorted cores, order) takes
-# about 16 MB.
-SUD_BLOCK_CELLS = 2 ** 21
+# Cells (twist rows x core indices x d) per block of the SUD core bounds,
+# and the most (twist rows x span indices x d) that one batch of the
+# best-first scan may hold beyond its first row.  A block holds
+# max(1, SUD_BLOCK_CELLS // (core * d)) rows whatever N is, and each of its
+# three buffers (values, floors, gaps) takes 512 KB, so all three stay in a
+# 2 MB L2 cache.  At N = 2^14, m_max 64 and 256 twists (a core of 16,320
+# indices, 4 rows a block) on 2 Xeon vCPUs with 2 MB of L2 each, a d = 1
+# `sud_estimate` took a median of 38 ms at 2^15 and 2^16 cells, 40 ms at
+# 2^17 and 46 ms at 2^18, against 65 ms for the former 127-row blocks of
+# 2^21 cells, whose 16 MB arrays ran from DRAM (24 interleaved calls each).
+# A `sud` command's call took 223 minor page faults, against 1,924.
+SUD_BLOCK_CELLS = 2 ** 16
 # Work and array budgets of `sud_estimate`, checked before anything is
 # drawn.  A window of N values counts N units for d = 1, and SUD_GRID_UNITS
 # per element of its grid bound (3^d N tiled points and 4096 nodes, fewer
@@ -54,8 +60,11 @@ SUD_BLOCK_CELLS = 2 ** 21
 # took 9.3 ns a unit (N = 2^14, 65 shifts, 256 twists), and a d = 2 or 3
 # window 0.26-0.94 us an element (N = 1 to 4096), so the cap runs about
 # 20 s.  The sweep's SUD counts 2.7e8 units at d = 1 and 9.2e7 at d = 2.
-# The twists and the span of a run hold d * (xi_count + 2N) values, which
-# peaked at 40-52 bytes a value (tracemalloc), 0.9 GB at the cap.
+# The twists and the span of a run hold d * (xi_count + 2N) values.  With
+# one twist row a block (N >= 2^18), a d = 1 call peaked at 24-29 bytes a
+# value (tracemalloc), 0.4 GB at the cap; a d = 2 call peaked at 118 bytes
+# a value, most of it the grid bound's 3^d tiled copies, and MAX_SUD_WORK
+# holds d = 2 to about 10^7 values, 1.2 GB.
 MAX_SUD_WORK = 2 ** 31
 SUD_GRID_UNITS = 100
 MAX_SUD_VALUES = 2 ** 24
@@ -294,12 +303,14 @@ def _covered(axes, pts: np.ndarray, r: float) -> np.ndarray:
     return table > 0
 
 
-def _toroidal_dispersion_rows(s: np.ndarray) -> np.ndarray:
-    """Toroidal 1-D dispersion of each row of ascending fractional parts in [0,1)."""
+def _toroidal_dispersion_rows(s: np.ndarray, gaps=None) -> np.ndarray:
+    """Toroidal 1-D dispersion of each row of ascending fractional parts in
+    [0,1).  The gaps s[:, 1:] - s[:, :-1], np.diff's floats, go into
+    ``gaps`` when it is given."""
     wrap = 1.0 - s[:, -1] + s[:, 0]
     if s.shape[1] > 1:
-        inner = np.max(np.diff(s, axis=1), axis=1)
-        return np.maximum(inner, wrap) / 2.0
+        gaps = np.subtract(s[:, 1:], s[:, :-1], out=gaps)
+        return np.maximum(np.max(gaps, axis=1), wrap) / 2.0
     return wrap / 2.0
 
 
@@ -622,41 +633,76 @@ def _shift_windows_max(w: np.ndarray, offsets, N: int) -> float:
     return best
 
 
+def _twist(vs: np.ndarray, idx: np.ndarray, xis: np.ndarray, out=None,
+           tmp=None) -> np.ndarray:
+    """w_j = (v_j - xi*j) mod 1, j in idx, with v_j the rows of vs, for every
+    twist row xi, as a (twists, indices, d) array; into ``out`` with
+    ``tmp`` for the floors when they are given.  The mod is t - floor(t),
+    t = v_j - xi*j: the same float as np.mod(t, 1.0), which rounds the same
+    exact value once, and +0.0 for -0.0 and integers.  Every step is
+    elementwise, so a value's bits depend on its own v_j, j and xi alone."""
+    w = np.multiply(xis[:, None, :], idx[None, :, None], out=out)
+    np.subtract(vs, w, out=w)
+    w -= np.floor(w, out=tmp)
+    return w
+
+
+def _core_bounds(vs: np.ndarray, idx: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """`_window_dispersions` of `_twist`(vs, idx, xis), to the last bit.
+
+    The twists go in blocks of max(1, SUD_BLOCK_CELLS // vs.size) rows
+    through buffers allocated once: the values and, for d = 1, their floors
+    and gaps.  For d = 1 each block is sorted in place, so a small block's
+    passes stay in the cache, and it allocates only arrays of one float a
+    row.  For d >= 2 a block's floors are freed before its grid bounds."""
+    n, d = vs.shape
+    rows = min(xis.shape[0], max(1, SUD_BLOCK_CELLS // vs.size))
+    w = np.empty((rows, n, d))
+    if d == 1:
+        tmp, gaps = np.empty((rows, n, 1)), np.empty((rows, n - 1))
+    bound = np.empty(xis.shape[0])
+    for b in range(0, xis.shape[0], rows):
+        k = min(rows, xis.shape[0] - b)
+        if d > 1:
+            bound[b:b + k] = _window_dispersions(_twist(vs, idx, xis[b:b + k], w[:k]))
+            continue
+        s = _twist(vs, idx, xis[b:b + k], w[:k], tmp[:k])[:, :, 0]
+        s.sort(axis=1)
+        bound[b:b + k] = _toroidal_dispersion_rows(s, gaps[:k])
+    return bound
+
+
 def _run_dispersion_max(vs: np.ndarray, idx: np.ndarray, shifts: list,
                         N: int, xis: np.ndarray, best: float) -> float:
     """Max of best and, over twists xi and the shifts m of one run, the
-    toroidal dispersion of the window {w_j : m <= j < m+N} of
-    w_j = (v_j - xi*j) mod 1, j in idx, with v_j the rows of vs.  The mod is
-    t - floor(t), t = v_j - xi*j: the same float as np.mod(t, 1.0), which
-    rounds the same exact value once, and +0.0 for -0.0 and integers.
+    toroidal dispersion of the window {w_j : m <= j < m+N} of `_twist`'s
+    w_j, j in idx.
 
-    Each row of a block of twists gets only an upper bound, the dispersion
-    of its core: the indices [span, N) (span = shifts[-1] - shifts[0]) that
-    every window of the run keeps (see `sud_estimate` for why it bounds
-    them).  The rows are then visited best bound first, ties by row, in
-    batches of 1, 2, 4, ...; each batch drops the rows whose bound is at
-    most the best value so far, and `_shift_windows_max` scans the others
-    over every shift of the run.  The search stops at the first bound that
-    cannot win (best-first branch and bound, Land and Doig, 1960).  The
-    core of a run of one shift is its window, so its bound is its value.
+    Each twist first gets only an upper bound, the dispersion of its core:
+    the indices [span, N) (span = shifts[-1] - shifts[0]) that every window
+    of the run keeps (see `sud_estimate` for why it bounds them).  The
+    twists are then visited best bound first, ties by row, in batches of
+    1, 2, 4, ... up to max(1, SUD_BLOCK_CELLS // vs.size) rows; each batch
+    drops the rows whose bound is at most the best value so far, and
+    `_shift_windows_max` scans the others over every shift of the run,
+    their values recomputed over the whole span.  The search stops at the
+    first bound that cannot win (best-first branch and bound, Land and
+    Doig, 1960).  The core of a run of one shift is its window, so its
+    bound is its value.
     """
     span = shifts[-1] - shifts[0]
     offsets = [m - shifts[0] for m in shifts]
-    rows = max(1, SUD_BLOCK_CELLS // vs.size)
-    for b in range(0, xis.shape[0], rows):
-        w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
-        w -= np.floor(w)
-        bound = _window_dispersions(w[:, span:N])
-        if span == 0:
-            best = max(best, float(np.max(bound)))
-            continue
-        order = np.argsort(-bound, kind="stable")
-        start, size = 0, 1
-        while start < order.size and bound[order[start]] > best:
-            batch = order[start:start + size]
-            batch = batch[bound[batch] > best]
-            best = max(best, _shift_windows_max(w[batch], offsets, N))
-            start, size = start + size, 2 * size
+    bound = _core_bounds(vs[span:N], idx[span:N], xis)
+    if span == 0:
+        return max(best, float(np.max(bound)))
+    cap = max(1, SUD_BLOCK_CELLS // vs.size)
+    order = np.argsort(-bound, kind="stable")
+    start, size = 0, 1
+    while start < order.size and bound[order[start]] > best:
+        batch = order[start:start + size]
+        batch = batch[bound[batch] > best]
+        best = max(best, _shift_windows_max(_twist(vs, idx, xis[batch]), offsets, N))
+        start, size = start + size, min(2 * size, cap)
     return best
 
 

@@ -27,10 +27,11 @@ EULER_GAMMA = 0.5772156649015329
 # Budget for the points one enumeration may build, checked against the sum
 # of its sheets' estimates before any sheet is enumerated.  On the
 # three-grid at r = 100, 200 and 400 (a 2-vCPU Xeon) the estimate was 1.2
-# times the points kept, tracemalloc measured a peak of 97 bytes per point
-# (81 per estimated point) and enumeration ran at about 4e6 points/s, so a
-# request at the cap takes about 3 GB and 7 s, which leaves room for the
-# rest of a run on a host with 8 GB of memory.
+# times the points kept, tracemalloc measured a peak of 56 bytes per point
+# (47 per estimated point; the merge of the sheets' points sets it) and
+# `enumerate_points` ran at 0.8-1.4e7 points/s, so a request at the cap
+# takes about 1.7 GB and 2-4 s, which leaves room for the rest of a run on
+# a host with 8 GB of memory.
 MAX_ENUMERATED_POINTS = 3 * 10 ** 7
 MERGE_DECIMALS = 9
 # Rows that write_points_csv formats at a time.  Writing the three-grid at
@@ -236,15 +237,20 @@ def _integer_ranges(images: np.ndarray):
 
 
 def _grid_size(lo: np.ndarray, hi: np.ndarray) -> float:
-    with np.errstate(over="ignore"):    # inf past the float range
+    # inf past the float range, NaN (which the guards refuse) for inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.prod(np.maximum(hi - lo + 1.0, 0.0)))
 
 
-def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _integer_axes(lo: np.ndarray, hi: np.ndarray) -> list:
     # Floats do not wrap past 2^63 as int64 does; an empty axis (size 0) empties all.
     size = _grid_size(lo, hi)
     check_limit("integer points", size, MAX_ENUMERATED_POINTS)
-    return cartesian(*[np.arange(a, min(b + 1.0, a + size)) for a, b in zip(lo, hi)])
+    return [np.arange(a, min(b + 1.0, a + size)) for a, b in zip(lo, hi)]
+
+
+def _integer_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return cartesian(*_integer_axes(lo, hi))
 
 
 def _freeze(obj, **arrays):
@@ -317,10 +323,79 @@ class LatticeSheet:
     def estimate(self, window: Window) -> float:
         return window.volume / self.det * 1.2 + 16
 
+    def _integer_box(self, window: Window):
+        """Inclusive integer bounds (lo, hi), as floats, of the bounding box
+        of the window's preimage; inf or NaN where the preimage leaves the
+        float range, which the box guard refuses."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = (window.corners() - self.shift) @ self.inverse.T
+        return _integer_ranges(images)
+
+    def _last_axis_runs(self, window: Window, prefixes: np.ndarray,
+                        lo: np.ndarray, hi: np.ndarray):
+        """Integer bounds first <= z_d <= last, as floats with first in
+        [lo_d, hi_d + 1] and last at most hi_d, for each prefix
+        (z_1..z_{d-1}) of the box [lo, hi], such that every row z whose
+        point ``points`` puts in the window lies in them.
+
+        Face k of the window holds lo_k <= c_k + b_k z_d < hi_k, with b the
+        basis's last column and c_k the rest of the point.  The product that
+        ``points`` rounds, the c_k computed here and the subtractions below
+        each lie within (d + 1) u scale_k of their exact values (u = 2^-53;
+        Higham, 2002, sec. 3.1), with scale_k = sum_j |B_kj| max|z_j| +
+        |shift_k| + |lo_k| + |hi_k|; the margin is 8 (d + 3) u scale_k.  Inside
+        a box under 2^50 a quotient rounds by less than one integer, so each
+        bound, widened by one integer and clipped to the box, keeps every row
+        that the window can hold.  A face with b_k = 0, or whose scale is past
+        2^1000, bounds nothing."""
+        d = self.dim
+        big = np.maximum(np.abs(lo), np.abs(hi))
+        first = np.full(prefixes.shape[0], lo[-1])
+        last = np.full(prefixes.shape[0], hi[-1])
+        for k in range(d):
+            b = self.basis[k, -1]
+            with np.errstate(over="ignore"):    # inf past the float range
+                scale = float(np.abs(self.basis[k]) @ big) + abs(self.shift[k])
+            scale += abs(window.lo[k]) + abs(window.hi[k])
+            if b == 0.0 or not scale <= 2.0 ** 1000:
+                continue
+            margin = (d + 3) * 2.0 ** -50 * scale
+            c = np.full(prefixes.shape[0], self.shift[k])
+            for j in range(d - 1):
+                c += self.basis[k, j] * prefixes[:, j]
+            with np.errstate(over="ignore"):    # +-inf past the float range
+                q_lo = (window.lo[k] - margin - c) / b
+                q_hi = (window.hi[k] + margin - c) / b
+            if b < 0.0:
+                q_lo, q_hi = q_hi, q_lo
+            np.maximum(first, np.ceil(q_lo) - 1.0, out=first)
+            np.minimum(last, np.floor(q_hi) + 1.0, out=last)
+        return np.minimum(first, hi[-1] + 1.0), last
+
     def enumerate(self, window: Window) -> np.ndarray:
+        """The points in the window, in the order of the integer box's rows.
+
+        The box is the integer bounding box of the window's preimage.  Of
+        each prefix of its rows only the run that `_last_axis_runs` leaves
+        is built, with the floats and in the order of the whole box's rows;
+        the rows left out have their points outside the window.  A box that
+        reaches 2^50 is built whole."""
         check_limit("points", self.estimate(window), MAX_ENUMERATED_POINTS)
-        images = (window.corners() - self.shift) @ self.inverse.T
-        pts = self.points(_integer_grid(*_integer_ranges(images)))
+        lo, hi = self._integer_box(window)
+        axes = _integer_axes(lo, hi)
+        if max(np.abs(lo).max(), np.abs(hi).max()) >= 2.0 ** 50:
+            zs = cartesian(*axes)
+        else:
+            prefixes = cartesian(*axes[:-1])
+            first, last = self._last_axis_runs(window, prefixes, lo, hi)
+            counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+            starts = np.cumsum(counts) - counts
+            picks = np.arange(int(counts.sum())) + np.repeat(
+                (first - lo[-1]).astype(np.int64) - starts, counts)
+            zs = np.empty((picks.size, self.dim))
+            zs[:, :-1] = np.repeat(prefixes, counts, axis=0)
+            zs[:, -1] = axes[-1][picks]
+        pts = self.points(zs)
         return np.compress(window.contains(pts), pts, axis=0)
 
 

@@ -20,10 +20,11 @@ from .errors import check_limit
 # 2^16 pairs on 2 Xeon vCPUs (best of 7, two rounds), with no trend by size.
 PAIR_BLOCK = 2 ** 14
 # Probes that one visibility or calibration command may draw.  tracemalloc
-# peaks of `visibility --l-max 64` were 240-670 bytes a probe on Z^2 and
-# 480-850 on the Peres forest (10^4 to 4 * 10^5 probes, eps 0.1 and 0.05),
-# at 23-30 us a probe and epsilon on 2 Xeon vCPUs, so the cap takes under
-# 1 GB and about 30 s an epsilon.
+# peaks at L_max 4096, eps 0.1 and 0.05 and 10^4 to 10^5 probes were
+# 290-470 bytes a probe on Z^2, 560-800 on the Peres forest and the
+# three-grid, and 1,015-1,288 on Z^3, at 4-7 us a probe and epsilon (32 us
+# on a marched generalized Peres set) on 2 Xeon vCPUs, so the cap takes up
+# to about 1.3 GB and 4-32 s an epsilon.
 MAX_PROBES = 10 ** 6
 
 

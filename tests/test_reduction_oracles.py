@@ -27,7 +27,9 @@ of every node, the former code.
 oracle is `np.unique(axis=0)`.  Two NaN-free columns sort as one complex
 key; the former code, two lexsorts, is the oracle of that sort.
 `Window.contains` builds its mask one column at a time; its oracle compares
-the whole array at once.
+the whole array at once.  `LatticeSheet.enumerate` builds, of each prefix
+of its integer box, only the run of last entries that the window's faces
+leave; its oracle builds every row of the box.
 
 `_probe_first_hits` walks lattice sheets column by column in lattice
 coordinates and marches the other sheets in unit steps, each sheet listing
@@ -107,6 +109,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -401,8 +404,9 @@ class TestSUDOracle:
             sud_oracle(seq, N, m_max, xi_count, seed)
 
     def test_block_boundary(self):
-        # 65 twists over one span of 70 + 257 indices, in blocks of 64, 3
-        # and 1 rows: the best value and the bound carry across blocks.
+        # 65 twists over one span of 70 + 257 indices, scanned in batches of
+        # at most 64, 3 and 1 rows, their core bounds in blocks of 111, 5 and
+        # 1 rows: the best value and the bounds carry across blocks.
         seq = quadratic_sequence(PHI)
         expected = sud_oracle(seq, 257, 70, 65, 9)
         for rows in (64, 3, 1):
@@ -451,10 +455,11 @@ class TestSUDOracle:
             sud_oracle(seq, N, m_max, xi_count, seed)
 
     def test_twist_values_match_np_mod(self):
-        # `_run_dispersion_max` reduces t = v_j - xi*j with t - floor(t),
-        # which rounds the same exact value as np.mod(t, 1.0) (the fmod, plus
-        # 1 when t < 0) once: bit for bit, +0.0 for -0.0 and integers, 1.0
-        # for negatives above -2^-54, and |t| up to 1e20.
+        # `_twist` reduces t = v_j - xi*j with t - floor(t), which rounds the
+        # same exact value as np.mod(t, 1.0) (the fmod, plus 1 when t < 0)
+        # once: bit for bit, +0.0 for -0.0 and integers, 1.0 for negatives
+        # above -2^-54, and |t| up to 1e20.  The values are caught as
+        # `_core_bounds` twists them into its buffers, before their sort.
         rng = np.random.default_rng(0)
         vs = np.concatenate([
             [-0.0, 0.0, 3.0, -7.0, -2.0 ** 53, -(2.0 ** 52 + 0.5), 0.5, -0.5,
@@ -463,13 +468,39 @@ class TestSUDOracle:
         vs = np.concatenate([vs, np.round(vs)])[:, None]
         idx = np.arange(vs.shape[0], dtype=np.int64)
         xis = np.array([[0.0], [PHI - 1.0], [-0.25], [1e-17], [-3.0]])
-        with mock.patch.object(analysis, "_window_dispersions",
-                               wraps=analysis._window_dispersions) as dispersions:
+        twist, twists = analysis._twist, []
+
+        def logged_twist(*args):
+            twists.append(twist(*args).copy())
+            return args[3]
+
+        with mock.patch.object(analysis, "_twist", side_effect=logged_twist):
             analysis._run_dispersion_max(vs, idx, [0], vs.shape[0], xis, 0.0)
-        (w,), _ = dispersions.call_args
+        (w,) = twists
+        assert np.array_equal(w.view(np.uint64),
+                              analysis._twist(vs, idx, xis).view(np.uint64))
         expected = np.mod(vs[None, :, :] - xis[:, None, :] * idx[None, :, None], 1.0)
         assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
         assert np.signbit(w).sum() == 0 and (w == 1.0).any()
+
+    @given(st.sampled_from(SEQUENCES), st.integers(1, 300), st.integers(0, 10 ** 6),
+           st.integers(1, 40), st.integers(0, 2 ** 16),
+           st.sampled_from([None, 1, 7, 300, 1000]))
+    @example(golden_sequence(), 1, 0, 5, 0, 1)      # one value a row, no gaps
+    @example(tsokanos_sequence(), 300, 0, 40, 1, 1000)  # blocks of 3 rows, the last of 1
+    @settings(max_examples=60, deadline=None)
+    def test_core_bounds_match_window_dispersions(self, seq, n, m, xi_count, seed, cells):
+        # The blocks that `_core_bounds` twists into its buffers, and for
+        # d = 1 sorts in place, give the floats of `_window_dispersions`
+        # over a fresh array of every twist.
+        idx = np.arange(m, m + n, dtype=np.int64)
+        vs = seq.extended_values(idx)
+        xis = _xi_samples(xi_count, seq.dim, seed)
+        with sud_block_cells(cells):
+            got = analysis._core_bounds(vs, idx, xis)
+        want = analysis._window_dispersions(analysis._twist(vs, idx, xis))
+        assert got.shape == (xi_count,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @staticmethod
     def scanned_rows(seq, N, m_max, xi_count, seed):
@@ -484,21 +515,25 @@ class TestSUDOracle:
     def test_every_row_pruned(self, seq, N):
         # Every twist row but the one with the top core bound is pruned: the
         # scan of that row over all 65 shifts reaches a value that no other
-        # row's bound exceeds.  The run fits one block.
+        # row's bound exceeds.  One scan covers the run's twists, though
+        # their core bounds come in several blocks, at the default cells and
+        # at 2^13.
         xis = _xi_samples(64, 1, 0)
         idx = np.arange(64 + N, dtype=np.int64)
         w = np.mod(seq.extended_values(idx)[:, 0] - xis * idx, 1.0)
         core = np.sort(w[:, 64:N], axis=1)
         bounds = np.maximum(np.max(np.diff(core, axis=1), axis=1),
                             1.0 - core[:, -1] + core[:, 0]) / 2.0
-        assert analysis.SUD_BLOCK_CELLS // idx.size >= 64
-        with mock.patch.object(analysis, "_shift_windows_max",
-                               wraps=analysis._shift_windows_max) as scan:
-            value = sud_estimate(seq, N, 64, 64, 0).value
-        (rows, offsets, _), _ = scan.call_args
-        assert scan.call_count == 1 and offsets == list(range(65))
-        assert np.array_equal(rows[:, :, 0], w[[np.argmax(bounds)]])
-        assert value == sud_oracle(seq, N, 64, 64, 0)
+        for cells in (None, 2 ** 13):
+            with sud_block_cells(cells):
+                assert analysis.SUD_BLOCK_CELLS // (N - 64) < 64
+                with mock.patch.object(analysis, "_shift_windows_max",
+                                       wraps=analysis._shift_windows_max) as scan:
+                    value = sud_estimate(seq, N, 64, 64, 0).value
+            (rows, offsets, _), _ = scan.call_args
+            assert scan.call_count == 1 and offsets == list(range(65))
+            assert np.array_equal(rows[:, :, 0], w[[np.argmax(bounds)]])
+            assert value == sud_oracle(seq, N, 64, 64, 0)
 
     @pytest.mark.parametrize("seq, N, m_max, xi_count, seed", [
         (tsokanos_sequence(), 2 ** 11, 64, 64, 0),
@@ -509,64 +544,86 @@ class TestSUDOracle:
         # One run, so each twist's values are sorted once, for its core
         # bound, and again only if its row is scanned.  The two-pass scan
         # also sorted every twist's first window: 2 * xi_count rows.
-        with mock.patch.object(analysis, "_window_dispersions",
-                               wraps=analysis._window_dispersions) as sorts, \
+        with mock.patch.object(analysis, "_core_bounds",
+                               wraps=analysis._core_bounds) as sorts, \
                 mock.patch.object(analysis, "_shift_windows_max",
                                   wraps=analysis._shift_windows_max) as scan:
             value = sud_estimate(seq, N, m_max, xi_count, seed).value
         scanned = sum(c.args[0].shape[0] for c in scan.call_args_list)
-        sorted_rows = sum(c.args[0].shape[0] for c in sorts.call_args_list)
+        sorted_rows = sum(c.args[2].shape[0] for c in sorts.call_args_list)
         assert sorted_rows + scanned <= xi_count + scanned
         assert value == sud_oracle(seq, N, m_max, xi_count, seed)
 
     @staticmethod
     def block_log(seq, N, m_max, xi_count, seed, bound=None):
-        """The value, and per block of twists its core columns and the rows
-        of each of its scans.  ``bound`` replaces the core bound."""
-        core, scan = analysis._window_dispersions, analysis._shift_windows_max
-        blocks = []
+        """The value, the rows of each block that `_core_bounds` twists into
+        its buffers, and the rows of each scan.  ``bound`` replaces the
+        core bounds of a run's twists."""
+        core, twist, scan = (analysis._core_bounds, analysis._twist,
+                             analysis._shift_windows_max)
+        blocks, scans = [], []
 
-        def logged_core(w):
-            blocks.append((w, []))
-            return core(w) if bound is None else bound(w)
+        def logged_core(vs, idx, xis):
+            return core(vs, idx, xis) if bound is None else bound(xis)
+
+        def logged_twist(vs, idx, xis, out=None, tmp=None):
+            if out is not None:
+                blocks.append(xis.shape[0])
+            return twist(vs, idx, xis, out, tmp)
 
         def logged_scan(w, offsets, n):
-            blocks[-1][1].append(w)
+            scans.append(w)
             return scan(w, offsets, n)
 
-        with mock.patch.object(analysis, "_window_dispersions", logged_core), \
+        with mock.patch.object(analysis, "_core_bounds", logged_core), \
+                mock.patch.object(analysis, "_twist", logged_twist), \
                 mock.patch.object(analysis, "_shift_windows_max", logged_scan):
             value = sud_estimate(seq, N, m_max, xi_count, seed).value
-        return value, blocks
+        return value, blocks, scans
+
+    @staticmethod
+    def batch_sizes(rows, cap):
+        """The batches 1, 2, 4, ... up to cap that take rows in all."""
+        sizes, size = [], 1
+        while rows > 0:
+            sizes.append(min(size, rows))
+            rows, size = rows - size, min(2 * size, cap)
+        return sizes
 
     @pytest.mark.parametrize("cells", [None, 5 * 24, 24])
     @pytest.mark.parametrize("forced", [False, True])
     def test_many_survivors_scan_in_doubling_batches(self, cells, forced):
-        # Golden, N = 16, m_max 8 and 64 twists: 27 rows reach the scan in
-        # one block, the last batch with 12 of its 16 rows.  Forced, a bound
-        # of 2 on even rows and 1 on odd ones (every toroidal dispersion is
-        # at most 1/2) sends every row through: the even rows first, then
-        # the odd ones, each in row order, since ties go by row.  Blocks of
-        # 5 and 1 rows carry the best value across blocks.
+        # Golden, N = 16, m_max 8 and 64 twists: one run of 24 indices, whose
+        # core bounds come in blocks of 15 and 3 rows for 5 * 24 and 24
+        # cells.  27 rows reach the scan, the last batch with 12 of its 16
+        # rows.  Forced, a bound of 2 on even rows and 1 on odd ones (every
+        # toroidal dispersion is at most 1/2) sends every row through: the
+        # even rows first, then the odd ones, each in row order, since ties
+        # go by row.  Batches capped at 5 and 1 rows carry the best value
+        # across batches.
         seq, N, m_max, xi_count, seed = golden_sequence(), 16, 8, 64, 1
         with sud_block_cells(cells):
-            value, blocks = self.block_log(
+            value, blocks, scans = self.block_log(
                 seq, N, m_max, xi_count, seed,
-                (lambda w: 2.0 - np.arange(w.shape[0]) % 2) if forced else None)
+                (lambda xis: 2.0 - np.arange(xis.shape[0]) % 2) if forced else None)
+            cap = max(1, analysis.SUD_BLOCK_CELLS // (N + m_max))
+            rows = max(1, analysis.SUD_BLOCK_CELLS // (N - m_max))
         assert value == sud_oracle(seq, N, m_max, xi_count, seed)
-        assert sum(core.shape[0] for core, _ in blocks) == xi_count
-        for core, scans in blocks:
-            rows, sizes = core.shape[0], [w.shape[0] for w in scans]
-            assert 0 not in sizes
-            assert len(sizes) <= math.ceil(math.log2(rows)) + 1
-            if forced:
-                assert sizes == [min(2 ** k, rows - 2 ** k + 1)
-                                 for k in range(len(sizes))]
-                assert np.array_equal(np.concatenate(scans)[:, m_max:N],
-                                      np.concatenate([core[0::2], core[1::2]]))
+        sizes = [w.shape[0] for w in scans]
+        assert 0 not in sizes and max(sizes) <= cap
+        assert len(sizes) <= len(self.batch_sizes(xi_count, cap))
+        if forced:
+            assert blocks == []
+            assert sizes == self.batch_sizes(xi_count, cap)
+            idx = np.arange(N + m_max, dtype=np.int64)
+            twists = analysis._twist(seq.extended_values(idx), idx,
+                                     _xi_samples(xi_count, 1, seed))
+            assert np.array_equal(np.concatenate(scans),
+                                  np.concatenate([twists[0::2], twists[1::2]]))
+        else:
+            assert sum(blocks) == xi_count and max(blocks) == min(rows, xi_count)
         if cells is None and not forced:
-            assert [[w.shape[0] for w in scans] for _, scans in blocks] == \
-                [[1, 2, 4, 8, 12]]
+            assert sizes == [1, 2, 4, 8, 12]
 
     @given(st.sampled_from(SEQUENCES[:3]), st.integers(1, 80),
            st.one_of(st.integers(0, 150), st.integers(10 ** 5, 10 ** 6)),
@@ -612,11 +669,12 @@ class TestSUDOracle:
         runs = len(_shift_groups(_m_samples(m_max), N))
         assert runs == len(_m_samples(m_max))
         with sud_block_cells(3 * N * seq.dim), \
-                mock.patch.object(analysis, "_window_dispersions",
-                                  wraps=analysis._window_dispersions) as cores, \
+                mock.patch.object(analysis, "_twist",
+                                  wraps=analysis._twist) as cores, \
                 mock.patch.object(analysis, "_shift_windows_max",
                                   wraps=analysis._shift_windows_max) as scan:
             value = sud_estimate(seq, N, m_max, 10, 7).value
+        assert all(c.args[3] is not None for c in cores.call_args_list)
         assert cores.call_count == runs * 4 and scan.call_count == 0
         assert value == sud_oracle(seq, N, m_max, 10, 7)
 
@@ -630,11 +688,12 @@ class TestSUDOracle:
         assert value > sud_estimate(seq, 32, 0, 16, 1).value
 
     def test_block_memory_is_bounded_by_cells(self):
-        # At N = 2^20 a block holds one twist row, so four twists take no
-        # more memory than one; 64-row blocks held all four at once.
+        # At N = 2^20 a block of core bounds and a batch of the scan hold one
+        # twist row, so four twists take no more memory than one; 64-row
+        # blocks held all four at once.
         N = 2 ** 20
         seq = quadratic_sequence(PHI)
-        assert analysis.SUD_BLOCK_CELLS // (N + 2) == 1
+        assert analysis.SUD_BLOCK_CELLS // (N - 2) <= 1
         peaks = []
         for xi_count in (1, 4):
             tracemalloc.start()
@@ -2490,6 +2549,132 @@ def column_count(sheet, window):
     """The columns k the window's bounding box meets in the sheet's frame."""
     pre = window.corners() @ sheet.rotation
     return max(0, math.floor(pre[:, 0].max() + 1e-9) - math.ceil(pre[:, 0].min() - 1e-9) + 1)
+
+
+def full_box_enumerate(sheet, window):
+    """`LatticeSheet.enumerate` as it was: the points of every row of the
+    integer box, masked by the window."""
+    generators.check_limit("points", sheet.estimate(window),
+                           generators.MAX_ENUMERATED_POINTS)
+    lo, hi = sheet._integer_box(window)
+    size = generators._grid_size(lo, hi)
+    generators.check_limit("integer points", size, generators.MAX_ENUMERATED_POINTS)
+    pts = sheet.points(cartesian(*[np.arange(a, min(b + 1.0, a + size))
+                                   for a, b in zip(lo, hi)]))
+    return np.compress(window.contains(pts), pts, axis=0)
+
+
+def assert_enumeration_matches(sheet, window):
+    """The same bits as the full box, or the same refusal, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = full_box_enumerate(sheet, window)
+        except ResourceLimitError as refusal:
+            with pytest.raises(ResourceLimitError) as got:
+                sheet.enumerate(window)
+            assert str(got.value) == str(refusal)
+            return None
+        got = sheet.enumerate(window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got
+
+
+ENUM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-6, 0.5, 1.0]),
+    st.floats(-3.0, 3.0))
+
+
+@st.composite
+def lattice_windows(draw):
+    """A sheet with zero, subnormal, huge or plain basis entries (any whose
+    |det| the sheet refuses is redrawn), and a window of 1-4 units a side
+    or one under 1e-3 that holds at most a row."""
+    d = draw(st.integers(1, 3))
+    basis = np.array(draw(st.lists(ENUM_ENTRIES, min_size=d * d, max_size=d * d)))
+    shift = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    try:
+        sheet = LatticeSheet(basis.reshape(d, d), shift)
+    except ValueError:
+        assume(False)
+    lo = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
+    side = draw(st.sampled_from([1e-4, 1e-3, 1.0, 4.0]))
+    return sheet, Window(lo, lo + side * np.array(
+        draw(st.lists(st.floats(0.5, 1.0), min_size=d, max_size=d))))
+
+
+class TestLatticeEnumerationOracle:
+    """`LatticeSheet.enumerate` builds, of each prefix of the integer box,
+    only the run of last entries that the window's faces leave; its oracle
+    builds every row of the box."""
+
+    @given(lattice_windows())
+    @example((LatticeSheet(np.array([[0.0, 1.0], [1.0, 5e-324]]), np.zeros(2)),
+              Window([-3.0, -3.0], [3.0, 3.0])))
+    @example((LatticeSheet(np.array([[1e300, 0.0], [0.0, 1.0]]), np.zeros(2)),
+              Window([-3.0, -3.0], [3.0, 3.0])))
+    @example((LatticeSheet(np.array([[1.0, 1e300], [1e-300, 2.0]]), np.full(2, 0.25)),
+              Window([-3.0, -3.0], [3.0, 3.0])))
+    @example((LatticeSheet(np.array([[1e-6, 0.0], [5e-7, 1.0000001e-6]]), np.zeros(2)),
+              Window([-3e-5, -3e-5], [3e-5, 3e-5])))      # |det| just past 1e-12
+    @example((LatticeSheet(np.array([[2.0]]), np.array([0.5])),
+              Window([0.6], [2.4])))                      # an empty box, d = 1
+    @example((LatticeSheet(np.array([[2.0]]), np.array([0.5])),
+              Window([2.5 + 1e-12], [3.0])))               # a row, none kept
+    @example((LatticeSheet(np.array([[2.0]]), np.array([0.5])),
+              Window([0.4], [0.6])))                      # one row, d = 1
+    @example((LatticeSheet(np.eye(2), np.full(2, 0.5)),
+              Window([0.1, 0.1], [0.4, 0.4])))             # an empty box, d = 2
+    @example((LatticeSheet(np.eye(2), np.full(2, 0.5)),
+              Window([0.4, 0.4], [0.6, 0.6])))             # one row, d = 2
+    @example((LatticeSheet(np.eye(3), np.full(3, 0.5)),
+              Window([0.1, 0.1, 0.1], [0.4, 0.4, 0.4])))   # an empty box, d = 3
+    @example((LatticeSheet(np.eye(3), np.zeros(3)),
+              Window([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])))  # one row, -0.0 starts
+    @example((LatticeSheet(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                           np.zeros(3)), Window.cube(2.0, 3)))  # a zero last column entry
+    @example((LatticeSheet(np.eye(2), np.array([0.0, 1e15])),
+              Window.cube(3.0, 2)))                        # a box just under 2^50
+    @example((LatticeSheet(np.eye(2), np.array([0.0, 1e17])),
+              Window.cube(3.0, 2)))                        # past 2^50: the whole box
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_box(self, case):
+        assert_enumeration_matches(*case)
+
+    @pytest.mark.parametrize("spec, window", [
+        (ThreeGrid(), Window.cube(50.0, 2)),
+        (ThreeGrid(), Window([-25.0, -10.0], [35.0, 12.0])),
+        (integer_lattice(3), Window.cube(4.0, 3)),
+        (integer_lattice(1), Window.cube(7.5, 1)),
+    ])
+    def test_builds_only_the_runs(self, spec, window):
+        # A prefix with a point in the window builds its kept rows and at
+        # most two more, one at each end of its run.  (Only the faces that
+        # the last axis crosses bound a run, so a prefix outside the window
+        # along the other axes may build rows and keep none.)
+        for sheet in spec.sheets():
+            with mock.patch.object(LatticeSheet, "points", autospec=True,
+                                   side_effect=LatticeSheet.points) as points:
+                got = assert_enumeration_matches(sheet, window)
+            (_, zs), _ = points.call_args
+            _, prefix = np.unique(zs[:, :-1], axis=0, return_inverse=True)
+            built = np.bincount(prefix)
+            kept = np.bincount(prefix, window.contains(sheet.points(zs)),
+                               minlength=built.size)
+            assert kept.sum() == got.shape[0]
+            assert np.all((built <= kept + 2) | (kept == 0))
+
+    def test_refuses_what_the_full_box_refuses(self):
+        # The box guard still counts the whole box: a sheared lattice whose
+        # preimage box is long is refused though few of its rows would be
+        # built.
+        sheet = LatticeSheet(np.array([[1.0, 1e4], [0.0, 1.0]]), np.zeros(2))
+        window = Window.cube(50.0, 2)
+        assert sheet.estimate(window) < generators.MAX_ENUMERATED_POINTS
+        with pytest.raises(ResourceLimitError, match="integer points"):
+            full_box_enumerate(sheet, window)
+        assert_enumeration_matches(sheet, window)
 
 
 class TestSequenceSheetOracle:
