@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import check_limit
 from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
                          SequenceSpec, _matmul, enumerate_points)
@@ -45,13 +46,16 @@ GRID_BOUND_CELLS = 2 ** 16
 # and the most (twist rows x span indices x d) that one batch of the
 # best-first scan may hold beyond its first row.  A block holds
 # max(1, SUD_BLOCK_CELLS // (core * d)) rows whatever N is, and each of its
-# three buffers (values, floors, gaps) takes 512 KB, so all three stay in a
-# 2 MB L2 cache.  At N = 2^14, m_max 64 and 256 twists (a core of 16,320
-# indices, 4 rows a block) on 2 Xeon vCPUs with 2 MB of L2 each, a d = 1
-# `sud_estimate` took a median of 38 ms at 2^15 and 2^16 cells, 40 ms at
-# 2^17 and 46 ms at 2^18, against 65 ms for the former 127-row blocks of
-# 2^21 cells, whose 16 MB arrays ran from DRAM (24 interleaved calls each).
-# A `sud` command's call took 223 minor page faults, against 1,924.
+# three buffers (values, floors, gaps) takes 512 KB, so all three of a
+# thread's buffers stay in its core's 2 MB L2 cache.  At N = 2^14, m_max 64
+# and 256 twists (a core of 16,320 indices, 4 rows a block) on 2 Xeon vCPUs
+# with 2 MB of L2 each, a d = 1 `sud_estimate` on one thread took a median
+# of 38 ms at 2^15 and 2^16 cells, 40 ms at 2^17 and 46 ms at 2^18, against
+# 65 ms for the former 127-row blocks of 2^21 cells, whose 16 MB arrays ran
+# from DRAM (24 interleaved calls each).  A `sud` command's call took 223
+# minor page faults, against 1,924.  Two such calls, on two threads, took
+# 58 ms at 2^15 cells, 56 ms at 2^16, 61-69 ms at 2^17 and 63-71 ms at 2^18
+# (75-84 ms on one thread at 2^16; 15 interleaved runs each).
 SUD_BLOCK_CELLS = 2 ** 16
 # Work and array budgets of `sud_estimate`, checked before anything is
 # drawn.  A window of N values counts N units for d = 1, and SUD_GRID_UNITS
@@ -62,9 +66,10 @@ SUD_BLOCK_CELLS = 2 ** 16
 # 20 s.  The sweep's SUD counts 2.7e8 units at d = 1 and 9.2e7 at d = 2.
 # The twists and the span of a run hold d * (xi_count + 2N) values.  With
 # one twist row a block (N >= 2^18), a d = 1 call peaked at 24-29 bytes a
-# value (tracemalloc), 0.4 GB at the cap; a d = 2 call peaked at 118 bytes
-# a value, most of it the grid bound's 3^d tiled copies, and MAX_SUD_WORK
-# holds d = 2 to about 10^7 values, 1.2 GB.
+# value on one thread and 32 on two (tracemalloc), 0.54 GB at the cap,
+# since each thread has its own core buffers; a d = 2 call peaked at 118
+# bytes a value, most of it the grid bound's 3^d tiled copies, and
+# MAX_SUD_WORK holds d = 2 to about 10^7 values, 1.2 GB.
 MAX_SUD_WORK = 2 ** 31
 SUD_GRID_UNITS = 100
 MAX_SUD_VALUES = 2 ** 24
@@ -95,6 +100,15 @@ UDT_CHUNK_ROWS = 2 ** 16
 # and bounds nothing).  On the three-grid a quarter ran fastest at r = 100
 # and r = 200; 1/8 and 1/16 pruned almost no direction.
 STRIP_COARSE_SHARE = 0.25
+# Sorted rows whose neighbour searches and distances `_min_gap` takes as
+# one block, on `parallel.worker_count()` threads.  On the three-grid at
+# r = 200 (543,016 points; 2 Xeon vCPUs, two threads, medians of 21
+# interleaved runs) it took 86 ms at 2^12 rows, 67 at 2^13, 63 at 2^14, 59
+# at 2^15 and 57 at 2^16, against 78 ms for the former lookup over the
+# whole key array, and peaked at 17.4 MB under tracemalloc up to 2^15 and
+# 19.4 MB at 2^16 (33.8 MB before).  2^14 stays, because perfbench's sweep,
+# whose peak its output check sets, read 92.6 MB there and 93.2 MB at 2^16.
+MIN_GAP_BLOCK_ROWS = 2 ** 14
 # Offset lines (directions x offsets) that `find_empty_tube` may scan.  On
 # a 2-vCPU Xeon a line took 0.11-0.56 ms at r = 50 and about 1.1 ms at
 # r = 200 (Peres, three-grid and D2; eps 0.01 and 0.1; 2,000 offsets in
@@ -654,21 +668,36 @@ def _core_bounds(vs: np.ndarray, idx: np.ndarray, xis: np.ndarray) -> np.ndarray
     through buffers allocated once: the values and, for d = 1, their floors
     and gaps.  For d = 1 each block is sorted in place, so a small block's
     passes stay in the cache, and it allocates only arrays of one float a
-    row.  For d >= 2 a block's floors are freed before its grid bounds."""
+    row; the blocks run on `parallel.worker_count()` threads, each in-flight
+    block in its own slot of buffers.  For d >= 2 a block's floors are
+    freed before its grid bounds, whose many small numpy calls hold the
+    interpreter lock, so its blocks run on this thread: a d = 2
+    `sud_estimate` at N = 256 with 128 twists took 274 ms on one thread and
+    276 ms on two."""
     n, d = vs.shape
-    rows = min(xis.shape[0], max(1, SUD_BLOCK_CELLS // vs.size))
-    w = np.empty((rows, n, d))
-    if d == 1:
-        tmp, gaps = np.empty((rows, n, 1)), np.empty((rows, n - 1))
-    bound = np.empty(xis.shape[0])
-    for b in range(0, xis.shape[0], rows):
-        k = min(rows, xis.shape[0] - b)
-        if d > 1:
+    count = xis.shape[0]
+    rows = min(count, max(1, SUD_BLOCK_CELLS // vs.size))
+    bound = np.empty(count)
+    if d > 1:
+        w = np.empty((rows, n, d))
+        for b in range(0, count, rows):
+            k = min(rows, count - b)
             bound[b:b + k] = _window_dispersions(_twist(vs, idx, xis[b:b + k], w[:k]))
-            continue
+        return bound
+    blocks = -(-count // rows)
+    workers = min(parallel.worker_count(), blocks)
+    slots = [(np.empty((rows, n, 1)), np.empty((rows, n, 1)), np.empty((rows, n - 1)))
+             for _ in range(workers)]
+
+    def block(i):
+        w, tmp, gaps = slots[i % workers]
+        b = i * rows
+        k = min(rows, count - b)
         s = _twist(vs, idx, xis[b:b + k], w[:k], tmp[:k])[:, :, 0]
         s.sort(axis=1)
         bound[b:b + k] = _toroidal_dispersion_rows(s, gaps[:k])
+
+    parallel.run_in_order(lambda _: None, block, blocks, workers)
     return bound
 
 
@@ -1645,7 +1674,11 @@ def _min_gap(pts: np.ndarray) -> float:
     most r on every axis, so it lies in one cell or in two neighbouring
     cells of a grid of side r (1 + 1e-9): the fixed-radius cell method of
     Bentley, Stanat and Williams (IPL 1977).  The points are sorted by cell
-    key once, and ``searchsorted`` finds each cell's forward neighbours.
+    key once, and ``searchsorted`` finds each cell's forward neighbours,
+    for MIN_GAP_BLOCK_ROWS sorted rows at a time on
+    `parallel.worker_count()` threads.  A block's keys ascend, so each of
+    its searches reads only the keys between the positions of its first
+    and last needle, which stay in the cache.
     Every distance is the left-to-right sum of squared differences and then
     its square root, the floats a KD-tree query returns (its sum runs left
     to right below 8 dimensions), so the minimum is the float an unbounded
@@ -1682,16 +1715,36 @@ def _min_gap(pts: np.ndarray) -> float:
     # Sorted by key, a cell's later points and the next cell along the last
     # axis are one run of rows, and so are the three cells along the last
     # axis of each forward row of neighbours.
-    best = _least_in_ranges(pts, np.arange(1, n + 1),
-                            np.searchsorted(keys, keys + 1, side="right"))
     strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
-    for lead in itertools.product((-1, 0, 1), repeat=d - 1):
-        if lead > (0,) * (d - 1):
-            row = int(np.dot(lead, strides[:-1]))
+    forward = [int(np.dot(lead, strides[:-1]))
+               for lead in itertools.product((-1, 0, 1), repeat=d - 1)
+               if lead > (0,) * (d - 1)]
+    size = MIN_GAP_BLOCK_ROWS
+
+    def block(i):
+        first = i * size
+        own = keys[first:first + size]
+        best = _least_in_ranges(pts, first, np.arange(first + 1, first + own.size + 1),
+                                _sorted_search(keys, own + 1, "right"))
+        for row in forward:
             best = min(best, _least_in_ranges(
-                pts, np.searchsorted(keys, keys + (row - 1)),
-                np.searchsorted(keys, keys + (row + 1), side="right")))
-    return math.sqrt(min(r2, best))
+                pts, first, _sorted_search(keys, own + (row - 1), "left"),
+                _sorted_search(keys, own + (row + 1), "right")))
+        return best
+
+    bests = []
+    blocks = -(-n // size)
+    parallel.run_in_order(bests.append, block, blocks,
+                          min(parallel.worker_count(), blocks))
+    return math.sqrt(min(r2, *bests))
+
+
+def _sorted_search(keys: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(keys, needles, side) for ascending needles, searched
+    only in the slice of keys that the first and last needle's positions
+    bound: every other needle's position lies between theirs."""
+    lo, hi = np.searchsorted(keys, needles[[0, -1]], side=side)
+    return np.searchsorted(keys[lo:hi], needles, side=side) + lo
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1702,13 +1755,14 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _least_in_ranges(pts: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
-    """Least squared distance from each row i to the rows start[i] <= j <
-    stop[i]; inf if none."""
+def _least_in_ranges(pts: np.ndarray, first: int, start: np.ndarray,
+                     stop: np.ndarray) -> float:
+    """Least squared distance from each row first + i to the rows start[i]
+    <= j < stop[i]; inf if none."""
     best = math.inf
     for rows, cols in run_pairs(start, stop):
         best = min(best, float(np.min(_squared_distances(
-            np.take(pts, rows, axis=0), np.take(pts, cols, axis=0)))))
+            np.take(pts, rows + first, axis=0), np.take(pts, cols, axis=0)))))
     return best
 
 

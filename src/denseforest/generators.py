@@ -10,14 +10,14 @@ independent of internal evaluation order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import check_limit
 from .geometry import Window, cartesian
 
@@ -35,18 +35,13 @@ EULER_GAMMA = 0.5772156649015329
 MAX_ENUMERATED_POINTS = 3 * 10 ** 7
 MERGE_DECIMALS = 9
 # Rows that write_points_csv formats at a time.  Writing the three-grid at
-# r = 200 (543,016 x 2 floats) on two threads peaked at 4.4 MB under
-# tracemalloc with this value (2.3 MB at 2^12 rows, 8.7 MB at 2^14) and
-# took 0.20 s (0.27 s at 2^12, where the second thread gained nothing,
-# and 0.18 s at 2^14; 2-vCPU Xeon).  On one thread it took 0.26 s and
-# peaked at 2.2 MB; the former %-operation writer took 0.66 s and 7.4 MB.
+# r = 200 (543,016 x 2 floats) on two threads peaked at 4.3 MB under
+# tracemalloc with this value (2.2 MB at 2^12 rows, 8.5 MB at 2^14) and
+# took 0.11 s (0.15 s at 2^12, where the second thread gained nothing,
+# and 0.11 s at 2^14; 2-vCPU Xeon, medians of 11).  On one thread it took
+# 0.15 s and peaked at 2.2 MB; the former %-operation writer took 0.66 s
+# and 7.4 MB in an earlier set where one thread took 0.26 s.
 CSV_CHUNK_ROWS = 2 ** 13
-# Most threads that format write_points_csv's chunks, the calling thread
-# among them.  Python code and short numpy calls hold the interpreter
-# lock, so two threads wrote the three-grid above 1.3-1.5x as fast as one,
-# not 2x.  Each thread holds one more chunk (2.2 MB at peak), so a third
-# would pass the 6 MB that two fit.
-CSV_WORKERS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +967,10 @@ def _veltkamp_split(v: np.ndarray):
     return hi, v - hi
 
 
+@functools.cache
 def _csv_tables():
-    """The tables of `_float_fields`, built per write (no import-time cost).
+    """The tables of `_float_fields`, built once, on the first write (no
+    import-time cost), and read-only, since every write shares them.
 
     `words` holds 4-byte words: the groups "0000".."9999", the same groups
     with their trailing zeros as NUL, the ten leading digits (byte 3), a
@@ -1014,8 +1011,11 @@ def _csv_tables():
             np.uint8).reshape(-1, _FIELD).view(np.uint64)
 
     pow10 = 10.0 ** np.arange(23)
-    return (words.view(np.uint32)[:, 0], rows(head), rows(tail),
-            rows(fill), (pow10, *_veltkamp_split(pow10)))
+    tables = (words.view(np.uint32)[:, 0], rows(head), rows(tail), rows(fill),
+              pow10, *_veltkamp_split(pow10))
+    for table in tables:
+        table.setflags(write=False)
+    return tables[:4] + (tables[4:],)
 
 
 def _times_pow10(a: np.ndarray, x: np.ndarray, pow10):
@@ -1109,86 +1109,6 @@ def _float_fields(v: np.ndarray, tables) -> np.ndarray:
     return raw
 
 
-def _csv_workers() -> int:
-    """min(CSV_WORKERS, the CPUs this process may run on)."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(CSV_WORKERS, len(os.sched_getaffinity(0)))
-    return min(CSV_WORKERS, os.cpu_count() or 1)
-
-
-def _write_in_order(write, make, count: int, workers: int):
-    """Call write(make(i)) for i = 0, ..., count - 1 in that order, with
-    make(i) run by this thread or by one of `workers` - 1 more.
-
-    Each thread takes the next index only while fewer than `workers` are
-    taken but not yet written, so at most `workers` results are held at
-    once.  This thread writes each result when its turn comes and makes
-    one itself whenever it has none to write.  An exception from make(i)
-    is raised here when make(i) is due to be written; an exception from
-    write stops the other threads.  No thread outlives the call.
-    """
-    cond = threading.Condition()
-    results = {}
-    taken = written = 0
-    stop = False
-
-    def take():
-        """The next index to make, or None (called holding cond)."""
-        nonlocal taken
-        if stop or taken == count or taken - written == workers:
-            return None
-        taken += 1
-        return taken - 1
-
-    def make_one(i):
-        try:
-            result = make(i), None
-        except BaseException as exc:  # the writer raises it in turn
-            result = None, exc
-        with cond:
-            results[i] = result
-            cond.notify_all()
-
-    def work():
-        while True:
-            with cond:
-                cond.wait_for(lambda: stop or taken == count
-                              or taken - written < workers)
-                i = take()
-            if i is None:
-                return
-            make_one(i)
-
-    threads = []
-    try:
-        for _ in range(min(workers, count) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        while written < count:
-            with cond:
-                i = None if written in results else take()
-            if i is not None:
-                make_one(i)
-                continue
-            with cond:
-                cond.wait_for(lambda: written in results)
-                result, exc = results.pop(written)
-            if exc is not None:
-                raise exc
-            write(result)
-            del result  # freed before its slot goes to the next index
-            with cond:
-                written += 1
-                cond.notify_all()
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
-
-
 def write_points_csv(path, pts: np.ndarray, header=None):
     """Write rows as CSV with 17 significant digits.
 
@@ -1197,8 +1117,8 @@ def write_points_csv(path, pts: np.ndarray, header=None):
     inf and nan too.  `_float_fields` builds the fields of CSV_CHUNK_ROWS
     rows at a time with array arithmetic; the separators go in their last
     bytes and one mask drops the NUL padding.  This thread and up to
-    `_csv_workers()` - 1 more format the chunks, and this thread writes
-    them in order, so the bytes do not depend on the thread count.
+    `parallel.worker_count()` - 1 more format the chunks, which are written
+    in order, so the bytes do not depend on the thread count.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rows, cols = pts.shape
@@ -1219,8 +1139,8 @@ def write_points_csv(path, pts: np.ndarray, header=None):
         if cols == 0:
             handle.write("\n" * rows)
             return
-        _write_in_order(handle.write, chunk_text, -(-rows // chunk_rows),
-                        _csv_workers())
+        parallel.run_in_order(handle.write, chunk_text, -(-rows // chunk_rows),
+                              parallel.worker_count())
 
 
 def read_points_csv(path) -> np.ndarray:

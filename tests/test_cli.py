@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
 import denseforest.geometry as geometry
-from denseforest import __version__, cli
+from denseforest import __version__, cli, parallel
 from denseforest.generators import read_points_csv, spec_to_json, ThreeGrid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -709,3 +709,54 @@ def test_cli_import_loads_no_scipy_stats_or_spatial(tmp_path):
     for path in (src / "denseforest").glob("*.py"):
         assert "import scipy" not in path.read_text(), path.name
         assert "from scipy" not in path.read_text(), path.name
+
+
+# Runs a threaded `sud`, `mingap` and `generate` at small sizes, on one CPU
+# when the first argument is "pinned", and prints the worker count and how
+# many CSV tables were built before the first write.  The pin comes before
+# denseforest is imported.
+ONE_CPU = """
+import os
+import sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from denseforest import generators, parallel
+from denseforest.cli import run
+print(parallel.worker_count(), generators._csv_tables.cache_info().currsize)
+for argv in (["sud", "--seq", "tsokanos", "--n", "2048", "--m-max", "8",
+              "--xi-count", "256", "--out", "sud.csv"],
+             ["mingap", "--spec", "three-grid", "--radius", "50", "--out", "gap.json"],
+             ["generate", "--spec", "three-grid", "--radius", "50",
+              "--out", "three-grid.csv"]):
+    code = run(argv)
+    if code:
+        raise SystemExit(f"{argv[0]} exited with {code}")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_cpu_writes_the_bytes_of_two(tmp_path):
+    # The SUD core bounds (8 blocks), the minimum gap (3 blocks of 2^14
+    # rows) and the CSV writer (5 chunks) run on one thread in a process
+    # pinned to one CPU, with no mock, and write the same bytes as a
+    # process that may use every CPU.  Neither builds the CSV tables at
+    # import.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    outputs, counts = {}, {}
+    for mode in ("pinned", "open"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", ONE_CPU, mode],
+                              cwd=tmp_path / mode, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        counts[mode] = proc.stdout.split()
+        outputs[mode] = {path.name: path.read_bytes()
+                         for path in sorted((tmp_path / mode).iterdir())}
+    assert counts["pinned"] == ["1", "0"]
+    assert counts["open"] == [str(min(parallel.WORKERS, len(os.sched_getaffinity(0)))),
+                              "0"]
+    assert len(outputs["pinned"]) == 6
+    assert outputs["pinned"] == outputs["open"]

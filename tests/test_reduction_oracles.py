@@ -18,8 +18,11 @@ directions that reach each tier, so that pruned and surviving cases are
 both exercised.
 
 `min_gap` scans the pairs of neighbouring cells of a grid whose side is
-the least distance between consecutive rows; its oracle is the unbounded
-KD-tree query of every point.  `dispersion` (d >= 2) and the SUD grid
+the least distance between consecutive rows, in blocks of sorted rows on
+up to three threads; its oracles are the unbounded KD-tree query of every
+point and the former lookup over the whole key array on one thread.  The
+d = 1 SUD core bounds run on the same threads, and a failure in either
+must reach the caller and end every thread.  `dispersion` (d >= 2) and the SUD grid
 bound mark the grid nodes within a bound of some point and compute exact
 distances only for the others; their oracle is a KD-tree query (p = inf)
 of every node, the former code.
@@ -122,6 +125,7 @@ import denseforest.analysis as analysis
 import denseforest.epsnet as epsnet
 import denseforest.generators as generators
 import denseforest.geometry as geometry
+import denseforest.parallel as parallel
 from denseforest.analysis import (RotatedBox, _best_aligned_box,
                                   _candidate_scores, _central_width,
                                   _central_width_bound, _covered,
@@ -348,6 +352,50 @@ def min_gap_oracle(pts):
     return float(np.min(dists[:, 1]))
 
 
+def former_min_gap(pts):
+    """`_min_gap` with its former whole-array lookup: every row's
+    neighbour runs searched in the whole key array at once, on one thread."""
+    r2 = float(np.min(analysis._squared_distances(pts[:-1], pts[1:])))
+    if r2 == 0.0:
+        return 0.0
+    n, d = pts.shape
+    lo = np.array([col.min() for col in pts.T])
+    extent = np.array([col.max() for col in pts.T]) - lo
+    per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
+    side = max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
+    dims = np.floor(extent / side).astype(np.int64) + 3
+    keys = np.zeros(n, dtype=np.int64)
+    for k in range(d):
+        keys *= dims[k]
+        keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pts = np.take(pts, order, axis=0)
+    best = analysis._least_in_ranges(pts, 0, np.arange(1, n + 1),
+                                     np.searchsorted(keys, keys + 1, side="right"))
+    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
+    for lead in itertools.product((-1, 0, 1), repeat=d - 1):
+        if lead > (0,) * (d - 1):
+            row = int(np.dot(lead, strides[:-1]))
+            best = min(best, analysis._least_in_ranges(
+                pts, 0, np.searchsorted(keys, keys + (row - 1)),
+                np.searchsorted(keys, keys + (row + 1), side="right")))
+    return math.sqrt(min(r2, best))
+
+
+@contextlib.contextmanager
+def worker_threads(workers):
+    """`parallel.worker_count` patched to `workers`, with thread switches
+    every 10 us, so that the threads finish out of order."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(parallel, "worker_count", return_value=workers):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def canonicalize_oracle(pts):
     """Duplicate merge by `np.unique(axis=0)` of the rounded keys."""
     if pts.shape[0] == 0:
@@ -485,22 +533,43 @@ class TestSUDOracle:
 
     @given(st.sampled_from(SEQUENCES), st.integers(1, 300), st.integers(0, 10 ** 6),
            st.integers(1, 40), st.integers(0, 2 ** 16),
-           st.sampled_from([None, 1, 7, 300, 1000]))
-    @example(golden_sequence(), 1, 0, 5, 0, 1)      # one value a row, no gaps
-    @example(tsokanos_sequence(), 300, 0, 40, 1, 1000)  # blocks of 3 rows, the last of 1
+           st.sampled_from([None, 1, 7, 300, 1000]), st.integers(1, 3))
+    @example(golden_sequence(), 1, 0, 5, 0, 1, 1)      # one value a row, no gaps
+    @example(tsokanos_sequence(), 300, 0, 40, 1, 1000, 3)  # blocks of 3 rows, the last of 1
+    @example(golden_sequence(), 1, 0, 40, 2, 1, 2)     # 40 one-row blocks on two threads
     @settings(max_examples=60, deadline=None)
-    def test_core_bounds_match_window_dispersions(self, seq, n, m, xi_count, seed, cells):
+    def test_core_bounds_match_window_dispersions(self, seq, n, m, xi_count, seed, cells,
+                                                  workers):
         # The blocks that `_core_bounds` twists into its buffers, and for
-        # d = 1 sorts in place, give the floats of `_window_dispersions`
-        # over a fresh array of every twist.
+        # d = 1 sorts in place on up to `workers` threads, each block in its
+        # thread's slot, give the floats of `_window_dispersions` over a
+        # fresh array of every twist.
         idx = np.arange(m, m + n, dtype=np.int64)
         vs = seq.extended_values(idx)
         xis = _xi_samples(xi_count, seq.dim, seed)
-        with sud_block_cells(cells):
+        with sud_block_cells(cells), worker_threads(workers):
             got = analysis._core_bounds(vs, idx, xis)
         want = analysis._window_dispersions(analysis._twist(vs, idx, xis))
         assert got.shape == (xi_count,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seq, N, m_max, xi_count, cells", [
+        (tsokanos_sequence(), 1, 3, 7, 2),
+        (quadratic_sequence(PHI), 2, 5, 9, 3),
+        (golden_sequence(), 64, 0, 12, 256),   # three whole blocks of 4 rows
+        (golden_sequence(), 64, 0, 13, 256),   # and a last block of one
+        (tsokanos_sequence(), 2 ** 12, 64, 64, None),
+        (SEQUENCES[3], 1, 3, 7, 4),
+        (SEQUENCES[3], 2, 5, 9, 8),
+        (SEQUENCES[3], 32, 0, 9, 192),         # three whole blocks of 3 rows
+    ], ids=["d1-N1", "d1-N2", "d1-edge", "d1-edge+1", "d1-default", "d2-N1",
+            "d2-N2", "d2-edge"])
+    def test_worker_counts_give_equal_bits(self, seq, N, m_max, xi_count, cells):
+        values = []
+        for workers in (1, 2, 3):
+            with sud_block_cells(cells), worker_threads(workers):
+                values.append(sud_estimate(seq, N, m_max, xi_count, 5).value.hex())
+        assert values == [sud_oracle(seq, N, m_max, xi_count, 5).hex()] * 3
 
     @staticmethod
     def scanned_rows(seq, N, m_max, xi_count, seed):
@@ -689,8 +758,9 @@ class TestSUDOracle:
 
     def test_block_memory_is_bounded_by_cells(self):
         # At N = 2^20 a block of core bounds and a batch of the scan hold one
-        # twist row, so four twists take no more memory than one; 64-row
-        # blocks held all four at once.
+        # twist row, and at most one core block a thread is in flight, so
+        # four twists take less than a span's memory more than one (7.5 MB
+        # on two threads, 0 on one); 64-row blocks held all four at once.
         N = 2 ** 20
         seq = quadratic_sequence(PHI)
         assert analysis.SUD_BLOCK_CELLS // (N - 2) <= 1
@@ -1131,6 +1201,72 @@ class TestMinGapOracle:
         rng = np.random.default_rng(seed)
         pts = rng.random((2000, 2)) * 10.0
         assert _min_gap(pts) == min_gap_oracle(pts)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [analysis.MIN_GAP_BLOCK_ROWS - 1,
+                                   analysis.MIN_GAP_BLOCK_ROWS,
+                                   analysis.MIN_GAP_BLOCK_ROWS + 1])
+    def test_block_edges(self, n, workers):
+        # Shuffled rows, so the consecutive rows' radius is far above the
+        # minimum and the blocks' searches find it.
+        pts = np.random.default_rng(n).random((n, 2)) * 100.0
+        with worker_threads(workers):
+            gap = _min_gap(pts)
+        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
+    def test_nearest_pair_straddles_a_block_edge(self, d, axis, workers):
+        # Points 1 apart on a line along `axis`, the one at B =
+        # MIN_GAP_BLOCK_ROWS moved to B - 0.5 and to the end of the rows:
+        # consecutive rows give the radius 1, and the pair 0.5 apart is
+        # the last row of the first block sorted by cell and the first of
+        # the second.  Along the last axis it lies in the next cell's run
+        # of the first search; along another axis, in a forward row.
+        B = analysis.MIN_GAP_BLOCK_ROWS
+        x = np.arange(B + 8.0)
+        x[B] -= 0.5
+        pts = np.zeros((x.size, d))
+        pts[:, axis] = np.concatenate([np.delete(x, B), [x[B]]])
+        with worker_threads(workers):
+            gap = _min_gap(pts)
+        assert gap == former_min_gap(pts) == min_gap_oracle(pts) == 0.5
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_repeated_point_far_from_its_copy(self, workers):
+        # The copy is the last row, so no two consecutive rows repeat and
+        # only the blocks' searches find it.
+        pts = np.random.default_rng(8).random((analysis.MIN_GAP_BLOCK_ROWS + 3000, 3))
+        pts[-1] = pts[5]
+        with worker_threads(workers):
+            gap = _min_gap(pts)
+        assert gap == former_min_gap(pts) == min_gap_oracle(pts) == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dimensions_on_every_worker_count(self, d, workers):
+        # Four blocks of 2^14 shuffled rows on small integer coordinates
+        # plus jitter, so many cells hold several points.
+        rng = np.random.default_rng(d)
+        n = 3 * analysis.MIN_GAP_BLOCK_ROWS + 77
+        pts = rng.integers(-40, 41, (n, d)) + rng.random((n, d)) * 0.9
+        with worker_threads(workers):
+            gap = _min_gap(pts)
+        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+
+    @given(st.integers(2, 400), st.integers(1, 4), st.integers(0, 2 ** 16),
+           st.sampled_from([1.0, 0.37, 1e-6]), st.sampled_from([1, 2, 7, 64]),
+           st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_former_lookup(self, n, d, seed, scale, block, workers):
+        # Blocks of 1 to 64 rows, so most sets span many blocks.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-6, 7, (n, d)) * scale + rng.random((n, d)) * \
+            (rng.random() < 0.5)
+        with mock.patch.object(analysis, "MIN_GAP_BLOCK_ROWS", block), \
+                worker_threads(workers):
+            gap = _min_gap(pts)
+        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
 
     def test_cells_coarsen_past_int64(self):
         # (extent / r)^d = (1e4 / 1e-6)^4 = 1e40 cells would overflow int64
@@ -3759,6 +3895,14 @@ class TestCSVWriterOracle:
         pts = np.arange(float(np.prod(shape))).reshape(shape) / 7.0
         assert_csv_matches(tmp_path, pts)
 
+    def test_tables_are_built_once_and_read_only(self, tmp_path):
+        write_points_csv(tmp_path / "a.csv", np.ones((4, 2)))
+        tables = generators._csv_tables()
+        write_points_csv(tmp_path / "b.csv", np.ones((4, 2)))
+        assert generators._csv_tables() is tables
+        arrays = [*tables[:4], *tables[4]]
+        assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
+
     def test_custom_header(self, tmp_path):
         pts = np.array([[8.0, 0.25], [16.0, math.inf]])
         assert_csv_matches(tmp_path, pts, header=("N", "value"))
@@ -3774,16 +3918,10 @@ class TestCSVWriterOracle:
                                                                        (rows, cols))
         special = rng.random((rows, cols)) < 0.1
         pts[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
-        # Thread switches every 10 us, so the threads finish out of order.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows), \
-                    mock.patch.object(generators, "_csv_workers", return_value=workers):
-                error = raised_within(10.0, assert_csv_matches,
-                                      tmp_path_factory.mktemp("csv"), pts)
-        finally:
-            sys.setswitchinterval(interval)
+        with mock.patch.object(generators, "CSV_CHUNK_ROWS", chunk_rows), \
+                worker_threads(workers):
+            error = raised_within(10.0, assert_csv_matches,
+                                  tmp_path_factory.mktemp("csv"), pts)
         if error is not None:
             raise error
 
@@ -3882,7 +4020,7 @@ class TestCSVWriterOracle:
         # The one-thread writer peaked at 5.3 MB under tracemalloc; the
         # %-operation writer on 2^16-row chunks peaked at 7.4 MB.
         pts = np.random.default_rng(0).standard_normal((543016, 2)) * 100.0
-        with mock.patch.object(generators, "_csv_workers", return_value=2):
+        with mock.patch.object(parallel, "worker_count", return_value=2):
             tracemalloc.start()
             try:
                 write_points_csv(tmp_path / "big.csv", pts)
@@ -3902,7 +4040,7 @@ class TestCSVWriterOracle:
             return float_fields(v, tables)
 
         with mock.patch.object(generators, "CSV_CHUNK_ROWS", 4), \
-                mock.patch.object(generators, "_csv_workers", return_value=workers), \
+                mock.patch.object(parallel, "worker_count", return_value=workers), \
                 mock.patch.object(generators, "_float_fields", failing):
             error = raised_within(5.0, write_points_csv, tmp_path / "a.csv", pts)
         assert isinstance(error, ArithmeticError) and str(error) == "third chunk"
@@ -3941,7 +4079,7 @@ class TestCSVWriterOracle:
             return handle
 
         with mock.patch.object(generators, "CSV_CHUNK_ROWS", 2), \
-                mock.patch.object(generators, "_csv_workers", return_value=workers), \
+                mock.patch.object(parallel, "worker_count", return_value=workers), \
                 mock.patch.object(generators, "_float_fields", counted), \
                 mock.patch.object(generators, "open", failing_open, create=True):
             error = raised_within(5.0, write_points_csv, tmp_path / "w.csv", pts)
@@ -3962,11 +4100,84 @@ class TestCSVWriterOracle:
 
         before = threading.active_count()
         with mock.patch.object(generators, "CSV_CHUNK_ROWS", 2), \
-                mock.patch.object(generators, "_csv_workers", return_value=3), \
-                mock.patch.object(generators.threading, "Thread", SecondStartFails), \
+                mock.patch.object(parallel, "worker_count", return_value=3), \
+                mock.patch.object(parallel.threading, "Thread", SecondStartFails), \
                 pytest.raises(RuntimeError, match="can't start"):
             write_points_csv(tmp_path / "t.csv", np.arange(40.0).reshape(-1, 2))
         assert threading.active_count() == before
+
+
+def core_bounds_case():
+    """A d = 1 run whose 16 twists take four blocks of core bounds."""
+    idx = np.arange(0, 100, dtype=np.int64)
+    vs = tsokanos_sequence().extended_values(idx)
+    return (vs, idx, _xi_samples(16, 1, 3)), mock.patch.object(
+        analysis, "SUD_BLOCK_CELLS", 4 * 100)
+
+
+def min_gap_case():
+    """300 shuffled points in five blocks of at most 2^6 rows."""
+    pts = np.random.default_rng(4).random((300, 2))
+    return (pts,), mock.patch.object(analysis, "MIN_GAP_BLOCK_ROWS", 2 ** 6)
+
+
+class TestWorkerFaults:
+    """The SUD core bounds and the minimum gap run on `parallel`'s threads
+    as the CSV writer does: a failure reaches the caller, and no thread
+    outlives the call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_core_block_is_raised(self, workers):
+        (vs, idx, xis), cells = core_bounds_case()
+        twist = analysis._twist
+
+        def failing(v, i, x, out=None, tmp=None):
+            if out is not None and np.array_equal(x[0], xis[4]):
+                raise ArithmeticError("second block")
+            return twist(v, i, x, out, tmp)
+
+        with cells, worker_threads(workers), \
+                mock.patch.object(analysis, "_twist", failing):
+            error = raised_within(5.0, analysis._core_bounds, vs, idx, xis)
+        assert isinstance(error, ArithmeticError) and str(error) == "second block"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_gap_block_is_raised(self, workers):
+        (pts,), block = min_gap_case()
+        least = analysis._least_in_ranges
+
+        def failing(pts, first, start, stop):
+            if first == 2 ** 6:
+                raise ArithmeticError("second block")
+            return least(pts, first, start, stop)
+
+        with block, worker_threads(workers), \
+                mock.patch.object(analysis, "_least_in_ranges", failing):
+            error = raised_within(5.0, _min_gap, pts)
+        assert isinstance(error, ArithmeticError) and str(error) == "second block"
+
+    @pytest.mark.parametrize("case, call", [
+        (core_bounds_case, analysis._core_bounds), (min_gap_case, _min_gap)],
+        ids=["sud-core-bounds", "min-gap"])
+    def test_a_thread_that_cannot_start_ends_the_others(self, case, call):
+        # The second of two helper threads fails to start; the first is
+        # still joined.
+        starts = itertools.count()
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                if next(starts) == 1:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        args, blocks = case()
+        before = threading.active_count()
+        with blocks, mock.patch.object(parallel, "worker_count", return_value=3), \
+                mock.patch.object(parallel.threading, "Thread", SecondStartFails), \
+                pytest.raises(RuntimeError, match="can't start"):
+            call(*args)
+        assert threading.active_count() == before
+        assert next(starts) == 2
 
 
 def former_tsokanos_values(ns):
