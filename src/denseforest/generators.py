@@ -1116,9 +1116,10 @@ def write_points_csv(path, pts: np.ndarray, header=None):
     text is "%.17g" % v, the same as format(v, ".17g"), for every float,
     inf and nan too.  `_float_fields` builds the fields of CSV_CHUNK_ROWS
     rows at a time with array arithmetic; the separators go in their last
-    bytes and one mask drops the NUL padding.  This thread and up to
-    `parallel.worker_count()` - 1 more format the chunks, which are written
-    in order, so the bytes do not depend on the thread count.
+    bytes and one mask drops the NUL padding.  The chunks go round-robin to
+    this thread and up to `parallel.worker_count()` - 1 more; each formats
+    its chunk and writes it once every earlier chunk is written, so the
+    bytes do not depend on the thread count.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rows, cols = pts.shape

@@ -2,8 +2,8 @@
 
 `run_in_order` runs the CSV writer's chunks, the d = 1 SUD core bounds and
 the blocks of the minimum gap.  Each caller asks `worker_count` for its
-threads, so none of them runs on more than WORKERS, and each consumes its
-results in index order, so what it returns does not depend on the count.
+threads, so none of them runs on more than WORKERS, and the results are
+consumed in index order, so what a call returns does not depend on the count.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import threading
 # (N = 2^14, 256 twists) in 24 against 34 ms, and took `_min_gap` of the
 # same three-grid from 74 to 63 ms, for 15-25% more CPU time.  Each thread
 # holds one more result or slot: a CSV chunk (2.2 MB at peak), so a third
-# thread would pass the 6 MB that two chunks fit, or 1.5 MB of SUD core
-# buffers.
+# thread would pass the 6 MB that two chunks fit, or max(1.5 MB, 24 bytes
+# x core length) of SUD core buffers, since a block holds at least one
+# twist row.  At N = 2^20 (tracemalloc), four twists peaked 0.7 MB below
+# one twist on one thread, and 7.5 MB and 32.6 MB above it on two and three.
 WORKERS = 2
 
 
@@ -32,93 +34,63 @@ def worker_count() -> int:
 
 
 def run_in_order(consume, make, count: int, workers: int):
-    """Call consume(make(i)) for i = 0, ..., count - 1, consuming in index
-    order, with make(i) run by this thread or by one of `workers` - 1 more.
+    """Call consume(make(i)) for i = 0, ..., count - 1 in index order, on
+    this thread (t = 0) and W - 1 more, W = min(workers, count).
 
-    Each thread takes the next index only while fewer than `workers` are
-    taken but not yet consumed, so at most `workers` results are held at
-    once, and make(i + workers) starts only after consume(make(i)) has
-    returned: make(i) may use slot i % workers of `workers` buffers.  The
-    thread that makes the result due next consumes it and every later one
-    already made, one thread at a time, so a result is consumed as soon as
-    it and those before it are made.  An exception from
-    make(i) is raised here when make(i) is due; it, or one from consume,
-    stops the other threads.  No thread outlives the call.  numpy's error
-    state is per context, so an np.errstate around this call does not reach
-    the other threads.
+    Thread t makes the indices i = t mod W.  After each make(i) it waits
+    until every earlier result is consumed, consumes its own and goes on to
+    i + W.  So each thread holds one result at a time, and make(i + W)
+    starts only after consume(make(i)) has returned: make(i) may use slot
+    i % W of W buffers, its own thread's.  An exception from make(i) is
+    raised here when i is due; it, or one from consume, stops the other
+    threads.  No thread outlives the call.  numpy's error state is per
+    context, so an np.errstate around this call does not reach the others.
     """
+    workers = max(1, min(workers, count))
     cond = threading.Condition()
-    results = {}
-    taken = done = 0
-    consuming = stop = False
+    done = 0
+    stop = False
     failure = None
 
-    def take():
-        """The next index to make, or None (called holding cond)."""
-        nonlocal taken
-        if stop or taken == count or taken - done == workers:
-            return None
-        taken += 1
-        return taken - 1
-
-    def consume_due():
-        """Consume the due results in order, unless another thread is."""
-        nonlocal consuming, done, stop, failure
-        with cond:
-            if consuming:
-                return
-            consuming = True
-        while True:
-            with cond:
-                if stop or done not in results:
-                    consuming = False
-                    return
-                result, exc = results.pop(done)
+    def work(t):
+        nonlocal done, stop, failure
+        for i in range(t, count, workers):
             try:
-                if exc is not None:
-                    raise exc
+                result, error = make(i), None
+            except BaseException as exc:  # raised when make(i) is due
+                result, error = None, exc
+            with cond:
+                cond.wait_for(lambda: stop or done == i)
+                if stop:
+                    return
+            try:
+                if error is not None:
+                    raise error
                 consume(result)
-            except BaseException as error:  # the calling thread raises it
+            except BaseException as exc:  # the calling thread raises it
                 with cond:
-                    failure, stop, consuming = error, True, False
+                    failure, stop = exc, True
                     cond.notify_all()
                 return
-            del result  # freed before its slot goes to the next index
+            del result  # freed before this thread makes i + workers
             with cond:
                 done += 1
                 cond.notify_all()
 
-    def work():
-        while True:
-            with cond:
-                cond.wait_for(lambda: stop or taken == count
-                              or taken - done < workers)
-                i = take()
-            if i is None:
-                return
-            try:
-                result = make(i), None
-            except BaseException as exc:  # raised when make(i) is due
-                result = None, exc
-            with cond:
-                results[i] = result
-            del result
-            consume_due()
-
     threads = []
     try:
-        for _ in range(min(workers, count) - 1):
-            thread = threading.Thread(target=work)
+        for t in range(1, workers):
+            thread = threading.Thread(target=work, args=(t,))
             thread.start()
             threads.append(thread)
-        work()
-        with cond:
-            cond.wait_for(lambda: stop or done == count)
-        if failure is not None:
-            raise failure
-    finally:
+        work(0)
+    except BaseException:  # a thread that failed to start, or an interrupt
         with cond:
             stop = True
             cond.notify_all()
+        raise
+    finally:
         for thread in threads:
             thread.join()
+    if failure is not None:
+        raise failure

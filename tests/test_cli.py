@@ -711,6 +711,24 @@ def test_cli_import_loads_no_scipy_stats_or_spatial(tmp_path):
         assert "from scipy" not in path.read_text(), path.name
 
 
+def test_cli_import_loads_no_executor_logging_or_queue():
+    # The worker threads are plain `threading` threads, which the CLI
+    # imports anyway; an executor would pull in `concurrent.futures`,
+    # `logging` and `queue` (7-11 ms of start-up on a 2-vCPU Xeon, by
+    # `python -X importtime`).
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, denseforest.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "threading" in loaded
+    for name in ("concurrent.futures", "logging", "queue", "asyncio", "multiprocessing"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
+
+
 # Runs a threaded `sud`, `mingap` and `generate` at small sizes, on one CPU
 # when the first argument is "pinned", and prints the worker count and how
 # many CSV tables were built before the first write.  The pin comes before

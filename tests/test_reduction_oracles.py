@@ -758,23 +758,29 @@ class TestSUDOracle:
 
     def test_block_memory_is_bounded_by_cells(self):
         # At N = 2^20 a block of core bounds and a batch of the scan hold one
-        # twist row, and at most one core block a thread is in flight, so
-        # four twists take less than a span's memory more than one (7.5 MB
-        # on two threads, 0 on one); 64-row blocks held all four at once.
+        # twist row, and each thread holds one core block, so four twists
+        # take less than a span's memory more than one: 0.7 MB less on one
+        # thread and 7.5 MB more on two; 64-row blocks held all four at once.
+        # The worker counts are pinned to those the program can run on, so
+        # the bound does not depend on the host's CPUs.  Each thread holds
+        # its own 24 MB of core buffers: on three, four twists took 32.6 MB
+        # more than one.
         N = 2 ** 20
         seq = quadratic_sequence(PHI)
         assert analysis.SUD_BLOCK_CELLS // (N - 2) <= 1
-        peaks = []
-        for xi_count in (1, 4):
-            tracemalloc.start()
-            try:
-                sud_estimate(seq, N, 2, xi_count, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
         span_bytes = 8 * (N + 2)
-        assert peaks[1] < peaks[0] + span_bytes
-        assert max(peaks) < 10 * span_bytes
+        for workers in (1, parallel.WORKERS):
+            peaks = []
+            with mock.patch.object(parallel, "worker_count", return_value=workers):
+                for xi_count in (1, 4):
+                    tracemalloc.start()
+                    try:
+                        sud_estimate(seq, N, 2, xi_count, 0)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+            assert peaks[1] < peaks[0] + span_bytes, workers
+            assert max(peaks) < 10 * span_bytes, workers
 
     def test_memory_does_not_grow_with_spans(self):
         # m_max 0 gives one span of N indices; m_max 10^7 gives 64 spans of
@@ -4178,6 +4184,76 @@ class TestWorkerFaults:
             call(*args)
         assert threading.active_count() == before
         assert next(starts) == 2
+
+
+def logged_run(workers, count, make_fails=None, consume_fails=None):
+    """The error that `parallel.run_in_order` raised over `count` indices on
+    `workers` threads, under `raised_within`, and its log of (event, index,
+    thread) in the order they happened.  make(i) returns i after 0-4 ms and
+    `worker_threads` switches threads every 10 us, so that the threads
+    finish out of order; make(make_fails) and consume(consume_fails)
+    raise."""
+    log = []
+
+    def make(i):
+        log.append(("make", i, threading.get_ident()))
+        time.sleep(0.002 * ((5 * i + 1) % 3))
+        if i == make_fails:
+            raise ArithmeticError(f"make {i}")
+        return i
+
+    def consume(i):
+        log.append(("consume", i, threading.get_ident()))
+        if i == consume_fails:
+            time.sleep(0.01)
+            raise OSError(f"consume {i}")
+        log.append(("consumed", i, threading.get_ident()))
+
+    with worker_threads(workers):
+        error = raised_within(5.0, parallel.run_in_order, consume, make, count, workers)
+    return error, log
+
+
+RUNS = [(workers, count) for workers in (1, 2, 3) for count in range(10)]
+
+
+class TestRunInOrder:
+    """`parallel.run_in_order`'s contract on 1-3 workers and 0-9 indices:
+    index order, make(i + W) only after consume(i), at most W = min(workers,
+    count) results held, failures raised when due, and no thread left."""
+
+    @pytest.mark.parametrize("workers, count", RUNS)
+    def test_consumes_in_order_holding_at_most_w_results(self, workers, count):
+        error, log = logged_run(workers, count)
+        assert error is None
+        w = max(1, min(workers, count))
+        assert [i for event, i, _ in log if event == "consume"] == list(range(count))
+        assert sorted(i for event, i, _ in log if event == "make") == list(range(count))
+        position = {(event, i): k for k, (event, i, _) in enumerate(log)}
+        for i in range(count - w):
+            assert position["consumed", i] < position["make", i + w]
+        held = 0
+        for event, _, _ in log:
+            held += (event == "make") - (event == "consumed")
+            assert held <= w
+        assert len({thread for event, _, thread in log if event == "make"}) <= w
+
+    @pytest.mark.parametrize("workers, count", [r for r in RUNS if r[1]])
+    def test_a_failed_make_is_raised_when_due(self, workers, count):
+        for k in range(count):
+            error, log = logged_run(workers, count, make_fails=k)
+            assert isinstance(error, ArithmeticError) and str(error) == f"make {k}"
+            assert [i for event, i, _ in log if event == "consume"] == list(range(k))
+
+    @pytest.mark.parametrize("workers, count", [r for r in RUNS if r[1]])
+    def test_a_failed_consume_stops_the_others(self, workers, count):
+        # The other threads each finish at most the one make they hold.
+        w = min(workers, count)
+        for k in range(count):
+            error, log = logged_run(workers, count, consume_fails=k)
+            assert isinstance(error, OSError) and str(error) == f"consume {k}"
+            assert [i for event, i, _ in log if event == "consume"] == list(range(k + 1))
+            assert max(i for event, i, _ in log if event == "make") < k + w
 
 
 def former_tsokanos_values(ns):
