@@ -31,11 +31,12 @@ from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
 # units in 0.174 s on a 2-vCPU Xeon) measured 2.38e7 units/s when every
 # slab was scanned, so a call at the cap runs at most about 3 minutes.
 MAX_DISCREPANCY_WORK = 4 * 10 ** 9
-# Grid nodes of the d >= 2 dispersion bound.  Its cover table peaks at 16
-# bytes a node (the int64 counts and one bincount of box corners), 4.2 MB
-# at 2^18 nodes.  At 2^18 nodes and d = 2-4 on a 2-vCPU Xeon, one cover
-# pass took 6-8 ms for 200 points and 10-16 ms for 10^4, and `dispersion`
-# took 13-20 ms and 25-56 ms.
+# Grid nodes of the d >= 2 dispersion bound.  A cover pass peaks at 5
+# bytes a node under tracemalloc (the int32 difference table and the mask),
+# 1.3-1.4 MB at 2^18 nodes and 200 points, and 1.6-2.0 MB at 10^4 points.
+# At 2^18 nodes and d = 2-4 on a 2-vCPU Xeon, one cover pass took 1.8-5 ms
+# for 200 points and 5-17 ms for 10^4, and `dispersion` took 4-12 ms and
+# 14-57 ms.
 DISPERSION_GRID_BUDGET = 2 ** 18
 # Grid nodes whose exact nearest distance each round of `_grid_bound`
 # computes, and the (node, point) or (point, corner) pairs one block of its
@@ -254,13 +255,17 @@ def _nearest_sup(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Sup-norm distance from each node to its nearest point, by brute force
     over blocks of at most GRID_BOUND_CELLS (node, point) pairs."""
     out = np.empty(nodes.shape[0])
+    cols = [np.ascontiguousarray(c) for c in pts.T]
     step = max(1, GRID_BOUND_CELLS // pts.shape[0])
+    buf = np.empty((2, min(step, nodes.shape[0]), pts.shape[0]))
     for lo in range(0, nodes.shape[0], step):
         block = nodes[lo:lo + step]
-        dist = np.abs(block[:, :1] - pts[:, 0])
-        for k in range(1, pts.shape[1]):
-            np.maximum(dist, np.abs(block[:, k:k + 1] - pts[:, k]), out=dist)
-        out[lo:lo + step] = np.min(dist, axis=1)
+        dist, term = buf[:, :block.shape[0]]
+        np.abs(np.subtract(block[:, :1], cols[0], out=dist), out=dist)
+        for k in range(1, len(cols)):
+            np.abs(np.subtract(block[:, k:k + 1], cols[k], out=term), out=term)
+            np.maximum(dist, term, out=dist)
+        np.min(dist, axis=1, out=out[lo:lo + step])
     return out
 
 
@@ -287,9 +292,11 @@ def _covered(axes, pts: np.ndarray, r: float) -> np.ndarray:
     monotone in a_i) form one index range [lo, hi).  ``searchsorted`` at
     p - r and p + r finds it up to rounding, and each end is then moved
     until the float distances decide it, so the mask is exact.  Each point
-    adds its box of ranges to a difference table at the box's 2^d corners
-    (a corner past the grid's end changes no node), and one ``cumsum`` per
-    axis turns the table into per-node counts of covering points.
+    adds its box of ranges to an int32 difference table at the box's 2^d
+    corners, with ``np.add.at`` and ``np.subtract.at`` (a corner past the
+    grid's end changes no node), and one ``cumsum`` per axis turns the table
+    into per-node counts of covering points.  Each partial sum counts the
+    points of a slab of boxes, so no entry passes the number of points.
     """
     shape = tuple(a.size for a in axes)
     d = len(shape)
@@ -300,17 +307,18 @@ def _covered(axes, pts: np.ndarray, r: float) -> np.ndarray:
         hi = _first_index(a, np.searchsorted(a, p + r, side="right"),
                           lambda v: (v > p) & (v - p > r))
         ends.append((lo, hi))
-    table = np.zeros(math.prod(shape), dtype=np.int64)
+    table = np.zeros(math.prod(shape), dtype=np.int32)
     step = max(1, GRID_BOUND_CELLS // 2 ** d)
     for start in range(0, pts.shape[0], step):
-        signed = ([], [])
         for corner in itertools.product((0, 1), repeat=d):
             idx = [ends[k][c][start:start + step] for k, c in enumerate(corner)]
             inside = np.all([i < m for i, m in zip(idx, shape)], axis=0)
-            signed[sum(corner) % 2].append(
-                np.ravel_multi_index([i[inside] for i in idx], shape))
-        table += np.bincount(np.concatenate(signed[0]), minlength=table.size)
-        table -= np.bincount(np.concatenate(signed[1]), minlength=table.size)
+            add = np.subtract.at if sum(corner) % 2 else np.add.at
+            # An int32 one keeps ufunc.at on its fast path, which does not
+            # cast; a Python 1 made these calls about 20 times slower (97
+            # against 4.6 us for 800 corners into 2^18 nodes).
+            add(table, np.ravel_multi_index([i[inside] for i in idx], shape),
+                np.int32(1))
     grid = table.reshape(shape)
     for k in range(d):
         np.cumsum(grid, axis=k, out=grid)

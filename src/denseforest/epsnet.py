@@ -27,8 +27,8 @@ CHUNK_BOXES = 4096
 # 0.01, hw or d2 net, aligned or rotated), so the cap runs 30 to 75 s; boxes
 # that fall to the full-net check, as at volume 0.001 on a net for 0.01,
 # ran at 1.6e4 to 2.3e4 boxes/s.  Memory does not grow with the boxes: a
-# chunk holds 41 bytes a box, and its draw and check peak at 2.3 MB (d2
-# net, aligned) to 3.0 MB (hw net, rotated) under tracemalloc.
+# chunk holds 41 bytes a box, and its draw and check peak at 2.1 MB (d2
+# net, aligned) to 2.5 MB (hw net, rotated) under tracemalloc.
 MAX_VERIFY_TRIALS = 10 ** 7
 # A rotated box makes at most this many attempts to fit in the unit square.
 ROTATED_ATTEMPTS = 10000
@@ -331,55 +331,68 @@ class _CellIndex:
     verify_net left several times more boxes to the full-net check.  Cell
     (i, j) has key (i + 1)(g + 2) + j + 1, so a border of empty cells
     surrounds the grid and the cells (i, j - 1 .. j + 1) are one run of
-    sorted points.
+    sorted points.  The sorted x and y are kept as contiguous columns.
     """
 
     def __init__(self, points: np.ndarray):
         self.g = max(1, math.isqrt(points.shape[0] // 4))
         keys = self.keys(points)
         order = np.argsort(keys, kind="stable")
-        self.points = points[order]
+        self.x = points[order, 0]
+        self.y = points[order, 1]
         self.starts = np.searchsorted(keys[order], np.arange((self.g + 2) ** 2 + 1))
 
     def keys(self, xy: np.ndarray) -> np.ndarray:
         cell = np.clip(np.floor(xy * self.g), 0, self.g - 1).astype(np.int64) + 1
         return cell[:, 0] * (self.g + 2) + cell[:, 1]
 
-    def near(self, centres: np.ndarray):
-        """(start, stop) of the sorted points in the 3 x 3 cells around each
-        centre: three runs per centre, one for each row of 3 cells."""
-        runs = self.keys(centres)[:, None] + (self.g + 2) * np.arange(-1, 2)
-        return self.starts[runs - 1].ravel(), self.starts[runs + 2].ravel()
-
 
 def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.ndarray:
     """Boxes (rows of drawn floats) that a net point near their centre lies in.
 
+    Near means in the 3 x 3 cells around the centre.  Every box is first
+    scored against its centre cell, and only the boxes still open against
+    the other 8 cells: a box hit in the first phase stays hit, and an open
+    box gets every pair it has left, so the hits are those of all 9 cells.
     True is a hit that ``box.contains(points)`` also finds; False decides
     nothing.  Aligned boxes compare with the box's own bounds, so the test
     is exact.  A rotated box's membership goes through a matrix product
     whose rounding depends on the row count, so a point certifies it only
     ROTATED_HIT_MARGIN inside, far beyond any rounding of that product.
+    Each block of pairs takes its box columns from one per-box table: the
+    4 bounds of an aligned box, or a rotated box's centre, half sides less
+    the margin, cosine and sine.
     """
-    hits = np.zeros(rows.shape[0], dtype=bool)
+    cx, cy, hw, hh = rows[:, :4].T
     if rotated:
-        cos, sin = np.cos(rows[:, 4]), np.sin(rows[:, 4])
-    for run, cols in run_pairs(*index.near(rows[:, :2])):
-        box = run // 3
-        near = np.take(index.points, cols, axis=0)
-        x = near[:, 0]
-        y = near[:, 1]
-        cx, cy, hw, hh = (rows[box, j] for j in range(4))
-        if not rotated:
-            inside = (x >= cx - hw) & (x <= cx + hw) & (y >= cy - hh) & (y <= cy + hh)
-        else:
-            c = cos[box]
-            s = sin[box]
-            u = (x - cx) * c + (y - cy) * s
-            v = (y - cy) * c - (x - cx) * s
-            inside = ((np.abs(u) <= hw - ROTATED_HIT_MARGIN)
-                      & (np.abs(v) <= hh - ROTATED_HIT_MARGIN))
-        hits[box[inside]] = True
+        table = np.stack([cx, cy, hw - ROTATED_HIT_MARGIN, hh - ROTATED_HIT_MARGIN,
+                          np.cos(rows[:, 4]), np.sin(rows[:, 4])])
+    else:
+        table = np.stack([cx - hw, cx + hw, cy - hh, cy + hh])
+    hits = np.zeros(rows.shape[0], dtype=bool)
+    keys = index.keys(rows[:, :2])
+    row = index.g + 2
+    # Each phase's runs of cells, as key ranges [first, stop) from the
+    # centre's key: the centre cell, then for the boxes still open its two
+    # neighbours in the centre's run and the two outer runs of 3 cells.
+    phases = (([0], [1]), ([-1, 1, -row - 1, row - 1], [0, 2, 2 - row, row + 2]))
+    for first, stop in phases:
+        boxes = np.flatnonzero(~hits)
+        start = index.starts[(keys[boxes, None] + first).ravel()]
+        end = index.starts[(keys[boxes, None] + stop).ravel()]
+        for run, cols in run_pairs(start, end):
+            box = boxes[run // len(first)]
+            x = np.take(index.x, cols)
+            y = np.take(index.y, cols)
+            if rotated:
+                cx, cy, hw, hh, c, s = np.take(table, box, axis=1)
+                u = (x - cx) * c + (y - cy) * s
+                v = (y - cy) * c - (x - cx) * s
+                inside = (np.abs(u) <= hw) & (np.abs(v) <= hh)
+            else:
+                x0, x1, y0, y1 = np.take(table, box, axis=1)
+                inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+            hits[box[inside]] = True
     return hits
 
 

@@ -1134,6 +1134,43 @@ class TestGridBoundOracle:
         for r in np.concatenate([values, np.nextafter(values[values > 0.0], 0.0)]):
             assert np.array_equal(_covered(axes, pts, r), near <= r)
 
+    def test_cover_counts_more_points_than_int16_holds(self):
+        # 40,000 coincident points give the nodes around them a count that
+        # int16 would wrap below zero; one more point covers the far corner.
+        pts = np.vstack([np.full((40000, 2), 0.3), [[0.9, 0.8]]])
+        axes = [np.linspace(0.0, 1.0, 9)] * 2
+        from scipy.spatial import cKDTree
+        near, _ = cKDTree(pts).query(cartesian(*axes), k=1, p=np.inf)
+        for r in np.unique(near):
+            assert np.array_equal(_covered(axes, pts, r), near <= r)
+
+    @given(st.integers(1, 4), st.integers(1, 30), st.integers(1, 40),
+           st.integers(0, 2 ** 16), st.sampled_from(["transposed", "sliced"]),
+           st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_nearest_sup_matches_brute_force(self, d, n, count, seed, layout, cells):
+        # Points and nodes as strided views, with signed zeros and repeated
+        # points, in blocks of as few as one (node, point) pair: every
+        # distance equals the brute-force one bit for bit.
+        rng = np.random.default_rng(seed)
+
+        def draw(rows):
+            arr = np.where(rng.random((rows, d)) < 0.5, rng.random((rows, d)),
+                           rng.integers(0, 5, (rows, d)) / 4.0)
+            arr = arr[rng.integers(0, rows, rows)]
+            arr[(arr == 0.0) & (rng.random((rows, d)) < 0.5)] = -0.0
+            if layout == "transposed":
+                return np.ascontiguousarray(arr.T).T
+            wide = np.zeros((rows, 2 * d + 1))
+            wide[:, 1::2] = arr
+            return wide[:, 1::2]
+
+        pts, nodes = draw(n), draw(count)
+        with mock.patch.object(analysis, "GRID_BOUND_CELLS", cells):
+            got = analysis._nearest_sup(nodes, pts)
+        expected = np.abs(nodes[:, None] - pts[None]).max(2).min(1)
+        assert got.tobytes() == expected.tobytes()
+
     def test_bound_one_ulp_above_the_subgrid_bound(self):
         # On the 16 x 16 grid the first round samples the even-index nodes,
         # whose largest nearest distance is 1/2, at the node (0, 0).  Every
@@ -3195,6 +3232,77 @@ class TestVerifyNetOracle:
         assert any(np.any(hit & ~epsnet._certified_hits(index, rows, box_sampler == "rotated"))
                    for rows, hit in _box_hits(net, box_sampler, 0.01,
                                               epsnet.CHUNK_BOXES + 500, 7))
+
+    @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
+    def test_certified_by_a_neighbour_cell(self, box_sampler):
+        # Box i's net is one point of the box in a cell next to the centre's
+        # (in the row of cells above or below it, or beside it in its own
+        # row), and 40 copies of a unit-square corner outside the box, so
+        # g = 3.  Only the second phase, which scores the 8 cells around the
+        # centre cell for the boxes still open, sees the point that
+        # certifies the box.
+        volume, seed, rotated = 0.02, 12, box_sampler == "rotated"
+        draw, make = epsnet._SAMPLERS[box_sampler]
+        rows = draw(volume, 120, np.random.default_rng(seed))
+
+        def cell(xy):
+            return np.clip(np.floor(np.array(xy) * 3.0), 0, 2)
+
+        checked = []
+        for i, row in enumerate(rows):
+            cx, cy, hw, hh = row[:4]
+            if rotated:
+                c, s = math.cos(row[4]), math.sin(row[4])
+                a, b = 0.9 * hw, 0.9 * hh
+                candidates = [(cx + a * c, cy + a * s), (cx - a * c, cy - a * s),
+                              (cx - b * s, cy + b * c), (cx + b * s, cy - b * c)]
+            else:
+                candidates = [(x, y) for x in (cx - hw, cx, cx + hw)
+                              for y in (cy - hh, cy, cy + hh)]
+            near = [p for p in candidates
+                    if np.max(np.abs(cell(p) - cell((cx, cy)))) == 1]
+            if not near:
+                continue
+            p = near[i % len(near)]
+            box = make(*row)
+            corner = next(q for q in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+                          if not box.contains(np.array([q]))[0])
+            net = _net([p] + [corner] * 40, eps=volume)
+            index = epsnet._CellIndex(net.points)
+            assert index.g == 3
+            hits = assert_verify_matches(net, box_sampler, volume, i + 1, seed)
+            assert hits[i]
+            assert epsnet._certified_hits(index, rows[:i + 1], rotated)[i]
+            checked.append(cell(p)[0] != cell((cx, cy))[0])
+            if len(checked) == 16:
+                break
+        # Both kinds of neighbour were checked: an outer run and the centre's.
+        assert len(checked) == 16 and any(checked) and not all(checked)
+
+    @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
+    def test_centre_cells_certify_every_box(self, box_sampler):
+        # A 32 x 32 grid of points (4 a cell, g = 16) and boxes of volume
+        # 0.3, whose sides are at least 0.3: every box holds its centre
+        # cell, so no pair outside it is scored, and no outer run at all.
+        grid = (np.arange(32) + 0.5) / 32.0
+        net = _net(cartesian(grid, grid), eps=0.3)
+        index = epsnet._CellIndex(net.points)
+        draw, _ = epsnet._SAMPLERS[box_sampler]
+        rows = draw(0.3, 500, np.random.default_rng(3))
+        keys = index.keys(rows[:, :2])
+        centre_pairs = int(np.sum(index.starts[keys + 1] - index.starts[keys]))
+        scored = []
+
+        def counted(start, stop):
+            for run, cols in geometry.run_pairs(start, stop):
+                scored.append(run.size)
+                yield run, cols
+
+        with mock.patch.object(epsnet, "run_pairs", counted):
+            hits = epsnet._certified_hits(index, rows, box_sampler == "rotated")
+        assert hits.all()
+        assert sum(scored) == centre_pairs
+        assert_verify_matches(net, box_sampler, 0.3, 500, 3)
 
     @pytest.mark.parametrize("box_sampler", ["aligned", "rotated"])
     def test_points_on_box_edges_and_corners(self, box_sampler):
