@@ -20,8 +20,8 @@ from . import parallel
 from .errors import check_limit
 from .generators import (MERGE_DECIMALS, LatticeSheet, PointSetSpec,
                          SequenceSpec, _matmul, enumerate_points)
-from .geometry import (AlignedBox, RotatedBox, Segment, Window, _probes,
-                       cartesian, halton, point_array, run_pairs,
+from .geometry import (AlignedBox, CellIndex, RotatedBox, Segment, Window,
+                       _probes, cartesian, halton, point_array, run_pairs,
                        sample_probes)
 
 # Work budget for exact discrepancy, in slab-scan units: one unit is one
@@ -838,12 +838,13 @@ def _candidate_scores(cand: np.ndarray, bases: np.ndarray, dirs: np.ndarray,
     {t : sup-norm(base + t*dir - p) < eps} is the open interval (t_lo, t_hi)
     of the line in the box (p - base) -+ eps; the score is t_lo when the
     interval is nonempty and reaches past t=0, else +inf.  A probe of
-    length L is hit by p exactly when score < L.
+    length L is hit by p exactly when score < L.  A zero score is +0.0
+    (``t_lo + 0.0``), so a tie with -0.0 cannot depend on the scoring order.
     """
     b = cand - bases
     t_lo, t_hi = _line_box(b - eps, b + eps, dirs)
     valid = (t_lo < t_hi) & (t_hi > 0.0)
-    return np.where(valid, t_lo, np.inf)
+    return np.where(valid, t_lo + 0.0, np.inf)
 
 
 # Candidate rows (columns x box stencil) per chunk of the lattice column walk
@@ -1680,78 +1681,51 @@ def _min_gap(pts: np.ndarray) -> float:
     consecutive rows, which are near pairs when the rows are sorted, as
     enumerated points are.  A pair no farther apart than r differs by at
     most r on every axis, so it lies in one cell or in two neighbouring
-    cells of a grid of side r (1 + 1e-9): the fixed-radius cell method of
-    Bentley, Stanat and Williams (IPL 1977).  The points are sorted by cell
-    key once, and ``searchsorted`` finds each cell's forward neighbours,
-    for MIN_GAP_BLOCK_ROWS sorted rows at a time, the blocks going
-    round-robin to `parallel.worker_count()` threads.  A block's keys
-    ascend, so each of its searches reads only the keys between the
-    positions of its first and last needle, which stay in the cache.
-    Every distance is the left-to-right sum of squared differences and then
-    its square root, the floats a KD-tree query returns (its sum runs left
-    to right below 8 dimensions), so the minimum is the float an unbounded
-    nearest-neighbour query gives.  r = 0 (a repeated point) is the
-    minimum.
+    cells of a `geometry.CellIndex` of side r (1 + 1e-9).  Each sorted row
+    is paired with the forward half of its neighbour cells, for
+    MIN_GAP_BLOCK_ROWS rows at a time, the blocks going round-robin to
+    `parallel.worker_count()` threads.  Every distance is the left-to-right
+    sum of squared differences and then its square root, the floats a
+    KD-tree query returns (its sum runs left to right below 8 dimensions),
+    so the minimum is the float an unbounded nearest-neighbour query gives.
+    r = 0 (a repeated point) is the minimum.
 
-    A cell coordinate (x - lo) / side below 2^20 is computed with an error
-    far below the 1e-9 margin, so such a pair's cells differ by at most one
-    per axis.  Cell keys number the cells of a grid padded by one on each
-    side, so a neighbour key never stands for another cell, and they must
-    fit in int64: when (extent / r)^d would exceed either limit, the cells
-    are made coarser, which keeps every pair they held.
+    Three roundings leave a cell coordinate (x - lo) * scale below 2^20
+    less than 2^-31 from (x - lo) / side, so a pair's coordinates differ by
+    less than 1 - 1e-9 + 2^-30 < 1, and its cells by at most one, on every
+    axis.  The padded keys must fit in int64: when (extent / r)^d would
+    exceed either limit, the cells are made coarser, which keeps every pair
+    they held.
     """
     r2 = float(np.min(_squared_distances(pts[:-1], pts[1:])))
     if r2 == 0.0:
         return 0.0
-    n, d = pts.shape
+    d = pts.shape[1]
     # Column by column: a reduction over axis 0 of two columns is ~15x slower.
     lo = np.array([col.min() for col in pts.T])
     extent = np.array([col.max() for col in pts.T]) - lo
     per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
-    side = max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
-    # Cell coordinates floor((x - lo) / side) + 1 are monotone in x, so the
-    # largest is the extent's; the keys are built axis by axis, row-major.
-    dims = np.floor(extent / side).astype(np.int64) + 3
-    keys = np.zeros(n, dtype=np.int64)
-    for k in range(d):
-        keys *= dims[k]
-        keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    pts = np.take(pts, order, axis=0)
-    del order
-    # Sorted by key, a cell's later points and the next cell along the last
-    # axis are one run of rows, and so are the three cells along the last
-    # axis of each forward row of neighbours.
-    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
-    forward = [int(np.dot(lead, strides[:-1]))
-               for lead in itertools.product((-1, 0, 1), repeat=d - 1)
-               if lead > (0,) * (d - 1)]
+    scale = 1.0 / max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
+    index = CellIndex(pts, lo, scale, np.floor(extent * scale).astype(np.int64) + 1)
+    # Key offsets of the forward half of the neighbour cells: a row's own
+    # cell and the next along the last axis end at +2, and each forward row
+    # of three cells along the last axis spans [row - 1, row + 2).
+    forward = [int(np.dot(lead, index.strides[:-1]))
+               for lead in itertools.product((-1, 0, 1), repeat=d - 1) if lead > (0,) * (d - 1)]
+    offsets = [2] + [end for row in forward for end in (row - 1, row + 2)]
     size = MIN_GAP_BLOCK_ROWS
 
     def block(i):
         first = i * size
-        own = keys[first:first + size]
-        best = _least_in_ranges(pts, first, np.arange(first + 1, first + own.size + 1),
-                                _sorted_search(keys, own + 1, "right"))
-        for row in forward:
-            best = min(best, _least_in_ranges(
-                pts, first, _sorted_search(keys, own + (row - 1), "left"),
-                _sorted_search(keys, own + (row + 1), "right")))
-        return best
+        own = index.keys[first:first + size]
+        rows = index.rows(own, offsets)
+        starts = [np.arange(first + 1, first + own.size + 1), *rows[1::2]]
+        return min(_least_in_ranges(index.points, first, start, stop)
+                   for start, stop in zip(starts, rows[0::2]))
 
     bests = []
-    blocks = -(-n // size)
-    parallel.run_in_order(bests.append, block, blocks, parallel.worker_count())
+    parallel.run_in_order(bests.append, block, -(-pts.shape[0] // size), parallel.worker_count())
     return math.sqrt(min(r2, *bests))
-
-
-def _sorted_search(keys: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted(keys, needles, side) for ascending needles, searched
-    only in the slice of keys that the first and last needle's positions
-    bound: every other needle's position lies between theirs."""
-    lo, hi = np.searchsorted(keys, needles[[0, -1]], side=side)
-    return np.searchsorted(keys[lo:hi], needles, side=side) + lo
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import check_limit
 from .generators import D2Sheet
-from .geometry import (AlignedBox, RotatedBox, Window, box_json, point_array,
-                       run_pairs)
+from .geometry import (AlignedBox, CellIndex, RotatedBox, Window, box_json,
+                       point_array, run_pairs)
 
 # Planar points hw_net may draw (it counts coordinates: 2 * MAX_NET_SIZE / d
 # points in dimension d > 2).  On 2 Xeon vCPUs it drew 10^5 and 10^6 points in
@@ -324,30 +324,14 @@ _SAMPLERS = {"aligned": (_aligned_rows, _aligned_box),
              "rotated": (_rotated_rows, _rotated_box)}
 
 
-class _CellIndex:
-    """The net points sorted into a g x g grid of cells over [0,1]^2.
-
-    g = floor(sqrt(size / 4)) gives about four points a cell; at one a cell,
-    verify_net left several times more boxes to the full-net check.  Cell
-    (i, j) has key (i + 1)(g + 2) + j + 1, so a border of empty cells
-    surrounds the grid and the cells (i, j - 1 .. j + 1) are one run of
-    sorted points.  The sorted x and y are kept as contiguous columns.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.g = max(1, math.isqrt(points.shape[0] // 4))
-        keys = self.keys(points)
-        order = np.argsort(keys, kind="stable")
-        self.x = points[order, 0]
-        self.y = points[order, 1]
-        self.starts = np.searchsorted(keys[order], np.arange((self.g + 2) ** 2 + 1))
-
-    def keys(self, xy: np.ndarray) -> np.ndarray:
-        cell = np.clip(np.floor(xy * self.g), 0, self.g - 1).astype(np.int64) + 1
-        return cell[:, 0] * (self.g + 2) + cell[:, 1]
+def _net_index(points: np.ndarray) -> CellIndex:
+    """The net in g x g cells over [0,1]^2, g = floor(sqrt(size / 4)), about four points
+    a cell; at one a cell, verify_net left several times more boxes to the full-net check."""
+    g = max(1, math.isqrt(points.shape[0] // 4))
+    return CellIndex(points, (0.0, 0.0), float(g), (g, g))
 
 
-def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.ndarray:
+def _certified_hits(index: CellIndex, rows: np.ndarray, rotated: bool) -> np.ndarray:
     """Boxes (rows of drawn floats) that a net point near their centre lies in.
 
     Near means in the 3 x 3 cells around the centre.  Every box is first
@@ -370,20 +354,21 @@ def _certified_hits(index: _CellIndex, rows: np.ndarray, rotated: bool) -> np.nd
     else:
         table = np.stack([cx - hw, cx + hw, cy - hh, cy + hh])
     hits = np.zeros(rows.shape[0], dtype=bool)
-    keys = index.keys(rows[:, :2])
-    row = index.g + 2
-    # Each phase's runs of cells, as key ranges [first, stop) from the
-    # centre's key: the centre cell, then for the boxes still open its two
-    # neighbours in the centre's run and the two outer runs of 3 cells.
-    phases = (([0], [1]), ([-1, 1, -row - 1, row - 1], [0, 2, 2 - row, row + 2]))
-    for first, stop in phases:
-        boxes = np.flatnonzero(~hits)
-        start = index.starts[(keys[boxes, None] + first).ravel()]
-        end = index.starts[(keys[boxes, None] + stop).ravel()]
-        for run, cols in run_pairs(start, end):
-            box = boxes[run // len(first)]
-            x = np.take(index.x, cols)
-            y = np.take(index.y, cols)
+    keys = index.key(rows[:, :2])
+    row = int(index.strides[0])
+    # Each phase's key ranges [first, stop) about the centre's key, as pairs
+    # of offsets for the boxes in ascending key order: the centre cell, then
+    # its two neighbours in the centre's run and the two outer runs of 3 cells.
+    phases = ([0, 1], [-1, 0, 1, 2, -row - 1, 2 - row, row - 1, row + 2])
+    boxes = np.argsort(keys)
+    for offsets in phases:
+        boxes = boxes[~hits[boxes]]
+        if not boxes.size:
+            break
+        runs = index.rows(keys[boxes], offsets)
+        for run, cols in run_pairs(runs[0::2].ravel(), runs[1::2].ravel()):
+            box = boxes[run % boxes.size]
+            x, y = np.take(index.columns, cols, axis=1)
             if rotated:
                 cx, cy, hw, hh, c, s = np.take(table, box, axis=1)
                 u = (x - cx) * c + (y - cy) * s
@@ -406,7 +391,7 @@ def _box_hits(net: Net, box_sampler: str, volume: float, trials: int,
     """
     draw, make = _SAMPLERS[box_sampler]
     rng = np.random.default_rng(seed)
-    index = _CellIndex(net.points) if net.size else None
+    index = _net_index(net.points) if net.size else None
     for start in range(0, trials, CHUNK_BOXES):
         count = min(CHUNK_BOXES, trials - start)
         rows = draw(volume, count, rng)

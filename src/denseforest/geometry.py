@@ -7,6 +7,7 @@ pure functions of their arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,47 @@ def run_pairs(start: np.ndarray, stop: np.ndarray):
         yield (np.repeat(np.arange(lo, hi), size),
                np.repeat(start[lo:hi] - (ends[lo:hi] - size), size) + np.arange(done, upto))
         done = upto
+
+
+class CellIndex:
+    """Points sorted by cell, for the fixed-radius cell method of Bentley,
+    Stanat and Williams (IPL 1977).  Axis k has cells[k] cells of width
+    1 / scale from lo[k]; a point's cell on it is floor((x_k - lo_k) *
+    scale), the last cell holding the top face.  Keys number the cells
+    row-major in the grid padded by an empty cell on each side, so an
+    offset of at most one cell an axis never stands for another cell, and
+    a range of keys is one run of ``points``, sorted stably by ``keys``.
+    """
+
+    def __init__(self, points: np.ndarray, lo, scale: float, cells):
+        self.lo, self.scale, self.cells = lo, scale, np.asarray(cells, dtype=np.int64)
+        # strides[k] is the key offset of one cell along axis k.
+        self.strides = np.append(np.cumprod(self.cells[:0:-1] + 2)[::-1], 1)
+        keys = self.key(points)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        del keys
+        self.points = np.take(points, order, axis=0)
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The sorted coordinates, one contiguous row an axis."""
+        return np.ascontiguousarray(self.points.T)
+
+    def key(self, points: np.ndarray) -> np.ndarray:
+        """The key of each row's cell; rows must lie at or above ``lo``."""
+        keys = 0
+        for col, lo, n in zip(points.T, self.lo, self.cells):
+            # Not below zero, the cast truncates as floor would.
+            keys = keys * (n + 2) + np.minimum((col - lo) * self.scale, n - 1).astype(np.int64)
+        return keys + np.sum(self.strides)  # the padding cell on every axis
+
+    def rows(self, keys: np.ndarray, offsets) -> np.ndarray:
+        """rows[i, j] is the first sorted row keyed keys[j] + offsets[i] or more, for ascending
+        ``keys``, searched only between the rows of the first and last needle."""
+        offsets = np.asarray(offsets)
+        lo, hi = np.searchsorted(self.keys, [keys[0] + offsets.min(), keys[-1] + offsets.max()])
+        return np.searchsorted(self.keys[lo:hi], keys + offsets[:, None]) + lo
 
 
 def _vector(values, name):

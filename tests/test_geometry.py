@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -9,7 +10,7 @@ from scipy.stats import qmc
 
 import denseforest.geometry as geometry
 from denseforest.errors import ResourceLimitError
-from denseforest.geometry import (AlignedBox, Point, Segment, Window,
+from denseforest.geometry import (AlignedBox, CellIndex, Point, Segment, Window,
                                   _stratified_directions, point_array, run_pairs,
                                   sample_probes,
                                   sample_segments)
@@ -290,3 +291,115 @@ class TestRunPairs:
         # Each block ends where adding the next row would overflow it.
         for (rows, _), (nxt, _) in zip(blocks, blocks[1:]):
             assert rows.size + np.count_nonzero(nxt == nxt[0]) > block
+
+
+def cell_key_oracle(point, lo, scale, cells):
+    """The padded row-major key of a point's cell, in Python floats and
+    integers: floor((x - lo) * scale) clipped to [0, cells - 1] on each
+    axis, plus one, numbered in a grid of cells + 2 an axis."""
+    key = 0
+    for x, low, count in zip(point, lo, cells):
+        cell = min(max(math.floor((float(x) - float(low)) * float(scale)), 0), int(count) - 1)
+        key = key * (int(count) + 2) + cell + 1
+    return key
+
+
+def cell_of_key(key, cells):
+    """The cell, one integer an axis, that a padded key numbers."""
+    out = []
+    for count in reversed(cells):
+        key, rest = divmod(key, int(count) + 2)
+        out.append(rest - 1)
+    return out[::-1]
+
+
+@st.composite
+def cell_index_cases(draw):
+    """(points, lo, scale, cells) of the grids that use a CellIndex."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["faces", "unit", "coarse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "faces":
+        # Points on the faces of cells of side 1 / scale, or halfway
+        # between them: the grid of a minimum gap, from the points' least
+        # coordinates.
+        scale = draw(st.sampled_from([4.0, 10.0, 3.0, 0.5]))
+        steps = rng.integers(0, 6, (n, d)) + 0.5 * rng.integers(0, 2, (n, d))
+        points = rng.integers(-5, 6, d) * 0.3 + steps / scale
+        lo = points.min(axis=0)
+        cells = np.floor((points.max(axis=0) - lo) * scale).astype(np.int64) + 1
+    elif kind == "unit":
+        # The grid of a net: g cells an axis over [0, 1], with coordinates
+        # 0, 1 and j / g, and uniform ones.
+        g = draw(st.integers(1, 6))
+        points = np.where(rng.random((n, d)) < 0.5, rng.integers(0, g + 1, (n, d)) / g,
+                          rng.random((n, d)))
+        points[0] = 1.0
+        lo, scale, cells = np.zeros(d), float(g), np.full(d, g)
+    else:
+        # Cells coarsened so that the padded keys fit int64, as `_min_gap`
+        # makes them for a wide set with a tiny gap; the corners make the
+        # extent the same on every axis, so every axis has the most cells.
+        per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
+        points = np.concatenate([np.zeros((1, d)), np.full((1, d), 1e6),
+                                 rng.random((n, d)) * 1e6])
+        lo = points.min(axis=0)
+        extent = points.max(axis=0) - lo
+        scale = 1.0 / (float(np.max(extent)) / per_axis)
+        cells = np.floor(extent * scale).astype(np.int64) + 1
+    repeats = rng.integers(0, points.shape[0], rng.integers(0, 4))
+    return np.concatenate([points, points[repeats]]), lo, scale, cells
+
+
+class TestCellIndex:
+    @given(cell_index_cases())
+    @example((np.array([[0.0], [0.25], [0.25], [0.5]]), np.zeros(1), 4.0, np.array([3])))
+    @example((np.array([[1.0, 1.0], [0.0, 1.0], [2.0 / 3.0, 1.0 / 3.0]]),
+              np.zeros(2), 3.0, np.array([3, 3])))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, case):
+        points, lo, scale, cells = case
+        index = CellIndex(points, lo, scale, cells)
+        keys = [cell_key_oracle(p, lo, scale, cells) for p in points]
+        assert max(keys) < 2 ** 63
+        assert index.key(points).tolist() == keys
+        # Sorted stably by key, with the same coordinates as columns.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        assert index.keys.tolist() == [keys[i] for i in order]
+        assert index.points.tolist() == points[order].tolist()
+        assert index.columns.flags.c_contiguous
+        assert index.columns.tolist() == points[order].T.tolist()
+        # Strides from the oracle's numbering: one cell along axis k.
+        strides = [math.prod(int(c) + 2 for c in cells[k + 1:]) for k in range(len(cells))]
+        assert index.strides.tolist() == strides
+        # The key ranges of both stencils, and wider ones, from every key
+        # that a point or one of its neighbours has: each run holds exactly
+        # the points whose keys fall in its range, in sorted order.
+        ranges = [(0, 1), (-1, 0), (1, 2), (0, 2), (-2, 3)]
+        for stride in strides[:-1]:
+            ranges += [(stride - 1, stride + 2), (-stride - 1, 2 - stride)]
+        offsets = [end for bounds in ranges for end in bounds]
+        needles = sorted({k + o for k in keys for o in (-1, 0, 1)})
+        for batch in (needles, needles[len(needles) // 3:], needles[-1:]):
+            rows = index.rows(np.array(batch, dtype=np.int64), offsets)
+            assert rows.shape == (len(offsets), len(batch))
+            for r, (first, last) in enumerate(ranges):
+                for j, k in enumerate(batch):
+                    want = [points[i].tolist() for i in order if k + first <= keys[i] < k + last]
+                    assert index.points[rows[2 * r, j]:rows[2 * r + 1, j]].tolist() == want
+        # Points less than 1 / scale apart on every axis, by the 1e-9
+        # margin of the minimum gap, lie in the same or neighbouring cells.
+        cell = [cell_of_key(k, cells) for k in keys]
+        reach = (1.0 - 1e-9) / scale
+        for i in range(len(keys)):
+            for j in range(i):
+                if np.max(np.abs(points[i] - points[j])) <= reach:
+                    assert max(abs(a - b) for a, b in zip(cell[i], cell[j])) <= 1
+
+    def test_unit_coordinate_one_is_in_the_last_cell(self):
+        # 1.0 * 4 = 4 is clipped into cell 3, the last of 4.
+        index = CellIndex(np.array([[1.0, 1.0], [0.0, 1.0], [0.5, 0.0]]),
+                          (0.0, 0.0), 4.0, (4, 4))
+        assert [cell_of_key(int(k), [4, 4]) for k in index.keys] == [[0, 3], [2, 0], [3, 3]]
+        assert index.points.tolist() == [[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]]

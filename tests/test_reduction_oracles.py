@@ -354,8 +354,28 @@ def min_gap_oracle(pts):
 
 def former_min_gap(pts):
     """`_min_gap` with its former whole-array lookup: every row's
-    neighbour runs searched in the whole key array at once, on one thread."""
-    r2 = float(np.min(analysis._squared_distances(pts[:-1], pts[1:])))
+    neighbour runs searched in the whole key array at once, on one thread.
+    Its keys, searches and pair loop are its own: it shares no code with
+    `_min_gap`."""
+
+    def squared(a, b):
+        # Left to right over the axes, as a KD-tree query sums them.
+        total = (a[:, 0] - b[:, 0]) ** 2
+        for k in range(1, a.shape[1]):
+            total += (a[:, k] - b[:, k]) ** 2
+        return total
+
+    def least(start, stop):
+        # Every pair (i, j) with start[i] <= j < stop[i], all at once.
+        count = np.maximum(stop - start, 0)
+        if not count.any():
+            return math.inf
+        ends = np.cumsum(count)
+        rows = np.repeat(np.arange(count.size), count)
+        cols = np.repeat(start - (ends - count), count) + np.arange(ends[-1])
+        return float(np.min(squared(pts[rows], pts[cols])))
+
+    r2 = float(np.min(squared(pts[:-1], pts[1:])))
     if r2 == 0.0:
         return 0.0
     n, d = pts.shape
@@ -370,16 +390,14 @@ def former_min_gap(pts):
         keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    pts = np.take(pts, order, axis=0)
-    best = analysis._least_in_ranges(pts, 0, np.arange(1, n + 1),
-                                     np.searchsorted(keys, keys + 1, side="right"))
+    pts = pts[order]
+    best = least(np.arange(1, n + 1), np.searchsorted(keys, keys + 1, side="right"))
     strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
     for lead in itertools.product((-1, 0, 1), repeat=d - 1):
         if lead > (0,) * (d - 1):
             row = int(np.dot(lead, strides[:-1]))
-            best = min(best, analysis._least_in_ranges(
-                pts, 0, np.searchsorted(keys, keys + (row - 1)),
-                np.searchsorted(keys, keys + (row + 1), side="right")))
+            best = min(best, least(np.searchsorted(keys, keys + (row - 1)),
+                                   np.searchsorted(keys, keys + (row + 1), side="right")))
     return math.sqrt(min(r2, best))
 
 
@@ -1311,6 +1329,24 @@ class TestMinGapOracle:
             gap = _min_gap(pts)
         assert gap == former_min_gap(pts) == min_gap_oracle(pts)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closest_pair_in_each_neighbour_cell(self, d):
+        # Points 1 apart on a far line give r = 1, and the origin and the
+        # line's integer corner put the cells of side 1 on integer faces.
+        # A pair 0.1 apart on each moved axis straddles the faces into each
+        # of the 3^d - 1 neighbour cells in turn: one of its two points
+        # must see the other in its forward half of the cells.
+        line = np.full((11, d), -20.0)
+        line[:, 0] = np.arange(20.0, 31.0)
+        for step in itertools.product((-1, 0, 1), repeat=d):
+            if not any(step):
+                continue
+            a = 5.0 + np.select([np.array(step) > 0, np.array(step) < 0], [0.95, 0.05], 0.5)
+            pts = np.concatenate([[a], np.zeros((1, d)), line, [a + 0.1 * np.array(step)]])
+            gap = _min_gap(pts)
+            assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+            assert gap == pytest.approx(0.1 * math.sqrt(np.count_nonzero(step)))
+
     def test_cells_coarsen_past_int64(self):
         # (extent / r)^d = (1e4 / 1e-6)^4 = 1e40 cells would overflow int64
         # keys; the coarser cells still hold the closest pair.
@@ -1753,6 +1789,10 @@ class TestProbeFirstHits:
               np.array([[-3.3129615600339886, 4.123689650437143]]),
               np.array([[0.14617898382362626, 0.9892581587676151]]),
               np.array([4.3495261135824865])))
+    # (2, 0) scores -0.0 and (2, 0.236...) +0.0: the walk and the march
+    # visit them in different orders, so a signed zero would differ.
+    @example((PeresForest(), 0.5, np.array([[1.5, 0.5]]),
+              np.array([[1.0, -1.0]]) / math.sqrt(2.0), np.array([1.0])))
     @settings(max_examples=200, deadline=None)
     def test_matches_march_and_brute_force(self, case):
         spec, eps, bases, dirs, lengths = case
@@ -2371,9 +2411,11 @@ def former_line_box(lo, hi, dirs, closed=False):
 
 
 def former_candidate_scores(cand, bases, dirs, eps):
+    # A zero score is +0.0, as `_candidate_scores` gives it: the former
+    # walk visits the points in another order, and its min would keep -0.0.
     b = cand - bases
     t_lo, t_hi = former_line_box(b - eps, b + eps, dirs)
-    return np.where((t_lo < t_hi) & (t_hi > 0.0), t_lo, np.inf)
+    return np.where((t_lo < t_hi) & (t_hi > 0.0), t_lo + 0.0, np.inf)
 
 
 LINE_BOX_BOUNDS = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, -2.5, 1e-300]
@@ -2576,6 +2618,9 @@ class TestCoordinateMajorWalk:
             assert skipped > 0 or eps > 0.01
 
     @given(near_rational_probes())
+    # On Z^2 this probe's first blockers score -0.0 and +0.0.
+    @example((probe_spec("z2", 0), 0.5, np.array([[0.0, 0.5]]),
+              np.array([[-1.0, -1.0]]) / math.sqrt(2.0), np.array([64.0])))
     @settings(max_examples=60, deadline=None)
     def test_near_rational_probes_match_the_former_walk(self, case):
         spec, eps, bases, dirs, lengths = case
@@ -3228,7 +3273,7 @@ class TestVerifyNetOracle:
         assert 0 < np.count_nonzero(~hits) < hits.size
         # Some hits are left to the full-net check: their point lies
         # beyond the cells around the centre.
-        index = epsnet._CellIndex(net.points)
+        index = epsnet._net_index(net.points)
         assert any(np.any(hit & ~epsnet._certified_hits(index, rows, box_sampler == "rotated"))
                    for rows, hit in _box_hits(net, box_sampler, 0.01,
                                               epsnet.CHUNK_BOXES + 500, 7))
@@ -3268,8 +3313,8 @@ class TestVerifyNetOracle:
             corner = next(q for q in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
                           if not box.contains(np.array([q]))[0])
             net = _net([p] + [corner] * 40, eps=volume)
-            index = epsnet._CellIndex(net.points)
-            assert index.g == 3
+            index = epsnet._net_index(net.points)
+            assert index.cells.tolist() == [3, 3] and index.scale == 3.0
             hits = assert_verify_matches(net, box_sampler, volume, i + 1, seed)
             assert hits[i]
             assert epsnet._certified_hits(index, rows[:i + 1], rotated)[i]
@@ -3286,11 +3331,16 @@ class TestVerifyNetOracle:
         # cell, so no pair outside it is scored, and no outer run at all.
         grid = (np.arange(32) + 0.5) / 32.0
         net = _net(cartesian(grid, grid), eps=0.3)
-        index = epsnet._CellIndex(net.points)
+        index = epsnet._net_index(net.points)
+        assert index.cells.tolist() == [16, 16]
         draw, _ = epsnet._SAMPLERS[box_sampler]
         rows = draw(0.3, 500, np.random.default_rng(3))
-        keys = index.keys(rows[:, :2])
-        centre_pairs = int(np.sum(index.starts[keys + 1] - index.starts[keys]))
+        # The centre cells' runs, from the index's own search.
+        runs = index.rows(np.sort(index.key(rows[:, :2])), [0, 1])
+        centre_pairs = int(np.sum(runs[1] - runs[0]))
+        # Cell (i, j) holds the 4 points (2 i + 1/2, 2 j + 1/2) / 32 to
+        # (2 i + 3/2, 2 j + 3/2) / 32, whichever cell a box's centre lies in.
+        assert centre_pairs == 4 * rows.shape[0]
         scored = []
 
         def counted(start, stop):
