@@ -9,6 +9,7 @@ searches whose sampling parameters are recorded in the returned reports.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -78,11 +79,6 @@ MAX_SUD_VALUES = 2 ** 24
 # A scan holds at most 12 arrays of one block, 8 bytes a cell (1.5 MB),
 # besides O(n) for the points; 2^14 cells ran faster than 2^12 or 2^16.
 DISCREPANCY_BLOCK_CELLS = 2 ** 14
-# Level spacing of the coarse grid of the exact 2-D discrepancy: the slabs
-# with both ends on every 4th y-level (and the top one) are scanned first,
-# and they bound every other slab.  At 200 uniform points that is 1,378 of
-# 20,503 slabs.
-DISCREPANCY_COARSE_STEP = 4
 # Heavy-box anchors counted together, and the cells (anchors x sorted
 # slab union) one block of them may hold.
 HEAVY_BLOCK_ANCHORS = 32
@@ -421,6 +417,17 @@ def _discrepancy_1d(xs: np.ndarray, n: int) -> float:
     return max(float(over[0]), float(under[0]), 0.0)
 
 
+def _coarse_step(m: int) -> int:
+    """Level spacing of the coarse grid of the exact 2-D discrepancy over m
+    y-levels: the slabs with both ends on every step-th level (and the top
+    one) are scanned first, and they bound every other slab.  Any spacing
+    gives the same value.  At 200, 1,000 and 2,000 uniform points (m = 202,
+    1,002, 2,002) this is 6, 10 and 13, among the fastest spacings there on
+    a 2-vCPU Xeon; a fixed 4 took 1.2-1.5x and 2-3x as long at 200 and
+    1,000 points."""
+    return max(2, round(m ** (1.0 / 3.0)))
+
+
 class _Slabs:
     """The slabs [yv[a], yv[b]] (y-levels a <= b) of 2-D points, scanned by
     `_slab_extremes` as gathers from one prefix table, and the coarse slabs
@@ -434,7 +441,7 @@ class _Slabs:
     works row by row, so a slab's over and under are the same floats
     whichever slabs share its call.
 
-    The coarse grid G holds every DISCREPANCY_COARSE_STEP-th level from 0
+    The coarse grid G holds every `_coarse_step`(m)-th level from 0
     and the top level m - 1.  ``over_c[i, j]`` and ``under_c[i, j]`` hold
     the scanned over and under of the coarse slab (G[i], G[j]) for i <= j,
     and 0 for i > j, which is the empty slab.
@@ -454,7 +461,7 @@ class _Slabs:
         del counts  # freed before the coarse scan's blocks are built
         self.xv, self.yv, self.n = xv, yv, n
         self.step = max(1, DISCREPANCY_BLOCK_CELLS // k)
-        self.grid = np.append(np.arange(0, m - 1, DISCREPANCY_COARSE_STEP), m - 1)
+        self.grid = np.append(np.arange(0, m - 1, _coarse_step(m)), m - 1)
         self.floor = np.searchsorted(self.grid, np.arange(m), side="right") - 1
         self.ceil = np.searchsorted(self.grid, np.arange(m))
         g = self.grid.size
@@ -872,11 +879,16 @@ MAX_WALK_ROWS = 2 ** 20
 SKIP_MAX_PERIOD = 8
 
 
+@functools.lru_cache(maxsize=8)
 def _walk_stencils(k: int, d: int) -> np.ndarray:
     """Offsets {0..k-1}^(d-1) placed on every axis but a, indexed
-    [coordinate, offset, a]."""
+    [coordinate, offset, a]; read-only and kept for the last few (k, d),
+    since every ``score`` call of a probe pass asks for the same ones and a
+    stencil at MAX_WALK_ROWS holds tens of MB."""
     grid = cartesian(*[np.arange(k, dtype=float)] * (d - 1))
-    return np.stack([np.insert(grid, a, 0.0, axis=1).T for a in range(d)], axis=2)
+    out = np.stack([np.insert(grid, a, 0.0, axis=1).T for a in range(d)], axis=2)
+    out.setflags(write=False)
+    return out
 
 
 class _ColumnWalk:

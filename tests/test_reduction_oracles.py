@@ -9,9 +9,8 @@ directions that can still win: from a seeded quarter of the sub-window
 around the centre, then from the whole sub-window, then by the full sort,
 whose central gaps are one run found by bisection.  The oracles below
 compute the same quantities the direct way: one sort per (shift, twist)
-matrix and the former two-pass scan that took every twist's first window,
-one full sort per direction, the scan that bounds every direction from the
-sub-window alone, and a mask over every gap; the spacing bounds are checked
+matrix, one full sort per direction, the scan that bounds every direction
+from the sub-window alone, and a mask over every gap; the spacing bounds are checked
 against the full width of every direction they bound.  The SUD tests count
 the twist rows that reach the per-shift scan, and a strip test the
 directions that reach each tier, so that pruned and surviving cases are
@@ -19,18 +18,17 @@ both exercised.
 
 `min_gap` scans the pairs of neighbouring cells of a grid whose side is
 the least distance between consecutive rows, in blocks of sorted rows on
-up to three threads; its oracles are the unbounded KD-tree query of every
-point and the former lookup over the whole key array on one thread.  The
-d = 1 SUD core bounds run on the same threads, and a failure in either
+up to three threads; its oracle is the unbounded KD-tree query of every
+point.  The d = 1 SUD core bounds run on the same threads, and a failure in either
 must reach the caller and end every thread.  `dispersion` (d >= 2) and the SUD grid
 bound mark the grid nodes within a bound of some point and compute exact
 distances only for the others; their oracle is a KD-tree query (p = inf)
 of every node, the former code.
 `canonicalize_points` merges rounded duplicates with one stable sort; its
-oracle is `np.unique(axis=0)`.  Two NaN-free columns sort as one complex
-key; the former code, two lexsorts, is the oracle of that sort.
-`Window.contains` builds its mask one column at a time; its oracle compares
-the whole array at once.  `LatticeSheet.enumerate` builds, of each prefix
+oracle is `np.unique(axis=0)`, which also checks that two NaN-free columns
+sort as one complex key.  `Window.contains` and `AlignedBox.contains` build
+their masks one column at a time; their oracle compares one coordinate at a
+time in Python.  `LatticeSheet.enumerate` builds, of each prefix
 of its integer box, only the run of last entries that the window's faces
 leave; its oracle builds every row of the box.
 
@@ -48,13 +46,14 @@ norms from one stacked matmul and forms the bases after the loop, and it
 starts over with a per-probe check when a norm is short; its oracle is the
 former per-row loop with `np.linalg.norm`.  `_walk_lattice_sheets` holds
 only the live probes of each sheet's walk, compressed when some drop; its
-oracles are the index-based walk it replaced, which gathers every probe's
-state by index on every call, and a walk that recomputes every probe's
-next entry on every round.  The walk also skips the columns
-whose box provably holds no integer; its oracle is the walk without the
-skip, compared below the horizon, and every skipped column's float box is
-checked to be empty as `score` rounds it.  `estimate_visibility` draws one
-sample for a sequence of epsilons; its oracle is one call per epsilon.
+oracle, `lattice_tube_oracle`, scores every lattice point of each probe's
+padded tube, column by column in lattice coordinates, and a probe walked
+alone must get the bits it gets among the others.  The walk also skips the
+columns whose box provably holds no integer; the oracle is compared below
+the horizon, every skipped column's float box is checked to be empty as
+`score` rounds it, and the walk without the skip counts the work it saves.
+`estimate_visibility` draws one sample for a sequence of epsilons; its
+oracle is one call per epsilon.
 
 `find_empty_tube` passes each offset line only the points of a slab and
 ball around it; its oracle passes every window point.
@@ -69,9 +68,8 @@ that `enumerate` lists, byte for byte.
 
 `verify_net` draws each chunk of boxes as floats, certifies hits from the
 net points in the cells around each centre and checks the remaining boxes
-against the whole net.  Its oracles are the per-box loop it replaced (the
-former samplers build each box object and test it against every net
-point) and the former KD-tree certificate from the 8 nearest net points.
+against the whole net.  Its oracle is the per-box loop it replaced: the
+former samplers build each box object and test it against every net point.
 
 `discrepancy` gathers each slab from one prefix table of points per
 y-level and x-bucket, many slabs per array pass, and scans only the slabs
@@ -104,7 +102,6 @@ The fast paths promise the same floats, so every comparison is exact.
 """
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -184,26 +181,6 @@ def sud_oracle(seq, N, m_max, xi_count, seed):
     return best
 
 
-def former_run_dispersion_max(vs, idx, shifts, N, xis, best):
-    """The two-pass run scan that best-first SUD replaced: each block's
-    first windows raise best, and each row's core bound then decides
-    whether the row is scanned over the other shifts."""
-    span = shifts[-1] - shifts[0]
-    rows = max(1, analysis.SUD_BLOCK_CELLS // vs.size)
-    for b in range(0, xis.shape[0], rows):
-        w = vs[None, :, :] - xis[b:b + rows, None, :] * idx[None, :, None]
-        w -= np.floor(w)
-        best = max(best, float(np.max(analysis._window_dispersions(w[:, :N]))))
-        if span == 0:
-            continue
-        if span < N:
-            w = w[analysis._window_dispersions(w[:, span:N]) > best]
-        if w.shape[0]:
-            best = max(best, analysis._shift_windows_max(
-                w, [m - shifts[0] for m in shifts[1:]], N))
-    return best
-
-
 def sud_block_cells(cells):
     """SUD_BLOCK_CELLS patched to cells, or left as it is for None."""
     if cells is None:
@@ -211,13 +188,9 @@ def sud_block_cells(cells):
     return mock.patch.object(analysis, "SUD_BLOCK_CELLS", cells)
 
 
-def former_sud_value(seq, N, m_max, xi_count, seed):
-    with mock.patch.object(analysis, "_run_dispersion_max", former_run_dispersion_max):
-        return sud_estimate(seq, N, m_max, xi_count, seed).value
-
-
-def former_central_width(proj, cu, bulk):
-    """The mask over every gap that the central run replaced."""
+def central_width_oracle(proj, cu, bulk):
+    """The largest gap of sorted projections whose midpoint lies within
+    bulk of cu, from a mask over every gap; None when no gap does."""
     gaps = np.diff(proj)
     mids = (proj[:-1] + proj[1:]) / 2.0
     central = np.abs(mids - cu) <= bulk
@@ -248,13 +221,8 @@ def strip_oracle(spec, window, candidate_directions=()):
     bulk = float(np.min(window.extent)) / 4.0
     best_width, best_dir = -1.0, None
     for u in cands:
-        proj = np.sort(pts @ u)
-        mids = (proj[:-1] + proj[1:]) / 2.0
-        central = np.abs(mids - float(center @ u)) <= bulk
-        if not np.any(central):
-            continue
-        width = float(np.max(np.diff(proj)[central]))
-        if width > best_width:
+        width = central_width_oracle(np.sort(pts @ u), float(center @ u), bulk)
+        if width is not None and width > best_width:
             best_width, best_dir = width, u
     if best_width < 0.0:
         raise ValueError("no candidate strip passes near the window center")
@@ -352,55 +320,6 @@ def min_gap_oracle(pts):
     return float(np.min(dists[:, 1]))
 
 
-def former_min_gap(pts):
-    """`_min_gap` with its former whole-array lookup: every row's
-    neighbour runs searched in the whole key array at once, on one thread.
-    Its keys, searches and pair loop are its own: it shares no code with
-    `_min_gap`."""
-
-    def squared(a, b):
-        # Left to right over the axes, as a KD-tree query sums them.
-        total = (a[:, 0] - b[:, 0]) ** 2
-        for k in range(1, a.shape[1]):
-            total += (a[:, k] - b[:, k]) ** 2
-        return total
-
-    def least(start, stop):
-        # Every pair (i, j) with start[i] <= j < stop[i], all at once.
-        count = np.maximum(stop - start, 0)
-        if not count.any():
-            return math.inf
-        ends = np.cumsum(count)
-        rows = np.repeat(np.arange(count.size), count)
-        cols = np.repeat(start - (ends - count), count) + np.arange(ends[-1])
-        return float(np.min(squared(pts[rows], pts[cols])))
-
-    r2 = float(np.min(squared(pts[:-1], pts[1:])))
-    if r2 == 0.0:
-        return 0.0
-    n, d = pts.shape
-    lo = np.array([col.min() for col in pts.T])
-    extent = np.array([col.max() for col in pts.T]) - lo
-    per_axis = min(2 ** 20, int(2.0 ** (62.0 / d)) - 4)
-    side = max(math.sqrt(r2) * (1.0 + 1e-9), float(np.max(extent)) / per_axis)
-    dims = np.floor(extent / side).astype(np.int64) + 3
-    keys = np.zeros(n, dtype=np.int64)
-    for k in range(d):
-        keys *= dims[k]
-        keys += np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    pts = pts[order]
-    best = least(np.arange(1, n + 1), np.searchsorted(keys, keys + 1, side="right"))
-    strides = np.append(np.cumprod(dims[:0:-1])[::-1], 1)
-    for lead in itertools.product((-1, 0, 1), repeat=d - 1):
-        if lead > (0,) * (d - 1):
-            row = int(np.dot(lead, strides[:-1]))
-            best = min(best, least(np.searchsorted(keys, keys + (row - 1)),
-                                   np.searchsorted(keys, keys + (row + 1), side="right")))
-    return math.sqrt(min(r2, best))
-
-
 @contextlib.contextmanager
 def worker_threads(workers):
     """`parallel.worker_count` patched to `workers`, with thread switches
@@ -424,33 +343,6 @@ def canonicalize_oracle(pts):
     pts = pts[np.sort(idx)]
     order = np.lexsort(pts.T[::-1])
     return pts[order]
-
-
-def former_canonicalize(pts):
-    """`canonicalize_points` as two lexsorts of every column."""
-    if pts.shape[0] == 0:
-        return pts
-    pts = pts + 0.0
-    keys = np.round(pts, generators.MERGE_DECIMALS)
-    order = np.lexsort(keys.T[::-1])
-    runs = keys[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(runs[1:] != runs[:-1], axis=1)
-    pts = pts[np.sort(order[first])]
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
-
-
-def former_window_contains(window, points):
-    """`Window.contains` as one comparison of the whole array."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.all((pts >= window.lo) & (pts < window.hi), axis=1)
-
-
-def former_box_contains(box, points):
-    """`AlignedBox.contains` as one comparison of the whole array."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
 
 
 SEQUENCES = [golden_sequence(), tsokanos_sequence(), quadratic_sequence(PHI),
@@ -725,8 +617,6 @@ class TestSUDOracle:
     def test_matches_former_two_pass(self, seq, N, m_max, xi_count, seed, cells):
         with sud_block_cells(cells):
             got = sud_estimate(seq, N, m_max, xi_count, seed).value
-            want = former_sud_value(seq, N, m_max, xi_count, seed)
-        assert got.hex() == want.hex()
         assert got.hex() == sud_oracle(seq, N, m_max, xi_count, seed).hex()
 
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
@@ -743,8 +633,6 @@ class TestSUDOracle:
         seq = concat_linear_sequence(thetas)
         with sud_block_cells(cells):
             got = sud_estimate(seq, N, m_max, xi_count, seed).value
-            want = former_sud_value(seq, N, m_max, xi_count, seed)
-        assert got.hex() == want.hex()
         assert got.hex() == sud_oracle(seq, N, m_max, xi_count, seed).hex()
 
     @pytest.mark.parametrize("seq", [golden_sequence(), concat_linear_sequence(
@@ -765,6 +653,20 @@ class TestSUDOracle:
         assert cores.call_count == runs * 4 and scan.call_count == 0
         assert value == sud_oracle(seq, N, m_max, 10, 7)
 
+    def test_rows_tied_with_the_best_value_are_not_scanned(self):
+        # One run of 9 shifts.  Forced core bounds send row 0 alone to the
+        # scan, which sets the best value v; the next batch holds row 1,
+        # bound 1.5, and row 2, whose bound is v: a row whose bound does not
+        # exceed the best value leaves its batch unscanned.
+        seq, N, m_max, xi_count, seed = golden_sequence(), 16, 8, 8, 1
+        value, _, scans = self.block_log(seq, N, m_max, xi_count, seed,
+                                         lambda xis: np.r_[2.0, np.zeros(xis.shape[0] - 1)])
+        assert [w.shape[0] for w in scans] == [1]
+        _, _, scans = self.block_log(
+            seq, N, m_max, xi_count, seed,
+            lambda xis: np.r_[2.0, 1.5, value, np.zeros(xis.shape[0] - 3)])
+        assert [w.shape[0] for w in scans] == [1, 1]
+
     def test_surviving_rows_are_scanned(self):
         # One of the 16 twists has a core bound above every first window,
         # and a later shift of it sets the value.
@@ -776,18 +678,18 @@ class TestSUDOracle:
 
     def test_block_memory_is_bounded_by_cells(self):
         # At N = 2^20 a block of core bounds and a batch of the scan hold one
-        # twist row, and each thread holds one core block, so four twists
-        # take less than a span's memory more than one: 0.7 MB less on one
-        # thread and 7.5 MB more on two; 64-row blocks held all four at once.
-        # The worker counts are pinned to those the program can run on, so
-        # the bound does not depend on the host's CPUs.  Each thread holds
-        # its own 24 MB of core buffers: on three, four twists took 32.6 MB
-        # more than one.
+        # twist row, so four twists take at most one span more than one,
+        # plus, for each worker in flight beyond the first, the slot of core
+        # buffers that the `parallel.WORKERS` comment states: max(1.5 MB,
+        # 24 bytes x core length).  Four twists took 0.7 MB less than one on
+        # one thread, and 7.5 MB and 32.6 MB more on two and three; 64-row
+        # blocks held all four at once.
         N = 2 ** 20
         seq = quadratic_sequence(PHI)
         assert analysis.SUD_BLOCK_CELLS // (N - 2) <= 1
         span_bytes = 8 * (N + 2)
-        for workers in (1, parallel.WORKERS):
+        slot_bytes = max(1.5 * 2 ** 20, 24 * (N - 2))
+        for workers in (1, 2, 3):
             peaks = []
             with mock.patch.object(parallel, "worker_count", return_value=workers):
                 for xi_count in (1, 4):
@@ -797,8 +699,9 @@ class TestSUDOracle:
                         peaks.append(tracemalloc.get_traced_memory()[1])
                     finally:
                         tracemalloc.stop()
-            assert peaks[1] < peaks[0] + span_bytes, workers
-            assert max(peaks) < 10 * span_bytes, workers
+            extra = (min(workers, 4) - 1) * slot_bytes
+            assert peaks[1] < peaks[0] + span_bytes + extra, workers
+            assert max(peaks) < 10 * span_bytes + extra, workers
 
     def test_memory_does_not_grow_with_spans(self):
         # m_max 0 gives one span of N indices; m_max 10^7 gives 64 spans of
@@ -930,10 +833,30 @@ class TestCentralRunOracle:
     def test_matches_mask(self, values, cu, bulk):
         proj = np.sort(np.array(values, dtype=float))
         got = _central_width(proj, cu, bulk)
-        want = former_central_width(proj, cu, bulk)
+        want = central_width_oracle(proj, cu, bulk)
         assert (got is None) == (want is None)
         if want is not None:
             assert got.hex() == want.hex()
+
+    @given(st.lists(st.one_of(st.integers(-4, 4).map(float),
+                              st.floats(-10.0, 10.0, allow_subnormal=False)),
+                    min_size=2, max_size=40),
+           st.floats(-3.0, 3.0), st.floats(0.0, 4.0), st.integers(0, 2 ** 16),
+           st.sampled_from([0.0, 1e-9]))
+    # The widest central gap straddles the band's lower end, and the gap
+    # past its upper end is narrower.
+    @example([-1.5, 0.4, 1.2], 0.0, 1.0, 0, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_subset_bound_covers_the_width(self, values, cu, bulk, seed, eps):
+        # Any subset whose projections reach past both ends of the band
+        # bounds the central width of the whole set from above.
+        proj = np.sort(np.array(values, dtype=float))
+        width = central_width_oracle(proj, cu, bulk)
+        keep = np.random.default_rng(seed).random(proj.size) < 0.6
+        keep[[0, -1]] = True
+        bound = _central_width_bound(proj[keep], cu, bulk, eps)
+        if width is not None and bound != math.inf:
+            assert bound >= width
 
 
 class TestStripCoarseTier:
@@ -1139,18 +1062,21 @@ class TestGridBoundOracle:
         axes = [np.linspace(0.0, 1.0, m, endpoint=endpoint)] * pts.shape[1]
         assert _grid_bound(pts, axes) == grid_bound_oracle(pts, axes)
 
-    @given(grid_point_sets(), st.integers(2, 12))
+    @given(grid_point_sets(), st.integers(2, 12), st.sampled_from([None, 64]))
     @settings(max_examples=60, deadline=None)
-    def test_cover_is_exact_at_every_nearest_distance(self, pts, m):
+    def test_cover_is_exact_at_every_nearest_distance(self, pts, m, cells):
         # Covering at r must mark exactly the nodes whose nearest distance is
         # at most r, at each such distance and one ulp below it, so a cover
-        # that marks one ulp too far or too near fails here.
+        # that marks one ulp too far or too near fails here.  64 cells put
+        # 4 to 16 points in a block of the cover table's corners.
         axes = [np.linspace(0.0, 1.0, m)] * pts.shape[1]
         from scipy.spatial import cKDTree
         near, _ = cKDTree(pts).query(cartesian(*axes), k=1, p=np.inf)
         values = np.unique(near)
-        for r in np.concatenate([values, np.nextafter(values[values > 0.0], 0.0)]):
-            assert np.array_equal(_covered(axes, pts, r), near <= r)
+        cells = cells or analysis.GRID_BOUND_CELLS
+        with mock.patch.object(analysis, "GRID_BOUND_CELLS", cells):
+            for r in np.concatenate([values, np.nextafter(values[values > 0.0], 0.0)]):
+                assert np.array_equal(_covered(axes, pts, r), near <= r)
 
     def test_cover_counts_more_points_than_int16_holds(self):
         # 40,000 coincident points give the nodes around them a count that
@@ -1273,7 +1199,7 @@ class TestMinGapOracle:
         pts = np.random.default_rng(n).random((n, 2)) * 100.0
         with worker_threads(workers):
             gap = _min_gap(pts)
-        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+        assert gap == min_gap_oracle(pts)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
@@ -1291,7 +1217,7 @@ class TestMinGapOracle:
         pts[:, axis] = np.concatenate([np.delete(x, B), [x[B]]])
         with worker_threads(workers):
             gap = _min_gap(pts)
-        assert gap == former_min_gap(pts) == min_gap_oracle(pts) == 0.5
+        assert gap == min_gap_oracle(pts) == 0.5
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_repeated_point_far_from_its_copy(self, workers):
@@ -1301,7 +1227,7 @@ class TestMinGapOracle:
         pts[-1] = pts[5]
         with worker_threads(workers):
             gap = _min_gap(pts)
-        assert gap == former_min_gap(pts) == min_gap_oracle(pts) == 0.0
+        assert gap == min_gap_oracle(pts) == 0.0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1313,7 +1239,7 @@ class TestMinGapOracle:
         pts = rng.integers(-40, 41, (n, d)) + rng.random((n, d)) * 0.9
         with worker_threads(workers):
             gap = _min_gap(pts)
-        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+        assert gap == min_gap_oracle(pts)
 
     @given(st.integers(2, 400), st.integers(1, 4), st.integers(0, 2 ** 16),
            st.sampled_from([1.0, 0.37, 1e-6]), st.sampled_from([1, 2, 7, 64]),
@@ -1327,7 +1253,7 @@ class TestMinGapOracle:
         with mock.patch.object(analysis, "MIN_GAP_BLOCK_ROWS", block), \
                 worker_threads(workers):
             gap = _min_gap(pts)
-        assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+        assert gap == min_gap_oracle(pts)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_closest_pair_in_each_neighbour_cell(self, d):
@@ -1344,8 +1270,22 @@ class TestMinGapOracle:
             a = 5.0 + np.select([np.array(step) > 0, np.array(step) < 0], [0.95, 0.05], 0.5)
             pts = np.concatenate([[a], np.zeros((1, d)), line, [a + 0.1 * np.array(step)]])
             gap = _min_gap(pts)
-            assert gap == former_min_gap(pts) == min_gap_oracle(pts)
+            assert gap == min_gap_oracle(pts)
             assert gap == pytest.approx(0.1 * math.sqrt(np.count_nonzero(step)))
+
+    @pytest.mark.parametrize("pts", [
+        [0.0, 0.8085477503365306, 868.3802838614339, 827.9528963446073,
+         892.6367163715298, 828.7614440949438],
+        [0.0, 0.9492713391072232, 533.4904925782594, 486.02692562289826,
+         561.9686327514761, 486.9761969620055]], ids=["a", "b"])
+    def test_pair_just_inside_the_radius(self, pts):
+        # Consecutive rows give r = pts[1]; the pair of rows 3 and 5 is a
+        # few ulps closer, and its cell coordinates, rounded at side r
+        # exactly, would lie two cells apart: the side's 1e-9 keeps them
+        # in neighbouring cells.
+        pts = np.array(pts)[:, None]
+        gap = _min_gap(pts)
+        assert gap == min_gap_oracle(pts) < pts[1, 0]
 
     def test_cells_coarsen_past_int64(self):
         # (extent / r)^d = (1e4 / 1e-6)^4 = 1e40 cells would overflow int64
@@ -1420,14 +1360,9 @@ def special_rows(d, picks):
 
 class TestCanonicalizeSort:
     """`canonicalize_points` sorts two NaN-free columns as one complex key;
-    its oracle is the former code, two lexsorts, and bytes must be equal."""
+    its oracle is `canonicalize_oracle`, and bytes must be equal."""
 
-    @staticmethod
-    def assert_matches(pts):
-        got = canonicalize_points(pts)
-        expected = former_canonicalize(pts)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+    assert_matches = staticmethod(TestCanonicalizeOracle.assert_matches)
 
     @given(st.integers(1, 3), st.lists(st.integers(0, len(SPECIAL_VALUES) - 1),
                                        min_size=0, max_size=120))
@@ -1513,6 +1448,14 @@ class TestCanonicalizeSort:
         self.assert_matches(np.concatenate(sheets))
 
 
+def contains_oracle(lo, hi, points, closed):
+    """Rows of points with lo <= x < hi (x <= hi when closed) on every
+    axis, one Python comparison of one coordinate at a time."""
+    rows = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
+    return np.array([all(a <= x and (x <= b if closed else x < b)
+                         for a, x, b in zip(lo, row, hi)) for row in rows], dtype=bool)
+
+
 # Window bounds, values next to them, NaN and the infinities.
 CONTAINS_VALUES = [-1.5, np.nextafter(-1.5, -2.0), np.nextafter(-1.5, 0.0),
                    2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
@@ -1521,7 +1464,7 @@ CONTAINS_VALUES = [-1.5, np.nextafter(-1.5, -2.0), np.nextafter(-1.5, 0.0),
 
 class TestWindowContainsOracle:
     """`Window.contains` builds its mask one column at a time; its oracle
-    compares the whole array at once."""
+    compares one coordinate at a time in Python."""
 
     @given(st.integers(1, 3), st.lists(st.integers(0, len(CONTAINS_VALUES) - 1),
                                        min_size=0, max_size=90))
@@ -1531,7 +1474,7 @@ class TestWindowContainsOracle:
         pts = np.array(CONTAINS_VALUES)[picks[:len(picks) // d * d]].reshape(-1, d)
         got = window.contains(pts)
         assert got.dtype == bool
-        assert np.array_equal(got, former_window_contains(window, pts))
+        assert np.array_equal(got, contains_oracle(window.lo, window.hi, pts, False))
 
     def test_bounds_are_half_open(self):
         window = Window([0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
@@ -1540,14 +1483,14 @@ class TestWindowContainsOracle:
                         [math.nan, 0.0, 2.5], [0.5, math.inf, 2.5]])
         got = window.contains(pts)
         assert got.tolist() == [True, False, False, False, True, False, False]
-        assert np.array_equal(got, former_window_contains(window, pts))
+        assert np.array_equal(got, contains_oracle(window.lo, window.hi, pts, False))
 
     def test_single_point(self):
         window = Window([0.0, 0.0], [1.0, 1.0])
         for point in ([0.5, 0.5], [1.0, 0.5], [0.0, 0.0], [math.nan, 0.5]):
             got = window.contains(point)
             assert got.shape == (1,)
-            assert np.array_equal(got, former_window_contains(window, point))
+            assert np.array_equal(got, contains_oracle(window.lo, window.hi, point, False))
 
     def test_other_widths_are_refused(self):
         # The whole-array comparison broadcast one column against every
@@ -1564,12 +1507,13 @@ class TestWindowContainsOracle:
         lo = rng.integers(-3, 1, 3).astype(float)
         window = Window(lo, lo + rng.integers(1, 4, 3))
         pts = rng.integers(-4, 5, (n, 3)) * 0.5
-        assert np.array_equal(window.contains(pts), former_window_contains(window, pts))
+        assert np.array_equal(window.contains(pts),
+                              contains_oracle(window.lo, window.hi, pts, False))
 
 
 class TestAlignedBoxContainsOracle:
     """`AlignedBox.contains` builds its mask one column at a time; its
-    oracle compares the whole array at once."""
+    oracle compares one coordinate at a time in Python."""
 
     @given(st.integers(1, 3), st.lists(st.integers(0, len(CONTAINS_VALUES) - 1),
                                        min_size=0, max_size=90))
@@ -1579,7 +1523,7 @@ class TestAlignedBoxContainsOracle:
         pts = np.array(CONTAINS_VALUES)[picks[:len(picks) // d * d]].reshape(-1, d)
         got = box.contains(pts)
         assert got.dtype == bool
-        assert np.array_equal(got, former_box_contains(box, pts))
+        assert np.array_equal(got, contains_oracle(box.lo, box.hi, pts, True))
 
     def test_faces_are_inside_and_nan_rows_are_not(self):
         box = AlignedBox.from_bounds([0.0, -1.0, 2.0], [1.0, 1.0, 2.0])
@@ -1589,9 +1533,9 @@ class TestAlignedBoxContainsOracle:
                         [0.5, -math.inf, 2.0]])
         got = box.contains(pts)
         assert got.tolist() == [True, True, True, False, False, False, False, False, False]
-        assert np.array_equal(got, former_box_contains(box, pts))
+        assert np.array_equal(got, contains_oracle(box.lo, box.hi, pts, True))
         for point in pts:
-            assert np.array_equal(box.contains(point), former_box_contains(box, point))
+            assert np.array_equal(box.contains(point), contains_oracle(box.lo, box.hi, point, True))
 
     def test_rotated_box(self):
         rng = np.random.default_rng(5)
@@ -1599,7 +1543,8 @@ class TestAlignedBoxContainsOracle:
         pts = rng.random((500, 2))
         c, s = math.cos(0.3), math.sin(0.3)
         rotated = (pts - box.center) @ np.array([[c, -s], [s, c]])
-        assert np.array_equal(box.contains(pts), former_box_contains(box.box, rotated))
+        assert np.array_equal(box.contains(pts),
+                              contains_oracle(box.box.lo, box.box.hi, rotated, True))
         assert 0 < box.contains(pts).sum() < 500
 
     def test_other_widths_are_refused(self):
@@ -1617,7 +1562,7 @@ class TestAlignedBoxContainsOracle:
         lo = rng.integers(-3, 1, 3).astype(float)
         box = AlignedBox.from_bounds(lo, lo + rng.integers(0, 4, 3))
         pts = rng.integers(-4, 5, (n, 3)) * 0.5
-        assert np.array_equal(box.contains(pts), former_box_contains(box, pts))
+        assert np.array_equal(box.contains(pts), contains_oracle(box.lo, box.hi, pts, True))
 
 
 def lattice_candidates_near(sheet, queries, radius):
@@ -1918,117 +1863,90 @@ def draw_with_short_normals(monkeypatch, short, window, count, seed):
     return got, want, draws
 
 
-class IndexColumnWalk(analysis._ColumnWalk):
-    """`_ColumnWalk` as it was before it held only its live probes: every
-    probe stays in its state, and ``entry``, ``bounds``, ``skip`` and
-    ``score`` gather the state of the probe indices ``sel`` on each call."""
+def lattice_tube_oracle(sheets, eps, bases, dirs, lengths):
+    """Least score below ceil(length) over the points of the lattice
+    sheets whose lattice coordinates lie within the probe's padded tube.
 
-    def entry(self, sel, j):
-        return (self.start[sel] + j - self.r_a[sel] - self.pos[sel]) / self.speed[sel]
+    Per probe and sheet, in the coordinates y = B^-1 (x - shift), every
+    integer column c along the dominant axis a that the band |y_a - c| <= r_a
+    meets for 0 <= t <= horizon, and on the other axes every integer that
+    y(t) +- r sweeps while in that band; r = eps * sum_j |B^-1_ij| + pad,
+    with pad = 1e-6 (1 + |y0| + horizon |u|) far above any rounding of y
+    (a thousand times the walk's widening).  These are a superset of the
+    blockers, scored by the same kernel, so the least score is the walk's
+    float.  A point of column c scores at least the time t0 that the band
+    enters it, and t0 grows along the probe's columns, so each probe takes
+    the columns of every sheet 16, 32, ... at a time until t0 reaches the
+    least score found or the horizon.
+    """
+    out = np.full(bases.shape[0], np.inf)
+    horizons = np.ceil(lengths)
+    rows = np.arange(bases.shape[0])
+    tubes = []
+    for sheet in sheets:
+        y0 = (bases - sheet.shift) @ sheet.inverse.T
+        u = dirs @ sheet.inverse.T
+        a = np.argmax(np.abs(u), axis=1)
+        pad = 1e-6 * (1.0 + np.abs(y0).max(axis=1) + horizons * np.abs(u).max(axis=1))
+        r = eps * np.abs(sheet.inverse).sum(axis=1) + pad[:, None]
+        ua, ya, ra = u[rows, a], y0[rows, a], r[rows, a]
+        step = np.sign(ua)
+        first = np.where(step > 0, np.floor(ya - ra), np.ceil(ya + ra))
+        last = np.where(step > 0, np.ceil(ya + horizons * ua + ra),
+                        np.floor(ya + horizons * ua - ra))
+        tubes.append(dict(sheet=sheet, y0=y0, u=u, r=r, ua=ua, ya=ya, ra=ra, step=step,
+                          first=first, count=np.abs(last - first) + 1.0,
+                          off=np.arange(sheet.dim)[None, :] != a[:, None], live=rows))
 
-    def bounds(self, sel, j):
-        y0, u, lo_off, hi_off = (np.take(a, sel, axis=1)[:, None]
-                                 for a in (self.y0, self.u, self.lo_off, self.hi_off))
-        y_in = y0 + self.entry(sel, j) * u
-        return y_in + lo_off, y_in + hi_off
+    def band(tube, live, c):
+        """The times at which the band of each column c enters and leaves."""
+        ua, ya, ra = tube["ua"][live, None], tube["ya"][live, None], tube["ra"][live, None]
+        ends = ((c - ra - ya) / ua, (c + ra - ya) / ua)
+        return np.minimum(*ends), np.maximum(*ends)
 
-    def skip(self, sel, limit):
-        lo, hi = self.bounds(sel, self.done[sel] + np.arange(analysis.SKIP_MAX_PERIOD)[:, None])
-        m = np.floor(hi)
-        margin = self.margin[sel]
-        left = lo - m - margin
-        right = m + 1.0 - hi - margin
-        empty = (left > 0.0) & (right > 0.0)
-        empty &= (np.arange(empty.shape[0])[:, None] != self.axis[sel])[:, None]
-        sigma = np.take(self.u, sel, axis=1) / self.speed[sel]
-        jump = np.zeros(sel.size)
-        for q in range(1, analysis.SKIP_MAX_PERIOD + 1):
-            delta = (q * sigma - np.rint(q * sigma))[:, None]
-            room = np.where(delta > 0.0, right[:, :q], left[:, :q])
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                blocks = np.floor(room / np.abs(delta)) + 1.0
-            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=0)
-            jump = np.maximum(jump, q * blocks.min(axis=0))
-        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
-                       - self.start[sel]) + 1.0
-        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
-
-    def score(self, sel, columns, eps, bases, dirs, first):
-        d = bases.shape[1]
-        j = self.done[sel] + np.arange(columns)[:, None]
-        lo, hi = self.bounds(sel, j)
-        lo = np.ceil(lo)
-        hi = np.floor(hi)
-        axis = self.axis[sel]
-        on_axis = (np.arange(d)[:, None] == axis)[:, None]
-        col = self.sgn[sel] * (self.start[sel] + j)
-        lo = np.where(on_axis, col, lo)
-        hi = np.where(on_axis, col, hi)
-        k = int((hi - lo).max()) + 1
-        zs = lo[:, None] + np.take(analysis._walk_stencils(k, d), axis, axis=2)[:, :, None]
-        inside = np.flatnonzero((zs <= hi[:, None]).all(axis=0))
-        owner = np.take(sel, inside % sel.size)
-        pts = self.sheet.points(np.stack([np.take(z, inside) for z in zs], axis=1))
-        np.minimum.at(first, owner, _candidate_scores(
-            pts, np.take(bases, owner, axis=0), np.take(dirs, owner, axis=0), eps))
-
-
-def index_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first,
-                              walk_type=IndexColumnWalk):
-    """`_walk_lattice_sheets` as it was with `IndexColumnWalk`: one shrinking
-    array of live probe indices per sheet."""
-    walks = [walk_type(s, eps, bases, dirs, horizons) for s in sheets]
-    guard = 1e-9 * (1.0 + horizons)
-    alive = [np.arange(bases.shape[0])] * len(walks)
-    columns = analysis.WALK_FIRST_COLUMNS
-
-    def entered(walk, live):
-        limit = np.minimum(first[live], horizons[live]) + guard[live]
-        keep = walk.entry(live, walk.done[live]) <= limit
-        return live[keep], limit[keep]
-
-    while True:
-        moved = False
-        for i, walk in enumerate(walks):
-            live, limit = entered(walk, alive[i])
-            if columns == analysis.WALK_MAX_COLUMNS and live.size:
-                walk.skip(live, limit)
-                live, _ = entered(walk, live)
-            alive[i] = live
+    start, size = 0.0, 16
+    while any(tube["live"].size for tube in tubes):
+        j = start + np.arange(size)
+        for tube in tubes:
+            live, sheet = tube["live"], tube["sheet"]
             if not live.size:
                 continue
-            moved = True
-            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
-            for lo in range(0, live.size, chunk):
-                walk.score(live[lo:lo + chunk], columns, eps, bases, dirs, first)
-            walk.done[live] += columns
-        if not moved:
-            return
-        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
+            c = tube["first"][live, None] + tube["step"][live, None] * j   # (probes, size)
+            t = np.clip(np.stack(band(tube, live, c), axis=1), 0.0, horizons[live, None, None])
+            # y(t) at both ends of each column's band: (probes, d, 2, size).
+            ys = tube["y0"][live, :, None, None] + tube["u"][live, :, None, None] * t[:, None]
+            r, off = tube["r"][live][:, :, None], tube["off"][live][:, :, None]
+            lo = np.where(off, np.ceil(ys.min(axis=2) - r), c[:, None, :])
+            span = np.where(off, np.maximum(np.floor(ys.max(axis=2) + r) - lo + 1.0, 0.0), 1.0)
+            span = span.astype(np.int64) * (j < tube["count"][live, None])[:, None, :]
+            # Every integer of each (probe, column) box, axis by axis.
+            per = span.prod(axis=1).ravel()
+            cell = np.repeat(np.arange(per.size), per)
+            rest = np.arange(cell.size) - np.repeat(np.cumsum(per) - per, per)
+            zs = np.empty((cell.size, sheet.dim))
+            for k in range(sheet.dim):
+                n_k = span[:, k].ravel()[cell]
+                zs[:, k] = lo[:, k].ravel()[cell] + rest % n_k
+                rest //= n_k
+            owner = live[cell // size]
+            scores = _candidate_scores(sheet.points(zs), bases[owner], dirs[owner], eps)
+            below = scores < horizons[owner]
+            np.minimum.at(out, owner[below], scores[below])
+        start += size
+        size = min(2 * size, 1024)
+        for tube in tubes:
+            live = tube["live"]
+            t0, _ = band(tube, live, tube["first"][live, None] + tube["step"][live, None] * start)
+            tube["live"] = live[(start < tube["count"][live])
+                                & (t0[:, 0] < np.minimum(out[live], horizons[live]))]
+    return out
 
 
-def former_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
-    """`_walk_lattice_sheets` with every probe's next entry recomputed on
-    every round and sheet."""
-    walks = [IndexColumnWalk(s, eps, bases, dirs, horizons) for s in sheets]
-    guard = 1e-9 * (1.0 + horizons)
-    everyone = np.arange(bases.shape[0])
-    columns = analysis.WALK_FIRST_COLUMNS
-    while True:
-        moved = False
-        for walk in walks:
-            limit = np.minimum(first, horizons) + guard
-            alive = np.flatnonzero(walk.entry(everyone, walk.done) <= limit)
-            if not alive.size:
-                continue
-            moved = True
-            chunk = max(1, analysis.PROBE_KERNEL_ROWS // (columns * walk.rows_per_column))
-            for lo in range(0, alive.size, chunk):
-                walk.score(alive[lo:lo + chunk], columns, eps, bases, dirs, first)
-            walk.done[alive] += columns
-        if not moved:
-            return
-        columns = min(2 * columns, analysis.WALK_MAX_COLUMNS)
+def unskipped_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first):
+    """`_walk_lattice_sheets` with its skip turned off: every probe scores
+    each of its columns until its next entry passes min(first, horizon)."""
+    with mock.patch.object(analysis._ColumnWalk, "skip", lambda walk, limit: None):
+        analysis._walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first)
 
 
 PROBE_WINDOWS = {1: Window([-20.0], [20.0]), 2: Window([-3.0, 1.0], [5.0, 2.5]),
@@ -2104,34 +2022,19 @@ class TestProbeDrawOracle:
             assert norms[i] == float(np.linalg.norm(raw[i]))
 
 
-class UnskippedColumnWalk(IndexColumnWalk):
-    """`IndexColumnWalk` with no skip: every probe scores each of its
-    columns until its next entry passes min(first, horizon)."""
-
-    def skip(self, sel, limit):
-        pass
-
-
-unskipped_walk_lattice_sheets = functools.partial(index_walk_lattice_sheets,
-                                                  walk_type=UnskippedColumnWalk)
-
-
 def record_walk(walk_fn, monkeypatch, sheets, eps, bases, dirs, lengths):
     """``first`` after ``walk_fn``, and the (sheet, probe ids, columns) of
-    every chunk it scored, from `_ColumnWalk` (a slice of its live probes)
-    or `IndexColumnWalk` (probe indices)."""
+    every chunk that `_ColumnWalk` scored (a slice of its live probes)."""
     calls = []
 
     def recorder(score):
         def recording(walk, sel, columns, *rest):
             index = next(i for i, s in enumerate(sheets) if s is walk.sheet)
-            ids = walk.ids[sel] if isinstance(sel, slice) else sel
-            calls.append((index, ids.tobytes(), columns))
+            calls.append((index, walk.ids[sel].tobytes(), columns))
             return score(walk, sel, columns, *rest)
         return recording
 
-    for walk_type in (analysis._ColumnWalk, IndexColumnWalk):
-        monkeypatch.setattr(walk_type, "score", recorder(walk_type.score))
+    monkeypatch.setattr(analysis._ColumnWalk, "score", recorder(analysis._ColumnWalk.score))
     first = np.full(bases.shape[0], np.inf)
     walk_fn(sheets, eps, bases, dirs, np.ceil(lengths), first)
     monkeypatch.undo()
@@ -2150,35 +2053,43 @@ def below_horizon(first, lengths):
 
 
 class TestShrinkingWalkOracle:
-    # The skip moves where the rounds start, so the chunks differ from the
-    # former walk's and so does ``first`` past the horizon.
+    """Each probe's walk does not depend on the others: a walk over every
+    probe gives each the bits that its walk alone, or with every other
+    probe, gives, and below the horizon those of `lattice_tube_oracle`."""
+
     @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid(),
                                       integer_lattice(1), integer_lattice(3)],
                              ids=["z2", "peres", "three-grid", "z1", "z3"])
     @pytest.mark.parametrize("eps", [0.05, 0.2])
-    def test_matches_the_walk_over_every_probe(self, spec, eps, monkeypatch):
-        sheets = [s for s in spec.sheets() if isinstance(s, LatticeSheet)]
+    def test_matches_the_walk_over_every_probe(self, spec, eps):
+        sheets = spec.sheets()
         bases, dirs, lengths = sample_probes(Window.cube(20.0, spec.dim), 300.0, 400, 3)
-        got = record_walk(analysis._walk_lattice_sheets, monkeypatch, sheets,
-                          eps, bases, dirs, lengths)
-        want = record_walk(former_walk_lattice_sheets, monkeypatch, sheets,
-                           eps, bases, dirs, lengths)
-        got_first = below_horizon(got[0], lengths)
-        assert got_first.tobytes() == below_horizon(want[0], lengths).tobytes()
-        assert scored_rows(got[1]) <= scored_rows(want[1])
-        assert np.isfinite(got_first).any()
+        horizons = np.ceil(lengths)
+        first = np.full(bases.shape[0], np.inf)
+        analysis._walk_lattice_sheets(sheets, eps, bases, dirs, horizons, first)
+        for part in [np.arange(1, 400, 2)] + [np.array([p]) for p in range(0, 400, 37)]:
+            alone = np.full(part.size, np.inf)
+            analysis._walk_lattice_sheets(sheets, eps, bases[part], dirs[part],
+                                          horizons[part], alone)
+            assert alone.tobytes() == first[part].tobytes()
+        got = below_horizon(first, lengths)
+        part = np.arange(0, 400, 9)
+        assert got[part].tobytes() == lattice_tube_oracle(
+            sheets, eps, bases[part], dirs[part], lengths[part]).tobytes()
+        assert np.isfinite(got).any()
 
 
 class TestLiveProbeWalk:
-    """The walk that holds only its live probes against `IndexColumnWalk`:
-    the same chunks in the same order, hence ``first`` bit for bit."""
+    """The walk that holds only its live probes: ``first`` below the
+    horizon against `lattice_tube_oracle`, and ``keep`` against the arrays
+    of a walk that keeps every probe."""
 
     @pytest.mark.parametrize("spec", [integer_lattice(2), PeresForest(), ThreeGrid(),
                                       integer_lattice(1), integer_lattice(3)],
                              ids=["z2", "peres", "three-grid", "z1", "z3"])
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
     def test_matches_the_index_walk(self, spec, eps, monkeypatch):
-        sheets = [s for s in spec.sheets() if isinstance(s, LatticeSheet)]
+        sheets = spec.sheets()
         bases, dirs, lengths = sample_probes(Window.cube(20.0, spec.dim), 300.0, 400, 3)
         jumped = []
         skip = analysis._ColumnWalk.skip
@@ -2189,13 +2100,12 @@ class TestLiveProbeWalk:
             jumped.append(walk.done.sum() - before)
 
         monkeypatch.setattr(analysis._ColumnWalk, "skip", counting)
-        got = record_walk(analysis._walk_lattice_sheets, monkeypatch, sheets,
-                          eps, bases, dirs, lengths)
-        want = record_walk(index_walk_lattice_sheets, monkeypatch, sheets,
-                           eps, bases, dirs, lengths)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
-        assert np.isfinite(got[0]).any()
+        first = np.full(bases.shape[0], np.inf)
+        analysis._walk_lattice_sheets(sheets, eps, bases, dirs, np.ceil(lengths), first)
+        got = below_horizon(first, lengths)
+        assert got.tobytes() == lattice_tube_oracle(sheets, eps, bases, dirs,
+                                                    lengths).tobytes()
+        assert np.isfinite(got).any()
         # On Z^1 every probe meets a point within its first columns, so no
         # walk reaches the rounds that skip.
         assert sum(jumped) > 0 or eps > 0.01 or spec.dim == 1
@@ -2204,7 +2114,7 @@ class TestLiveProbeWalk:
         bases, dirs, lengths = sample_probes(Window.cube(20.0, 2), 300.0, 40, 3)
         sheet = PeresForest().sheets()[1]
         walk = analysis._ColumnWalk(sheet, 0.05, bases, dirs, np.ceil(lengths))
-        full = IndexColumnWalk(sheet, 0.05, bases, dirs, np.ceil(lengths))
+        full = analysis._ColumnWalk(sheet, 0.05, bases, dirs, np.ceil(lengths))
         walk.keep(np.ones(40, dtype=bool))
         walk.keep(np.arange(40) % 3 != 1)
         walk.keep(np.arange(27) % 2 == 0)
@@ -2215,8 +2125,10 @@ class TestLiveProbeWalk:
             assert got.flags.c_contiguous and got.shape == want.shape[:-1] + (ids.size,)
             assert got.tobytes() == np.take(want, ids, axis=-1).tobytes(), name
         j = np.arange(3.0)[:, None] + walk.done
-        for got, want in zip(walk.bounds(j), full.bounds(ids, j)):
-            assert got.tobytes() == want.tobytes()
+        for k, p in enumerate(ids):
+            for got, want in zip(walk.bounds(j[:, k:k + 1], slice(k, k + 1)),
+                                 full.bounds(j[:, k:k + 1], slice(p, p + 1))):
+                assert got.tobytes() == want.tobytes()
 
 
 def nudge(draw, x):
@@ -2303,21 +2215,19 @@ def assert_skipped_columns_are_empty(skips):
 
 
 class TestColumnSkip:
-    """The skip leaves ``first`` below the horizon bit for bit as the walk
-    without it found it, and skips only columns whose box is empty."""
+    """The walk with its skip gives ``first`` below the horizon bit for bit
+    as `lattice_tube_oracle` gives it, and skips only columns whose box is
+    empty."""
 
     @given(near_rational_probes())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_unskipped_walk(self, case):
         spec, eps, bases, dirs, lengths = case
         sheets = spec.sheets()
-        horizons = np.ceil(lengths)
-        want = np.full(bases.shape[0], np.inf)
-        unskipped_walk_lattice_sheets(sheets, eps, bases, dirs, horizons, want)
+        want = lattice_tube_oracle(sheets, eps, bases, dirs, lengths)
         with pytest.MonkeyPatch.context() as monkeypatch:
             got, skips = record_skips(monkeypatch, sheets, eps, bases, dirs, lengths)
-        assert below_horizon(got, lengths).tobytes() == \
-            below_horizon(want, lengths).tobytes()
+        assert below_horizon(got, lengths).tobytes() == want.tobytes()
         assert_skipped_columns_are_empty(skips)
 
     @pytest.mark.parametrize("spec", [integer_lattice(2), ThreeGrid(), PeresForest(),
@@ -2327,37 +2237,35 @@ class TestColumnSkip:
     def test_seeded_probes(self, spec, eps, monkeypatch):
         bases, dirs, lengths = sample_probes(Window.cube(50.0, spec.dim), 4096.0,
                                              500, 2)
-        want = np.full(bases.shape[0], np.inf)
-        unskipped_walk_lattice_sheets(spec.sheets(), eps, bases, dirs,
-                                      np.ceil(lengths), want)
+        want = lattice_tube_oracle(spec.sheets(), eps, bases, dirs, lengths)
         got, skips = record_skips(monkeypatch, spec.sheets(), eps, bases, dirs,
                                   lengths)
-        assert below_horizon(got, lengths).tobytes() == \
-            below_horizon(want, lengths).tobytes()
+        assert below_horizon(got, lengths).tobytes() == want.tobytes()
         assert_skipped_columns_are_empty(skips)
 
     # Z^2 at eps 0.01 from (0.3, y) along slopes within ulps of 1/3 and
     # 2/7: the float box of column 62, where the first skip looks, lies
     # 1e-14 to 1e-12 above the row below it.  Over the next 4,000 columns
     # the box drifts by a few 1e-14, and some of its float boxes reach the
-    # row; a skip with no margin would jump over them.
+    # row; a skip with no margin would jump over them.  Mirrored in y, the
+    # box lies as close below the row above it.
     GRAZING = [(0.11333592543122409, 0.9486832980505138, 0.31622776601683794),
                (0.09857368056979768, 0.9615239476408232, 0.274721127897378)]
 
     def test_a_box_that_grazes_an_integer_is_not_skipped(self, monkeypatch):
-        bases = np.array([[0.3, y] for y, _, _ in self.GRAZING])
-        dirs = np.array([[a, b] for _, a, b in self.GRAZING])
         lengths = np.full(2, 4096.0)
         sheets = integer_lattice(2).sheets()
-        walk = analysis._ColumnWalk(sheets[0], 0.01, bases, dirs, lengths)
-        lo, _ = walk.bounds(np.full((1, 2), 62.0))
-        gap = lo[1, 0, :] - np.floor(lo[1, 0, :])
-        assert np.all((gap > 0.0) & (gap < 1e-12))
-        first, skips = record_skips(monkeypatch, sheets, 0.01, bases, dirs, lengths)
-        want = np.full(2, np.inf)
-        unskipped_walk_lattice_sheets(sheets, 0.01, bases, dirs, lengths, want)
-        assert first.tobytes() == want.tobytes()
-        assert_skipped_columns_are_empty(skips)
+        for sign in (1.0, -1.0):
+            bases = np.array([[0.3, sign * y] for y, _, _ in self.GRAZING])
+            dirs = np.array([[a, sign * b] for _, a, b in self.GRAZING])
+            walk = analysis._ColumnWalk(sheets[0], 0.01, bases, dirs, lengths)
+            lo, hi = walk.bounds(np.full((1, 2), 62.0))
+            gap = np.minimum(lo - np.floor(lo), np.ceil(hi) - hi)[1, 0, :]
+            assert np.all((gap > 0.0) & (gap < 1e-12))
+            first, skips = record_skips(monkeypatch, sheets, 0.01, bases, dirs, lengths)
+            want = lattice_tube_oracle(sheets, 0.01, bases, dirs, lengths)
+            assert below_horizon(first, lengths).tobytes() == want.tobytes()
+            assert_skipped_columns_are_empty(skips)
 
     def test_a_skip_stops_at_the_dominant_axis(self, monkeypatch):
         # Z^2 at eps 0.1 from (0.3, 0.5): along +x every column's box on the
@@ -2372,9 +2280,8 @@ class TestColumnSkip:
         lengths = np.array([4096.0, 4096.0])
         sheets = integer_lattice(2).sheets()
         first, skips = record_skips(monkeypatch, sheets, 0.1, bases, dirs, lengths)
-        want = np.full(2, np.inf)
-        unskipped_walk_lattice_sheets(sheets, 0.1, bases, dirs, np.ceil(lengths), want)
-        assert first.tobytes() == want.tobytes()
+        want = lattice_tube_oracle(sheets, 0.1, bases, dirs, lengths)
+        assert below_horizon(first, lengths).tobytes() == want.tobytes()
         assert first[0] == np.inf and 3990.0 < first[1] < 4010.0
         ends = {int(p): after for _, p, _, after in skips}
         assert ends[0] == 4096.0 and 3900.0 < ends[1] < first[1]
@@ -2408,14 +2315,6 @@ def former_line_box(lo, hi, dirs, closed=False):
         enter = np.where(flat, np.where(inside, -np.inf, np.inf), enter)
         leave = np.where(flat, np.where(inside, np.inf, -np.inf), leave)
     return enter.max(axis=-1), leave.min(axis=-1)
-
-
-def former_candidate_scores(cand, bases, dirs, eps):
-    # A zero score is +0.0, as `_candidate_scores` gives it: the former
-    # walk visits the points in another order, and its min would keep -0.0.
-    b = cand - bases
-    t_lo, t_hi = former_line_box(b - eps, b + eps, dirs)
-    return np.where((t_lo < t_hi) & (t_hi > 0.0), t_lo + 0.0, np.inf)
 
 
 LINE_BOX_BOUNDS = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, -2.5, 1e-300]
@@ -2494,84 +2393,9 @@ def former_walk_state(sheet, eps, bases, dirs, horizons):
             "rows_per_column": int((np.floor(width.max()) + 2.0) ** (d - 1))}
 
 
-class FormerColumnWalk(IndexColumnWalk):
-    """`IndexColumnWalk` with the former row-major ``bounds``, ``skip`` and
-    ``score``, run on (n, d) views of the walk's transposed state."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.rows = {name: getattr(self, name).T for name in WALK_STATE}
-        self.skipped = 0
-
-    def bounds(self, sel, j):
-        y0, u, lo_off, hi_off = (self.rows[name] for name in WALK_STATE)
-        t_in = self.entry(sel[:, None], j)
-        y_in = y0[sel, None, :] + t_in[:, :, None] * u[sel, None, :]
-        return y_in + lo_off[sel, None, :], y_in + hi_off[sel, None, :]
-
-    def skip(self, sel, limit):
-        before = self.done[sel]
-        lo, hi = self.bounds(sel, self.done[sel, None] + np.arange(analysis.SKIP_MAX_PERIOD))
-        m = np.floor(hi)
-        margin = self.margin[sel, None, None]
-        left = lo - m - margin
-        right = m + 1.0 - hi - margin
-        empty = (left > 0.0) & (right > 0.0)
-        empty[np.arange(sel.size), :, self.axis[sel]] = False
-        sigma = self.rows["u"][sel] / self.speed[sel, None]
-        jump = np.zeros(sel.size)
-        for q in range(1, analysis.SKIP_MAX_PERIOD + 1):
-            delta = (q * sigma - np.rint(q * sigma))[:, None, :]
-            room = np.where(delta > 0.0, right[:, :q], left[:, :q])
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                blocks = np.floor(room / np.abs(delta)) + 1.0
-            blocks = np.where(empty[:, :q], blocks, 0.0).max(axis=2)
-            jump = np.maximum(jump, q * blocks.min(axis=1))
-        end = np.floor(limit * self.speed[sel] + self.r_a[sel] + self.pos[sel]
-                       - self.start[sel]) + 1.0
-        self.done[sel] += np.minimum(jump, np.maximum(end - self.done[sel], 0.0))
-        self.skipped += int(np.sum(self.done[sel] - before))
-
-    def score(self, sel, columns, eps, bases, dirs, first):
-        d = bases.shape[1]
-        j = self.done[sel, None] + np.arange(columns)
-        lo, hi = self.bounds(sel, j)
-        lo = np.ceil(lo)
-        hi = np.floor(hi)
-        axis = self.axis[sel]
-        on_axis = (np.arange(d) == axis[:, None])[:, None, :]
-        col = (self.sgn[sel, None] * (self.start[sel, None] + j))[:, :, None]
-        lo = np.where(on_axis, col, lo)
-        hi = np.where(on_axis, col, hi)
-        k = int((hi - lo).max()) + 1
-        stencil = analysis._walk_stencils(k, d).transpose(2, 1, 0)[axis]
-        zs = lo[:, :, None, :] + stencil[:, None, :, :]
-        inside = np.flatnonzero(np.all(zs <= hi[:, :, None, :], axis=-1))
-        owner = sel[inside // (columns * stencil.shape[1])]
-        pts = self.sheet.points(zs.reshape(-1, d))
-        np.minimum.at(first, owner, former_candidate_scores(
-            pts[inside], bases[owner], dirs[owner], eps))
-
-
 def skewed_lattice_3d():
     basis = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.1]])
     return GridUnion((Grid(basis, np.array([0.1, 0.7, 0.35])),))
-
-
-def former_walk_first_hits(monkeypatch, spec, eps, bases, dirs, lengths):
-    """``_probe_first_hits`` with every walk a `FormerColumnWalk`, and the
-    columns that its skips jumped."""
-    walks = []
-
-    def make(*args):
-        walks.append(FormerColumnWalk(*args))
-        return walks[-1]
-
-    monkeypatch.setattr(analysis, "_walk_lattice_sheets",
-                        functools.partial(index_walk_lattice_sheets, walk_type=make))
-    first = _probe_first_hits(spec, eps, bases, dirs, lengths)
-    monkeypatch.undo()
-    return first, sum(w.skipped for w in walks)
 
 
 WALK_SPECS = {"z2": integer_lattice(2), "peres": PeresForest(), "three-grid": ThreeGrid(),
@@ -2579,7 +2403,8 @@ WALK_SPECS = {"z2": integer_lattice(2), "peres": PeresForest(), "three-grid": Th
 
 
 class TestCoordinateMajorWalk:
-    """The walk's (d, n) layout against the former row-major walk."""
+    """The walk's (d, n) layout: its state against the former row-major
+    constructor, and its first hits against `lattice_tube_oracle`."""
 
     @pytest.mark.parametrize("name", list(WALK_SPECS))
     @pytest.mark.parametrize("eps", [0.05, 0.2])
@@ -2610,12 +2435,12 @@ class TestCoordinateMajorWalk:
         spec = WALK_SPECS[name]
         bases, dirs, lengths = sample_probes(Window.cube(50.0, spec.dim), 4096.0, 400, seed)
         for eps in (0.01, 0.05, 0.2):
-            want, skipped = former_walk_first_hits(monkeypatch, spec, eps, bases, dirs,
-                                                   lengths)
+            want = lattice_tube_oracle(spec.sheets(), eps, bases, dirs, lengths)
+            _, skips = record_skips(monkeypatch, spec.sheets(), eps, bases, dirs, lengths)
             got = _probe_first_hits(spec, eps, bases, dirs, lengths)
             assert got.tobytes() == want.tobytes()
             assert np.isfinite(got).any()
-            assert skipped > 0 or eps > 0.01
+            assert skips or eps > 0.01
 
     @given(near_rational_probes())
     # On Z^2 this probe's first blockers score -0.0 and +0.0.
@@ -2624,8 +2449,7 @@ class TestCoordinateMajorWalk:
     @settings(max_examples=60, deadline=None)
     def test_near_rational_probes_match_the_former_walk(self, case):
         spec, eps, bases, dirs, lengths = case
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            want, _ = former_walk_first_hits(monkeypatch, spec, eps, bases, dirs, lengths)
+        want = lattice_tube_oracle(spec.sheets(), eps, bases, dirs, lengths)
         assert _probe_first_hits(spec, eps, bases, dirs, lengths).tobytes() == want.tobytes()
 
 
@@ -3143,45 +2967,6 @@ def verify_oracle(net, box_sampler, volume, trials, seed):
     return doc, worst, np.array(hits)
 
 
-def former_certified_hits(points, tree, rows, rotated, nearest=8):
-    """The former certificate: a box is a hit when one of the `nearest` net
-    points nearest its centre (one KD-tree query) lies in it."""
-    k = min(nearest, points.shape[0])
-    _, idx = tree.query(rows[:, :2], k=k)
-    near = points[idx.reshape(rows.shape[0], k)]
-    x = near[:, :, 0]
-    y = near[:, :, 1]
-    cx, cy, hw, hh = (rows[:, j, None] for j in range(4))
-    if not rotated:
-        return np.any((x >= cx - hw) & (x <= cx + hw)
-                      & (y >= cy - hh) & (y <= cy + hh), axis=1)
-    c = np.cos(rows[:, 4, None])
-    s = np.sin(rows[:, 4, None])
-    u = (x - cx) * c + (y - cy) * s
-    v = (y - cy) * c - (x - cx) * s
-    return np.any((np.abs(u) <= hw - epsnet.ROTATED_HIT_MARGIN)
-                  & (np.abs(v) <= hh - epsnet.ROTATED_HIT_MARGIN), axis=1)
-
-
-def former_box_hits(net, box_sampler, volume, trials, seed):
-    """The former `_box_hits`: KD-tree certificates, then the full-net check."""
-    from scipy.spatial import cKDTree
-
-    draw = SCALAR_DRAWS[box_sampler]
-    rng = np.random.default_rng(seed)
-    tree = cKDTree(net.points) if net.size else None
-    for start in range(0, trials, epsnet.CHUNK_BOXES):
-        count = min(epsnet.CHUNK_BOXES, trials - start)
-        rows = np.array([draw(volume, rng) for _ in range(count)])
-        if tree is None:
-            yield rows, np.zeros(count, dtype=bool)
-            continue
-        hits = former_certified_hits(net.points, tree, rows, box_sampler == "rotated")
-        for i in np.flatnonzero(~hits):
-            hits[i] = bool(np.any(former_box(rows[i]).contains(net.points)))
-        yield rows, hits
-
-
 def box_fields(box):
     """Every float that defines a sampled box, as bytes.
 
@@ -3211,9 +2996,6 @@ def assert_verify_matches(net, box_sampler, volume, trials, seed):
     hits = np.concatenate([h for _, h in
                            _box_hits(net, box_sampler, volume, trials, seed)])
     assert hits.tolist() == expected_hits.tolist()
-    former = np.concatenate([h for _, h in
-                             former_box_hits(net, box_sampler, volume, trials, seed)])
-    assert former.tolist() == expected_hits.tolist()
     return expected_hits
 
 
@@ -3543,8 +3325,10 @@ class TestBoxDrawOracle:
 # Unit-cube box statistics: discrepancy, heavy box, UDT margin
 # ---------------------------------------------------------------------------
 
-def former_critical_values(xs):
-    """Unique sorted coordinates with 0/1 sentinels and <=/< cumulative counts."""
+def slab_scan_oracle(xs, scale, n):
+    """Best overfull and underfull deviation of the boxes of height scale
+    over the x-coordinates xs of a slab's points: the critical values are
+    the unique coordinates with 0/1 sentinels, with <= and < counts."""
     vals, counts = np.unique(xs, return_counts=True)
     if vals.size == 0 or vals[0] > 0.0:
         vals = np.concatenate([[0.0], vals])
@@ -3553,11 +3337,7 @@ def former_critical_values(xs):
         vals = np.concatenate([vals, [1.0]])
         counts = np.concatenate([counts, [0]])
     cum = np.cumsum(counts)
-    return vals, cum, cum - counts
-
-
-def former_slab_extremes(xs_sorted, scale, n):
-    vals, cum, below = former_critical_values(xs_sorted)
+    below = cum - counts
     up = cum / n - scale * vals
     down = scale * vals - below / n
     over = float(np.max(up + np.maximum.accumulate(down)))
@@ -3571,7 +3351,7 @@ def discrepancy_oracle(pts):
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
     if pts.shape[1] == 1:
-        over, under = former_slab_extremes(pts[:, 0], 1.0, n)
+        over, under = slab_scan_oracle(pts[:, 0], 1.0, n)
         return max(over, under, 0.0)
     yv = np.unique(np.concatenate([pts[:, 1], [0.0, 1.0]]))
     m = yv.size
@@ -3585,11 +3365,11 @@ def discrepancy_oracle(pts):
             yb = yv[ib]
             scale = yb - ya
             closed = xs[(ys >= ya) & (ys <= yb)]
-            over, _ = former_slab_extremes(closed, scale, n)
+            over, _ = slab_scan_oracle(closed, scale, n)
             best = max(best, over)
             if ib > ia:
                 open_ = xs[(ys > ya) & (ys < yb)]
-                _, under = former_slab_extremes(open_, scale, n)
+                _, under = slab_scan_oracle(open_, scale, n)
                 best = max(best, under)
     return best
 
@@ -3766,7 +3546,7 @@ class TestDiscrepancyOracle:
         # Every slab's over and under, counted directly, are the gathered
         # ones bit for bit and at most the bounds from its inner and outer
         # coarse slabs, far inside the 2^-30 margin of the pruning.
-        with mock.patch.object(analysis, "DISCREPANCY_COARSE_STEP", spacing):
+        with mock.patch.object(analysis, "_coarse_step", return_value=spacing):
             slabs = analysis._Slabs(pts, pts.shape[0])
         rows = slab_rows(pts)
         a, b = np.array(list(rows)).T
@@ -3790,8 +3570,23 @@ class TestDiscrepancyOracle:
         if spacing == "m":
             spacing = np.unique(np.concatenate([pts[:, 1], [0.0, 1.0]])).size
         k = np.unique(np.concatenate([pts[:, 0], [0.0, 1.0]])).size
-        with mock.patch.object(analysis, "DISCREPANCY_COARSE_STEP", spacing), \
+        with mock.patch.object(analysis, "_coarse_step", return_value=spacing), \
                 mock.patch.object(analysis, "DISCREPANCY_BLOCK_CELLS", rows * k):
+            assert discrepancy(pts) == discrepancy_oracle(pts)
+
+    def test_bounds_short_by_their_rounding(self):
+        # A slab's float value may exceed its float bound by 2^-47 (see
+        # `_Slabs.bounds`); with every bound that far below its own slab's
+        # value, the 2^-30 margin still scans every slab that can win.  On
+        # these sixths a fine slab beats the coarse best by one ulp.
+        pts = np.array([[1, 2], [2, 1], [3, 3], [3, 1], [5, 2], [4, 4], [2, 4], [1, 1],
+                        [3, 1], [1, 0], [1, 3], [4, 1]]) / 6.0
+
+        def short(slabs, a, b):
+            over, under = slabs.extremes(a, b)
+            return over - 2.0 ** -47, under - 2.0 ** -47
+
+        with mock.patch.object(analysis._Slabs, "bounds", short):
             assert discrepancy(pts) == discrepancy_oracle(pts)
 
     def test_hammersley_set(self):
@@ -3804,10 +3599,40 @@ class TestDiscrepancyOracle:
         pts = cartesian(*[np.linspace(0.0, 1.0, 15)] * 2)
         assert discrepancy(pts) == discrepancy_oracle(pts)
 
+    def test_each_level_scans_largest_bound_first(self):
+        # One lower level a block and one slab a scan: after the coarse
+        # slabs, the slabs of each lower level reach the scan in order of
+        # decreasing bound, so a block whose slabs cannot win ends the level.
+        pts = np.column_stack([np.arange(64) / 64, halton(64, 1)[:, 0]])
+        k = np.unique(np.concatenate([pts[:, 0], [0.0, 1.0]])).size
+        scans = []
+        extremes = analysis._Slabs.extremes
+
+        def logged(slabs, a, b):
+            scans.append((slabs, a, b))
+            return extremes(slabs, a, b)
+
+        with mock.patch.object(analysis, "DISCREPANCY_BLOCK_CELLS", k), \
+                mock.patch.object(analysis._Slabs, "extremes", logged):
+            assert discrepancy(pts) == discrepancy_oracle(pts)
+        slabs = scans[0][0]
+        a, b = (np.concatenate(x) for x in zip(*[(a, b) for _, a, b in scans]))
+        fine = ~(np.isin(a, slabs.grid) & np.isin(b, slabs.grid))
+        a, b = a[fine], b[fine]
+        bound = np.maximum(*slabs.bounds(a, b))
+        assert np.all(np.diff(a) >= 0)
+        for level in np.unique(a):
+            assert np.all(np.diff(bound[a == level]) <= 0)
+        assert np.unique(a).size < a.size
+
     def test_uniform_points_scan_few_slabs(self):
-        # At 200 uniform points the 1,378 coarse slabs and the few that
-        # their bounds leave are about 7% of the 20,503 slabs.
+        # At 200 uniform points (202 y-levels, every 6th on the coarse grid)
+        # the 630 coarse slabs and the few that their bounds leave are
+        # about 5% of the 20,503 slabs.
         pts = np.random.default_rng(1).random((200, 2))
+        grid = np.append(np.arange(0, 201, analysis._coarse_step(202)), 201)
+        assert np.array_equal(analysis._Slabs(pts, 200).grid, grid)
+        g = grid.size
         calls = []
         real = analysis._slab_extremes
 
@@ -3817,7 +3642,7 @@ class TestDiscrepancyOracle:
 
         with mock.patch.object(analysis, "_slab_extremes", counted):
             assert discrepancy(pts) == discrepancy_oracle(pts)
-        assert 1378 <= sum(calls) <= 0.1 * 20503
+        assert g * (g + 1) // 2 <= sum(calls) <= 0.1 * 20503
 
     def test_guard_refuses_before_any_table(self, monkeypatch):
         pts = np.random.default_rng(0).random((50, 2))
@@ -3937,6 +3762,14 @@ class TestHeavyBoxOracle:
         box, count, flipped = best_aligned_box_oracle(pts, 0.01)
         assert flipped
         assert_box_equal(_best_aligned_box(pts, 0.01), (box, count))
+
+    def test_points_on_the_far_faces(self):
+        # At eps 1/4 the ratio 1 box is [0, 1/2]^2, exact in floats: it
+        # holds its 4 corners only with its far faces closed.
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5], [1.0, 1.0]])
+        box, count, _ = best_aligned_box_oracle(pts, 0.25)
+        assert count == 4
+        assert_box_equal(_best_aligned_box(pts, 0.25), (box, count))
 
     @given(cube_points(max_n=40), st.sampled_from([0.01, 0.05, 0.2]),
            st.integers(1, 3), st.integers(0, 2 ** 16))
