@@ -879,16 +879,31 @@ MAX_WALK_ROWS = 2 ** 20
 SKIP_MAX_PERIOD = 8
 
 
-@functools.lru_cache(maxsize=8)
-def _walk_stencils(k: int, d: int) -> np.ndarray:
-    """Offsets {0..k-1}^(d-1) placed on every axis but a, indexed
-    [coordinate, offset, a]; read-only and kept for the last few (k, d),
-    since every ``score`` call of a probe pass asks for the same ones and a
-    stencil at MAX_WALK_ROWS holds tens of MB."""
+# The widest stencil that `_walk_stencils` keeps.  A probe pass asks for
+# the same few stencils on every ``score`` call: the benchmark's Z^2 pass
+# asks 6 times for k = 1, its Peres passes 36 times for k = 1 and 2 (64
+# bytes at most), and a kept stencil costs 0.2 us against 45 us to build.
+# A wider one is built on each call: its probes score k^(d-1) rows a
+# column, far more than the build costs, and at MAX_WALK_ROWS it would
+# hold tens of MB.  Kept stencils total 15 KB over every d <= 4.
+WALK_STENCIL_KEEP_K = 4
+
+
+def _stencils(k: int, d: int) -> np.ndarray:
     grid = cartesian(*[np.arange(k, dtype=float)] * (d - 1))
     out = np.stack([np.insert(grid, a, 0.0, axis=1).T for a in range(d)], axis=2)
     out.setflags(write=False)
     return out
+
+
+_kept_stencils = functools.cache(_stencils)
+
+
+def _walk_stencils(k: int, d: int) -> np.ndarray:
+    """Offsets {0..k-1}^(d-1) placed on every axis but a, indexed
+    [coordinate, offset, a]; read-only, and built once for each (k, d) with
+    k <= WALK_STENCIL_KEEP_K."""
+    return (_kept_stencils if k <= WALK_STENCIL_KEEP_K else _stencils)(k, d)
 
 
 class _ColumnWalk:

@@ -208,6 +208,8 @@ SITES = [
          "horizon, is far above the rounding of the entry"),
     Site("walk-done+1", ANALYSIS, "_walk_lattice_sheets",
          "walk.done += columns", "walk.done += columns + 1", WALK),
+    Site("walk-done-1", ANALYSIS, "_walk_lattice_sheets",
+         "walk.done += columns", "walk.done += columns - 1", WALK),
     # -- net certificate -----------------------------------------------------
     Site("cert-drop-rotated-margin", EPSNET, "_certified_hits",
          "hw - ROTATED_HIT_MARGIN, hh - ROTATED_HIT_MARGIN", "hw, hh", VERIFY),
@@ -366,18 +368,15 @@ def run_site(site: Site) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="*", default=(), help="site name prefixes")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="skip the run of the owning tests on the unchanged copy")
     args = parser.parse_args(argv)
     sites = [s for s in SITES if not args.only or s.name.startswith(tuple(args.only))]
-    if not args.no_baseline:
-        tests = sorted({t for s in sites for t in s.tests})
-        with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
-            copy_tree(tree)
-            outcome, seconds, why = run_tests(tree, tests)
-        print(f"{'baseline':26} {outcome:10} {seconds:6.1f} s  {why}", flush=True)
-        if outcome != "survived":
-            return 2
+    tests = sorted({t for s in sites for t in s.tests})
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
+        copy_tree(tree)
+        outcome, seconds, why = run_tests(tree, tests)
+    print(f"{'baseline':26} {outcome:10} {seconds:6.1f} s  {why}", flush=True)
+    if outcome != "survived":
+        return 2
     counts = {}
     start = time.perf_counter()
     for site in sites:
